@@ -35,10 +35,6 @@ testing::FuzzConfig scenario_config(testing::Scenario s) {
       c.r = 2;
       c.losses = {0, 9};
       break;
-    case testing::Scenario::StorageRoundTrip:
-    case testing::Scenario::StorageFaulted:
-      c.losses = {2};
-      break;
     case testing::Scenario::Serve:
     case testing::Scenario::ServeChaos:
     case testing::Scenario::ServeShard:
@@ -86,12 +82,6 @@ BENCHMARK_CAPTURE(bm_fuzz_scenario, rs_decode,
                   testing::Scenario::RsDecode)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_fuzz_scenario, lrc,
                   testing::Scenario::LrcRoundTrip)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_fuzz_scenario, store,
-                  testing::Scenario::StorageRoundTrip)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_fuzz_scenario, store_fault,
-                  testing::Scenario::StorageFaulted)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_fuzz_scenario, serve,
                   testing::Scenario::Serve)

@@ -1,22 +1,25 @@
 // E14 (extension; paper §8 "measure the performance on real storage
 // workloads") — a synthetic-but-shaped object workload driven through
-// the erasure-coded stripe store: lognormal object sizes (the classic
-// blob-store distribution), a read-heavy op mix, and a node failure
-// mid-run. Reports end-to-end store throughput, where encoding is one
-// cost among memcpy, placement, and reconstruction.
+// the erasure-coded object store (a one-domain cluster::Cluster):
+// lognormal object sizes (the classic blob-store distribution), a
+// read-heavy op mix, and a node failure mid-run. Reports end-to-end
+// store throughput, where encoding is one cost among memcpy, CRCs,
+// placement, and reconstruction.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "bench_util.h"
-#include "storage/stripe_store.h"
+#include "cluster/cluster.h"
 
 namespace {
 
 using namespace tvmec;
 
 constexpr std::size_t kUnit = 64 * 1024;
+const ec::CodeParams kParams{10, 4, 8};
+const cluster::ClusterConfig kConfig{.num_nodes = 14};
 
 struct Workload {
   std::vector<std::vector<std::uint8_t>> objects;
@@ -43,7 +46,7 @@ Workload make_workload(std::size_t count, std::uint64_t seed) {
 void bm_put_workload(benchmark::State& state) {
   const Workload w = make_workload(24, 1);
   for (auto _ : state) {
-    storage::StripeStore store(ec::CodeParams{10, 4, 8}, kUnit, 14);
+    cluster::Cluster store(kParams, kUnit, kConfig);
     for (std::size_t i = 0; i < w.objects.size(); ++i)
       store.put("obj" + std::to_string(i), w.objects[i]);
     benchmark::DoNotOptimize(store.stats().stripes_written);
@@ -55,7 +58,7 @@ BENCHMARK(bm_put_workload)->Unit(benchmark::kMillisecond);
 
 void bm_get_workload(benchmark::State& state) {
   const Workload w = make_workload(24, 2);
-  storage::StripeStore store(ec::CodeParams{10, 4, 8}, kUnit, 14);
+  cluster::Cluster store(kParams, kUnit, kConfig);
   for (std::size_t i = 0; i < w.objects.size(); ++i)
     store.put("obj" + std::to_string(i), w.objects[i]);
   const bool degraded = state.range(0) != 0;
@@ -77,7 +80,7 @@ void print_paper_table() {
       "a lognormal object mix");
 
   const Workload w = make_workload(32, 4);
-  storage::StripeStore store(ec::CodeParams{10, 4, 8}, kUnit, 14);
+  cluster::Cluster store(kParams, kUnit, kConfig);
 
   const double put_secs = tune::measure_seconds_median(
       [&] {
@@ -103,7 +106,7 @@ void print_paper_table() {
   store.fail_node(2);
   const double degraded_secs = tune::measure_seconds_median(read_all, 3);
   std::printf("get    : %7.2f GB/s  (degraded, 1 node down, %zu "
-              "reconstructing reads)\n",
+              "reconstructed stripes)\n",
               w.total_bytes / degraded_secs / 1e9,
               store.stats().degraded_reads);
 

@@ -170,9 +170,14 @@ void Cluster::mark_node_failed(std::size_t node) {
 void Cluster::revive_node(std::size_t node) {
   if (node >= nodes_.size())
     throw std::invalid_argument("Cluster: node out of range");
-  // Clear injector crash state even when the failure never reached the
-  // cluster's own bookkeeping (a crash observed by no op yet).
-  if (injector_ != nullptr) injector_->repair_node(node);
+  // A crash no op observed yet reached neither the cluster's bookkeeping
+  // nor the node's units (routing just skipped the node). The machine's
+  // contents died with it all the same: record the loss before clearing
+  // the injector's crash state.
+  if (injector_ != nullptr) {
+    if (injector_->crashed(node)) mark_node_failed(node);
+    injector_->repair_node(node);
+  }
   Node& n = nodes_[node];
   if (!n.failed) return;
   n.failed = false;
@@ -244,6 +249,20 @@ std::vector<std::string> Cluster::object_names() const {
   return names;
 }
 
+std::optional<std::string> Cluster::object_at_or_after(
+    const std::string& name) const {
+  const auto it = objects_.lower_bound(name);
+  if (it == objects_.end()) return std::nullopt;
+  return it->first;
+}
+
+std::optional<std::string> Cluster::object_after(
+    const std::string& name) const {
+  const auto it = objects_.upper_bound(name);
+  if (it == objects_.end()) return std::nullopt;
+  return it->first;
+}
+
 bool Cluster::corrupt_unit(const std::string& name, std::size_t stripe,
                            std::size_t unit) {
   const auto it = objects_.find(name);
@@ -260,43 +279,48 @@ bool Cluster::corrupt_unit(const std::string& name, std::size_t stripe,
 
 std::size_t Cluster::repair() { return repairer_->repair_all(); }
 
-std::size_t Cluster::scrub() {
-  std::size_t bad_units = 0;
-  for (const auto& name : object_names()) {
-    const auto it = objects_.find(name);
-    if (it == objects_.end()) continue;
-    for (std::size_t s = 0; s < it->second.stripes.size(); ++s) {
-      const StripeLocation& loc = it->second.stripes[s];
-      // Node-local integrity pass: CRC every stored copy against the
-      // metadata checksum; no payload bytes cross the network here.
-      std::size_t bad = 0;
-      for (std::size_t u = 0; u < loc.nodes.size(); ++u) {
-        const std::size_t node = loc.nodes[u];
-        if (!node_usable(node)) {
-          ++bad;
-          continue;
-        }
-        const auto uit = nodes_[node].units.find({name, s, u});
-        if (uit == nodes_[node].units.end()) {
-          ++bad;
-          continue;
-        }
-        if (storage::crc32c(uit->second.bytes) != loc.unit_crcs[u]) {
-          ++bad;
-          ++stats_.corruptions_detected;
-        }
-      }
-      if (bad > 0) {
-        bad_units += bad;
-        // With a healer attached the finding joins the risk-prioritized
-        // queue; the legacy inline repair remains the sink-less path.
-        if (damage_sink_ != nullptr)
-          report_damage(DamageKind::ScrubFinding, name, s);
-        else
-          repairer_->repair_stripe(name, s);
-      }
+storage::StripeScrubResult Cluster::scrub_stripe(const std::string& name,
+                                                std::size_t s) {
+  const auto it = objects_.find(name);
+  if (it == objects_.end() || s >= it->second.stripes.size())
+    throw std::invalid_argument(
+        "Cluster::scrub_stripe: unknown object/stripe");
+  const StripeLocation& loc = it->second.stripes[s];
+  storage::StripeScrubResult res;
+  // Node-local integrity pass: CRC every stored copy against the
+  // metadata checksum; no payload bytes cross the network here.
+  for (std::size_t u = 0; u < loc.nodes.size(); ++u) {
+    const std::size_t node = loc.nodes[u];
+    if (!node_usable(node)) continue;
+    const auto uit = nodes_[node].units.find({name, s, u});
+    if (uit == nodes_[node].units.end()) continue;
+    if (storage::crc32c(uit->second.bytes) == loc.unit_crcs[u]) {
+      ++res.units_verified;
+    } else {
+      ++res.crc_errors;
+      ++stats_.corruptions_detected;
     }
   }
+  const std::size_t bad = loc.nodes.size() - res.units_verified;
+  if (bad == 0) return res;
+  // With a healer attached the finding joins the risk-prioritized queue;
+  // the inline repair remains the sink-less path.
+  if (damage_sink_ != nullptr) {
+    report_damage(DamageKind::ScrubFinding, name, s);
+    res.unrecoverable = bad > params_.r;
+  } else {
+    const RepairReport rep = repairer_->repair_stripe(name, s);
+    res.units_repaired = rep.units_repaired;
+    res.unrecoverable = !rep.completed;
+  }
+  return res;
+}
+
+std::size_t Cluster::scrub() {
+  std::size_t bad_units = 0;
+  for (const auto& name : object_names())
+    for (std::size_t s = 0; s < object_stripe_count(name); ++s)
+      bad_units += params_.n() - scrub_stripe(name, s).units_verified;
   return bad_units;
 }
 

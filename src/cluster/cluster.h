@@ -13,15 +13,23 @@
 #include "storage/crc32c.h"
 #include "storage/fault_injector.h"
 #include "storage/retry.h"
+#include "storage/scrub_types.h"
 
 /// A deterministic simulated multi-node erasure-coded cluster — the
-/// multi-node counterpart of StripeStore. Each ClusterNode owns a local
-/// unit store; every unit that moves between endpoints moves over the
+/// repository's object store: the "real storage system" integration
+/// target the paper's future work calls for (§8). Objects are striped
+/// over k data + r parity units, encoded through the GEMM-backed Codec,
+/// and placed across nodes with rotation. Each node owns a local unit
+/// store; every unit that moves between endpoints moves over the
 /// modeled Network (so traffic, latency, and link faults are accounted),
 /// and every local disk op consults the shared FaultInjector (so disk
-/// and wire chaos replay from one seed).
+/// and wire chaos replay from one seed). Units carry CRC-32C checksums
+/// both on the node and in object metadata, so corruption is caught on
+/// read and every reconstruction is verified before it is returned or
+/// stored. The defaults (one failure domain) give a single-rack store;
+/// the network model only adds virtual time.
 ///
-/// Robustness features this layer adds over StripeStore:
+/// Robustness features:
 ///  - stripe placement across failure domains (a stripe's n units spread
 ///    over min(n, num_domains) domains, so one domain outage costs at
 ///    most ceil(n/domains) units per stripe)
@@ -35,7 +43,8 @@
 ///    asserted against metadata CRCs)
 ///
 /// Repair (DAG-based, partial aggregation at helpers) lives in
-/// cluster/repair.h; Cluster::scrub() and Cluster::repair() drive it.
+/// cluster/repair.h; Cluster::scrub_stripe() and Cluster::repair() drive
+/// it, and cluster/scrubber.h walks scrub_stripe() incrementally.
 namespace tvmec::cluster {
 
 class RepairCoordinator;
@@ -79,12 +88,14 @@ struct HedgeConfig {
   std::uint32_t min_samples = 8;
 };
 
+/// Members all have defaults, so `{.num_nodes = N}` is a complete
+/// one-domain config.
 struct ClusterConfig {
   std::size_t num_nodes = 0;
   std::size_t num_domains = 1;
-  NetConfig net;
-  storage::RetryPolicy retry;
-  HedgeConfig hedge;
+  NetConfig net = {};
+  storage::RetryPolicy retry = {};
+  HedgeConfig hedge = {};
   std::uint64_t seed = 0xC1457;  ///< network jitter stream
 };
 
@@ -168,16 +179,18 @@ class Cluster {
   /// Marks a node failed and drops its units (a dead machine).
   void fail_node(std::size_t node);
   /// Replacement hardware: the node rejoins empty; injector crash state
-  /// for it is cleared. The units it held when it failed are its
+  /// for it is cleared, and a crash no operation observed yet still
+  /// takes the node's contents with it. The units it held are its
   /// re-replication debt: each affected stripe is reported to the
   /// DamageSink (kind Revive) and counted in units_lost_on_revive, so a
   /// rejoin triggers rebuilding what was lost instead of silently
   /// rejoining empty.
   void revive_node(std::size_t node);
   /// Ground truth: the machine is physically down (explicitly failed, or
-  /// the injector crashed it). The simulation uses this to decide how
-  /// I/O *behaves*; routing decisions should use node_usable() instead,
-  /// which consults the failure detector when one is attached.
+  /// the injector crashed it); false for an out-of-range id. The
+  /// simulation uses this to decide how I/O *behaves*; routing decisions
+  /// should use node_usable() instead, which consults the failure
+  /// detector when one is attached.
   bool node_failed(std::size_t node) const;
   /// The routing view: should reads/repair treat this node as holding
   /// usable units right now? Without a Membership attached this is the
@@ -218,6 +231,10 @@ class Cluster {
                                             std::size_t s) const;
   std::size_t object_stripe_count(const std::string& name) const;
   std::vector<std::string> object_names() const;
+  /// Cursor helpers for resumable scrub passes (objects iterate in name
+  /// order): the first object named >= / > `name`, if any.
+  std::optional<std::string> object_at_or_after(const std::string& name) const;
+  std::optional<std::string> object_after(const std::string& name) const;
 
   /// Test/chaos hook: flips one byte of a stored unit, checksum left
   /// stale. Returns false when the unit is not on a live node.
@@ -227,8 +244,18 @@ class Cluster {
   /// DAG-based repair of everything lost or corrupt (see repair.h).
   /// Returns units rebuilt. Unrecoverable stripes are skipped.
   std::size_t repair();
-  /// Integrity pass: local CRC verification on every node, DAG repair of
-  /// every bad unit found. Returns corrupt-or-missing units detected.
+  /// Integrity check of one stripe: each stored copy is CRC-checked on
+  /// its own node against the metadata checksum (no payload crosses the
+  /// network). A stripe with missing or corrupt units is reported to the
+  /// damage sink (kind ScrubFinding) when one is attached, and repaired
+  /// inline through the DAG otherwise. There is no parity re-encode:
+  /// every rebuilt unit is verified against its metadata CRC, so a wrong
+  /// parity can only refuse a read, never return wrong bytes. Throws
+  /// std::invalid_argument on an unknown object or stripe index.
+  storage::StripeScrubResult scrub_stripe(const std::string& name,
+                                          std::size_t s);
+  /// scrub_stripe over every stripe. Returns the units found missing or
+  /// corrupt (n - units_verified, summed over stripes).
   std::size_t scrub();
 
   RepairCoordinator& repairer() noexcept { return *repairer_; }

@@ -124,7 +124,7 @@ struct ServiceConfig {
       fault_injector;
   /// Decode-plan cache shared by every codec slot (and the degraded
   /// naive-decode path). Null = the service creates a private one.
-  /// Passing the same cache to several services — or to StripeStore /
+  /// Passing the same cache to several services — or to a Cluster /
   /// Codec instances the scrubber drives — lets all of them skip matrix
   /// inversion for loss patterns any one of them has already planned.
   std::shared_ptr<core::PlanCache> plan_cache;

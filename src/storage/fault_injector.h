@@ -12,7 +12,7 @@
 /// layers. The paper motivates erasure coding with failure-driven
 /// workloads (RAID, object stores, in-memory checkpointing, §3); this is
 /// the failure side of that story. The node/device layers of
-/// StripeStore, RaidArray, and CheckpointManager consult an attached
+/// cluster::Cluster, RaidArray, and CheckpointManager consult an attached
 /// FaultInjector on *every* simulated read and write, so chaos tests can
 /// subject the whole stack to the classic taxonomy:
 ///

@@ -68,7 +68,7 @@ class RaidArray {
   const RetryPolicy& retry_policy() const noexcept { return retry_; }
   const RetryStats& retry_stats() const noexcept { return retry_stats_; }
 
-  /// Shares a decode-plan cache (see StripeStore::set_plan_cache):
+  /// Shares a decode-plan cache (see cluster::Cluster::set_plan_cache):
   /// degraded reads and rebuilds skip inversion for already-planned loss
   /// patterns. Null detaches.
   void set_plan_cache(std::shared_ptr<core::PlanCache> cache) {
@@ -104,8 +104,10 @@ class RaidArray {
 
   /// Verifies and repairs one stripe (CRC per unit, parity consistency,
   /// GEMM reconstruction of bad units, verified rewrite). Driven
-  /// incrementally by the Scrubber. Throws std::invalid_argument on a
-  /// bad stripe index.
+  /// incrementally by cluster::Scrubber. Unlike Cluster::scrub_stripe it
+  /// keeps the parity re-encode cross-check: small writes patch parity
+  /// in place, so a stale-but-CRC-valid parity is a failure mode here.
+  /// Throws std::invalid_argument on a bad stripe index.
   StripeScrubResult scrub_stripe(std::size_t stripe);
 
   /// Test/chaos hook: flips one byte of the stored copy of unit `unit`

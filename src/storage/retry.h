@@ -6,7 +6,7 @@
 
 /// Retry with exponential backoff and deterministic jitter — the standard
 /// client-side answer to transient storage errors. Wraps the unit reads
-/// of StripeStore::get/repair, RaidArray::read_block, and
+/// of cluster::Cluster::get/repair, RaidArray::read_block, and
 /// CheckpointManager::recover_shard: a read that fails transiently is
 /// re-attempted up to `max_attempts` times with exponentially growing,
 /// jittered, capped delays; only after the budget is exhausted does the

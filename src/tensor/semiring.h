@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 /// Semirings: the one-line difference between GEMM and bitmatrix erasure
 /// coding (paper Listings 1 vs 2). A semiring supplies the reduction
@@ -8,13 +9,27 @@
 /// every kernel in this library is generic over it.
 namespace tvmec::tensor {
 
-/// Ordinary arithmetic: GEMM.
+/// Ordinary arithmetic: GEMM. Signed integers wrap modulo 2^bits, as
+/// the uint64 tensor-expression interpreter does: the operation runs in
+/// 64-bit unsigned arithmetic, where overflow is defined.
 template <typename T>
 struct SumProd {
   using value_type = T;
   static constexpr T zero() noexcept { return T{}; }
-  static constexpr T add(T a, T b) noexcept { return a + b; }
-  static constexpr T mul(T a, T b) noexcept { return a * b; }
+  static constexpr T add(T a, T b) noexcept {
+    if constexpr (std::is_signed_v<T> && std::is_integral_v<T>)
+      return static_cast<T>(static_cast<std::uint64_t>(a) +
+                            static_cast<std::uint64_t>(b));
+    else
+      return a + b;
+  }
+  static constexpr T mul(T a, T b) noexcept {
+    if constexpr (std::is_signed_v<T> && std::is_integral_v<T>)
+      return static_cast<T>(static_cast<std::uint64_t>(a) *
+                            static_cast<std::uint64_t>(b));
+    else
+      return a * b;
+  }
 };
 
 /// GF(2) arithmetic on 64-bit lanes: bitmatrix erasure coding.

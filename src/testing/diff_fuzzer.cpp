@@ -23,7 +23,6 @@
 #include "serve/shard.h"
 #include "serve/tenant.h"
 #include "storage/fault_injector.h"
-#include "storage/stripe_store.h"
 #include "tensor/buffer.h"
 #include "tensor/kernel.h"
 #include "tensor/scattered.h"
@@ -405,81 +404,6 @@ FuzzOutcome run_lrc(const FuzzConfig& c) {
   if (auto d =
           first_divergence(work.span(), stripe.span(), unit, "lrc decode"))
     return fail(c, *d);
-  return FuzzOutcome{true, {}, {}, 1};
-}
-
-FuzzOutcome run_storage(const FuzzConfig& c, bool faulted) {
-  const ec::CodeParams params{c.k, c.r, c.w};
-  const std::size_t unit = c.unit_size;
-  storage::StripeStore store(params, unit, params.n() + 2);
-
-  storage::FaultInjector injector(
-      storage::FaultPolicy{
-          .read_bit_flip = 0.05,  // healed by CRC-triggered re-reads
-          .transient_read = 0.1,  // healed by retry-with-backoff
-          .transient_failures = 2,
-      },
-      c.seed ^ 0xFA17);
-  if (faulted) {
-    store.attach_fault_injector(&injector);
-    store.set_retry_policy(storage::RetryPolicy{.max_attempts = 6});
-  }
-
-  const std::size_t object_size = 1 + c.seed % (3 * c.k * unit);
-  const Bytes object = seeded_bytes(object_size, c.seed + 1);
-  store.put("fuzz-object", object.span());
-
-  if (faulted && c.r >= 1) {
-    // One deterministic latent corruption, then a scrub to heal it.
-    store.corrupt_unit("fuzz-object", 0, c.seed % params.n());
-    store.scrub();
-  }
-
-  const std::vector<std::size_t> failed = distinct(c.losses);
-  for (const std::size_t node : failed) store.fail_node(node);
-
-  const auto check_bytes =
-      [&](const std::optional<std::vector<std::uint8_t>>& read,
-          const char* label) -> std::optional<FuzzOutcome> {
-    if (!read) return fail(c, std::string(label) + " lost the object");
-    if (read->size() != object_size)
-      return fail(c, std::string(label) + " returned " +
-                         std::to_string(read->size()) + " bytes, want " +
-                         std::to_string(object_size));
-    if (auto d = first_divergence(*read, object.span(), unit, label))
-      return fail(c, *d);
-    return std::nullopt;
-  };
-
-  try {
-    const auto read = store.get("fuzz-object");
-    // Whatever the fault storm did, returned bytes must be exact:
-    // silent corruption is never acceptable.
-    if (auto failure = check_bytes(read, "store.get")) return *failure;
-  } catch (const std::runtime_error&) {
-    // An unrecoverable read is legal when more nodes failed than the
-    // code has parities — or when injected transient bursts chained past
-    // the retry budget and made further units unavailable (visible as
-    // exhausted retry ops). Anything else is a divergence.
-    const bool transiently_unavailable =
-        faulted && store.retry_stats().exhausted > 0;
-    if (failed.size() <= c.r && !transiently_unavailable)
-      return fail(c, "store.get unrecoverable within the failure budget");
-  }
-
-  // Durability: transient unavailability must not have become data loss.
-  // With the injector detached and at most r failed nodes, a clean
-  // re-read must succeed and match byte for byte.
-  if (faulted && failed.size() <= c.r) {
-    store.attach_fault_injector(nullptr);
-    std::optional<std::vector<std::uint8_t>> clean;
-    try {
-      clean = store.get("fuzz-object");
-    } catch (const std::runtime_error& e) {
-      return fail(c, std::string("clean re-read unrecoverable: ") + e.what());
-    }
-    if (auto failure = check_bytes(clean, "clean re-read")) return *failure;
-  }
   return FuzzOutcome{true, {}, {}, 1};
 }
 
@@ -1500,10 +1424,6 @@ FuzzOutcome DiffFuzzer::run_one(const FuzzConfig& config) {
         return run_rs_decode(config);
       case Scenario::LrcRoundTrip:
         return run_lrc(config);
-      case Scenario::StorageRoundTrip:
-        return run_storage(config, /*faulted=*/false);
-      case Scenario::StorageFaulted:
-        return run_storage(config, /*faulted=*/true);
       case Scenario::Serve:
         return run_serve(config);
       case Scenario::ServeChaos:
@@ -1557,9 +1477,7 @@ namespace {
 /// ever *kept* when the failure survives them).
 FuzzConfig clamp_losses(FuzzConfig c) {
   const std::size_t space =
-      (c.scenario == Scenario::StorageRoundTrip ||
-       c.scenario == Scenario::StorageFaulted ||
-       c.scenario == Scenario::Cluster ||
+      (c.scenario == Scenario::Cluster ||
        c.scenario == Scenario::ClusterRepair ||
        c.scenario == Scenario::ClusterHeal)
           ? c.n() + 2

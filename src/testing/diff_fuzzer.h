@@ -14,8 +14,8 @@
 /// and compared byte-for-byte against the embedding-appropriate
 /// reference oracle — apply_matrix_reference_bitpacket for the bitmatrix
 /// family, apply_matrix_reference for the byte-embedding family
-/// (DESIGN.md §4b/§6). Storage scenarios round-trip whole objects
-/// through StripeStore, fault-free and fault-injected.
+/// (DESIGN.md §4b/§6). Cluster scenarios round-trip whole objects
+/// through the simulated cluster under disk and link chaos.
 ///
 /// Everything is deterministic in the FuzzConfig: a failure is reported
 /// as a one-line reproducer string (format_repro) that replays the exact

@@ -15,18 +15,23 @@ namespace {
 constexpr std::string_view kMagic = "fuzz:v1";
 
 const Scenario kScenarios[] = {
-    Scenario::RsEncode,         Scenario::RsDecode,
-    Scenario::LrcRoundTrip,     Scenario::StorageRoundTrip,
-    Scenario::StorageFaulted,   Scenario::Serve,
-    Scenario::ServeChaos,       Scenario::ServeShard,
-    Scenario::Cluster,          Scenario::ClusterRepair,
-    Scenario::ClusterHeal};
+    Scenario::RsEncode,   Scenario::RsDecode,      Scenario::LrcRoundTrip,
+    Scenario::Serve,      Scenario::ServeChaos,    Scenario::ServeShard,
+    Scenario::Cluster,    Scenario::ClusterRepair, Scenario::ClusterHeal};
+
+bool is_cluster(Scenario s) noexcept {
+  return s == Scenario::Cluster || s == Scenario::ClusterRepair ||
+         s == Scenario::ClusterHeal;
+}
 
 const ec::RsFamily kFamilies[] = {
     ec::RsFamily::VandermondeSystematic, ec::RsFamily::Cauchy,
     ec::RsFamily::CauchyGood, ec::RsFamily::CauchyBest};
 
 Scenario scenario_from_name(std::string_view name) {
+  // The single-node object store was folded into the cluster; its
+  // reproducers replay there.
+  if (name == "store" || name == "store-fault") return Scenario::Cluster;
   for (const Scenario s : kScenarios)
     if (name == to_string(s)) return s;
   throw std::invalid_argument("parse_repro: unknown scenario '" +
@@ -73,10 +78,6 @@ const char* to_string(Scenario s) noexcept {
       return "rs-decode";
     case Scenario::LrcRoundTrip:
       return "lrc";
-    case Scenario::StorageRoundTrip:
-      return "store";
-    case Scenario::StorageFaulted:
-      return "store-fault";
     case Scenario::Serve:
       return "serve";
     case Scenario::ServeChaos:
@@ -122,16 +123,8 @@ void FuzzConfig::validate() const {
       scenario == Scenario::LrcRoundTrip ? k + r : n();
   if (field_points > (std::size_t{1} << w))
     throw std::invalid_argument("FuzzConfig: code shape exceeds field size");
-  // Storage and cluster scenarios place n units over n + 2 nodes;
-  // losses name nodes.
-  const std::size_t loss_space =
-      (scenario == Scenario::StorageRoundTrip ||
-       scenario == Scenario::StorageFaulted ||
-       scenario == Scenario::Cluster ||
-       scenario == Scenario::ClusterRepair ||
-       scenario == Scenario::ClusterHeal)
-          ? n() + 2
-          : n();
+  // Cluster scenarios place n units over n + 2 nodes; losses name nodes.
+  const std::size_t loss_space = is_cluster(scenario) ? n() + 2 : n();
   for (const std::size_t id : losses)
     if (id >= loss_space)
       throw std::invalid_argument("FuzzConfig: loss id " + std::to_string(id) +
@@ -254,7 +247,7 @@ FuzzConfig random_config(std::mt19937_64& rng) {
     c.variant = menu[rng() % menu.size()];
   }
 
-  // Loss pattern. Decode scenarios erase units; storage fails nodes.
+  // Loss pattern. Decode scenarios erase units; clusters fail nodes.
   // The serve scenario feeds its losses to decode submissions (empty =
   // an encode-only request mix).
   if (c.scenario == Scenario::RsDecode ||
@@ -280,11 +273,7 @@ FuzzConfig random_config(std::mt19937_64& rng) {
     if (!ids.empty() && rng() % 8 == 0)
       ids.push_back(ids[rng() % ids.size()]);
     c.losses = std::move(ids);
-  } else if (c.scenario == Scenario::StorageRoundTrip ||
-             c.scenario == Scenario::StorageFaulted ||
-             c.scenario == Scenario::Cluster ||
-             c.scenario == Scenario::ClusterRepair ||
-             c.scenario == Scenario::ClusterHeal) {
+  } else if (is_cluster(c.scenario)) {
     const std::size_t num_nodes = c.n() + 2;
     const std::size_t e = pick(0, c.r);
     std::vector<std::size_t> nodes(num_nodes);

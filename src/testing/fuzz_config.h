@@ -20,8 +20,6 @@ enum class Scenario {
   RsEncode,        ///< every backend's encode vs the embedding oracles
   RsDecode,        ///< every backend executing a DecodePlan vs originals
   LrcRoundTrip,    ///< LrcCodec encode/decode vs the bitpacket reference
-  StorageRoundTrip,///< StripeStore put / fail_node / get, fault-free
-  StorageFaulted,  ///< same under a seeded FaultInjector + scrub
   Serve,           ///< random request mix through EcService (manual pump)
                    ///< vs a sequential per-request Codec oracle, including
                    ///< queue-capacity admission accounting
@@ -47,7 +45,8 @@ enum class Scenario {
                    ///< partition windows): returned bytes must match the
                    ///< original payload (degraded reads and hedging may
                    ///< only cost latency), and the network byte ledger
-                   ///< must balance
+                   ///< must balance. The retired single-store names
+                   ///< "store" and "store-fault" parse to this scenario
   ClusterRepair,   ///< cluster DAG repair under chaos with mid-repair
                    ///< faults (helper crashes, partitions): repair
                    ///< counter identity and network ledger must balance,
@@ -77,7 +76,7 @@ struct FuzzConfig {
   std::size_t unit_size = 64;  ///< bytes per unit; any multiple of w
   std::uint64_t seed = 1;      ///< drives payload bytes and fault injection
   /// Losses: erased unit ids (decode scenarios), failed node ids
-  /// (storage scenarios), empty for pure-encode runs. Kept verbatim —
+  /// (cluster scenarios), empty for pure-encode runs. Kept verbatim —
   /// deliberately allowed to be unsorted or to hold duplicates, because
   /// tolerating such inputs is part of the decode contract under test.
   std::vector<std::size_t> losses;

@@ -27,6 +27,15 @@ TEST(Cluster, RejectsTooFewNodesForPlacement) {
                std::invalid_argument);
 }
 
+TEST(Cluster, Construction) {
+  EXPECT_NO_THROW(Cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1)));
+  EXPECT_THROW(Cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(5, 1)),
+               std::invalid_argument);
+  // The unit size must fit the codec's packet grid (a multiple of 8*w).
+  EXPECT_THROW(Cluster(ec::CodeParams{4, 2, 8}, 100, make_config(8, 1)),
+               std::invalid_argument);
+}
+
 TEST(Cluster, PutGetRoundtripWithPadding) {
   Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(9, 3));
   // Deliberately not a stripe multiple: exercises zero-padding and the
@@ -45,6 +54,76 @@ TEST(Cluster, PutGetRoundtripWithPadding) {
   cluster.remove("obj");
   EXPECT_FALSE(cluster.exists("obj"));
   EXPECT_FALSE(cluster.get("obj").has_value());
+}
+
+TEST(Cluster, PutGetRoundTrip) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  const auto payload = testutil::random_vector(10000, 1);  // multi-stripe
+  cluster.put("obj", payload);
+  EXPECT_TRUE(cluster.exists("obj"));
+  const auto got = cluster.get("obj");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
+  EXPECT_EQ(cluster.stats().degraded_reads, 0u);
+}
+
+TEST(Cluster, MissingObjectReturnsNullopt) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  EXPECT_FALSE(cluster.get("nope").has_value());
+  EXPECT_FALSE(cluster.exists("nope"));
+}
+
+TEST(Cluster, RemoveDeletesUnits) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  cluster.put("obj", testutil::random_vector(3000, 4));
+  cluster.remove("obj");
+  EXPECT_FALSE(cluster.exists("obj"));
+  EXPECT_EQ(cluster.stats().objects, 0u);
+  EXPECT_NO_THROW(cluster.remove("obj"));  // idempotent
+}
+
+TEST(Cluster, SizesThatDontFillStripes) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  for (const std::size_t size : {1u, 511u, 512u, 2047u, 2048u, 2049u, 9999u}) {
+    const auto payload = testutil::random_vector(size, size);
+    cluster.put("o" + std::to_string(size), payload);
+    const auto got = cluster.get("o" + std::to_string(size));
+    ASSERT_TRUE(got.has_value()) << size;
+    EXPECT_EQ(*got, payload) << size;
+  }
+}
+
+TEST(Cluster, EmptyObject) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  cluster.put("empty", {});
+  EXPECT_EQ(cluster.object_stripe_count("empty"), 0u);
+  const auto got = cluster.get("empty");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->empty());
+}
+
+TEST(Cluster, OverwriteReplacesContent) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  cluster.put("obj", testutil::random_vector(3000, 2));
+  const auto v2 = testutil::random_vector(1234, 3);
+  cluster.put("obj", v2);
+  EXPECT_EQ(*cluster.get("obj"), v2);
+  EXPECT_EQ(cluster.stats().objects, 1u);
+}
+
+TEST(Cluster, ManyObjectsAcrossRotations) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(9, 1));
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (int i = 0; i < 20; ++i) {
+    payloads.push_back(testutil::random_vector(1000 + 137 * i, 20 + i));
+    cluster.put("obj" + std::to_string(i), payloads.back());
+  }
+  cluster.fail_node(4);
+  for (int i = 0; i < 20; ++i) {
+    const auto got = cluster.get("obj" + std::to_string(i));
+    ASSERT_TRUE(got.has_value()) << i;
+    EXPECT_EQ(*got, payloads[static_cast<std::size_t>(i)]) << i;
+  }
 }
 
 TEST(Cluster, PlacementSpreadsUnitsAcrossFailureDomains) {
@@ -98,6 +177,30 @@ TEST(Cluster, DegradedReadSurvivesUpToRLosses) {
   EXPECT_THROW(cluster.get("obj"), std::runtime_error);
 }
 
+TEST(Cluster, DegradedReadSurvivesRFailures) {
+  // n == nodes: every node holds a unit of every stripe.
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(6, 1));
+  const auto payload = testutil::random_vector(20000, 5);
+  cluster.put("obj", payload);
+
+  cluster.fail_node(0);
+  cluster.fail_node(3);
+  EXPECT_TRUE(cluster.node_failed(0));
+  const auto got = cluster.get("obj");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
+  EXPECT_GT(cluster.stats().degraded_reads, 0u);
+}
+
+TEST(Cluster, TooManyFailuresThrows) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(6, 1));
+  cluster.put("obj", testutil::random_vector(5000, 6));
+  cluster.fail_node(0);
+  cluster.fail_node(1);
+  cluster.fail_node(2);  // r = 2, three failures is fatal
+  EXPECT_THROW(cluster.get("obj"), std::runtime_error);
+}
+
 TEST(Cluster, CorruptUnitIsDetectedAndReadDegrades) {
   Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(9, 3));
   const auto payload = testutil::random_vector(4 * kUnit, 55);
@@ -108,6 +211,18 @@ TEST(Cluster, CorruptUnitIsDetectedAndReadDegrades) {
   EXPECT_EQ(*got, payload);  // CRC caught the flip; decode healed the read
   EXPECT_GE(cluster.stats().corruptions_detected, 1u);
   EXPECT_GE(cluster.stats().degraded_reads, 1u);
+}
+
+TEST(Cluster, SilentCorruptionIsDetectedAndHealedOnRead) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  const auto payload = testutil::random_vector(5000, 30);
+  cluster.put("obj", payload);
+
+  ASSERT_TRUE(cluster.corrupt_unit("obj", 0, 1));
+  const auto got = cluster.get("obj");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);  // checksum caught it; parity rebuilt it
+  EXPECT_GT(cluster.stats().corruptions_detected, 0u);
 }
 
 TEST(Cluster, ReadsRideOutTransientFaultsAndDrops) {
@@ -180,8 +295,18 @@ TEST(Cluster, ReviveNodeRejoinsEmptyAndClearsCrashState) {
   const std::size_t victim = cluster.placement("obj", 0)[0];
   inj.crash_node(victim);
   EXPECT_TRUE(cluster.node_failed(victim));  // injector crash counts
+  // Routing skips the crashed node, so this degraded read is the only op
+  // that meets the crash, and it never marks the node failed.
+  ASSERT_EQ(*cluster.get("obj"), payload);
+  const std::size_t degraded = cluster.stats().degraded_reads;
   cluster.revive_node(victim);
   EXPECT_FALSE(cluster.node_failed(victim));  // crash state cleared
+  // The crash took the node's unit with it: the revive owes it back, and
+  // the next read still degrades until repair() rebuilds it.
+  EXPECT_EQ(cluster.stats().units_lost_on_revive, 1u);
+  ASSERT_EQ(*cluster.get("obj"), payload);
+  EXPECT_GT(cluster.stats().degraded_reads, degraded);
+  EXPECT_EQ(cluster.repair(), 1u);
   // A node failed via the cluster API also revives clean.
   cluster.fail_node(victim);
   EXPECT_TRUE(cluster.node_failed(victim));
@@ -191,6 +316,139 @@ TEST(Cluster, ReviveNodeRejoinsEmptyAndClearsCrashState) {
   ASSERT_EQ(*cluster.get("obj"), payload);
   EXPECT_GE(cluster.stats().degraded_reads, 1u);
 }
+
+TEST(Cluster, NodeValidation) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  EXPECT_THROW(cluster.fail_node(100), std::invalid_argument);
+  EXPECT_THROW(cluster.revive_node(100), std::invalid_argument);
+  EXPECT_FALSE(cluster.node_failed(100));  // out of range is not "down"
+  EXPECT_FALSE(cluster.node_usable(100));
+  cluster.fail_node(2);
+  cluster.fail_node(2);  // idempotent
+  EXPECT_EQ(cluster.stats().failed_nodes, 1u);
+  cluster.revive_node(2);
+  cluster.revive_node(2);
+  EXPECT_EQ(cluster.stats().failed_nodes, 0u);
+}
+
+TEST(Cluster, CorruptUnitHookValidation) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  cluster.put("obj", testutil::random_vector(1000, 32));
+  EXPECT_FALSE(cluster.corrupt_unit("missing", 0, 0));
+  EXPECT_FALSE(cluster.corrupt_unit("obj", 99, 0));
+  EXPECT_FALSE(cluster.corrupt_unit("obj", 0, 99));
+}
+
+TEST(Cluster, RepairRestoresRedundancy) {
+  // n == nodes: every node holds a unit of every stripe.
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(6, 1));
+  const auto payload = testutil::random_vector(20000, 7);
+  cluster.put("obj", payload);
+
+  cluster.fail_node(1);
+  cluster.revive_node(1);  // back, but empty
+  const std::size_t repaired = cluster.repair();
+  EXPECT_GT(repaired, 0u);
+  EXPECT_EQ(cluster.stats().units_repaired, repaired);
+
+  // A later unrelated double failure is now survivable again.
+  cluster.fail_node(0);
+  cluster.fail_node(2);
+  const auto got = cluster.get("obj");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
+}
+
+TEST(Cluster, RepairIsIdempotent) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(6, 1));
+  cluster.put("obj", testutil::random_vector(5000, 8));
+  cluster.fail_node(1);
+  cluster.revive_node(1);
+  EXPECT_GT(cluster.repair(), 0u);
+  EXPECT_EQ(cluster.repair(), 0u);
+}
+
+TEST(Cluster, ScrubCleanOnHealthyStore) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  cluster.put("a", testutil::random_vector(5000, 9));
+  cluster.put("b", testutil::random_vector(7000, 10));
+  EXPECT_EQ(cluster.scrub(), 0u);
+}
+
+TEST(Cluster, ScrubFindsAndRepairsCorruption) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
+  const auto payload = testutil::random_vector(9000, 31);
+  cluster.put("obj", payload);
+
+  // Corrupt a data unit and a parity unit in different stripes.
+  ASSERT_TRUE(cluster.corrupt_unit("obj", 0, 2));
+  ASSERT_TRUE(cluster.corrupt_unit("obj", 1, 5));  // unit 5 is parity (k=4)
+  EXPECT_EQ(cluster.scrub(), 2u);
+  // Healed: a second scrub is clean and reads are exact.
+  EXPECT_EQ(cluster.scrub(), 0u);
+  EXPECT_EQ(*cluster.get("obj"), payload);
+}
+
+// Regression (found by the differential fuzzer, reproducer
+// "fuzz:v1 s=store-fault k=7 r=1 w=16 u=16 seed=9337184620144304163
+// loss=7", which now replays as s=cluster): chained transient-read
+// bursts once made a scrub give up on a stripe whose only real damage was
+// one corrupt unit, leaving it on disk until a node failure turned it
+// into data loss. The node-local CRC scrub does no retried reads, and the
+// repair it triggers must heal the unit despite the same read faults.
+TEST(Cluster, ScrubHealsCorruptionDespiteTransientReadErrors) {
+  const ec::CodeParams params{7, 1, 16};
+  const std::uint64_t seed = 9337184620144304163ULL;
+  Cluster cluster(params, 16, make_config(params.n() + 2, 1));
+  storage::FaultInjector injector(
+      storage::FaultPolicy{.read_bit_flip = 0.05,
+                           .transient_read = 0.1,
+                           .transient_failures = 2},
+      seed ^ 0xFA17);
+  cluster.attach_fault_injector(&injector);
+  cluster.set_retry_policy(storage::RetryPolicy{.max_attempts = 6});
+
+  const auto payload = testutil::random_vector(52, seed + 1);
+  cluster.put("obj", payload);
+  ASSERT_TRUE(cluster.corrupt_unit("obj", 0, 3));
+  cluster.scrub();
+  // The corruption must actually be healed, not merely detected.
+  EXPECT_GE(cluster.stats().units_repaired, 1u);
+
+  // One node failure is now survivable again (r = 1).
+  cluster.fail_node(7);
+  cluster.attach_fault_injector(nullptr);
+  const auto got = cluster.get("obj");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
+}
+
+/// The store must work over every supported field size (the codec's
+/// bitmatrix machinery is w-generic).
+class ClusterFieldTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ClusterFieldTest, RoundTripAndRepairAcrossFields) {
+  const unsigned w = GetParam();
+  const std::size_t unit = 16 * 8 * w;  // multiple of 8*w
+  Cluster cluster(ec::CodeParams{4, 2, w}, unit, make_config(7, 1));
+  const auto payload = testutil::random_vector(3 * unit * 4 + 123, w);
+  cluster.put("obj", payload);
+  EXPECT_EQ(*cluster.get("obj"), payload);
+
+  cluster.fail_node(1);
+  cluster.fail_node(4);
+  EXPECT_EQ(*cluster.get("obj"), payload);
+  cluster.revive_node(1);
+  cluster.revive_node(4);
+  EXPECT_GT(cluster.repair(), 0u);
+  EXPECT_EQ(cluster.scrub(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFields, ClusterFieldTest,
+                         ::testing::Values(4u, 8u, 16u),
+                         [](const auto& info) {
+                           return "w" + std::to_string(info.param);
+                         });
 
 TEST(Cluster, VirtualTimeAccumulatesOnReadsAndWrites) {
   Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(9, 3));

@@ -153,13 +153,15 @@ TEST(DiffFuzz, EdgeCaseReprosPass) {
       // More losses than parities must be a clean invalid_argument.
       "fuzz:v1 s=rs-decode k=4 r=2 w=8 u=64 seed=7 loss=0,1,2",
       // Unit size a multiple of w but not of 8*w (staging path) across
-      // decode, LRC, and storage.
+      // decode, LRC, and the object store. The s=store and s=store-fault
+      // lines below were found against a single-node store that has
+      // since been folded into the cluster; they replay as s=cluster.
       "fuzz:v1 s=rs-decode k=5 r=2 w=8 u=24 seed=8 loss=1,6",
       "fuzz:v1 s=lrc k=6 l=2 r=2 w=8 u=8 seed=9 loss=0,7",
       "fuzz:v1 s=store k=3 r=2 w=8 u=16 seed=10 loss=0,3",
       "fuzz:v1 s=store-fault k=3 r=2 w=8 u=16 seed=11 loss=2",
       // Campaign-found regressions (see CHANGES.md postmortems): both
-      // exposed scrub giving up on stripes whose extra "erasure" was
+      // exposed a scrub giving up on stripes whose extra "erasure" was
       // only a transient read-retry exhaustion, leaving latent
       // corruption unhealed until a node failure turned it into data
       // loss.
@@ -168,11 +170,10 @@ TEST(DiffFuzz, EdgeCaseReprosPass) {
       "fuzz:v1 s=store-fault k=7 r=1 w=16 u=16 seed=9337184620144304163 "
       "loss=7",
       // Campaign-found: an injected read-side bit flip landed on the
-      // exact bit that was corrupt on disk, so the scrub read CRC'd
-      // clean while the persisted copy stayed bad — latent corruption
-      // that later stacked with two node failures past r. Scrub now
-      // CRCs the stored copy node-locally and rewrites it from the
-      // verified read.
+      // exact bit that was corrupt on disk, so a scrub read CRC'd clean
+      // while the persisted copy stayed bad — latent corruption that
+      // later stacked with two node failures past r. The cluster's scrub
+      // CRCs each stored copy on its own node, which this shape pins.
       "fuzz:v1 s=store-fault k=4 r=2 w=16 u=16 seed=10867058663792815222 "
       "loss=3,5",
       // Serving layer: random request mixes through EcService (manual
@@ -246,6 +247,10 @@ TEST(DiffFuzz, EdgeCaseReprosPass) {
     const FuzzOutcome outcome = DiffFuzzer::run_one(parse_repro(text));
     EXPECT_TRUE(outcome.ok) << text << "\n" << outcome.detail;
   }
+  EXPECT_EQ(
+      parse_repro("fuzz:v1 s=store-fault k=3 r=2 w=8 u=16 seed=11 loss=2")
+          .scenario,
+      Scenario::Cluster);
 }
 
 /// The minimizer against a synthetic bug: "fails whenever loss id 3 is

@@ -5,11 +5,11 @@
 #include <tuple>
 
 #include "../test_util.h"
+#include "cluster/cluster.h"
+#include "cluster/scrubber.h"
 #include "storage/checkpoint.h"
 #include "storage/crc32c.h"
 #include "storage/raid_array.h"
-#include "storage/scrubber.h"
-#include "storage/stripe_store.h"
 
 /// End-to-end chaos: drive the storage stack through a seeded
 /// fault-injection campaign — silent write corruption, transient read
@@ -20,6 +20,10 @@
 namespace tvmec::storage {
 namespace {
 
+using cluster::Cluster;
+using cluster::Scrubber;
+using cluster::ScrubStats;
+
 constexpr std::size_t kUnit = 512;
 constexpr std::size_t kStripeData = 4 * kUnit;  // k = 4
 
@@ -27,9 +31,10 @@ constexpr std::size_t kStripeData = 4 * kUnit;  // k = 4
 struct ChaosOutcome {
   std::vector<std::uint32_t> content_crcs;
   FaultStats faults;
-  StoreStats store;
+  cluster::ClusterStats store;
   ScrubStats scrub;
   RetryStats retries;
+  std::size_t degraded_under_transients = 0;
   std::size_t repaired_after_crash = 0;
 
   bool operator==(const ChaosOutcome& o) const {
@@ -40,18 +45,20 @@ struct ChaosOutcome {
           c.faults.writes_corrupted, c.faults.read_bit_flips,
           c.faults.transient_bursts, c.faults.transient_errors,
           c.faults.crashes, c.store.degraded_reads, c.store.units_repaired,
-          c.store.corruptions_detected, c.scrub.stripes_scanned,
-          c.scrub.crc_errors, c.scrub.parity_errors, c.scrub.units_repaired,
-          c.scrub.unrecoverable_stripes, c.retries.attempts, c.retries.retries,
-          c.retries.exhausted, c.repaired_after_crash);
+          c.store.corruptions_detected, c.store.units_lost_on_revive,
+          c.scrub.stripes_scanned, c.scrub.crc_errors,
+          c.scrub.parity_errors, c.scrub.units_repaired,
+          c.scrub.unrecoverable_stripes, c.retries.attempts,
+          c.retries.retries, c.retries.exhausted,
+          c.degraded_under_transients, c.repaired_after_crash);
     };
     return fields(*this) == fields(o);
   }
 };
 
-/// The full StripeStore chaos scenario, parameterized only by seed.
-ChaosOutcome stripe_store_chaos(std::uint64_t seed) {
-  StripeStore store(ec::CodeParams{4, 2, 8}, kUnit, 8);
+/// The full object-store chaos scenario, parameterized only by seed.
+ChaosOutcome cluster_chaos(std::uint64_t seed) {
+  Cluster store(ec::CodeParams{4, 2, 8}, kUnit, {.num_nodes = 8});
   FaultInjector inj(FaultPolicy{}, seed);
   store.attach_fault_injector(&inj);
   RetryPolicy retry;
@@ -86,13 +93,17 @@ ChaosOutcome stripe_store_chaos(std::uint64_t seed) {
   transient.transient_read = 0.2;
   transient.transient_failures = 1;
   inj.set_policy(transient);
+  const std::size_t degraded_before = store.stats().degraded_reads;
   for (const auto& [name, content] : objects) {
     const auto got = store.get(name);
     if (!got || *got != content) ADD_FAILURE() << name << " under transients";
   }
+  out.degraded_under_transients =
+      store.stats().degraded_reads - degraded_before;
   inj.set_policy(FaultPolicy{});
 
-  // Phase 4 — two node crashes (= r), discovered by reads, then healed.
+  // Phase 4 — two node crashes (= r): reads route around them, the
+  // revives record what the crashes destroyed, and repair() rebuilds it.
   inj.crash_node(2);
   inj.crash_node(5);
   for (const auto& [name, content] : objects) {
@@ -121,8 +132,8 @@ ChaosOutcome stripe_store_chaos(std::uint64_t seed) {
 constexpr std::uint64_t kCampaignSeed = 1;
 constexpr std::uint64_t kAltCampaignSeed = 2;
 
-TEST(Chaos, StripeStoreSurvivesTheCampaign) {
-  const ChaosOutcome out = stripe_store_chaos(kCampaignSeed);
+TEST(Chaos, ClusterSurvivesTheCampaign) {
+  const ChaosOutcome out = cluster_chaos(kCampaignSeed);
 
   // The injector corrupted writes; nothing else did. The scrub ran
   // before any read, so the store detected each corrupt unit exactly
@@ -135,27 +146,29 @@ TEST(Chaos, StripeStoreSurvivesTheCampaign) {
   EXPECT_EQ(out.scrub.stripes_scanned, 55u);  // sum 1..10 stripes
   EXPECT_EQ(out.store.corruptions_detected, out.faults.writes_corrupted);
 
-  // Transients were retried away, never reconstructed around. The only
-  // exhausted retry budgets are the scrub's reads of persistently
-  // corrupt units (re-reading can't fix those): one per corrupt unit.
+  // Transients were retried away, never reconstructed around. The
+  // scrub CRCs each stored copy on its node and does no retried reads,
+  // so no retry budget runs out anywhere in the campaign.
   EXPECT_GT(out.faults.transient_errors, 0u);
   EXPECT_GT(out.retries.retries, 0u);
-  EXPECT_EQ(out.retries.exhausted, out.faults.writes_corrupted);
+  EXPECT_EQ(out.retries.exhausted, 0u);
+  EXPECT_EQ(out.degraded_under_transients, 0u);
 
-  // The two crashes were found by reads and healed by repair().
+  // The two crashes degraded reads, and repair() healed what they took.
   EXPECT_EQ(out.faults.crashes, 2u);
   EXPECT_GT(out.store.degraded_reads, 0u);
+  EXPECT_GT(out.store.units_lost_on_revive, 0u);
   EXPECT_GT(out.repaired_after_crash, 0u);
   EXPECT_EQ(out.store.units_repaired,
             out.scrub.units_repaired + out.repaired_after_crash);
 }
 
-TEST(Chaos, StripeStoreCampaignIsDeterministic) {
-  const ChaosOutcome a = stripe_store_chaos(kCampaignSeed);
-  const ChaosOutcome b = stripe_store_chaos(kCampaignSeed);
+TEST(Chaos, ClusterCampaignIsDeterministic) {
+  const ChaosOutcome a = cluster_chaos(kCampaignSeed);
+  const ChaosOutcome b = cluster_chaos(kCampaignSeed);
   EXPECT_TRUE(a == b);
 
-  const ChaosOutcome c = stripe_store_chaos(kAltCampaignSeed);
+  const ChaosOutcome c = cluster_chaos(kAltCampaignSeed);
   // A different seed yields a different campaign (contents still intact).
   EXPECT_EQ(c.content_crcs, a.content_crcs);
   EXPECT_FALSE(c.faults.write_bit_flips == a.faults.write_bit_flips &&

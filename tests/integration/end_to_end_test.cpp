@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "cluster/cluster.h"
 #include "core/tvmec.h"
 #include "ec/bitmatrix_code.h"
 #include "storage/chunk_accumulator.h"
 #include "storage/checkpoint.h"
-#include "storage/stripe_store.h"
 #include "tensor/expr.h"
 
 /// End-to-end flows across module boundaries: the §5 chunk-staging path
@@ -49,10 +49,10 @@ TEST(EndToEnd, ChunkAccumulatorFeedsCodec) {
         << "chunk " << i;
 }
 
-/// A tuned codec drives the stripe store: autotuning must be transparent
+/// A tuned codec drives the object store: autotuning must be transparent
 /// to storage-level correctness.
-TEST(EndToEnd, TunedCodecInsideStripeStore) {
-  storage::StripeStore store(ec::CodeParams{4, 2, 8}, kUnit, 7);
+TEST(EndToEnd, TunedCodecInsideCluster) {
+  cluster::Cluster store(ec::CodeParams{4, 2, 8}, kUnit, {.num_nodes = 7});
   const auto payload = testutil::random_vector(50000, 9);
   store.put("model.bin", payload);
   store.fail_node(2);
