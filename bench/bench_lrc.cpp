@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "core/tvmec.h"
 #include "ec/lrc.h"
 #include "ec/reed_solomon.h"
 
@@ -65,10 +66,10 @@ void print_paper_table() {
   std::printf("  %-16s %8.2f   (same parity count, no locality)\n",
               "rs(12,4) tvm-ec", rs_gbps);
 
-  // Repair locality: bytes read to repair one lost data unit.
-  const auto local_plan = lrc().local_repair_plan(0);
-  const auto rs_plan =
-      ec::make_decode_plan(rs.generator(), std::vector<std::size_t>{0});
+  // Repair locality: bytes read to repair one lost data unit, as the
+  // one codec plans it for each code.
+  const auto local_plan = core::Codec(kLrcParams).plan({0});
+  const auto rs_plan = core::Codec(ec::CodeParams{12, 4, 8}).plan({0});
   std::printf("\nsingle-failure repair reads:\n");
   std::printf("  LRC local repair : %zu units (%zu KB)\n",
               local_plan->survivors.size(),

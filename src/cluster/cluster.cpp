@@ -50,7 +50,6 @@ Cluster::Cluster(const ec::CodeParams& params, std::size_t unit_size,
 Cluster::~Cluster() = default;
 
 void Cluster::set_plan_cache(std::shared_ptr<core::PlanCache> cache) {
-  plan_cache_ = cache;
   codec_.set_plan_cache(std::move(cache));
 }
 

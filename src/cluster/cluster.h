@@ -157,11 +157,11 @@ class Cluster {
   }
 
   /// Shares a decode-plan cache across degraded reads, the repair
-  /// coordinator (which keys plans with a locality dimension), and any
-  /// other consumers. Null detaches.
+  /// coordinator (whose plans are also keyed by their survivor
+  /// preference), and any other consumers. Null detaches.
   void set_plan_cache(std::shared_ptr<core::PlanCache> cache);
   const std::shared_ptr<core::PlanCache>& plan_cache() const noexcept {
-    return plan_cache_;
+    return codec_.plan_cache();
   }
 
   /// Stores an object: stripes of k*unit_size bytes (last zero-padded),
@@ -334,7 +334,6 @@ class Cluster {
   storage::FaultInjector* injector_ = nullptr;
   storage::RetryPolicy retry_;
   storage::RetryStats retry_stats_;
-  std::shared_ptr<core::PlanCache> plan_cache_;
   struct Ewma {
     double value = 0.0;
     std::uint32_t samples = 0;

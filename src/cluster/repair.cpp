@@ -100,38 +100,13 @@ std::optional<RepairPlan> RepairCoordinator::build_plan(
                      });
   }
 
-  // The locality dimension of the cache key: same loss pattern, different
-  // survivor preference (placement/exclusions) => different plan entry.
-  std::uint64_t locality = fnv_mix(kFnvOffset, root_domain + 1);
-  for (const std::size_t uid : pref) locality = fnv_mix(locality, uid + 1);
-
-  std::vector<std::size_t> erased_sorted = damage.erased;
-  std::sort(erased_sorted.begin(), erased_sorted.end());
-
-  const gf::Matrix& generator = cluster_.codec_.code().generator();
-  std::shared_ptr<const ec::DecodePlan> plan;
-  if (cluster_.plan_cache_ != nullptr) {
-    core::PlanKey key{cluster_.params_.k,
-                      cluster_.params_.r,
-                      cluster_.params_.w,
-                      cluster_.codec_.code().family(),
-                      false,
-                      erased_sorted,
-                      locality};
-    plan = cluster_.plan_cache_->get_or_build(key, [&]() {
-      return ec::make_decode_plan_with_survivors(generator, erased_sorted,
-                                                 pref);
-    });
-  } else {
-    auto built =
-        ec::make_decode_plan_with_survivors(generator, erased_sorted, pref);
-    if (built)
-      plan = std::make_shared<const ec::DecodePlan>(std::move(*built));
-  }
+  // The preference is part of the plan's cache key: same loss pattern,
+  // different placement or exclusions => different plan entry.
+  const auto plan = cluster_.codec_.plan(damage.erased, std::move(pref));
   if (plan == nullptr) return std::nullopt;
 
   RepairPlan out;
-  out.erased = erased_sorted;
+  out.erased = damage.erased;
   out.decode = plan;
   out.root_node = root_node;
   for (std::size_t i = 0; i < plan->survivors.size(); ++i) {
@@ -308,13 +283,10 @@ bool RepairCoordinator::execute_naive(
   }
   if (fetched_ids.size() < k) return false;
 
-  std::vector<std::size_t> erased_sorted = damage.erased;
-  std::sort(erased_sorted.begin(), erased_sorted.end());
-  const auto plan = ec::make_decode_plan_with_survivors(
-      cluster_.codec_.code().generator(), erased_sorted, fetched_ids);
+  const auto plan = cluster_.codec_.plan(damage.erased, fetched_ids);
   if (!plan) return false;
 
-  const std::size_t e = erased_sorted.size();
+  const std::size_t e = damage.erased.size();
   std::vector<const std::uint8_t*> in_ptrs;
   for (const std::size_t uid : plan->survivors) {
     const auto it =
@@ -330,7 +302,7 @@ bool RepairCoordinator::execute_naive(
   coder.apply_scattered({&item, 1});
 
   for (std::size_t i = 0; i < e; ++i)
-    if (storage::crc32c(recovered[i]) != loc.unit_crcs[erased_sorted[i]])
+    if (storage::crc32c(recovered[i]) != loc.unit_crcs[damage.erased[i]])
       return false;
   report.makespan_us += root_ingress_us +
                         2 * cluster_.net_.config().base_latency_us;
@@ -363,11 +335,11 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   // its unit (the outer loop then re-plans — re-assessment drops any
   // units already persisted).
   const auto store_recovered =
-      [&](const std::vector<std::size_t>& erased_sorted,
+      [&](const std::vector<std::size_t>& erased,
           const std::vector<std::size_t>& replacements, std::size_t root,
           std::vector<std::vector<std::uint8_t>>& recovered) {
-        for (std::size_t i = 0; i < erased_sorted.size(); ++i) {
-          const std::size_t uid = erased_sorted[i];
+        for (std::size_t i = 0; i < erased.size(); ++i) {
+          const std::size_t uid = erased[i];
           const std::size_t target = replacements[i];
           if (target != root) {
             std::uint64_t ser = 0;
@@ -413,8 +385,6 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
     if (damage.survivors.size() < cluster_.params_.k ||
         replacements.empty())
       break;  // not DAG-viable; naive can't help either -> abandon below
-    std::vector<std::size_t> erased_sorted = damage.erased;
-    std::sort(erased_sorted.begin(), erased_sorted.end());
 
     const auto plan =
         build_plan(loc, damage, excluded, replacements[0]);
@@ -426,7 +396,7 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
     std::vector<std::vector<std::uint8_t>> recovered;
     if (execute_attempt(name, loc, s, *plan, recovered, report,
                         &failed_node) &&
-        store_recovered(erased_sorted, replacements, plan->root_node,
+        store_recovered(damage.erased, replacements, plan->root_node,
                         recovered)) {
       ++stats_.attempts_completed;
       completed = true;
@@ -459,14 +429,12 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
       const auto replacements = pick_replacements(loc, damage.erased);
       if (!replacements.empty() &&
           damage.survivors.size() >= cluster_.params_.k) {
-        std::vector<std::size_t> erased_sorted = damage.erased;
-        std::sort(erased_sorted.begin(), erased_sorted.end());
         ++stats_.attempts_started;
         any_attempt = true;
         std::vector<std::vector<std::uint8_t>> recovered;
         if (execute_naive(name, loc, s, damage, replacements[0], recovered,
                           report) &&
-            store_recovered(erased_sorted, replacements, replacements[0],
+            store_recovered(damage.erased, replacements, replacements[0],
                             recovered)) {
           ++stats_.attempts_completed;
           ++stats_.naive_fallbacks;

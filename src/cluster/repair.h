@@ -11,8 +11,8 @@
 /// ECDAG discipline: instead of hauling k full survivor units to one
 /// repairer (the naive star), each helper applies its slice of the
 /// recovery matrix locally (an e x 1 GF coefficient column, lowered
-/// through the same bitmatrix->GEMM path as every other coding op and
-/// cached in the shared PlanCache under a locality-keyed entry), ships
+/// through the same bitmatrix->GEMM path as every other coding op; the
+/// plan comes from Codec::plan, keyed by the survivor preference), ships
 /// the e-unit partial one hop to its failure domain's aggregator, which
 /// XORs its domain's partials into one e-unit message before crossing
 /// domains to the repair root. GF-linearity makes the result
@@ -103,7 +103,7 @@ struct RepairPlan {
     std::size_t column = 0;  ///< its column in the recovery matrix
   };
   std::vector<std::size_t> erased;   ///< unit ids being rebuilt
-  /// The locality-keyed decode plan; recovery column i belongs to
+  /// The preference-keyed decode plan; recovery column i belongs to
   /// helpers[i] (survivors ascending).
   std::shared_ptr<const ec::DecodePlan> decode;
   std::vector<Helper> helpers;       ///< the chosen k survivors
@@ -147,6 +147,7 @@ class RepairCoordinator {
                                         std::size_t s);
 
  private:
+  /// Both lists are ascending: assess_stripe walks the unit ids in order.
   struct StripeDamage {
     std::vector<std::size_t> erased;     ///< missing or corrupt unit ids
     std::vector<std::size_t> survivors;  ///< readable-in-principle unit ids

@@ -11,48 +11,35 @@
 #include <vector>
 
 #include "ec/decoder.h"
-#include "ec/reed_solomon.h"
-#include "tensor/variant.h"
 
 /// A process-wide decode-plan cache.
 ///
-/// Building a DecodePlan means inverting a survivor submatrix (and, with
-/// plan optimization on, searching survivor subsets) — orders of magnitude
-/// more work than the GEMM that executes it at serving unit sizes. Loss
-/// patterns repeat heavily in practice: a failed disk erases the same unit
-/// id in every stripe, so the scrubber, the serve workers, and direct
-/// Codec::decode callers keep asking for the same handful of plans. This
-/// cache generalizes the per-codec-slot `naive_decode_cache` the serving
-/// layer grew: one shared, thread-safe, LRU-bounded map from
-/// (code identity, sorted loss pattern) to an immutable plan that every
-/// consumer can hold by shared_ptr. Unrecoverable patterns are cached
-/// negatively (a null plan), so repeated hopeless repairs don't re-run the
-/// rank computation either.
+/// Building a DecodePlan means inverting a survivor submatrix — orders
+/// of magnitude more work than the GEMM that executes it at serving unit
+/// sizes. Loss patterns repeat heavily in practice: a failed disk erases
+/// the same unit id in every stripe, so the scrubber, the serve workers,
+/// the repair DAG and direct Codec::decode callers keep asking for the
+/// same handful of plans. This cache is one shared, thread-safe,
+/// LRU-bounded map from PlanKey to an immutable plan that every consumer
+/// can hold by shared_ptr. Unrecoverable patterns are cached negatively
+/// (a null plan), so repeated hopeless repairs don't re-run the rank
+/// computation either. Codec::plan is the only code that builds keys.
 namespace tvmec::core {
 
-/// Cache key: the code's identity plus the canonical (sorted, deduplicated)
-/// loss pattern. `optimized` distinguishes sparse-searched plans from
-/// greedy ones — the two produce different recovery matrices for the same
-/// pattern and must not alias. `locality` distinguishes plans built
-/// against a constrained survivor set (the cluster's repair DAGs prefer
-/// failure-domain-local helpers, so the same loss pattern can yield
-/// different recovery matrices per placement); 0 means "any survivors",
-/// the single-process default. `variant` is the kernel-variant knob of
-/// the consumer the plan was requested for: the recovery matrix itself
-/// is pure field math and identical across variants, but variant-pinned
-/// consumers (differential tests and tuning sweeps that rebuild coders
-/// per SIMD tier) must not alias each other's entries, so the key keeps
-/// them apart. Auto — the default, and what every variant-agnostic call
-/// site passes — shares one entry.
+/// Cache key: exactly what a plan is computed from, nothing else.
+/// `code` is the code's exact identity (Codec computes it once: w, the
+/// generator's shape and entries, and the LRC group count its planner
+/// uses) — exact rather than hashed, so two codes can never share an
+/// entry. `erased` is the sorted, deduplicated loss pattern.
+/// `preferred` is the caller's survivor preference in order (empty =
+/// every survivor, ascending): the cluster's repair DAG prefers
+/// failure-domain-local helpers, so one loss pattern can yield different
+/// plans per placement. The kernel variant is not part of the key — a
+/// plan is pure field math; per-variant coders live in each Codec.
 struct PlanKey {
-  std::size_t k = 0;
-  std::size_t r = 0;
-  unsigned w = 0;
-  ec::RsFamily family = ec::RsFamily::CauchyGood;
-  bool optimized = false;
+  std::vector<std::uint32_t> code;
   std::vector<std::size_t> erased;
-  std::uint64_t locality = 0;
-  tensor::KernelVariant variant = tensor::KernelVariant::Auto;
+  std::vector<std::size_t> preferred;
 
   friend auto operator<=>(const PlanKey&, const PlanKey&) = default;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "tensor/kernel.h"
@@ -26,12 +27,64 @@ void xor_bytes(std::uint8_t* dst, const std::uint8_t* a,
   for (; i < n; ++i) dst[i] = static_cast<std::uint8_t>(a[i] ^ b[i]);
 }
 
+/// The exact identity of a code as its planner sees it: w, the
+/// generator's shape and entries, and the LRC group count (0 for RS) —
+/// an LRC plans single local losses differently from a greedy code even
+/// if their generators were equal.
+std::vector<std::uint32_t> code_identity(const gf::Matrix& generator,
+                                         std::size_t local_groups) {
+  std::vector<std::uint32_t> id{
+      generator.field().w(), static_cast<std::uint32_t>(generator.rows()),
+      static_cast<std::uint32_t>(generator.cols()),
+      static_cast<std::uint32_t>(local_groups)};
+  for (std::size_t i = 0; i < generator.rows(); ++i)
+    for (std::size_t j = 0; j < generator.cols(); ++j)
+      id.push_back(generator.at(i, j));
+  return id;
+}
+
 }  // namespace
 
 Codec::Codec(const ec::CodeParams& params, ec::RsFamily family)
     : params_(params),
-      rs_(params, family),
-      encode_coder_(rs_.parity_matrix()) {}
+      generator_(ec::ReedSolomon(params, family).generator()),
+      code_id_(code_identity(generator_, 0)),
+      encode_coder_(parity_matrix()) {}
+
+Codec::Codec(const ec::LrcParams& params)
+    : params_{params.k, params.l + params.g, params.w},
+      lrc_(std::in_place, params),
+      generator_(lrc_->generator()),
+      code_id_(code_identity(generator_, params.l)),
+      encode_coder_(parity_matrix()) {}
+
+gf::Matrix Codec::parity_matrix() const {
+  std::vector<std::size_t> ids(params_.r);
+  std::iota(ids.begin(), ids.end(), params_.k);
+  return generator_.select_rows(ids);
+}
+
+std::shared_ptr<const ec::DecodePlan> Codec::plan(
+    std::vector<std::size_t> erased,
+    std::vector<std::size_t> preferred) const {
+  erased = normalize_erasures(erased);
+  if (erased.empty()) throw std::invalid_argument("plan: nothing erased");
+  // An LRC's own planner reads a lone local loss's group; a survivor
+  // preference goes to the greedy walk, which never leaves it.
+  const auto build = [&]() -> std::optional<ec::DecodePlan> {
+    return lrc_ && preferred.empty()
+               ? lrc_->decode_plan(erased)
+               : ec::make_decode_plan(generator_, erased, preferred);
+  };
+  // The shared cache holds the inversion result: on a hit the costly
+  // planning is skipped entirely.
+  if (plan_cache_)
+    return plan_cache_->get_or_build(PlanKey{code_id_, erased, preferred},
+                                     build);
+  auto built = build();
+  if (!built) return nullptr;
+  return std::make_shared<const ec::DecodePlan>(std::move(*built));
+}
 
 void Codec::encode(std::span<const std::uint8_t> data,
                    std::span<std::uint8_t> parity,
@@ -71,37 +124,20 @@ void Codec::encode_ptrs(const std::vector<const std::uint8_t*>& data,
 
 const Codec::DecodeEntry& Codec::decode_entry(
     const std::vector<std::size_t>& erased) {
-  const tensor::KernelVariant variant = encode_coder_.schedule().variant;
-  const DecodeCacheKey cache_key{erased, variant};
-  const auto it = decode_cache_.find(cache_key);
+  const auto it = decode_cache_.find(erased);
   if (it != decode_cache_.end()) return it->second;
 
-  const auto build = [&]() -> std::optional<ec::DecodePlan> {
-    return optimize_plans_
-               ? ec::make_decode_plan_optimized(rs_.generator(), erased)
-               : ec::make_decode_plan(rs_.generator(), erased);
-  };
-
-  std::shared_ptr<const ec::DecodePlan> plan;
-  if (plan_cache_) {
-    // The shared cache holds the inversion result; on a hit the costly
-    // planning is skipped entirely and only this codec's GemmCoder (which
-    // carries its schedule) is built locally.
-    plan = plan_cache_->get_or_build(
-        PlanKey{params_.k, params_.r, params_.w, rs_.family(),
-                optimize_plans_, erased, /*locality=*/0, variant},
-        build);
-  } else if (auto built = build()) {
-    plan = std::make_shared<const ec::DecodePlan>(std::move(*built));
-  }
-  if (!plan)
+  // Only the plan is shared; the GemmCoder carries this codec's
+  // schedule and stays local.
+  std::shared_ptr<const ec::DecodePlan> shared = plan(erased);
+  if (!shared)
     throw std::runtime_error("decode: erasure pattern is unrecoverable");
   auto coder =
-      std::make_unique<GemmCoder>(plan->recovery, encode_coder_.schedule());
+      std::make_unique<GemmCoder>(shared->recovery, encode_coder_.schedule());
   coder->set_scattered_staging_threshold(
       encode_coder_.scattered_staging_threshold());
   const auto [pos, inserted] = decode_cache_.emplace(
-      cache_key, DecodeEntry{std::move(plan), std::move(coder)});
+      erased, DecodeEntry{std::move(shared), std::move(coder)});
   return pos->second;
 }
 
@@ -120,10 +156,6 @@ std::vector<std::size_t> Codec::normalize_erasures(
       throw std::invalid_argument("decode: erased id " + std::to_string(id) +
                                   " out of range (n=" + std::to_string(n) +
                                   ")");
-  if (erased.size() > params_.r)
-    throw std::runtime_error("decode: " + std::to_string(erased.size()) +
-                             " distinct erasures exceed r=" +
-                             std::to_string(params_.r) + " parities");
   return erased;
 }
 
@@ -153,6 +185,10 @@ void Codec::decode_batch(std::span<const DecodeBatchItem> items,
       throw std::invalid_argument("decode: stripe must hold k+r units");
     if (item.erased_ids.empty()) continue;
     std::vector<std::size_t> erased = normalize_erasures(item.erased_ids);
+    if (erased.size() > params_.r)
+      throw std::runtime_error("decode: " + std::to_string(erased.size()) +
+                               " distinct erasures exceed r=" +
+                               std::to_string(params_.r) + " parities");
     groups[std::move(erased)].push_back(i);
   }
 
@@ -218,9 +254,9 @@ void Codec::patch_parity(std::size_t unit_id,
   auto& coder = delta_coders_[unit_id];
   if (!coder) {
     // The parity column of this unit: P_i picks up C[i][unit] * delta.
-    gf::Matrix column(rs_.field(), params_.r, 1);
+    gf::Matrix column(generator_.field(), params_.r, 1);
     for (std::size_t i = 0; i < params_.r; ++i)
-      column.set(i, 0, rs_.generator().at(params_.k + i, unit_id));
+      column.set(i, 0, generator_.at(params_.k + i, unit_id));
     coder = std::make_unique<GemmCoder>(column, encode_coder_.schedule());
   }
 

@@ -2,17 +2,22 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/gemm_coder.h"
 #include "core/plan_cache.h"
 #include "ec/code_params.h"
 #include "ec/decoder.h"
+#include "ec/lrc.h"
 #include "ec/reed_solomon.h"
 #include "tensor/buffer.h"
 
-/// The public TVM-EC API: a complete systematic Reed-Solomon codec whose
-/// encode and decode both execute as autotuned GEMMs.
+/// The public TVM-EC API: one codec for every systematic linear code —
+/// Reed-Solomon and Azure-style LRC today — whose encode and decode both
+/// execute as autotuned GEMMs (paper §8: "all linear codes can be
+/// developed via a highly optimized GEMM routine"). A code is its
+/// generator matrix plus its decode planner; everything else is shared.
 ///
 /// Layout contract (paper §5): the codec works on *contiguous* unit
 /// buffers — k units back to back for encode, n units back to back for a
@@ -29,14 +34,37 @@ namespace tvmec::core {
 
 class Codec {
  public:
-  /// Builds the generator and the GEMM encoder.
+  /// A Reed-Solomon code: builds the generator and the GEMM encoder.
   /// Throws std::invalid_argument on invalid parameters.
   explicit Codec(const ec::CodeParams& params,
                  ec::RsFamily family = ec::RsFamily::CauchyGood);
 
+  /// An LRC(k, l, g): r = l + g parities (l local, then g global). A
+  /// single lost data unit or local parity decodes from its group alone.
+  /// Throws std::invalid_argument on invalid parameters.
+  explicit Codec(const ec::LrcParams& params);
+
+  /// k data units, r parity units, field GF(2^w). For an LRC this is the
+  /// shape {k, l + g, w}, which need not satisfy CodeParams::validate
+  /// (an LRC only needs k + g field points).
   const ec::CodeParams& params() const noexcept { return params_; }
-  const ec::ReedSolomon& code() const noexcept { return rs_; }
+  /// The full n x k generator (identity on top); row i generates unit i.
+  const gf::Matrix& generator() const noexcept { return generator_; }
+  /// The r x k parity block (rows k..n-1 of the generator).
+  gf::Matrix parity_matrix() const;
   const GemmCoder& encoder() const noexcept { return encode_coder_; }
+
+  /// The decode plan for losing `erased` (any order, duplicates allowed)
+  /// — the one place a loss pattern becomes a plan. `preferred` restricts
+  /// and orders the survivors the plan may read (see
+  /// ec::make_decode_plan); with none, an LRC reads a lone lost data unit
+  /// or local parity from its group alone. Served from the shared
+  /// PlanCache when one is installed. Null means the pattern is
+  /// unrecoverable (with that preference). Throws std::invalid_argument
+  /// on an empty pattern or an out-of-range id. Thread-safe.
+  std::shared_ptr<const ec::DecodePlan> plan(
+      std::vector<std::size_t> erased,
+      std::vector<std::size_t> preferred = {}) const;
 
   /// Encodes k contiguous data units into r contiguous parity units.
   /// unit_size must be a positive multiple of 8*w bytes.
@@ -75,7 +103,8 @@ class Codec {
   /// Recovers the erased units of a full stripe (n contiguous units) in
   /// place. Erased ids may name data and/or parity units; at most r.
   /// Throws std::invalid_argument on bad ids, std::runtime_error if the
-  /// pattern is unrecoverable (more than r erasures).
+  /// pattern is unrecoverable (more than r erasures, or — for an LRC,
+  /// which is not MDS — a pattern no survivor subset can recover).
   void decode(std::span<std::uint8_t> stripe,
               std::span<const std::size_t> erased_ids, std::size_t unit_size);
 
@@ -131,9 +160,12 @@ class Codec {
                         const tune::TuneOptions& options, int max_threads);
 
   /// Installs a schedule directly (e.g. a single-thread schedule for
-  /// CPU-utilization experiments).
+  /// CPU-utilization experiments). Drops the cached decode and delta
+  /// coders so every later decode and update runs on it too.
   void set_schedule(const tensor::Schedule& schedule) {
     encode_coder_.set_schedule(schedule);
+    decode_cache_.clear();
+    delta_coders_.clear();
   }
 
   /// Routes scattered operands below `bytes` to the staged accumulator
@@ -153,16 +185,6 @@ class Codec {
   std::size_t decode_cache_size() const noexcept {
     return decode_cache_.size();
   }
-
-  /// When enabled, decode planning searches survivor subsets for the
-  /// sparsest recovery matrix (make_decode_plan_optimized) instead of
-  /// taking the first k survivors. Plans are cached, so the search cost
-  /// is paid once per erasure pattern. Clears existing cached plans.
-  void set_plan_optimization(bool enabled) {
-    if (optimize_plans_ != enabled) decode_cache_.clear();
-    optimize_plans_ = enabled;
-  }
-  bool plan_optimization() const noexcept { return optimize_plans_; }
 
   /// Installs a shared decode-plan cache: decode planning consults it
   /// before inverting, so repeated loss patterns — across this codec,
@@ -187,28 +209,24 @@ class Codec {
 
   const DecodeEntry& decode_entry(const std::vector<std::size_t>& erased);
 
-  /// Decode coders are cached per (loss pattern, kernel-variant knob of
-  /// the current schedule): a schedule switch between variant tiers —
-  /// e.g. a differential test pinning scalar, then avx2 — must rebuild
-  /// the per-pattern coders rather than reuse ones carrying the old
-  /// tier. Auto-variant schedules share one entry (they re-resolve at
-  /// every kernel call, so a force toggle reaches them without a
-  /// rebuild).
-  using DecodeCacheKey =
-      std::pair<std::vector<std::size_t>, tensor::KernelVariant>;
-
-  /// Sorted, deduplicated, range-checked loss pattern (the canonical
-  /// decode-cache key). Throws invalid_argument on out-of-range ids,
-  /// runtime_error when > r distinct erasures.
+  /// Sorted, deduplicated, range-checked loss pattern (the canonical key
+  /// of both plan caches). Throws invalid_argument on out-of-range ids.
   std::vector<std::size_t> normalize_erasures(
       std::span<const std::size_t> erased_ids) const;
 
   ec::CodeParams params_;
-  ec::ReedSolomon rs_;
+  /// Set for an LRC: its planner answers a single local loss from the
+  /// unit's group.
+  std::optional<ec::Lrc> lrc_;
+  gf::Matrix generator_;
+  /// The exact code identity PlanKey::code carries.
+  std::vector<std::uint32_t> code_id_;
   GemmCoder encode_coder_;
-  std::map<DecodeCacheKey, DecodeEntry> decode_cache_;
+  /// Per-pattern decode coders. They carry the schedule they were built
+  /// with, and every schedule change (set_schedule, tune, tune_cached)
+  /// drops them, so the loss pattern alone keys them.
+  std::map<std::vector<std::size_t>, DecodeEntry> decode_cache_;
   std::shared_ptr<PlanCache> plan_cache_;
-  bool optimize_plans_ = false;
   /// Per-data-unit r x 1 delta coders for update_unit (lazy).
   std::vector<std::unique_ptr<GemmCoder>> delta_coders_;
   tensor::AlignedBuffer<std::uint8_t> staging_;

@@ -1,9 +1,8 @@
 #include "ec/decoder.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
-
-#include "gf/bitmatrix.h"
 
 namespace tvmec::ec {
 
@@ -61,7 +60,8 @@ class RankTracker {
 }  // namespace
 
 std::optional<DecodePlan> make_decode_plan(
-    const gf::Matrix& generator, std::span<const std::size_t> erased_ids) {
+    const gf::Matrix& generator, std::span<const std::size_t> erased_ids,
+    std::span<const std::size_t> preferred) {
   const std::size_t n = generator.rows();
   const std::size_t k = generator.cols();
   if (erased_ids.empty())
@@ -77,131 +77,35 @@ std::optional<DecodePlan> make_decode_plan(
     erased_mask[id] = true;
   }
 
-  // Greedily pick k linearly independent survivor rows; for MDS codes
-  // this is simply the first k survivors, and for LRC-style codes the
-  // dependence check skips redundant local parities.
-  RankTracker tracker(generator.field(), k);
-  std::vector<std::size_t> chosen;
-  for (std::size_t id = 0; id < n && chosen.size() < k; ++id) {
-    if (erased_mask[id]) continue;
-    if (tracker.try_add(generator.row(id))) chosen.push_back(id);
+  // Greedily pick k linearly independent survivor rows in preference
+  // order; for MDS codes every survivor adds rank, and for LRC-style
+  // codes the dependence check skips redundant local parities.
+  std::vector<std::size_t> order(preferred.begin(), preferred.end());
+  if (order.empty()) {
+    order.resize(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
   }
-  if (chosen.size() < k) return std::nullopt;
-
-  const gf::Matrix survivor_rows = generator.select_rows(chosen);
-  const auto inv = survivor_rows.inverted();
-  if (!inv) return std::nullopt;  // cannot happen after the rank check
-
-  std::vector<std::size_t> erased_vec(erased_ids.begin(), erased_ids.end());
-  gf::Matrix recovery = generator.select_rows(erased_vec).mul(*inv);
-  return DecodePlan{std::move(chosen), std::move(erased_vec),
-                    std::move(recovery)};
-}
-
-namespace {
-
-/// Total bitmatrix ones of a coefficient matrix (the XOR-work measure).
-std::size_t matrix_bitmatrix_ones(const gf::Matrix& m) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    total += gf::row_bitmatrix_ones(m, i);
-  return total;
-}
-
-}  // namespace
-
-std::optional<DecodePlan> make_decode_plan_optimized(
-    const gf::Matrix& generator, std::span<const std::size_t> erased_ids,
-    std::size_t max_subsets) {
-  auto fallback = make_decode_plan(generator, erased_ids);
-  if (!fallback) return std::nullopt;
-
-  const std::size_t k = generator.cols();
-  std::vector<std::size_t> survivors_all;
-  {
-    std::vector<bool> erased_mask(generator.rows(), false);
-    for (const std::size_t id : erased_ids) erased_mask[id] = true;
-    for (std::size_t id = 0; id < generator.rows(); ++id)
-      if (!erased_mask[id]) survivors_all.push_back(id);
-  }
-  if (survivors_all.size() <= k) return fallback;  // no choice to make
-
-  // Enumerate k-subsets of the survivors up to the budget.
-  std::size_t best_ones = matrix_bitmatrix_ones(fallback->recovery);
-  std::optional<DecodePlan> best = std::move(fallback);
-  std::vector<std::size_t> pick(k);
-  std::size_t visited = 0;
-  const auto recurse = [&](auto&& self, std::size_t start,
-                           std::size_t depth) -> void {
-    if (visited >= max_subsets) return;
-    if (depth == k) {
-      ++visited;
-      const gf::Matrix rows = generator.select_rows(pick);
-      const auto inv = rows.inverted();
-      if (!inv) return;  // dependent subset (possible for non-MDS codes)
-      std::vector<std::size_t> erased_vec(erased_ids.begin(),
-                                          erased_ids.end());
-      gf::Matrix recovery = generator.select_rows(erased_vec).mul(*inv);
-      const std::size_t ones = matrix_bitmatrix_ones(recovery);
-      if (ones < best_ones) {
-        best_ones = ones;
-        best = DecodePlan{pick, std::move(erased_vec), std::move(recovery)};
-      }
-      return;
-    }
-    for (std::size_t i = start;
-         i + (k - depth) <= survivors_all.size() && visited < max_subsets;
-         ++i) {
-      pick[depth] = survivors_all[i];
-      self(self, i + 1, depth + 1);
-    }
-  };
-  recurse(recurse, 0, 0);
-  return best;
-}
-
-std::optional<DecodePlan> make_decode_plan_with_survivors(
-    const gf::Matrix& generator, std::span<const std::size_t> erased_ids,
-    std::span<const std::size_t> survivor_ids) {
-  const std::size_t n = generator.rows();
-  const std::size_t k = generator.cols();
-  if (erased_ids.empty())
-    throw std::invalid_argument("make_decode_plan: nothing erased");
-
-  std::vector<bool> erased_mask(n, false);
-  for (const std::size_t id : erased_ids) {
-    if (id >= n)
-      throw std::invalid_argument("make_decode_plan: erased id out of range");
-    if (erased_mask[id])
-      throw std::invalid_argument("make_decode_plan: duplicate erased id " +
-                                  std::to_string(id));
-    erased_mask[id] = true;
-  }
-
-  // Consume the caller's survivors in preference order; unlike
-  // make_decode_plan we never look outside the given set, so a
-  // domain-local plan stays domain-local or fails loudly.
   RankTracker tracker(generator.field(), k);
   std::vector<std::size_t> chosen;
   std::vector<bool> used(n, false);
-  for (const std::size_t id : survivor_ids) {
+  for (const std::size_t id : order) {
     if (chosen.size() == k) break;
     if (id >= n)
       throw std::invalid_argument(
-          "make_decode_plan: survivor id out of range");
+          "make_decode_plan: preferred id out of range");
     if (erased_mask[id] || used[id]) continue;
     used[id] = true;
     if (tracker.try_add(generator.row(id))) chosen.push_back(id);
   }
   if (chosen.size() < k) return std::nullopt;
 
-  // The plan's survivor list is kept ascending (like make_decode_plan)
-  // so plans cached under the same key compare equal regardless of the
-  // caller's preference ordering of an identical chosen set.
+  // The survivor list is kept ascending, so an identical chosen set
+  // yields an identical plan whatever the caller's preference order.
   std::sort(chosen.begin(), chosen.end());
   const gf::Matrix survivor_rows = generator.select_rows(chosen);
   const auto inv = survivor_rows.inverted();
-  if (!inv) return std::nullopt;
+  if (!inv) return std::nullopt;  // cannot happen after the rank check
+
   std::vector<std::size_t> erased_vec(erased_ids.begin(), erased_ids.end());
   gf::Matrix recovery = generator.select_rows(erased_vec).mul(*inv);
   return DecodePlan{std::move(chosen), std::move(erased_vec),

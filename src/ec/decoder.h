@@ -18,7 +18,8 @@ namespace tvmec::ec {
 struct DecodePlan {
   /// The unit ids (rows of the generator) the plan reads, ascending.
   /// make_decode_plan always chooses exactly k linearly independent
-  /// survivors; locality-aware planners (LRC) may read fewer.
+  /// survivors; the LRC planner reads only the group for a single
+  /// local loss.
   std::vector<std::size_t> survivors;
   /// The erased unit ids the plan reconstructs, in input order.
   std::vector<std::size_t> erased;
@@ -28,37 +29,23 @@ struct DecodePlan {
 };
 
 /// Builds a decode plan against an arbitrary (n x k) generator matrix
-/// whose row i generates unit i.
+/// whose row i generates unit i — the one planner every decode path
+/// uses.
 ///
-/// Works for MDS codes (any k survivors suffice) and for non-MDS codes
-/// such as LRCs (a linearly independent survivor subset is searched for).
+/// Survivors are taken greedily from `preferred`, in the caller's order,
+/// until k linearly independent rows are found; an empty preference
+/// means every survivor, in ascending order. For an MDS code that is
+/// the first k survivors; for non-MDS codes such as LRCs the rank check
+/// skips dependent rows. Erased and repeated ids in `preferred` are
+/// skipped. The plan never reads outside the preference: when the
+/// preferred set cannot recover the pattern the result is nullopt, so
+/// a caller (the cluster passes failure-domain-local helpers first)
+/// widens the set rather than getting a silently different plan.
 /// Returns nullopt when the erasure pattern is unrecoverable. Throws
-/// std::invalid_argument on out-of-range or duplicate erased ids.
+/// std::invalid_argument on an empty pattern, out-of-range or duplicate
+/// erased ids, or an out-of-range preferred id.
 std::optional<DecodePlan> make_decode_plan(
-    const gf::Matrix& generator, std::span<const std::size_t> erased_ids);
-
-/// Repair-optimized planning: for small erasure counts, *which* k
-/// survivors are read changes the density of the recovery matrix and
-/// thus the XOR work of the repair (the schedule-selection idea of Luo
-/// et al., applied to survivor choice). Enumerates survivor subsets (up
-/// to `max_subsets`, default exhaustive for e <= 2 at storage-system n)
-/// and returns the plan whose recovery bitmatrix has the fewest ones.
-/// Falls back to make_decode_plan's greedy choice when enumeration is
-/// too large. Same recoverability semantics as make_decode_plan.
-std::optional<DecodePlan> make_decode_plan_optimized(
     const gf::Matrix& generator, std::span<const std::size_t> erased_ids,
-    std::size_t max_subsets = 2048);
-
-/// Placement-aware planning: builds a plan that reads *only* from
-/// `survivor_ids`, in the caller's preference order (the cluster passes
-/// failure-domain-local helpers first, so repair traffic stays inside a
-/// domain when rank allows). Survivors are consumed greedily in the
-/// given order until k independent rows are found; returns nullopt when
-/// the preferred set cannot recover the pattern — callers then widen
-/// the set rather than getting a silently different plan. Ids appearing
-/// in `erased_ids` are skipped. Same validation as make_decode_plan.
-std::optional<DecodePlan> make_decode_plan_with_survivors(
-    const gf::Matrix& generator, std::span<const std::size_t> erased_ids,
-    std::span<const std::size_t> survivor_ids);
+    std::span<const std::size_t> preferred = {});
 
 }  // namespace tvmec::ec

@@ -91,4 +91,11 @@ std::optional<DecodePlan> Lrc::local_repair_plan(
   return DecodePlan{std::move(survivors), {failed_unit}, std::move(recovery)};
 }
 
+std::optional<DecodePlan> Lrc::decode_plan(
+    std::span<const std::size_t> erased_ids) const {
+  if (erased_ids.size() == 1)
+    if (auto local = local_repair_plan(erased_ids[0])) return local;
+  return make_decode_plan(generator_, erased_ids);
+}
+
 }  // namespace tvmec::ec

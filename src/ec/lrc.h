@@ -67,14 +67,14 @@ class Lrc {
   /// Falls back to nullopt for global parities (use decode_plan).
   std::optional<DecodePlan> local_repair_plan(std::size_t failed_unit) const;
 
-  /// General (possibly multi-failure) decode plan; nullopt when the
-  /// pattern is unrecoverable. Any pattern with at most g failures is
-  /// always recoverable (Cauchy global parities), as is one failure per
-  /// group via locals.
+  /// The LRC's decode planner: a single lost data unit or local parity
+  /// gets its local_repair_plan (group_size() reads instead of k); every
+  /// other pattern goes to make_decode_plan. nullopt when the pattern is
+  /// unrecoverable. Any pattern with at most g failures is always
+  /// recoverable (Cauchy global parities), as is one failure per group
+  /// via locals.
   std::optional<DecodePlan> decode_plan(
-      std::span<const std::size_t> erased_ids) const {
-    return make_decode_plan(generator_, erased_ids);
-  }
+      std::span<const std::size_t> erased_ids) const;
 
  private:
   LrcParams params_;

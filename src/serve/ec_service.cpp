@@ -537,7 +537,7 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch,
             if (!slot.naive_encoder)
               slot.naive_encoder = core::make_coder(
                   core::Backend::NaiveBitmatrix,
-                  slot.codec.code().parity_matrix());
+                  slot.codec.parity_matrix());
             naive = slot.naive_encoder.get();
           }
           naive->apply(p.req.in, p.req.out, p.req.unit_size);
@@ -558,13 +558,7 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch,
             // Plans come from the shared cache (same plans the primary
             // path uses — the breaker degrades the *executor*, not the
             // math); only the naive coder stays slot-local.
-            auto plan = plan_cache_->get_or_build(
-                core::PlanKey{p.req.key.k, p.req.key.r, p.req.key.w,
-                              p.req.key.family, false, erased},
-                [&]() {
-                  return ec::make_decode_plan(slot.codec.code().generator(),
-                                              erased);
-                });
+            auto plan = slot.codec.plan(erased);
             if (!plan)
               throw std::runtime_error(
                   "decode: erasure pattern is unrecoverable");

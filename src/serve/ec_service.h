@@ -272,7 +272,9 @@ class EcService {
   /// continuous autotuner's publish step). Takes the slot's schedule
   /// lock exclusively, so the install waits for in-flight batches on
   /// that codec and no batch ever observes a half-written schedule.
-  /// Affects the encode path and decode plans built afterwards.
+  /// Affects every later encode and decode: the codec drops its cached
+  /// decode coders, which the exclusive lock keeps away from running
+  /// batches.
   /// Throws std::invalid_argument on an invalid schedule.
   void install_schedule(const CodecKey& key,
                         const tensor::Schedule& schedule);

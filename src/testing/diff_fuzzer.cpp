@@ -14,7 +14,6 @@
 #include "cluster/membership.h"
 #include "cluster/repair.h"
 #include "core/backends.h"
-#include "core/lrc_codec.h"
 #include "core/tvmec.h"
 #include "ec/decoder.h"
 #include "ec/lrc.h"
@@ -356,7 +355,7 @@ FuzzOutcome run_rs_decode(const FuzzConfig& c) {
 FuzzOutcome run_lrc(const FuzzConfig& c) {
   const ec::LrcParams params{c.k, c.l, c.r, c.w};
   const ec::Lrc lrc(params);
-  core::LrcCodec codec(params);
+  core::Codec codec(params);
   const std::size_t n = params.n();
   const std::size_t unit = c.unit_size;
   if (c.sched != 0)
@@ -404,6 +403,10 @@ FuzzOutcome run_lrc(const FuzzConfig& c) {
   if (auto d =
           first_divergence(work.span(), stripe.span(), unit, "lrc decode"))
     return fail(c, *d);
+  // Locality: one lost data unit or local parity reads only its group.
+  if (erased.size() == 1 && erased[0] < c.k + c.l &&
+      codec.plan(erased)->survivors.size() != params.group_size())
+    return fail(c, "lrc single-unit plan reads outside the local group");
   return FuzzOutcome{true, {}, {}, 1};
 }
 

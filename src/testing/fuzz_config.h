@@ -19,7 +19,9 @@ namespace tvmec::testing {
 enum class Scenario {
   RsEncode,        ///< every backend's encode vs the embedding oracles
   RsDecode,        ///< every backend executing a DecodePlan vs originals
-  LrcRoundTrip,    ///< LrcCodec encode/decode vs the bitpacket reference
+  LrcRoundTrip,    ///< LRC through core::Codec: encode/decode vs the
+                   ///< bitpacket reference, and single local losses
+                   ///< planned from the group alone
   Serve,           ///< random request mix through EcService (manual pump)
                    ///< vs a sequential per-request Codec oracle, including
                    ///< queue-capacity admission accounting

@@ -35,7 +35,7 @@ TEST(Codec, EncodeMatchesReference) {
   tensor::AlignedBuffer<std::uint8_t> parity(4 * kUnit);
   codec.encode(data.span(), parity.span(), kUnit);
   std::vector<std::uint8_t> expect(4 * kUnit);
-  ec::apply_matrix_reference_bitpacket(codec.code().parity_matrix(),
+  ec::apply_matrix_reference_bitpacket(codec.parity_matrix(),
                                        data.span(), expect, kUnit);
   ASSERT_TRUE(
       std::equal(expect.begin(), expect.end(), parity.span().begin()));
@@ -175,31 +175,51 @@ TEST(Codec, TuneClearsDecodeCacheAndStaysCorrect) {
   auto stripe2 = make_stripe(codec, 7);
   ASSERT_TRUE(std::equal(stripe.span().begin(), stripe.span().end(),
                          stripe2.span().begin()));
+
+  // Installing a schedule directly drops the decode coders too, so the
+  // next decode runs on the new tiles and thread count.
+  std::fill_n(damaged.data(), kUnit, 0);
+  codec.decode(damaged.span(), pattern, kUnit);
+  EXPECT_EQ(codec.decode_cache_size(), 1u);
+  tensor::Schedule s;
+  s.tile_m = 8;
+  s.tile_n = 16;
+  s.block_n = 512;
+  codec.set_schedule(s);
+  EXPECT_EQ(codec.decode_cache_size(), 0u);
+  std::fill_n(damaged.data(), kUnit, 0);
+  codec.decode(damaged.span(), pattern, kUnit);
+  EXPECT_EQ(codec.decode_cache_size(), 1u);
+  EXPECT_TRUE(std::equal(stripe.span().begin(), stripe.span().end(),
+                         damaged.span().begin()));
 }
 
 /// Linearity in action: a delta-update of one data unit must leave the
 /// stripe identical to a full re-encode with the new data.
 TEST(Codec, UpdateUnitMatchesFullReencode) {
-  const ec::CodeParams p{6, 3, 8};
-  Codec codec(p);
-  auto stripe = make_stripe(codec, 11);
+  // An LRC(6, 2, 1) patches its local and global parities the same way.
+  Codec rs(ec::CodeParams{6, 3, 8});
+  Codec lrc(ec::LrcParams{6, 2, 1, 8});
+  for (Codec* const codec : {&rs, &lrc}) {
+    const ec::CodeParams p = codec->params();
+    auto stripe = make_stripe(*codec, 11);
+    for (const std::size_t unit_id : {0u, 3u, 5u}) {
+      const auto new_data = random_bytes(kUnit, 500 + unit_id);
+      codec->update_unit(stripe.span(), unit_id, new_data.span(), kUnit);
 
-  for (const std::size_t unit_id : {0u, 3u, 5u}) {
-    const auto new_data = random_bytes(kUnit, 500 + unit_id);
-    codec.update_unit(stripe.span(), unit_id, new_data.span(), kUnit);
-
-    // Expected: full re-encode of the updated data half.
-    tensor::AlignedBuffer<std::uint8_t> expect_parity(p.r * kUnit);
-    codec.encode(
-        std::span<const std::uint8_t>(stripe.data(), p.k * kUnit),
-        expect_parity.span(), kUnit);
-    ASSERT_TRUE(std::equal(expect_parity.span().begin(),
-                           expect_parity.span().end(),
-                           stripe.data() + p.k * kUnit))
-        << "unit " << unit_id;
-    // And the data landed.
-    ASSERT_TRUE(std::equal(new_data.span().begin(), new_data.span().end(),
-                           stripe.data() + unit_id * kUnit));
+      // Expected: full re-encode of the updated data half.
+      tensor::AlignedBuffer<std::uint8_t> expect_parity(p.r * kUnit);
+      codec->encode(
+          std::span<const std::uint8_t>(stripe.data(), p.k * kUnit),
+          expect_parity.span(), kUnit);
+      ASSERT_TRUE(std::equal(expect_parity.span().begin(),
+                             expect_parity.span().end(),
+                             stripe.data() + p.k * kUnit))
+          << "unit " << unit_id;
+      // And the data landed.
+      ASSERT_TRUE(std::equal(new_data.span().begin(), new_data.span().end(),
+                             stripe.data() + unit_id * kUnit));
+    }
   }
 }
 
@@ -234,28 +254,6 @@ TEST(Codec, UpdateUnitValidation) {
   EXPECT_THROW(codec.update_unit(stripe.span().subspan(0, 5 * kUnit), 0,
                                  new_data.span(), kUnit),
                std::invalid_argument);
-}
-
-TEST(Codec, OptimizedPlansDecodeIdentically) {
-  Codec codec(ec::CodeParams{10, 4, 8});
-  auto stripe = make_stripe(codec, 21);
-  codec.set_plan_optimization(true);
-  EXPECT_TRUE(codec.plan_optimization());
-
-  tensor::AlignedBuffer<std::uint8_t> damaged(stripe.size());
-  for (const std::vector<std::size_t>& pattern :
-       {std::vector<std::size_t>{0}, {3, 12}, {1, 5, 9, 13}}) {
-    std::copy(stripe.span().begin(), stripe.span().end(), damaged.data());
-    for (const std::size_t id : pattern)
-      std::fill_n(damaged.data() + id * kUnit, kUnit, 0);
-    codec.decode(damaged.span(), pattern, kUnit);
-    ASSERT_TRUE(std::equal(stripe.span().begin(), stripe.span().end(),
-                           damaged.span().begin()));
-  }
-  // Toggling clears the plan cache.
-  EXPECT_GT(codec.decode_cache_size(), 0u);
-  codec.set_plan_optimization(false);
-  EXPECT_EQ(codec.decode_cache_size(), 0u);
 }
 
 TEST(Codec, TuneCachedReusesLoggedSchedules) {

@@ -14,9 +14,14 @@
 namespace tvmec::core {
 namespace {
 
-PlanKey key_for(std::vector<std::size_t> erased, bool optimized = false) {
-  return PlanKey{10, 4, 8, ec::RsFamily::CauchyGood, optimized,
-                 std::move(erased)};
+/// Stand-in code identities: the cache only compares them.
+const std::vector<std::uint32_t> kCodeA = {8, 14, 10, 0, 1, 2, 3};
+const std::vector<std::uint32_t> kCodeB = {8, 14, 10, 0, 1, 2, 4};
+
+PlanKey key_for(std::vector<std::size_t> erased,
+                const std::vector<std::uint32_t>& code = kCodeA,
+                std::vector<std::size_t> preferred = {}) {
+  return PlanKey{code, std::move(erased), std::move(preferred)};
 }
 
 /// A real builder against a real generator, counting invocations.
@@ -71,42 +76,20 @@ TEST(PlanCache, NegativeResultIsCached) {
 TEST(PlanCache, DistinctKeysDoNotAlias) {
   PlanCache cache;
   const auto gen = test_generator(10, 4);
-  CountingBuilder greedy{gen, {2}};
+  CountingBuilder build{gen, {2}};
   CountingBuilder other{gen, {3}};
 
-  const auto a = cache.get_or_build(key_for({2}, false), std::ref(greedy));
-  const auto b = cache.get_or_build(key_for({2}, true), std::ref(greedy));
-  const auto c = cache.get_or_build(key_for({3}, false), std::ref(other));
-  EXPECT_NE(a.get(), b.get());  // optimized flag separates entries
+  const auto a = cache.get_or_build(key_for({2}), std::ref(build));
+  const auto b = cache.get_or_build(key_for({2}, kCodeB), std::ref(build));
+  const auto c = cache.get_or_build(key_for({3}), std::ref(other));
+  const auto d =
+      cache.get_or_build(key_for({2}, kCodeA, {1, 0, 3, 4, 5, 6, 7, 8, 9, 10}),
+                         std::ref(build));
+  EXPECT_NE(a.get(), b.get());  // the code identity separates entries
   EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(cache.stats().entries, 3u);
-  EXPECT_EQ(cache.stats().misses, 3u);
-}
-
-TEST(PlanCache, VariantPinnedKeysDoNotAlias) {
-  // The recovery matrix is variant-independent, but a consumer that pins
-  // a kernel tier must not share an entry with one pinned to another —
-  // and the Auto default must keep its own shared entry.
-  PlanCache cache;
-  const auto gen = test_generator(10, 4);
-  CountingBuilder build{gen, {2}};
-
-  PlanKey auto_key = key_for({2});
-  PlanKey scalar_key = key_for({2});
-  scalar_key.variant = tensor::KernelVariant::Scalar;
-  PlanKey avx2_key = key_for({2});
-  avx2_key.variant = tensor::KernelVariant::Avx2;
-
-  const auto a = cache.get_or_build(auto_key, std::ref(build));
-  const auto b = cache.get_or_build(scalar_key, std::ref(build));
-  const auto c = cache.get_or_build(avx2_key, std::ref(build));
-  const auto a2 = cache.get_or_build(auto_key, std::ref(build));
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_NE(b.get(), c.get());
-  EXPECT_EQ(a.get(), a2.get());
-  EXPECT_EQ(cache.stats().entries, 3u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(build.calls, 3);
+  EXPECT_NE(a.get(), d.get());  // so does the survivor preference
+  EXPECT_EQ(cache.stats().entries, 4u);
+  EXPECT_EQ(cache.stats().misses, 4u);
 }
 
 TEST(PlanCache, EvictsLeastRecentlyUsed) {

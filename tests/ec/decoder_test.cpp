@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "ec/reed_solomon.h"
-#include "gf/bitmatrix.h"
 
 namespace tvmec::ec {
 namespace {
@@ -79,61 +78,28 @@ TEST(DecodePlan, ParityOnlyErasureRecoversViaReencode) {
   EXPECT_EQ(plan->recovery, gen.select_rows(erased));
 }
 
-TEST(DecodePlanOptimized, NeverDenserThanGreedyPlan) {
-  const auto& gen = generator_10_4();
-  for (const std::vector<std::size_t>& erased :
-       {std::vector<std::size_t>{0}, {7}, {13}, {0, 5}, {2, 11}}) {
-    const auto greedy = make_decode_plan(gen, erased);
-    const auto opt = make_decode_plan_optimized(gen, erased);
-    ASSERT_TRUE(greedy.has_value());
-    ASSERT_TRUE(opt.has_value());
-    std::size_t greedy_ones = 0, opt_ones = 0;
-    for (std::size_t i = 0; i < erased.size(); ++i) {
-      greedy_ones += gf::row_bitmatrix_ones(greedy->recovery, i);
-      opt_ones += gf::row_bitmatrix_ones(opt->recovery, i);
-    }
-    EXPECT_LE(opt_ones, greedy_ones);
-  }
-}
-
-TEST(DecodePlanOptimized, FindsStrictlyCheaperSingleFailureRepair) {
-  // For single-data-unit repair of a (10,4) Cauchy code, survivor choice
-  // genuinely matters; the exhaustive search must beat the greedy pick.
+/// A survivor preference restricts the plan to the preferred ids, taken
+/// in the caller's order, and never widens it: a set too small to
+/// recover the pattern yields no plan rather than a different one.
+TEST(DecodePlan, PreferenceRestrictsAndOrdersSurvivors) {
   const auto& gen = generator_10_4();
   const std::vector<std::size_t> erased = {0};
-  const auto greedy = make_decode_plan(gen, erased);
-  const auto opt =
-      make_decode_plan_optimized(gen, erased, /*max_subsets=*/100000);
-  ASSERT_TRUE(opt.has_value());
-  EXPECT_LT(gf::row_bitmatrix_ones(opt->recovery, 0),
-            gf::row_bitmatrix_ones(greedy->recovery, 0));
-}
-
-TEST(DecodePlanOptimized, PlanIsStillAlgebraicallyConsistent) {
-  const auto& gen = generator_10_4();
-  const std::vector<std::size_t> erased = {3, 12};
-  const auto plan = make_decode_plan_optimized(gen, erased);
+  // Erased and repeated ids are skipped; the first k usable ones win and
+  // come back ascending.
+  const std::vector<std::size_t> pref = {13, 0, 12, 12, 11, 10, 9,
+                                         8,  7, 6,  5,  4,  3,  2, 1};
+  const auto plan = make_decode_plan(gen, erased, pref);
   ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->survivors,
+            (std::vector<std::size_t>{4, 5, 6, 7, 8, 9, 10, 11, 12, 13}));
   EXPECT_EQ(plan->recovery.mul(gen.select_rows(plan->survivors)),
             gen.select_rows(plan->erased));
-}
 
-TEST(DecodePlanOptimized, NoChoiceMeansGreedyPlan) {
-  // Erase r units: exactly k survivors remain, so there is nothing to
-  // optimize and the plans coincide.
-  const auto& gen = generator_10_4();
-  const std::vector<std::size_t> erased = {0, 1, 2, 3};
-  const auto greedy = make_decode_plan(gen, erased);
-  const auto opt = make_decode_plan_optimized(gen, erased);
-  ASSERT_TRUE(opt.has_value());
-  EXPECT_EQ(opt->survivors, greedy->survivors);
-  EXPECT_EQ(opt->recovery, greedy->recovery);
-}
-
-TEST(DecodePlanOptimized, UnrecoverableStaysUnrecoverable) {
-  const auto& gen = generator_10_4();
-  const std::vector<std::size_t> erased = {0, 1, 2, 3, 4};
-  EXPECT_FALSE(make_decode_plan_optimized(gen, erased).has_value());
+  // Nine usable ids cannot recover a k=10 code.
+  const std::vector<std::size_t> short_pref = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_FALSE(make_decode_plan(gen, erased, short_pref).has_value());
+  EXPECT_THROW(make_decode_plan(gen, erased, std::vector<std::size_t>{14}),
+               std::invalid_argument);
 }
 
 TEST(DecodePlan, WorksOnRankDeficientGenerators) {

@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -651,11 +653,11 @@ TEST(EcService, BatchingOffForcesSingletonBatches) {
 
 // --- Mid-kernel cancellation and the watchdog ------------------------------
 //
-// These tests need a kernel that runs long enough (hundreds of ms) for a
-// cancellation or a stuck-budget to land while it executes. We calibrate
-// a unit size on this machine rather than hardcoding one, and force the
-// serial kernel path (num_workers == pool size ⇒ one gemm thread per
-// worker) so the calibrated time is stable.
+// The mid-kernel abort tests need a kernel that runs long enough
+// (hundreds of ms) for a cancellation to land while it executes. We
+// calibrate a unit size on the host running the tests rather than
+// hardcoding one, and force the serial kernel path (num_workers == pool
+// size ⇒ one gemm thread per worker) so the calibrated time is stable.
 
 constexpr CodecKey kHeavyKey{10, 4, 16, ec::RsFamily::CauchyGood};
 
@@ -751,23 +753,32 @@ TEST(Watchdog, ClientCancelAbortsRunningBatch) {
 }
 
 TEST(Watchdog, StuckWorkerSurfacesInHealth) {
-  const SlowShape& shape = slow_shape();
+  // The fault-injector hook runs inside the batch, after the worker's
+  // heartbeat is set: blocking in it holds the worker past the 20ms
+  // stuck budget for exactly as long as the test needs, whatever the
+  // kernel speed. It then returns false, so the batch runs normally.
+  std::mutex hook_mutex;
+  std::condition_variable hook_cv;
+  bool release = false;
   ServiceConfig cfg;
-  cfg.num_workers = heavy_workers();
+  cfg.num_workers = 1;
   cfg.watchdog.poll = std::chrono::milliseconds(1);
   cfg.watchdog.stuck_budget = std::chrono::milliseconds(20);
+  cfg.fault_injector = [&](RequestKind, const CodecKey&, std::size_t) {
+    std::unique_lock lock(hook_mutex);
+    hook_cv.wait(lock, [&] { return release; });
+    return false;
+  };
   EcService service(cfg);
-  const Bytes data = testutil::random_bytes(kHeavyKey.k * shape.unit, 34);
-  Bytes parity(kHeavyKey.r * shape.unit);
-  EcFuture f =
-      service.submit_encode(kHeavyKey, data.span(), parity.span(), shape.unit);
+  const Bytes data = testutil::random_bytes(kKey.k * kUnit, 34);
+  Bytes parity(kKey.r * kUnit);
+  EcFuture f = service.submit_encode(kKey, data.span(), parity.span(), kUnit);
 
-  // The (legitimately slow) kernel blows the 20ms stuck budget: health
-  // degrades with a stuck-worker reason while it runs.
+  // Health degrades with a stuck-worker reason while the batch is held.
   bool saw_stuck = false;
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!f.ready() && std::chrono::steady_clock::now() < give_up) {
+  while (!saw_stuck && std::chrono::steady_clock::now() < give_up) {
     const HealthSnapshot h = service.health();
     for (const std::string& reason : h.reasons) {
       if (reason.find("stuck") != std::string::npos) {
@@ -775,9 +786,13 @@ TEST(Watchdog, StuckWorkerSurfacesInHealth) {
         saw_stuck = true;
       }
     }
-    if (saw_stuck) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!saw_stuck) std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  {
+    std::lock_guard lock(hook_mutex);
+    release = true;
+  }
+  hook_cv.notify_all();
   EXPECT_TRUE(saw_stuck);
 
   // The request itself is fine — stuck is a health signal, not an abort.
