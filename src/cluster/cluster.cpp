@@ -147,6 +147,95 @@ void Cluster::remove(const std::string& name) {
   stats_.objects = objects_.size();
 }
 
+std::vector<std::uint8_t> Cluster::read_unit(const std::string& name,
+                                             std::size_t stripe,
+                                             std::size_t unit) {
+  const auto it = objects_.find(name);
+  if (it == objects_.end() || stripe >= it->second.stripes.size() ||
+      unit >= params_.n())
+    throw std::invalid_argument(
+        "Cluster::read_unit: unknown object/stripe/unit");
+  const ObjectMeta& meta = it->second;
+  std::vector<std::uint8_t> out(unit_size_);
+  std::uint64_t latency = 0;
+  if (fetch_unit(name, meta.stripes[stripe], stripe, unit, out.data(),
+                 &latency) == UnitRead::Ok) {
+    update_ewma(meta.stripes[stripe].nodes[unit], latency);
+    stats_.read_virtual_us += latency;
+    net_.advance(latency);
+  } else {
+    const auto bytes = read_stripe(name, meta, stripe, unit);
+    std::memcpy(out.data(), bytes.data() + unit * unit_size_, unit_size_);
+  }
+  foreground_bytes_ += unit_size_;
+  return out;
+}
+
+void Cluster::write_unit(const std::string& name, std::size_t stripe,
+                         std::size_t unit,
+                         std::span<const std::uint8_t> bytes) {
+  const auto it = objects_.find(name);
+  if (it == objects_.end() || stripe >= it->second.stripes.size())
+    throw std::invalid_argument("Cluster::write_unit: unknown object/stripe");
+  if (unit >= params_.k)
+    throw std::invalid_argument(
+        "Cluster::write_unit: not a data unit (parity is derived)");
+  if (bytes.size() != unit_size_)
+    throw std::invalid_argument("Cluster::write_unit: bytes must be one unit");
+  const std::size_t k = params_.k;
+  const std::size_t n = params_.n();
+  StripeLocation& loc = it->second.stripes[stripe];
+  std::vector<std::uint8_t> units(n * unit_size_);
+  const auto at = [&](std::size_t u) {
+    return std::span<std::uint8_t>(units.data() + u * unit_size_, unit_size_);
+  };
+
+  // Fast path, the RAID small write: the old unit and all r parities
+  // read clean, so the parities are patched with the delta. Any missing
+  // or corrupt operand falls back to the degraded read and re-encode,
+  // which never patches garbage forward.
+  std::uint64_t read_latency = 0;
+  const auto read_clean = [&](std::size_t u) {
+    std::uint64_t latency = 0;
+    const bool ok = fetch_unit(name, loc, stripe, u, at(u).data(),
+                               &latency) == UnitRead::Ok;
+    read_latency = std::max(read_latency, latency);  // parallel fan-out
+    return ok;
+  };
+  bool patch = read_clean(unit);
+  for (std::size_t p = k; patch && p < n; ++p) patch = read_clean(p);
+  stats_.read_virtual_us += read_latency;
+  net_.advance(read_latency);
+
+  if (patch) {
+    ++stats_.small_write_patches;
+    codec_.update_unit(units, unit, bytes, unit_size_);
+  } else {
+    ++stats_.full_stripe_writes;
+    units = read_stripe(name, it->second, stripe);
+    std::memcpy(at(unit).data(), bytes.data(), unit_size_);
+    codec_.encode({units.data(), k * unit_size_},
+                  {units.data() + k * unit_size_, (n - k) * unit_size_},
+                  unit_size_);
+  }
+
+  // The units this write stores: the new unit and the r parities, or
+  // the whole re-encoded stripe. Metadata first: a store that fails or
+  // tears below leaves its unit CRC-stale, caught on read like any
+  // other corruption.
+  const auto written = [&](std::size_t u) {
+    return !patch || u == unit || u >= k;
+  };
+  for (std::size_t u = 0; u < n; ++u)
+    if (written(u)) loc.unit_crcs[u] = storage::crc32c(at(u));
+  bool stored = true;
+  for (std::size_t u = 0; u < n; ++u)
+    if (written(u))
+      stored &= store_unit(name, loc, stripe, u, at(u).data());
+  if (!stored) report_damage(DamageKind::WriteFailure, name, stripe);
+  foreground_bytes_ += unit_size_;
+}
+
 void Cluster::fail_node(std::size_t node) {
   if (node >= nodes_.size())
     throw std::invalid_argument("Cluster: node out of range");
@@ -278,14 +367,14 @@ bool Cluster::corrupt_unit(const std::string& name, std::size_t stripe,
 
 std::size_t Cluster::repair() { return repairer_->repair_all(); }
 
-storage::StripeScrubResult Cluster::scrub_stripe(const std::string& name,
-                                                std::size_t s) {
+StripeScrubResult Cluster::scrub_stripe(const std::string& name,
+                                       std::size_t s) {
   const auto it = objects_.find(name);
   if (it == objects_.end() || s >= it->second.stripes.size())
     throw std::invalid_argument(
         "Cluster::scrub_stripe: unknown object/stripe");
   const StripeLocation& loc = it->second.stripes[s];
-  storage::StripeScrubResult res;
+  StripeScrubResult res;
   // Node-local integrity pass: CRC every stored copy against the
   // metadata checksum; no payload bytes cross the network here.
   for (std::size_t u = 0; u < loc.nodes.size(); ++u) {
@@ -304,14 +393,13 @@ storage::StripeScrubResult Cluster::scrub_stripe(const std::string& name,
   if (bad == 0) return res;
   // With a healer attached the finding joins the risk-prioritized queue;
   // the inline repair remains the sink-less path.
-  if (damage_sink_ != nullptr) {
+  // Either way the stripe is unrecoverable only past r losses: a unit
+  // whose dead node has no spare waits for the revive, not the scrub.
+  res.unrecoverable = bad > params_.r;
+  if (damage_sink_ != nullptr)
     report_damage(DamageKind::ScrubFinding, name, s);
-    res.unrecoverable = bad > params_.r;
-  } else {
-    const RepairReport rep = repairer_->repair_stripe(name, s);
-    res.units_repaired = rep.units_repaired;
-    res.unrecoverable = !rep.completed;
-  }
+  else
+    res.units_repaired = repairer_->repair_stripe(name, s).units_repaired;
   return res;
 }
 
@@ -373,19 +461,20 @@ bool Cluster::store_unit(const std::string& name, const StripeLocation& loc,
   return true;
 }
 
-Cluster::UnitRead Cluster::read_unit_rpc(const std::string& name,
-                                         const StripeLocation& loc,
-                                         std::size_t s, std::size_t u,
-                                         std::uint8_t* dest,
-                                         std::uint64_t* latency_us) {
+Cluster::UnitRead Cluster::fetch_unit(const std::string& name,
+                                      const StripeLocation& loc,
+                                      std::size_t s, std::size_t u,
+                                      std::uint8_t* dest,
+                                      std::uint64_t* latency_us) {
   const std::size_t node = loc.nodes[u];
   if (!node_usable(node)) return UnitRead::Missing;
+  const bool rpc = latency_us != nullptr;
 
   UnitRead result = UnitRead::Missing;
   std::uint64_t latency = 0;
   storage::with_retries(
-      retry_, retry_stats_, storage::FaultInjector::key(name, s, u),
-      [&]() {
+      retry_, retry_stats_,
+      storage::FaultInjector::key(name, s, rpc ? u : u + 1000), [&]() {
         const auto uit = nodes_[node].units.find({name, s, u});
         if (uit == nodes_[node].units.end()) {
           result = UnitRead::Missing;
@@ -405,10 +494,12 @@ Cluster::UnitRead Cluster::read_unit_rpc(const std::string& name,
               break;
           }
         }
-        // The response carries the unit payload node -> client.
-        const SendResult r = net_.send(node, net_.client(), unit_size_);
-        latency += r.latency_us;
-        if (!r.delivered) return storage::Attempt::Retry;
+        if (rpc) {
+          // The response carries the unit payload node -> client.
+          const SendResult r = net_.send(node, net_.client(), unit_size_);
+          latency += r.latency_us;
+          if (!r.delivered) return storage::Attempt::Retry;
+        }
         if (storage::crc32c(copy) != loc.unit_crcs[u]) {
           // A read-side flip heals on re-read; persisted corruption
           // doesn't. Either way retry once more, then report Corrupt.
@@ -420,70 +511,30 @@ Cluster::UnitRead Cluster::read_unit_rpc(const std::string& name,
         result = UnitRead::Ok;
         return storage::Attempt::Success;
       });
-  *latency_us = latency;
+  if (rpc) *latency_us = latency;
   return result;
 }
 
-Cluster::UnitRead Cluster::read_unit_local(const std::string& name,
-                                           const StripeLocation& loc,
-                                           std::size_t s, std::size_t u,
-                                           std::uint8_t* dest) {
-  const std::size_t node = loc.nodes[u];
-  if (!node_usable(node)) return UnitRead::Missing;
-  UnitRead result = UnitRead::Missing;
-  storage::with_retries(
-      retry_, retry_stats_, storage::FaultInjector::key(name, s, u + 1000),
-      [&]() {
-        const auto uit = nodes_[node].units.find({name, s, u});
-        if (uit == nodes_[node].units.end()) {
-          result = UnitRead::Missing;
-          return storage::Attempt::Abort;
-        }
-        std::vector<std::uint8_t> copy = uit->second.bytes;
-        if (injector_ != nullptr) {
-          switch (injector_->on_read(
-              node, storage::FaultInjector::key(name, s, u), copy)) {
-            case storage::ReadFault::Crash:
-              mark_node_failed(node);
-              result = UnitRead::Missing;
-              return storage::Attempt::Abort;
-            case storage::ReadFault::Transient:
-              return storage::Attempt::Retry;
-            case storage::ReadFault::None:
-              break;
-          }
-        }
-        if (storage::crc32c(copy) != loc.unit_crcs[u]) {
-          ++stats_.corruptions_detected;
-          result = UnitRead::Corrupt;
-          return storage::Attempt::Retry;
-        }
-        std::memcpy(dest, copy.data(), unit_size_);
-        result = UnitRead::Ok;
-        return storage::Attempt::Success;
-      });
-  return result;
-}
-
-std::vector<std::uint8_t> Cluster::read_stripe(const std::string& name,
-                                               const ObjectMeta& meta,
-                                               std::size_t s) {
+std::vector<std::uint8_t> Cluster::read_stripe(
+    const std::string& name, const ObjectMeta& meta, std::size_t s,
+    std::optional<std::size_t> lost) {
   const std::size_t k = params_.k;
   const std::size_t n = params_.n();
   const StripeLocation& loc = meta.stripes[s];
   std::vector<std::uint8_t> stripe(n * unit_size_);
   std::vector<bool> have(n, false);
   std::vector<std::size_t> erased;
+  if (lost) erased.push_back(*lost);
   std::uint64_t stripe_latency = 0;
   const HedgeConfig& hedge = config_.hedge;
 
   // Fan out the k data-unit reads (modeled as parallel: the stripe's
   // latency is the slowest unit's effective latency).
   for (std::size_t u = 0; u < k; ++u) {
+    if (u == lost) continue;
     std::uint64_t latency = 0;
     const UnitRead r =
-        read_unit_rpc(name, loc, s, u, stripe.data() + u * unit_size_,
-                      &latency);
+        fetch_unit(name, loc, s, u, stripe.data() + u * unit_size_, &latency);
     if (r != UnitRead::Ok) {
       erased.push_back(u);
       continue;
@@ -506,8 +557,8 @@ std::vector<std::uint8_t> Cluster::read_stripe(const std::string& name,
           ++stats_.hedged_reads;
           std::uint64_t hedge_latency = 0;
           const UnitRead hr =
-              read_unit_rpc(name, loc, s, p,
-                            stripe.data() + p * unit_size_, &hedge_latency);
+              fetch_unit(name, loc, s, p, stripe.data() + p * unit_size_,
+                         &hedge_latency);
           if (hr == UnitRead::Ok) {
             have[p] = true;
             update_ewma(loc.nodes[p], hedge_latency);
@@ -527,11 +578,10 @@ std::vector<std::uint8_t> Cluster::read_stripe(const std::string& name,
     // Degraded read: pull every remaining live unit, then decode the
     // holes through the survivors on the client.
     for (std::size_t u = k; u < n; ++u) {
-      if (have[u]) continue;
+      if (have[u] || u == lost) continue;
       std::uint64_t latency = 0;
       const UnitRead r =
-          read_unit_rpc(name, loc, s, u, stripe.data() + u * unit_size_,
-                        &latency);
+          fetch_unit(name, loc, s, u, stripe.data() + u * unit_size_, &latency);
       if (r == UnitRead::Ok) {
         have[u] = true;
         update_ewma(loc.nodes[u], latency);

@@ -13,7 +13,6 @@
 #include "storage/crc32c.h"
 #include "storage/fault_injector.h"
 #include "storage/retry.h"
-#include "storage/scrub_types.h"
 
 /// A deterministic simulated multi-node erasure-coded cluster — the
 /// repository's object store: the "real storage system" integration
@@ -42,6 +41,10 @@
 ///    faster path (the recovered bytes are identical either way —
 ///    asserted against metadata CRCs)
 ///
+/// Besides whole-object put/get, read_unit() and write_unit() address
+/// one unit of a stored stripe: the block operations of
+/// cluster/raid_array.h, whose small writes patch parity in place.
+///
 /// Repair (DAG-based, partial aggregation at helpers) lives in
 /// cluster/repair.h; Cluster::scrub_stripe() and Cluster::repair() drive
 /// it, and cluster/scrubber.h walks scrub_stripe() incrementally.
@@ -57,8 +60,8 @@ class Membership;
 /// by discovery channel.
 enum class DamageKind {
   MissedHeartbeats,  ///< membership marked the stripe's node Dead
-  ReadCorruption,    ///< CRC-corrupt or missing unit hit by a client get()
-  WriteFailure,      ///< store_unit could not persist a unit during put()
+  ReadCorruption,    ///< CRC-corrupt or missing unit hit by a client read
+  WriteFailure,      ///< a put() or write_unit() could not store a unit
   ScrubFinding,      ///< the integrity pass found a bad unit
   Revive,            ///< a revived node lost units; re-replicate them
   Rejoin,            ///< membership saw a Dead node ack again
@@ -102,6 +105,10 @@ struct ClusterConfig {
 struct ClusterStats {
   std::size_t objects = 0;
   std::size_t stripes_written = 0;
+  std::size_t small_write_patches = 0;  ///< write_unit()s served by a
+                                        ///< parity patch
+  std::size_t full_stripe_writes = 0;   ///< write_unit()s that re-encoded
+                                        ///< the stripe
   std::size_t degraded_reads = 0;   ///< stripes that needed reconstruction
   std::size_t hedged_reads = 0;     ///< hedge requests issued
   std::size_t hedge_wins = 0;       ///< hedged path beat the straggler
@@ -113,6 +120,15 @@ struct ClusterStats {
   std::size_t damage_events = 0;    ///< events emitted to the DamageSink
   std::uint64_t read_virtual_us = 0;  ///< summed modeled stripe-read latency
   std::uint64_t write_virtual_us = 0;
+};
+
+/// Outcome of scrubbing one stripe (Cluster::scrub_stripe), aggregated
+/// by cluster::Scrubber.
+struct StripeScrubResult {
+  std::size_t units_verified = 0;  ///< units whose copy passed its CRC
+  std::size_t crc_errors = 0;      ///< units whose checksum disagreed
+  std::size_t units_repaired = 0;  ///< units rewritten with good bytes
+  bool unrecoverable = false;      ///< > r units lost/corrupt: left as-is
 };
 
 class Cluster {
@@ -175,6 +191,28 @@ class Cluster {
 
   bool exists(const std::string& name) const;
   void remove(const std::string& name);
+
+  /// Reads unit `unit` of stripe `stripe` over the same RPC path as
+  /// get() (retries, faults, CRC against metadata). A missing or corrupt
+  /// unit falls back to the degraded stripe read. Throws
+  /// std::invalid_argument on an unknown object, stripe or unit, and
+  /// std::runtime_error when the stripe is past recovery.
+  std::vector<std::uint8_t> read_unit(const std::string& name,
+                                      std::size_t stripe, std::size_t unit);
+
+  /// Replaces data unit `unit` of a stored stripe in place. When the old
+  /// unit and all r parities read clean this is the RAID small write:
+  /// the parities are patched with the delta (1 + r reads, 1 + r
+  /// writes). Otherwise the stripe is read degraded and re-encoded, and
+  /// every unit is stored on the node that already holds it; a write
+  /// never re-places a stripe. The metadata CRCs of every unit written
+  /// are set before the first store, so a failed or torn store is
+  /// caught like any other corruption. Throws std::invalid_argument on
+  /// an unknown object or stripe, a parity unit id or a size other than
+  /// unit_size(), and std::runtime_error when the stripe is past
+  /// recovery.
+  void write_unit(const std::string& name, std::size_t stripe,
+                  std::size_t unit, std::span<const std::uint8_t> bytes);
 
   /// Marks a node failed and drops its units (a dead machine).
   void fail_node(std::size_t node);
@@ -252,8 +290,7 @@ class Cluster {
   /// every rebuilt unit is verified against its metadata CRC, so a wrong
   /// parity can only refuse a read, never return wrong bytes. Throws
   /// std::invalid_argument on an unknown object or stripe index.
-  storage::StripeScrubResult scrub_stripe(const std::string& name,
-                                          std::size_t s);
+  StripeScrubResult scrub_stripe(const std::string& name, std::size_t s);
   /// scrub_stripe over every stripe. Returns the units found missing or
   /// corrupt (n - units_verified, summed over stripes).
   std::size_t scrub();
@@ -293,28 +330,29 @@ class Cluster {
 
   enum class UnitRead { Ok, Missing, Corrupt };
 
-  /// One remote unit read: RPC over the network with retries, disk
-  /// faults, CRC verification against metadata (one re-read on
-  /// mismatch). On Ok, dest holds unit_size_ bytes and *latency_us the
-  /// modeled response latency of the winning attempt.
-  UnitRead read_unit_rpc(const std::string& name, const StripeLocation& loc,
-                         std::size_t s, std::size_t u, std::uint8_t* dest,
-                         std::uint64_t* latency_us);
-
-  /// Node-local read used by repair helpers (no client RPC): disk faults
-  /// + CRC only.
-  UnitRead read_unit_local(const std::string& name, const StripeLocation& loc,
-                           std::size_t s, std::size_t u, std::uint8_t* dest);
+  /// One unit read with retries: disk faults, then CRC verification
+  /// against metadata (one re-read on mismatch). With `latency_us` it is
+  /// a client RPC: the payload crosses the network node -> client, a
+  /// dropped response is retried, and *latency_us receives the modeled
+  /// response latency. Null is a repair helper's node-local read. On Ok,
+  /// dest holds unit_size_ bytes.
+  UnitRead fetch_unit(const std::string& name, const StripeLocation& loc,
+                      std::size_t s, std::size_t u, std::uint8_t* dest,
+                      std::uint64_t* latency_us);
 
   /// Ships `src` over the network and persists it as unit u on its
   /// node (write faults apply). False when the unit could not be stored.
   bool store_unit(const std::string& name, const StripeLocation& loc,
                   std::size_t s, std::size_t u, const std::uint8_t* src);
 
-  /// Reads stripe s with degradation + hedging; returns the full n-unit
-  /// buffer and accumulates modeled latency.
-  std::vector<std::uint8_t> read_stripe(const std::string& name,
-                                        const ObjectMeta& meta, std::size_t s);
+  /// Reads stripe s with degradation + hedging; returns the n-unit
+  /// buffer (data units always; a parity only when the read degraded or
+  /// hedged, or when it is `lost`) and accumulates modeled latency.
+  /// `lost` names a unit the caller already failed to read: it is not
+  /// re-read but rebuilt through the survivors.
+  std::vector<std::uint8_t> read_stripe(
+      const std::string& name, const ObjectMeta& meta, std::size_t s,
+      std::optional<std::size_t> lost = std::nullopt);
 
   void update_ewma(std::size_t node, std::uint64_t latency_us);
   void mark_node_failed(std::size_t node);

@@ -41,17 +41,19 @@ RepairCoordinator::RepairCoordinator(Cluster& cluster,
     : cluster_(cluster), config_(config) {}
 
 std::vector<std::size_t> RepairCoordinator::pick_replacements(
-    const Cluster::StripeLocation& loc,
-    const std::vector<std::size_t>& erased) {
+    const Cluster::StripeLocation& loc, StripeDamage& damage) {
   std::vector<std::size_t> picks;
+  std::vector<std::size_t> placed;
   std::vector<bool> taken(cluster_.nodes_.size(), false);
   for (const std::size_t node : loc.nodes)
     if (node < taken.size()) taken[node] = true;
-  for (const std::size_t uid : erased) {
+  for (const std::size_t uid : damage.erased) {
     const std::size_t orig = loc.nodes[uid];
-    // A live node with a corrupt copy is rebuilt in place.
+    // A live node with a corrupt (or revived, empty) copy is rebuilt in
+    // place.
     if (cluster_.node_usable(orig)) {
       picks.push_back(orig);
+      placed.push_back(uid);
       continue;
     }
     // Otherwise find a spare: prefer the lost unit's failure domain so
@@ -66,10 +68,12 @@ std::vector<std::size_t> RepairCoordinator::pick_replacements(
       }
       if (chosen == kNoNode) chosen = node;
     }
-    if (chosen == kNoNode) return {};
+    if (chosen == kNoNode) continue;  // stays erased until a revive
     taken[chosen] = true;
     picks.push_back(chosen);
+    placed.push_back(uid);
   }
+  damage.erased = std::move(placed);
   return picks;
 }
 
@@ -169,9 +173,8 @@ bool RepairCoordinator::execute_attempt(
   std::vector<std::uint8_t> partial(e * unit);
   for (const auto& helper : plan.helpers) {
     // Local read at the helper (disk faults + CRC, retried).
-    if (cluster_.read_unit_local(name, loc, s, helper.unit,
-                                 unit_buf.data()) !=
-        Cluster::UnitRead::Ok) {
+    if (cluster_.fetch_unit(name, loc, s, helper.unit, unit_buf.data(),
+                            nullptr) != Cluster::UnitRead::Ok) {
       *failed_node = helper.node;
       return false;
     }
@@ -269,7 +272,7 @@ bool RepairCoordinator::execute_naive(
   for (const std::size_t uid : damage.survivors) {
     if (fetched_ids.size() == k) break;
     std::vector<std::uint8_t> buf(unit);
-    if (cluster_.read_unit_local(name, loc, s, uid, buf.data()) !=
+    if (cluster_.fetch_unit(name, loc, s, uid, buf.data(), nullptr) !=
         Cluster::UnitRead::Ok)
       continue;
     std::uint64_t ser = 0;
@@ -376,14 +379,15 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
 
   while (config_.dag_enabled) {
     damage = assess_stripe(name, s, loc);
+    const auto replacements = pick_replacements(loc, damage);
     if (damage.erased.empty()) {
-      // A re-planned pass found earlier partial stores finished the job.
-      completed = true;
+      // Nothing left that a live node can host: after an attempt, a
+      // re-planned pass found earlier partial stores finished the job;
+      // before any, nothing was placeable (abandoned below).
+      completed = any_attempt;
       break;
     }
-    const auto replacements = pick_replacements(loc, damage.erased);
-    if (damage.survivors.size() < cluster_.params_.k ||
-        replacements.empty())
+    if (damage.survivors.size() < cluster_.params_.k)
       break;  // not DAG-viable; naive can't help either -> abandon below
 
     const auto plan =
@@ -423,26 +427,23 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
 
   if (!completed && config_.allow_naive_fallback) {
     damage = assess_stripe(name, s, loc);
+    const auto replacements = pick_replacements(loc, damage);
     if (damage.erased.empty()) {
-      completed = true;
-    } else {
-      const auto replacements = pick_replacements(loc, damage.erased);
-      if (!replacements.empty() &&
-          damage.survivors.size() >= cluster_.params_.k) {
-        ++stats_.attempts_started;
-        any_attempt = true;
-        std::vector<std::vector<std::uint8_t>> recovered;
-        if (execute_naive(name, loc, s, damage, replacements[0], recovered,
-                          report) &&
-            store_recovered(damage.erased, replacements, replacements[0],
-                            recovered)) {
-          ++stats_.attempts_completed;
-          ++stats_.naive_fallbacks;
-          report.used_naive = true;
-          completed = true;
-        } else {
-          ++stats_.attempts_abandoned;
-        }
+      completed = any_attempt;
+    } else if (damage.survivors.size() >= cluster_.params_.k) {
+      ++stats_.attempts_started;
+      any_attempt = true;
+      std::vector<std::vector<std::uint8_t>> recovered;
+      if (execute_naive(name, loc, s, damage, replacements[0], recovered,
+                        report) &&
+          store_recovered(damage.erased, replacements, replacements[0],
+                          recovered)) {
+        ++stats_.attempts_completed;
+        ++stats_.naive_fallbacks;
+        report.used_naive = true;
+        completed = true;
+      } else {
+        ++stats_.attempts_abandoned;
       }
     }
   }
@@ -506,12 +507,11 @@ std::optional<RepairPlan> RepairCoordinator::plan_stripe(
   if (oit == cluster_.objects_.end() || s >= oit->second.stripes.size())
     return std::nullopt;
   const Cluster::StripeLocation& loc = oit->second.stripes[s];
-  const StripeDamage damage = assess_stripe(name, s, loc);
+  StripeDamage damage = assess_stripe(name, s, loc);
+  const auto replacements = pick_replacements(loc, damage);
   if (damage.erased.empty() ||
       damage.survivors.size() < cluster_.params_.k)
     return std::nullopt;
-  const auto replacements = pick_replacements(loc, damage.erased);
-  if (replacements.empty()) return std::nullopt;
   const std::vector<bool> excluded(cluster_.nodes_.size(), false);
   return build_plan(loc, damage, excluded, replacements[0]);
 }

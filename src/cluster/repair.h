@@ -124,11 +124,14 @@ class RepairCoordinator {
   const RepairStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = RepairStats{}; }
 
-  /// Repairs every missing/corrupt unit of one stripe. Returns the
-  /// report; report.completed == false means the stripe is currently
-  /// unrecoverable (abandoned — survivors below k even for naive).
-  /// A stripe with nothing to repair returns completed == true with
-  /// units_repaired == 0.
+  /// Repairs every missing/corrupt unit of one stripe that a live node
+  /// can host. Returns the report; report.completed == true means every
+  /// such unit was rebuilt (units whose node is down with no spare wait
+  /// for its revive, which reports them as Revive damage).
+  /// report.completed == false means the stripe is currently
+  /// unrecoverable (abandoned — survivors below k even for naive, or no
+  /// erased unit can be placed). A stripe with nothing to repair returns
+  /// completed == true with units_repaired == 0.
   RepairReport repair_stripe(const std::string& name, std::size_t s);
 
   /// Walks every stripe of every object; repairs what it can. Returns
@@ -158,12 +161,14 @@ class RepairCoordinator {
   StripeDamage assess_stripe(const std::string& name, std::size_t s,
                              const Cluster::StripeLocation& loc);
 
-  /// Picks a live node per erased unit to host the rebuilt data
-  /// (prefers the lost unit's domain, never a node already holding a
-  /// unit of this stripe). Empty return = no capacity.
+  /// Picks a live node per erased unit to host the rebuilt data: its
+  /// own node when usable, else a spare (preferring the lost unit's
+  /// domain, never a node already holding a unit of this stripe). A
+  /// unit with neither stays erased until its node revives: it is
+  /// dropped from damage.erased (it is no survivor either). Returns one
+  /// node per remaining entry of damage.erased.
   std::vector<std::size_t> pick_replacements(
-      const Cluster::StripeLocation& loc,
-      const std::vector<std::size_t>& erased);
+      const Cluster::StripeLocation& loc, StripeDamage& damage);
 
   std::optional<RepairPlan> build_plan(const Cluster::StripeLocation& loc,
                                        const StripeDamage& damage,

@@ -3,37 +3,27 @@
 namespace tvmec::cluster {
 
 bool Scrubber::scrub_next(ScrubStats& increment) {
-  if (array_) {
-    if (cursor_stripe_ >= array_->num_stripes()) return false;
-    const storage::StripeScrubResult r =
-        array_->scrub_stripe(cursor_stripe_++);
-    increment.add(r, array_->block_size());
-    current_.add(r, array_->block_size());
-    return true;
-  }
-
-  // Cluster: resume at (object, stripe), tolerating objects having been
-  // added or removed since the last step.
+  // Resume at (object, stripe), tolerating objects having been added or
+  // removed since the last step.
   std::optional<std::string> obj;
   if (!cursor_started_) {
     cursor_started_ = true;
     cursor_stripe_ = 0;
-    obj = cluster_->object_at_or_after("");
+    obj = cluster_.object_at_or_after("");
   } else {
-    obj = cluster_->object_at_or_after(cursor_object_);
+    obj = cluster_.object_at_or_after(cursor_object_);
     if (!obj || *obj != cursor_object_)
       cursor_stripe_ = 0;  // our object vanished; start its successor
   }
-  while (obj && cursor_stripe_ >= cluster_->object_stripe_count(*obj)) {
-    obj = cluster_->object_after(*obj);
+  while (obj && cursor_stripe_ >= cluster_.object_stripe_count(*obj)) {
+    obj = cluster_.object_after(*obj);
     cursor_stripe_ = 0;
   }
   if (!obj) return false;
   cursor_object_ = *obj;
-  const storage::StripeScrubResult r =
-      cluster_->scrub_stripe(*obj, cursor_stripe_++);
-  increment.add(r, cluster_->unit_size());
-  current_.add(r, cluster_->unit_size());
+  const StripeScrubResult r = cluster_.scrub_stripe(*obj, cursor_stripe_++);
+  increment.add(r, cluster_.unit_size());
+  current_.add(r, cluster_.unit_size());
   return true;
 }
 

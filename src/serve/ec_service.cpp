@@ -36,10 +36,6 @@ std::string describe_key(const CodecKey& key) {
          ",w=" + std::to_string(key.w);
 }
 
-std::int64_t to_epoch_ns(Clock::time_point t) {
-  return duration_cast<nanoseconds>(t.time_since_epoch()).count();
-}
-
 }  // namespace
 
 const char* to_string(RequestStatus s) noexcept {
@@ -113,13 +109,9 @@ EcService::EcService(const ServiceConfig& config)
     throw std::invalid_argument("EcService: invalid schedule");
   config_.batch = former_.policy();
 
-  const std::size_t slots = std::max<std::size_t>(1, config_.num_workers);
-  busy_since_ = std::make_unique<std::atomic<std::int64_t>[]>(slots);
-  worker_stuck_ = std::make_unique<std::atomic<bool>[]>(slots);
-
   workers_.reserve(config_.num_workers);
   for (std::size_t i = 0; i < config_.num_workers; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   if (config_.watchdog.enabled)
     watchdog_ = std::thread([this] { watchdog_loop(); });
 }
@@ -308,7 +300,7 @@ std::size_t EcService::run_pending(std::size_t max_batches) {
   for (std::size_t b = 0; b < max_batches && former_.try_next_batch(batch);
        ++b) {
     completed += batch.size();
-    execute_batch(batch, kNoWorker);
+    execute_batch(batch);
     batch.clear();
   }
   return completed;
@@ -326,12 +318,18 @@ void EcService::install_schedule(const CodecKey& key,
   slot.codec.set_schedule(schedule);
 }
 
-void EcService::worker_loop(std::size_t index) {
+void EcService::worker_loop() {
   for (;;) {
     std::vector<PendingRequest> batch = former_.next_batch();
     if (batch.empty()) return;  // closed and drained
-    execute_batch(batch, index);
+    execute_batch(batch);
   }
+}
+
+std::size_t EcService::executors() const noexcept {
+  return config_.executor_hint != 0
+             ? config_.executor_hint
+             : std::max<std::size_t>(1, config_.num_workers);
 }
 
 EcService::CodecSlot& EcService::codec_slot(const CodecKey& key) {
@@ -360,11 +358,19 @@ void EcService::watchdog_loop() {
 
     const auto now = Clock::now();
     {
-      // Abort batches nobody is waiting for anymore: every member is
-      // client-cancelled or past its deadline. A batch with even one
-      // live member runs to completion (its output is still wanted).
       std::lock_guard il(inflight_mutex_);
       for (auto& [id, batch] : inflight_) {
+        // Stuck scan: a batch in flight past the budget is flagged (and
+        // degrades health()) until it completes, whichever thread runs
+        // it.
+        if (!batch.stuck &&
+            now - batch.formed > config_.watchdog.stuck_budget) {
+          batch.stuck = true;
+          watchdog_stuck_.fetch_add(1, std::memory_order_relaxed);
+        }
+        // Abort batches nobody is waiting for anymore: every member is
+        // client-cancelled or past its deadline. A batch with even one
+        // live member runs to completion (its output is still wanted).
         if (batch.aborted || batch.members.empty()) continue;
         bool all_dead = true;
         for (const InflightBatch::Member& m : batch.members)
@@ -380,41 +386,12 @@ void EcService::watchdog_loop() {
       }
     }
 
-    // Stuck-worker scan: a worker heartbeat older than the budget flags
-    // the worker (and degrades health()) until its batch completes.
-    const std::int64_t now_ns = to_epoch_ns(now);
-    const std::int64_t budget = config_.watchdog.stuck_budget.count();
-    for (std::size_t i = 0; i < config_.num_workers; ++i) {
-      const std::int64_t busy =
-          busy_since_[i].load(std::memory_order_acquire);
-      const bool stuck = busy != 0 && now_ns - busy > budget;
-      if (stuck && !worker_stuck_[i].load(std::memory_order_relaxed))
-        watchdog_stuck_.fetch_add(1, std::memory_order_relaxed);
-      worker_stuck_[i].store(stuck, std::memory_order_release);
-    }
-
     lock.lock();
   }
 }
 
-void EcService::execute_batch(std::vector<PendingRequest>& batch,
-                              std::size_t worker) {
+void EcService::execute_batch(std::vector<PendingRequest>& batch) {
   const auto formed = Clock::now();
-
-  // Heartbeat for the watchdog's stuck scan (worker threads only; a
-  // manual pump has no slot).
-  std::atomic<std::int64_t>* heartbeat =
-      worker != kNoWorker ? &busy_since_[worker] : nullptr;
-  if (heartbeat) heartbeat->store(to_epoch_ns(formed), std::memory_order_release);
-  struct HeartbeatClear {
-    std::atomic<std::int64_t>* slot;
-    std::atomic<bool>* stuck;
-    ~HeartbeatClear() {
-      if (slot) slot->store(0, std::memory_order_release);
-      if (stuck) stuck->store(false, std::memory_order_release);
-    }
-  } heartbeat_clear{heartbeat,
-                    worker != kNoWorker ? &worker_stuck_[worker] : nullptr};
 
   // Deadline and cancellation enforcement happens here, not at
   // completion: a dead request must never spend kernel time.
@@ -440,13 +417,9 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch,
   // executor_hint lets the sharded front divide the fork-join pool by
   // the fleet-wide number of concurrent batch executors, not just this
   // service's own workers.
-  const std::size_t executors = config_.executor_hint != 0
-                                    ? config_.executor_hint
-                                    : std::max<std::size_t>(
-                                          1, config_.num_workers);
   const int gemm_threads = effective_gemm_threads(
       batch_bytes / sizeof(std::uint64_t), tensor::ThreadPool::shared().size(),
-      executors);
+      executors());
 
   batches_.fetch_add(1, std::memory_order_relaxed);
   {
@@ -472,6 +445,7 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch,
     std::lock_guard il(inflight_mutex_);
     batch_id = next_batch_id_++;
     InflightBatch& inflight = inflight_[batch_id];
+    inflight.formed = formed;
     inflight.members.reserve(live.size());
     for (const PendingRequest* p : live)
       inflight.members.push_back(
@@ -797,11 +771,12 @@ HealthSnapshot EcService::health() const {
     return h;
   }
 
-  std::size_t stuck = 0;
-  for (std::size_t i = 0; i < config_.num_workers; ++i) {
-    if (worker_stuck_[i].load(std::memory_order_acquire)) {
-      ++stuck;
-      h.reasons.push_back("worker " + std::to_string(i) +
+  {
+    std::lock_guard il(inflight_mutex_);
+    for (const auto& [id, batch] : inflight_) {
+      if (!batch.stuck) continue;
+      ++h.stuck_batches;
+      h.reasons.push_back("batch " + std::to_string(id) +
                           " stuck past watchdog budget");
     }
   }
@@ -820,7 +795,7 @@ HealthSnapshot EcService::health() const {
     }
   }
 
-  if (config_.num_workers > 0 && stuck == config_.num_workers)
+  if (h.stuck_batches >= executors())
     h.state = HealthState::Unhealthy;
   else if (!h.reasons.empty())
     h.state = HealthState::Degraded;

@@ -67,14 +67,15 @@ tensor::Schedule default_service_schedule();
 /// Watchdog configuration: a background thread that (a) aborts in-flight
 /// batches every member of which is already dead (cancelled or past
 /// deadline) — the mechanism bounding deadline overshoot to one
-/// batch-service time — and (b) flags workers busy on one batch for
-/// longer than `stuck_budget`, degrading health().
+/// batch-service time — and (b) flags in-flight batches older than
+/// `stuck_budget`, whatever thread runs them (a service worker, a
+/// manual pump, a sharded front's worker or thief), degrading health().
 struct WatchdogPolicy {
   bool enabled = true;
   /// Scan period. The cancellation latency for an abandoned batch is at
   /// most one poll plus one tile-chunk.
   std::chrono::nanoseconds poll = std::chrono::milliseconds(2);
-  /// A worker busy on a single batch past this is considered stuck.
+  /// A batch in flight for longer than this is considered stuck.
   std::chrono::nanoseconds stuck_budget = std::chrono::seconds(2);
 };
 
@@ -87,6 +88,9 @@ const char* to_string(HealthState s) noexcept;
 struct HealthSnapshot {
   HealthState state = HealthState::Ok;
   std::vector<std::string> reasons;
+  /// In-flight batches past the watchdog's stuck budget (the sharded
+  /// front sums them against its fleet of executors).
+  std::size_t stuck_batches = 0;
   /// The SIMD microkernel tier encodes are currently dispatching to
   /// ("scalar", "avx2", "avx512", "neon") — runtime CPUID truth, after
   /// any TVMEC_FORCE_VARIANT override. Surfaced here so an operator can
@@ -177,7 +181,7 @@ struct ServeStatsSnapshot {
   std::uint64_t breaker_recoveries = 0;
   std::uint64_t breaker_probes = 0;
   std::uint64_t watchdog_aborts = 0;  ///< all-members-dead batch aborts
-  std::uint64_t watchdog_stuck = 0;   ///< stuck-worker episodes flagged
+  std::uint64_t watchdog_stuck = 0;   ///< batches flagged stuck
   /// Decode-plan cache traffic (the service's shared core::PlanCache;
   /// includes other consumers when the cache is shared externally).
   std::uint64_t plan_cache_hits = 0;
@@ -287,8 +291,10 @@ class EcService {
   ServeStatsSnapshot stats() const;
 
   /// Readiness probe. Degraded when any circuit breaker is not Closed or
-  /// a worker is flagged stuck; Unhealthy when the service is shut down
-  /// or every worker is stuck. Reasons name the conditions.
+  /// a batch is flagged stuck; Unhealthy when the service is shut down
+  /// or the stuck batches reach the executor count (the divisor of
+  /// effective_gemm_threads(): executor_hint, else num_workers, at
+  /// least 1). Reasons name the conditions.
   HealthSnapshot health() const;
 
   std::size_t pending() const { return former_.pending(); }
@@ -335,9 +341,11 @@ class EcService {
   };
 
   /// One executing batch, visible to the watchdog: the batch-wide cancel
-  /// source the kernel polls, plus each member's death criteria.
+  /// source the kernel polls, each member's death criteria, and the
+  /// formation time the stuck scan measures from.
   struct InflightBatch {
     tensor::CancelSource source;
+    Clock::time_point formed;
     struct Member {
       std::shared_ptr<detail::Completion> completion;
       tensor::CancelToken client;  ///< caller-supplied token (may be invalid)
@@ -345,13 +353,15 @@ class EcService {
     };
     std::vector<Member> members;
     bool aborted = false;  ///< watchdog already fired for this batch
+    bool stuck = false;    ///< in flight past the stuck budget
   };
 
   EcFuture submit(EcRequest request, std::size_t payload_bytes);
-  void worker_loop(std::size_t index);
-  /// `worker` indexes the heartbeat slot; kNoWorker for manual pumps.
-  static constexpr std::size_t kNoWorker = static_cast<std::size_t>(-1);
-  void execute_batch(std::vector<PendingRequest>& batch, std::size_t worker);
+  void worker_loop();
+  void execute_batch(std::vector<PendingRequest>& batch);
+  /// Concurrent batch executors sharing the fork-join pool:
+  /// executor_hint, else this service's workers (at least 1).
+  std::size_t executors() const noexcept;
   CodecSlot& codec_slot(const CodecKey& key);
   void watchdog_loop();
   /// True when the request can no longer want its result.
@@ -383,20 +393,16 @@ class EcService {
   std::atomic<bool> stopped_flag_{false};  // health() view of stopped_
   std::atomic<bool> aborting_{false};      // shutdown(false) in progress
 
-  // In-flight batch registry (watchdog's worklist).
-  std::mutex inflight_mutex_;
+  // In-flight batch registry (the watchdog's worklist; health() counts
+  // its stuck batches).
+  mutable std::mutex inflight_mutex_;
   std::map<std::uint64_t, InflightBatch> inflight_;
   std::uint64_t next_batch_id_ = 0;
 
-  // Watchdog thread + per-worker heartbeats. busy_since is the batch
-  // start in steady-clock ns (0 = idle); stuck flags are set/cleared by
-  // the watchdog and read by health().
   std::thread watchdog_;
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  // under watchdog_mutex_
-  std::unique_ptr<std::atomic<std::int64_t>[]> busy_since_;
-  std::unique_ptr<std::atomic<bool>[]> worker_stuck_;
 
   // Counters are atomics (hot submit path); histograms live under a
   // mutex and are only touched at completion time.

@@ -14,6 +14,14 @@ std::size_t resolve_shards(const ShardedServiceConfig& config) {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+/// Concurrent batch executors across the front: every shard worker
+/// (at least one per shard, for the manual pump).
+std::size_t fleet_executors(std::size_t num_shards,
+                            std::size_t workers_per_shard) {
+  return std::max<std::size_t>(
+      1, num_shards * std::max<std::size_t>(1, workers_per_shard));
+}
+
 /// Counter+histogram sum of two service snapshots (the front-wide view).
 void merge_stats(ServeStatsSnapshot& into, const ServeStatsSnapshot& from) {
   into.submitted += from.submitted;
@@ -87,8 +95,7 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
     // against the one shared GEMM pool; without the hint each
     // manual-pump shard would assume it executes alone and
     // oversubscribe.
-    sc.executor_hint = std::max<std::size_t>(
-        1, num_shards * std::max<std::size_t>(1, config.workers_per_shard));
+    sc.executor_hint = fleet_executors(num_shards, config.workers_per_shard);
     sc.buffer_pool =
         config.pool_bytes_per_shard > 0
             ? std::make_shared<BufferPool>(config.pool_bytes_per_shard)
@@ -356,14 +363,19 @@ ShardedHealthSnapshot ShardedEcService::health() const {
   ShardedHealthSnapshot out;
   out.shards.reserve(shards_.size());
   std::size_t unhealthy = 0;
+  std::size_t stuck = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     HealthSnapshot h = shards_[i]->health();
     if (h.state == HealthState::Unhealthy) ++unhealthy;
+    stuck += h.stuck_batches;
     for (const std::string& reason : h.reasons)
       out.reasons.push_back("shard " + std::to_string(i) + ": " + reason);
     out.shards.push_back(std::move(h));
   }
-  if (unhealthy == shards_.size() && !shards_.empty())
+  // Any front thread may run any shard's batch, so stuck batches count
+  // against the whole fleet of executors, not one shard's share.
+  if ((unhealthy == shards_.size() && !shards_.empty()) ||
+      stuck >= fleet_executors(shards_.size(), config_.workers_per_shard))
     out.state = HealthState::Unhealthy;
   else if (!out.reasons.empty())
     out.state = HealthState::Degraded;

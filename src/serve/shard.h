@@ -190,9 +190,11 @@ class ShardedEcService {
   ShardedStatsSnapshot stats() const;
 
   /// Front-wide readiness: worst shard state wins (one degraded shard
-  /// degrades the front; the front is Unhealthy when shut down or when
-  /// every shard is Unhealthy). Per-shard snapshots ride along, each
-  /// carrying its shard-local pool stats.
+  /// degrades the front; the front is Unhealthy when shut down, when
+  /// every shard is Unhealthy, or when the stuck batches of all shards
+  /// together reach num_shards * workers_per_shard, the executor count
+  /// each shard divides the GEMM pool by). Per-shard snapshots ride
+  /// along, each carrying its shard-local pool stats.
   ShardedHealthSnapshot health() const;
 
   std::size_t pending() const;

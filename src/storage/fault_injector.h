@@ -11,10 +11,10 @@
 /// Deterministic, seeded fault injection for the simulated storage
 /// layers. The paper motivates erasure coding with failure-driven
 /// workloads (RAID, object stores, in-memory checkpointing, §3); this is
-/// the failure side of that story. The node/device layers of
-/// cluster::Cluster, RaidArray, and CheckpointManager consult an attached
-/// FaultInjector on *every* simulated read and write, so chaos tests can
-/// subject the whole stack to the classic taxonomy:
+/// the failure side of that story. The node layers of cluster::Cluster
+/// (which also backs the RAID block array) and CheckpointManager consult
+/// an attached FaultInjector on *every* simulated read and write, so
+/// chaos tests can subject the whole stack to the classic taxonomy:
 ///
 ///  - silent bit flips     (persisted payload corrupted, checksum not)
 ///  - torn writes          (only a prefix persists; the tail is stale

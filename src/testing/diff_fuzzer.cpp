@@ -433,7 +433,7 @@ FuzzOutcome run_cluster(const FuzzConfig& c, bool repair) {
   cluster::Cluster cl(params, unit, cc);
 
   const std::size_t object_size = 1 + c.seed % (3 * c.k * unit);
-  const Bytes object = seeded_bytes(object_size, c.seed + 1);
+  Bytes object = seeded_bytes(object_size, c.seed + 1);
 
   storage::FaultPolicy policy;
   policy.read_bit_flip = 0.05;   // healed by CRC-triggered re-reads
@@ -525,6 +525,26 @@ FuzzOutcome run_cluster(const FuzzConfig& c, bool repair) {
     if (auto failure = check_bytes(clean, "clean re-read")) return *failure;
     if (!cl.net().stats().balanced())
       return fail(c, "network byte ledger does not balance after clean read");
+
+    // Small write: replace a seeded data unit of stripe 0 in place; the
+    // object must then read back with that byte range replaced (clipped
+    // to the object size). Where the nodes `losses` failed hold the old
+    // unit or a parity, the write re-encodes; elsewhere it patches.
+    const std::size_t target = c.seed % c.k;
+    const Bytes fresh = seeded_bytes(unit, c.seed + 2);
+    std::optional<std::vector<std::uint8_t>> rewritten;
+    try {
+      cl.write_unit("fuzz-object", 0, target, fresh.span());
+      rewritten = cl.get("fuzz-object");
+    } catch (const std::runtime_error& e) {
+      return fail(c, std::string("small write unrecoverable: ") + e.what());
+    }
+    const std::size_t off = target * unit;
+    if (off < object_size)
+      std::memcpy(object.data() + off, fresh.data(),
+                  std::min(unit, object_size - off));
+    if (auto failure = check_bytes(rewritten, "small-write re-read"))
+      return *failure;
   }
   return FuzzOutcome{true, {}, {}, 1};
 }

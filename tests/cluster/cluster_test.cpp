@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "cluster/repair.h"
 #include "storage/fault_injector.h"
 
 namespace tvmec::cluster {
@@ -366,6 +367,54 @@ TEST(Cluster, RepairIsIdempotent) {
   cluster.revive_node(1);
   EXPECT_GT(cluster.repair(), 0u);
   EXPECT_EQ(cluster.repair(), 0u);
+}
+
+TEST(Cluster, RepairRebuildsRevivedNodeWhileAnotherIsDown) {
+  // n == nodes: a unit on a dead node has no spare to move to. Repair
+  // must still rebuild what the revived node lost.
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(6, 1));
+  const auto payload = testutil::random_vector(8 * 4 * kUnit, 9);
+  cluster.put("obj", payload);  // 8 stripes, each on every node
+  cluster.fail_node(0);
+  cluster.fail_node(1);
+  cluster.revive_node(1);
+  EXPECT_EQ(cluster.repair(), 8u);  // node 1's unit of every stripe
+  EXPECT_EQ(cluster.repair_stats().attempts_abandoned, 0u);
+  EXPECT_TRUE(cluster.repair_stats().identity_holds());
+
+  // Node 1 holds its units again, so a third failure stays within r.
+  cluster.fail_node(2);
+  const auto got = cluster.get("obj");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, payload);
+}
+
+TEST(Cluster, WriteUnitLeavesCopiesItCouldNotStoreCrcStale) {
+  // n == nodes and one stripe: unit u lives on node u.
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(6, 1));
+  storage::FaultInjector inj(storage::FaultPolicy{}, 1);
+  cluster.attach_fault_injector(&inj);
+  auto payload = testutil::random_vector(4 * kUnit, 10);
+  cluster.put("obj", payload);
+  const auto fresh = testutil::random_vector(kUnit, 11);
+  EXPECT_THROW(cluster.write_unit("obj", 0, 4, fresh), std::invalid_argument);
+  EXPECT_THROW(cluster.read_unit("obj", 0, 6), std::invalid_argument);
+
+  // Parity 4's node crashes unobserved, so the write re-encodes and
+  // stores every unit but parity 4. The node then comes back holding
+  // its old parity, which the metadata CRC recorded before the stores
+  // already disowns: the scrub finds and rebuilds it.
+  inj.crash_node(4);
+  cluster.write_unit("obj", 0, 0, fresh);
+  EXPECT_EQ(cluster.stats().full_stripe_writes, 1u);
+  inj.repair_node(4);
+  EXPECT_EQ(cluster.scrub(), 1u);
+
+  // Redundancy is whole again: two failures decode the new bytes.
+  std::copy(fresh.begin(), fresh.end(), payload.begin());
+  cluster.fail_node(0);
+  cluster.fail_node(5);
+  EXPECT_EQ(cluster.get("obj"), payload);
 }
 
 TEST(Cluster, ScrubCleanOnHealthyStore) {

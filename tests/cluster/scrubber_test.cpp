@@ -4,7 +4,8 @@
 
 #include "../test_util.h"
 #include "cluster/healer.h"
-#include "storage/raid_array.h"
+#include "cluster/raid_array.h"
+#include "cluster/repair.h"
 
 namespace tvmec::cluster {
 namespace {
@@ -33,7 +34,7 @@ TEST(Scrubber, FullPassOverHealthyStore) {
   EXPECT_EQ(pass.stripes_scanned, 10u);
   EXPECT_EQ(pass.units_verified, 10u * 6);
   EXPECT_EQ(pass.bytes_verified, 10u * 6 * kUnit);
-  EXPECT_EQ(pass.errors(), 0u);
+  EXPECT_EQ(pass.crc_errors, 0u);
   EXPECT_EQ(pass.units_repaired, 0u);
   EXPECT_EQ(scrub.passes_completed(), 1u);
   EXPECT_EQ(scrub.last_pass().stripes_scanned, 10u);
@@ -73,7 +74,7 @@ TEST(Scrubber, StepFindsCorruptionWhereverItHides) {
   EXPECT_EQ(total.crc_errors, 3u);
   EXPECT_EQ(total.units_repaired, 3u);
   // Second pass: everything was healed in place.
-  EXPECT_EQ(scrub.run().errors(), 0u);
+  EXPECT_EQ(scrub.run().crc_errors, 0u);
   EXPECT_EQ(scrub.passes_completed(), 2u);
 }
 
@@ -127,14 +128,14 @@ TEST(Scrubber, EmptyStoreCompletesTrivialPasses) {
 }
 
 TEST(Scrubber, RaidArrayPassVerifiesAndRepairs) {
-  storage::RaidArray raid(ec::CodeParams{4, 2, 8}, kUnit, 8);
+  RaidArray raid(ec::CodeParams{4, 2, 8}, kUnit, 8);
   for (std::size_t lba = 0; lba < raid.capacity_blocks(); ++lba) {
     const auto block = testutil::random_vector(kUnit, lba);
     raid.write_block(lba, block);
   }
   ASSERT_TRUE(raid.corrupt_unit(2, 1));
   ASSERT_TRUE(raid.corrupt_unit(5, 4));
-  Scrubber scrub(raid);
+  Scrubber scrub(raid.cluster());
   // Two increments that together cover the 8 stripes.
   const ScrubStats first = scrub.step(4);
   const ScrubStats second = scrub.step(8);
@@ -142,10 +143,39 @@ TEST(Scrubber, RaidArrayPassVerifiesAndRepairs) {
   EXPECT_EQ(first.crc_errors + second.crc_errors, 2u);
   EXPECT_EQ(first.units_repaired + second.units_repaired, 2u);
   EXPECT_EQ(scrub.passes_completed(), 1u);
-  EXPECT_EQ(scrub.run().errors(), 0u);
+  EXPECT_EQ(scrub.run().crc_errors, 0u);
   EXPECT_EQ(raid.verify(), 0u);
   for (std::size_t lba = 0; lba < raid.capacity_blocks(); ++lba)
     EXPECT_EQ(raid.read_block(lba), testutil::random_vector(kUnit, lba));
+}
+
+TEST(Scrubber, DegradedRaidArrayIsNotUnrecoverable) {
+  // A RAID array has no spare device: with one down, every stripe
+  // misses a unit that waits for the revive. Such a stripe is degraded,
+  // not lost, and a latent corruption on a live device is still
+  // rebuilt in place.
+  RaidArray raid(ec::CodeParams{4, 2, 8}, kUnit, 8);
+  for (std::size_t lba = 0; lba < raid.capacity_blocks(); ++lba)
+    raid.write_block(lba, testutil::random_vector(kUnit, lba));
+  Cluster& cl = raid.cluster();
+  cl.fail_node(0);
+  ASSERT_TRUE(raid.corrupt_unit(3, 0));  // on node (0 + 3) % 6, live
+  Scrubber scrub(cl);
+  const ScrubStats pass = scrub.run();
+  EXPECT_EQ(pass.stripes_scanned, 8u);
+  EXPECT_EQ(pass.units_verified, 8u * 5 - 1);
+  EXPECT_EQ(pass.crc_errors, 1u);
+  EXPECT_EQ(pass.units_repaired, 1u);
+  EXPECT_EQ(pass.unrecoverable_stripes, 0u);
+  EXPECT_TRUE(cl.repair_stats().identity_holds());
+  for (std::size_t lba = 0; lba < raid.capacity_blocks(); ++lba)
+    EXPECT_EQ(raid.read_block(lba), testutil::random_vector(kUnit, lba));
+
+  // The device comes back empty; repair refills one unit per stripe.
+  cl.revive_node(0);
+  EXPECT_EQ(cl.repair(), 8u);
+  EXPECT_EQ(raid.verify(), 0u);
+  EXPECT_EQ(scrub.run().units_verified, 8u * 6);
 }
 
 TEST(Scrubber, UnrecoverableStripeIsCountedNotThrown) {
@@ -191,7 +221,7 @@ TEST(Scrubber, FeedsTheHealerInsteadOfRepairingInline) {
   EXPECT_EQ(healer.stats().units_repaired, 3u);
   EXPECT_TRUE(healer.identity_holds());
   const ScrubStats clean = scrub.run();
-  EXPECT_EQ(clean.errors(), 0u);
+  EXPECT_EQ(clean.crc_errors, 0u);
   EXPECT_EQ(clean.units_verified, 10u * 6);
   EXPECT_EQ(healer.pending(), 0u);
   for (std::size_t i = 0; i < 5; ++i)

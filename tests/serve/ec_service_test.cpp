@@ -6,6 +6,7 @@
 #include "serve/ec_service.h"
 
 #include "serve/buffer_pool.h"
+#include "serve/shard.h"
 #include "tensor/kernel.h"
 
 #include <gtest/gtest.h>
@@ -753,8 +754,8 @@ TEST(Watchdog, ClientCancelAbortsRunningBatch) {
 }
 
 TEST(Watchdog, StuckWorkerSurfacesInHealth) {
-  // The fault-injector hook runs inside the batch, after the worker's
-  // heartbeat is set: blocking in it holds the worker past the 20ms
+  // The fault-injector hook runs inside the batch, after it registered
+  // with the watchdog: blocking in it holds the batch past the 20ms
   // stuck budget for exactly as long as the test needs, whatever the
   // kernel speed. It then returns false, so the batch runs normally.
   std::mutex hook_mutex;
@@ -806,6 +807,72 @@ TEST(Watchdog, StuckWorkerSurfacesInHealth) {
          std::chrono::steady_clock::now() < recover_by)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_EQ(service.health().state, HealthState::Ok);
+}
+
+TEST(Watchdog, StuckBatchSurfacesInShardedHealth) {
+  // The same held hook, through the sharded front: its shards have no
+  // workers of their own (the front's threads run their batches), so
+  // the stuck scan must watch batches, not service workers. Any front
+  // thread may run any shard's batch, so the front is Degraded until
+  // stuck batches fill all num_shards * workers_per_shard executors,
+  // then Unhealthy.
+  for (const std::size_t num_shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(num_shards);
+    std::mutex hook_mutex;
+    std::condition_variable hook_cv;
+    bool release = false;
+    ShardedServiceConfig cfg;
+    cfg.num_shards = num_shards;
+    cfg.workers_per_shard = 1;
+    cfg.shard.watchdog.poll = std::chrono::milliseconds(1);
+    cfg.shard.watchdog.stuck_budget = std::chrono::milliseconds(20);
+    cfg.shard.fault_injector = [&](RequestKind, const CodecKey&,
+                                   std::size_t) {
+      std::unique_lock lock(hook_mutex);
+      hook_cv.wait(lock, [&] { return release; });
+      return false;
+    };
+    ShardedEcService front(cfg);
+    const Bytes data = testutil::random_bytes(kKey.k * kUnit, 35);
+    std::vector<Bytes> parity;
+    for (std::size_t s = 0; s < num_shards; ++s)
+      parity.emplace_back(kKey.r * kUnit);
+    const auto stuck_of = [](const ShardedHealthSnapshot& h) {
+      std::size_t stuck = 0;
+      for (const HealthSnapshot& shard : h.shards) stuck += shard.stuck_batches;
+      return stuck;
+    };
+
+    // One held batch per shard, each run by an idle front thread.
+    std::vector<EcFuture> futures;
+    std::uint64_t client = 0;
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      while (ShardedEcService::shard_of(client, num_shards) != s) ++client;
+      futures.push_back(front.submit_encode(/*tenant=*/1, client, kKey,
+                                            data.span(), parity[s].span(),
+                                            kUnit));
+      ShardedHealthSnapshot h = front.health();
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (stuck_of(h) < s + 1 && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        h = front.health();
+      }
+      EXPECT_EQ(stuck_of(h), s + 1);
+      EXPECT_EQ(h.state, s + 1 == num_shards ? HealthState::Unhealthy
+                                             : HealthState::Degraded);
+    }
+    {
+      std::lock_guard lock(hook_mutex);
+      release = true;
+    }
+    hook_cv.notify_all();
+
+    for (EcFuture& f : futures) EXPECT_EQ(f.wait().status, RequestStatus::Ok);
+    EXPECT_GE(front.stats().aggregate.watchdog_stuck, num_shards);
+    // Once the batches complete, nothing is stuck any more.
+    EXPECT_EQ(front.health().state, HealthState::Ok);
+  }
 }
 
 
