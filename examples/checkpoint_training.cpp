@@ -3,8 +3,9 @@
 //
 // Eight "training ranks" each hold a model shard. Every epoch they
 // checkpoint into the CheckpointManager, which erasure-codes the shards
-// (k=8 data + r=2 parity) so any two simultaneous rank failures lose no
-// state — without writing to stable storage.
+// (k=8 data + r=2 parity) across a 10-node in-memory cluster so any two
+// simultaneous rank failures lose no state — without writing to stable
+// storage.
 //
 // Build & run:  ./build/examples/checkpoint_training
 
@@ -12,7 +13,7 @@
 #include <random>
 #include <vector>
 
-#include "storage/checkpoint.h"
+#include "cluster/checkpoint.h"
 
 namespace {
 
@@ -31,7 +32,7 @@ int main() {
 
   const ec::CodeParams params{8, 2, 8};  // 8 ranks, survives 2 failures
   const std::size_t shard_bytes = 256 * 1024;
-  storage::CheckpointManager mgr(params, shard_bytes);
+  cluster::CheckpointManager mgr(params, shard_bytes);
 
   std::printf("checkpointed training: %zu ranks, %zu parity shards, "
               "%zu KB per shard\n",

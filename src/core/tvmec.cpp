@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "tensor/kernel.h"
 #include "tune/tuning_log.h"
 
 namespace tvmec::core {
@@ -90,36 +89,6 @@ void Codec::encode(std::span<const std::uint8_t> data,
                    std::span<std::uint8_t> parity,
                    std::size_t unit_size) const {
   encode_coder_.apply(data, parity, unit_size);
-}
-
-void Codec::encode_ptrs(const std::vector<const std::uint8_t*>& data,
-                        const std::vector<std::uint8_t*>& parity,
-                        std::size_t unit_size) {
-  if (data.size() != params_.k || parity.size() != params_.r)
-    throw std::invalid_argument("encode_ptrs: wrong number of unit pointers");
-  const std::size_t needed = (params_.k + params_.r) * unit_size;
-  if (staging_.size() < needed)
-    staging_ = tensor::AlignedBuffer<std::uint8_t>(needed);
-
-  // Gather scattered units into the contiguous layout the GEMM expects —
-  // the memcpy overhead the paper's §5 measures.
-  std::uint8_t* const data_stage = staging_.data();
-  std::uint8_t* const parity_stage = staging_.data() + params_.k * unit_size;
-  for (std::size_t i = 0; i < params_.k; ++i) {
-    if (data[i] == nullptr)
-      throw std::invalid_argument("encode_ptrs: null data pointer");
-    std::memcpy(data_stage + i * unit_size, data[i], unit_size);
-    tensor::note_staging_copy(unit_size);
-  }
-  encode(std::span<const std::uint8_t>(data_stage, params_.k * unit_size),
-         std::span<std::uint8_t>(parity_stage, params_.r * unit_size),
-         unit_size);
-  for (std::size_t i = 0; i < params_.r; ++i) {
-    if (parity[i] == nullptr)
-      throw std::invalid_argument("encode_ptrs: null parity pointer");
-    std::memcpy(parity[i], parity_stage + i * unit_size, unit_size);
-    tensor::note_staging_copy(unit_size);
-  }
 }
 
 const Codec::DecodeEntry& Codec::decode_entry(
@@ -238,17 +207,15 @@ void Codec::encode_scattered(const std::vector<const std::uint8_t*>& data,
   encode_coder_.apply_scattered(std::span<const ScatteredCoderItem>(&item, 1));
 }
 
-void Codec::patch_parity(std::size_t unit_id,
-                         std::span<const std::uint8_t> old_data,
-                         std::span<const std::uint8_t> new_data,
-                         std::span<std::uint8_t> parity,
-                         std::size_t unit_size) {
+void Codec::update_unit(std::span<std::uint8_t> stripe, std::size_t unit_id,
+                        std::span<const std::uint8_t> new_data,
+                        std::size_t unit_size) {
+  if (stripe.size() != params_.n() * unit_size)
+    throw std::invalid_argument("update_unit: stripe must hold k+r units");
   if (unit_id >= params_.k)
-    throw std::invalid_argument("patch_parity: only data units have deltas");
-  if (old_data.size() != unit_size || new_data.size() != unit_size)
-    throw std::invalid_argument("patch_parity: old/new must be one unit");
-  if (parity.size() != params_.r * unit_size)
-    throw std::invalid_argument("patch_parity: parity must hold r units");
+    throw std::invalid_argument("update_unit: only data units can be updated");
+  if (new_data.size() != unit_size)
+    throw std::invalid_argument("update_unit: new data must be one unit");
 
   if (delta_coders_.empty()) delta_coders_.resize(params_.k);
   auto& coder = delta_coders_[unit_id];
@@ -265,33 +232,17 @@ void Codec::patch_parity(std::size_t unit_id,
     staging_ = tensor::AlignedBuffer<std::uint8_t>(needed);
   std::uint8_t* const delta = staging_.data();
   std::uint8_t* const parity_delta = staging_.data() + unit_size;
+  std::uint8_t* const old_unit = stripe.data() + unit_id * unit_size;
+  std::uint8_t* const parity = stripe.data() + params_.k * unit_size;
 
   // Word-wide XOR via memcpy loads/stores: alignment-safe for arbitrary
   // user spans (compilers lower this to plain vector loads), with a byte
   // tail for unit sizes that are not word multiples.
-  xor_bytes(delta, old_data.data(), new_data.data(), unit_size);
+  xor_bytes(delta, old_unit, new_data.data(), unit_size);
   coder->apply(std::span<const std::uint8_t>(delta, unit_size),
                std::span<std::uint8_t>(parity_delta, params_.r * unit_size),
                unit_size);
-  xor_bytes(parity.data(), parity.data(), parity_delta,
-            params_.r * unit_size);
-}
-
-void Codec::update_unit(std::span<std::uint8_t> stripe, std::size_t unit_id,
-                        std::span<const std::uint8_t> new_data,
-                        std::size_t unit_size) {
-  if (stripe.size() != params_.n() * unit_size)
-    throw std::invalid_argument("update_unit: stripe must hold k+r units");
-  if (unit_id >= params_.k)
-    throw std::invalid_argument("update_unit: only data units can be updated");
-  if (new_data.size() != unit_size)
-    throw std::invalid_argument("update_unit: new data must be one unit");
-
-  std::uint8_t* const old_unit = stripe.data() + unit_id * unit_size;
-  patch_parity(unit_id,
-               std::span<const std::uint8_t>(old_unit, unit_size), new_data,
-               stripe.subspan(params_.k * unit_size, params_.r * unit_size),
-               unit_size);
+  xor_bytes(parity, parity, parity_delta, params_.r * unit_size);
   std::memcpy(old_unit, new_data.data(), unit_size);
 }
 

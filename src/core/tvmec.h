@@ -21,14 +21,13 @@
 ///
 /// Layout contract (paper §5): the codec works on *contiguous* unit
 /// buffers — k units back to back for encode, n units back to back for a
-/// stripe being decoded. Two Jerasure-style pointer APIs exist alongside:
-/// encode_ptrs stages scattered units into an internal contiguous buffer
-/// first — exactly the memcpy overhead the paper quantifies (up to 84%) —
-/// while encode_scattered hands the pointers to the scattered GEMM kernel,
-/// which folds the gather into its panel packing and touches no staging
-/// buffer at all (the zero-copy path; encode_ptrs is kept as the measured
-/// baseline). Decode reads survivors and writes recovered units in place
-/// in the stripe the same way.
+/// stripe being decoded. The Jerasure-style pointer API, encode_scattered,
+/// hands the unit pointers to the scattered GEMM kernel, which folds the
+/// gather into its panel packing and touches no staging buffer at all:
+/// the memcpy overhead the paper quantifies (up to 84%) never happens.
+/// (bench_memcpy_overhead times the staged gather as E2's baseline.)
+/// Decode reads survivors and writes recovered units in place in the
+/// stripe the same way.
 /// Not thread-safe: decode caches per-erasure-pattern coders.
 namespace tvmec::core {
 
@@ -83,16 +82,10 @@ class Codec {
                     int max_threads = 0,
                     const tensor::CancelToken& cancel = {}) const;
 
-  /// Jerasure-shaped convenience API: units live behind k + r separate
-  /// pointers. Data is first gathered into an internal contiguous staging
-  /// area (the §5 integration cost), encoded, and parities scattered out.
-  void encode_ptrs(const std::vector<const std::uint8_t*>& data,
-                   const std::vector<std::uint8_t*>& parity,
-                   std::size_t unit_size);
-
-  /// Zero-copy counterpart of encode_ptrs: the scattered GEMM kernel
-  /// consumes the units in place, so no staging buffer exists between the
-  /// caller's memory and the microkernels. Pointers that do not satisfy
+  /// Jerasure-shaped pointer API: units live behind k + r separate
+  /// pointers, and the scattered GEMM kernel consumes them in place, so
+  /// no staging buffer exists between the caller's memory and the
+  /// microkernels. Pointers that do not satisfy
   /// the word fast path (8-byte alignment, whole-word packets) fall back
   /// to a staged copy per unit (visible in tensor::kernel_stage_stats).
   /// Thread-safe: encode state is immutable.
@@ -132,20 +125,13 @@ class Codec {
   /// every parity in place using the code's linearity,
   ///   P'_i = P_i xor C[i][unit] (x) (old xor new),
   /// reading only the changed unit and the r parities instead of all k
-  /// data units. The delta itself runs through the GEMM path (an r*w x w
-  /// bitmatrix against the delta unit). Throws std::invalid_argument on
-  /// a parity unit_id or size mismatch.
+  /// data units (the other data units of `stripe` are not touched, so a
+  /// block-layer caller fills only those). The delta itself runs through
+  /// the GEMM path (an r*w x w bitmatrix against the delta unit). Throws
+  /// std::invalid_argument on a parity unit_id or size mismatch.
   void update_unit(std::span<std::uint8_t> stripe, std::size_t unit_id,
                    std::span<const std::uint8_t> new_data,
                    std::size_t unit_size);
-
-  /// The I/O-minimal form of update_unit for block-layer callers (RAID
-  /// small writes): given only the old and new contents of data unit
-  /// `unit_id` and the r parity units, patches the parities in place.
-  /// The caller is responsible for storing new_data itself.
-  void patch_parity(std::size_t unit_id, std::span<const std::uint8_t> old_data,
-                    std::span<const std::uint8_t> new_data,
-                    std::span<std::uint8_t> parity, std::size_t unit_size);
 
   /// Log-backed tuning (TVM's tuning-records workflow): if `log_path`
   /// already holds records for this task shape, installs the best logged
@@ -229,6 +215,7 @@ class Codec {
   std::shared_ptr<PlanCache> plan_cache_;
   /// Per-data-unit r x 1 delta coders for update_unit (lazy).
   std::vector<std::unique_ptr<GemmCoder>> delta_coders_;
+  /// update_unit's delta and parity-delta scratch.
   tensor::AlignedBuffer<std::uint8_t> staging_;
 };
 

@@ -155,9 +155,4 @@ std::uint64_t FaultInjector::key(std::string_view name, std::size_t a,
   return fnv_mix(fnv_mix(h, a), b);
 }
 
-std::uint64_t FaultInjector::key(std::size_t a, std::size_t b,
-                                 std::size_t c) noexcept {
-  return fnv_mix(fnv_mix(fnv_mix(kFnvOffset, a), b), c);
-}
-
 }  // namespace tvmec::storage

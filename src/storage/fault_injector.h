@@ -11,10 +11,11 @@
 /// Deterministic, seeded fault injection for the simulated storage
 /// layers. The paper motivates erasure coding with failure-driven
 /// workloads (RAID, object stores, in-memory checkpointing, §3); this is
-/// the failure side of that story. The node layers of cluster::Cluster
-/// (which also backs the RAID block array) and CheckpointManager consult
-/// an attached FaultInjector on *every* simulated read and write, so
-/// chaos tests can subject the whole stack to the classic taxonomy:
+/// the failure side of that story. The node layer of cluster::Cluster
+/// (which also backs the RAID block array and the checkpoint manager)
+/// consults an attached FaultInjector on *every* simulated read and
+/// write, so chaos tests can subject the whole stack to the classic
+/// taxonomy:
 ///
 ///  - silent bit flips     (persisted payload corrupted, checksum not)
 ///  - torn writes          (only a prefix persists; the tail is stale
@@ -127,7 +128,7 @@ class FaultInjector {
                     std::span<std::uint8_t> bytes);
 
   /// Called by the network model for every message on `link_key` (use
-  /// key(src, dst) for a directed link). An open partition window eats
+  /// key("link", src, dst) for a directed link). An open partition window eats
   /// the send and shortens by one op; otherwise the drop / duplicate /
   /// partition-open probabilities roll in that order.
   LinkFault on_send(std::uint64_t link_key);
@@ -149,11 +150,10 @@ class FaultInjector {
   const FaultStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = FaultStats{}; }
 
-  /// Stable unit keys for transient-burst tracking.
+  /// Stable keys for transient-burst and partition tracking: unit b of
+  /// stripe a of object `name`, or key("link", src, dst) for a link.
   static std::uint64_t key(std::string_view name, std::size_t a,
                            std::size_t b) noexcept;
-  static std::uint64_t key(std::size_t a, std::size_t b,
-                           std::size_t c = 0) noexcept;
 
  private:
   bool roll(double p);

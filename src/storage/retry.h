@@ -7,8 +7,8 @@
 /// Retry with exponential backoff and deterministic jitter — the standard
 /// client-side answer to transient storage errors. Wraps the unit reads
 /// of cluster::Cluster (get, read_unit, write_unit and repair, which the
-/// RAID block array runs on) and CheckpointManager::recover_shard: a
-/// read that fails transiently is re-attempted up to `max_attempts`
+/// RAID block array and the checkpoint manager run on): a read that
+/// fails transiently is re-attempted up to `max_attempts`
 /// times with exponentially growing, jittered, capped delays; only after
 /// the budget is exhausted does the caller fall back to degraded
 /// (parity) reconstruction.

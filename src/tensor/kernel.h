@@ -84,8 +84,9 @@ struct KernelStageStats {
 KernelStageStats kernel_stage_stats() noexcept;
 
 /// Records one staging memcpy of `bytes` bytes. Called by every layer that
-/// still stages (encode_ptrs gather, misaligned-buffer fallbacks), so the
-/// counter means the same thing from the kernel tier up.
+/// still stages (GemmCoder's staged scattered items, ec::Encoder's
+/// padded-packet fallback), so the counter means the same thing from the
+/// kernel tier up.
 void note_staging_copy(std::size_t bytes) noexcept;
 
 /// Kernel scratch retained per thread is capped at this many bytes;

@@ -117,45 +117,6 @@ TEST(Codec, DecodeCacheReusesPlans) {
   EXPECT_EQ(codec.decode_cache_size(), 1u);
 }
 
-TEST(Codec, EncodePtrsMatchesContiguous) {
-  const ec::CodeParams p{6, 3, 8};
-  Codec codec(p);
-  std::vector<tensor::AlignedBuffer<std::uint8_t>> data_units;
-  std::vector<const std::uint8_t*> data_ptrs;
-  for (std::size_t i = 0; i < p.k; ++i) {
-    data_units.push_back(random_bytes(kUnit, 300 + i));
-    data_ptrs.push_back(data_units.back().data());
-  }
-  std::vector<tensor::AlignedBuffer<std::uint8_t>> parity_units(p.r);
-  std::vector<std::uint8_t*> parity_ptrs;
-  for (auto& u : parity_units) {
-    u = tensor::AlignedBuffer<std::uint8_t>(kUnit);
-    parity_ptrs.push_back(u.data());
-  }
-  codec.encode_ptrs(data_ptrs, parity_ptrs, kUnit);
-
-  tensor::AlignedBuffer<std::uint8_t> contig(p.k * kUnit);
-  for (std::size_t i = 0; i < p.k; ++i)
-    std::copy_n(data_units[i].data(), kUnit, contig.data() + i * kUnit);
-  tensor::AlignedBuffer<std::uint8_t> expect(p.r * kUnit);
-  codec.encode(contig.span(), expect.span(), kUnit);
-  for (std::size_t i = 0; i < p.r; ++i)
-    ASSERT_TRUE(std::equal(parity_units[i].span().begin(),
-                           parity_units[i].span().end(),
-                           expect.data() + i * kUnit));
-}
-
-TEST(Codec, EncodePtrsValidation) {
-  Codec codec(ec::CodeParams{4, 2, 8});
-  tensor::AlignedBuffer<std::uint8_t> buf(kUnit);
-  std::vector<const std::uint8_t*> data = {buf.data(), buf.data(),
-                                           buf.data()};  // only 3
-  std::vector<std::uint8_t*> parity = {buf.data(), buf.data()};
-  EXPECT_THROW(codec.encode_ptrs(data, parity, kUnit), std::invalid_argument);
-  data.push_back(nullptr);
-  EXPECT_THROW(codec.encode_ptrs(data, parity, kUnit), std::invalid_argument);
-}
-
 TEST(Codec, TuneClearsDecodeCacheAndStaysCorrect) {
   Codec codec(ec::CodeParams{6, 3, 8});
   auto stripe = make_stripe(codec, 7);

@@ -5,10 +5,10 @@
 #include <tuple>
 
 #include "../test_util.h"
+#include "cluster/checkpoint.h"
 #include "cluster/cluster.h"
 #include "cluster/raid_array.h"
 #include "cluster/scrubber.h"
-#include "storage/checkpoint.h"
 #include "storage/crc32c.h"
 
 /// End-to-end chaos: drive the storage stack through a seeded
@@ -20,6 +20,7 @@
 namespace tvmec::storage {
 namespace {
 
+using cluster::CheckpointManager;
 using cluster::Cluster;
 using cluster::RaidArray;
 using cluster::Scrubber;
@@ -254,11 +255,12 @@ TEST(Chaos, RaidArrayReadFaultsAndLatentCorruption) {
 TEST(Chaos, CheckpointRecoveryUnderCombinedFaults) {
   const auto run = [](std::uint64_t seed) {
     CheckpointManager mgr(ec::CodeParams{4, 2, 8}, 1024);
+    Cluster& cl = mgr.cluster();
     FaultInjector inj(FaultPolicy{}, seed);
-    mgr.attach_fault_injector(&inj);
+    cl.attach_fault_injector(&inj);
     RetryPolicy retry;
     retry.max_attempts = 6;
-    mgr.set_retry_policy(retry);
+    cl.set_retry_policy(retry);
 
     std::vector<std::vector<std::uint8_t>> shards;
     for (std::size_t i = 0; i < 4; ++i)
@@ -284,12 +286,12 @@ TEST(Chaos, CheckpointRecoveryUnderCombinedFaults) {
     mgr.lose_rank(2);
     EXPECT_EQ(mgr.recover_shard(2), shards[2]);
 
-    const auto& s = mgr.stats();
-    return std::make_tuple(s.checkpoints_taken, s.shards_recovered,
-                           s.corruptions_detected, s.units_repaired,
+    const auto& c = cl.stats();
+    return std::make_tuple(*mgr.latest_version(), c.degraded_reads,
+                           c.corruptions_detected, c.units_repaired,
                            inj.stats().transient_errors,
-                           mgr.retry_stats().retries,
-                           mgr.retry_stats().exhausted);
+                           cl.retry_stats().retries,
+                           cl.retry_stats().exhausted);
   };
   const auto a = run(0x5EED);
   EXPECT_EQ(std::get<6>(a), 0u);  // no retry budget exhausted

@@ -1,53 +1,19 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "cluster/checkpoint.h"
 #include "cluster/cluster.h"
 #include "core/tvmec.h"
 #include "ec/bitmatrix_code.h"
-#include "storage/chunk_accumulator.h"
-#include "storage/checkpoint.h"
 #include "tensor/expr.h"
 
-/// End-to-end flows across module boundaries: the §5 chunk-staging path
-/// feeding the codec, tuning feeding the storage layer, and the Listing-3
-/// tensor-expression declaration producing real parities.
+/// End-to-end flows across module boundaries: tuning feeding the storage
+/// layer, the Listing-3 tensor-expression declaration producing real
+/// parities, and checkpoint/restore through the cluster.
 namespace tvmec {
 namespace {
 
 constexpr std::size_t kUnit = 2048;
-
-/// §5 pipeline: chunks arrive out of order, are staged contiguously, the
-/// region feeds the GEMM codec directly, and a damaged stripe decodes.
-TEST(EndToEnd, ChunkAccumulatorFeedsCodec) {
-  const ec::CodeParams params{6, 3, 8};
-  core::Codec codec(params);
-  storage::ChunkAccumulator acc(params.k, kUnit);
-
-  std::vector<std::vector<std::uint8_t>> chunks;
-  for (std::size_t i = 0; i < params.k; ++i)
-    chunks.push_back(testutil::random_vector(kUnit, 42 + i));
-  // Arrival order 3, 0, 5, 1, 4, 2.
-  for (const std::size_t i : {3u, 0u, 5u, 1u, 4u, 2u})
-    acc.add_chunk(i, chunks[i]);
-  ASSERT_TRUE(acc.ready());
-
-  tensor::AlignedBuffer<std::uint8_t> stripe(params.n() * kUnit);
-  std::copy(acc.data().begin(), acc.data().end(), stripe.data());
-  codec.encode(acc.data(),
-               std::span<std::uint8_t>(stripe.data() + params.k * kUnit,
-                                       params.r * kUnit),
-               kUnit);
-
-  // Lose three units, recover, verify chunk bytes round-tripped.
-  const std::vector<std::size_t> erased = {1, 4, 7};
-  for (const std::size_t id : erased)
-    std::fill_n(stripe.data() + id * kUnit, kUnit, 0);
-  codec.decode(stripe.span(), erased, kUnit);
-  for (std::size_t i = 0; i < params.k; ++i)
-    ASSERT_TRUE(std::equal(chunks[i].begin(), chunks[i].end(),
-                           stripe.data() + i * kUnit))
-        << "chunk " << i;
-}
 
 /// A tuned codec drives the object store: autotuning must be transparent
 /// to storage-level correctness.
@@ -111,10 +77,10 @@ TEST(EndToEnd, TensorExpressionProducesRealParities) {
                          reinterpret_cast<const std::uint8_t*>(out.data())));
 }
 
-/// Checkpoint/restore driving the codec under repeated loss cycles.
+/// Checkpoint/restore through the cluster under repeated loss cycles.
 TEST(EndToEnd, CheckpointSurvivesRepeatedFailures) {
   const ec::CodeParams params{8, 2, 8};
-  storage::CheckpointManager mgr(params, kUnit);
+  cluster::CheckpointManager mgr(params, kUnit);
   for (int epoch = 0; epoch < 5; ++epoch) {
     std::vector<std::vector<std::uint8_t>> shards;
     for (std::size_t rank = 0; rank < params.k; ++rank)

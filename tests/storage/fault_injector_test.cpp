@@ -17,8 +17,8 @@ TEST(FaultInjector, QuietPolicyNeverFaults) {
   auto payload = bytes(256, 1);
   const auto original = payload;
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(inj.on_write(0, FaultInjector::key(0, i), payload));
-    EXPECT_EQ(inj.on_read(0, FaultInjector::key(0, i), payload),
+    EXPECT_TRUE(inj.on_write(0, FaultInjector::key("obj", 0, i), payload));
+    EXPECT_EQ(inj.on_read(0, FaultInjector::key("obj", 0, i), payload),
               ReadFault::None);
   }
   EXPECT_EQ(payload, original);
@@ -34,7 +34,7 @@ TEST(FaultInjector, WriteBitFlipChangesExactlyOneBit) {
   FaultInjector inj(policy, 7);
   auto payload = bytes(512, 2);
   const auto original = payload;
-  ASSERT_TRUE(inj.on_write(3, FaultInjector::key(0, 0), payload));
+  ASSERT_TRUE(inj.on_write(3, FaultInjector::key("obj", 0, 0), payload));
   std::size_t bits_changed = 0;
   for (std::size_t i = 0; i < payload.size(); ++i) {
     std::uint8_t diff = payload[i] ^ original[i];
@@ -54,7 +54,7 @@ TEST(FaultInjector, TornWriteCorruptsTail) {
   FaultInjector inj(policy, 11);
   auto payload = bytes(512, 3);
   const auto original = payload;
-  ASSERT_TRUE(inj.on_write(0, FaultInjector::key(0, 0), payload));
+  ASSERT_TRUE(inj.on_write(0, FaultInjector::key("obj", 0, 0), payload));
   // Some prefix is intact, and a suffix of >= 8 bytes was replaced.
   std::size_t first_diff = payload.size();
   for (std::size_t i = 0; i < payload.size(); ++i) {
@@ -114,13 +114,13 @@ TEST(FaultInjector, CrashIsPermanentUntilRepaired) {
   policy.crash = 1.0;
   FaultInjector inj(policy, 19);
   auto payload = bytes(64, 6);
-  EXPECT_FALSE(inj.on_write(2, FaultInjector::key(0, 0), payload));
+  EXPECT_FALSE(inj.on_write(2, FaultInjector::key("obj", 0, 0), payload));
   EXPECT_TRUE(inj.crashed(2));
   EXPECT_EQ(inj.stats().crashes, 1u);
   // Already-dead node: ops fail without another crash being counted.
-  EXPECT_EQ(inj.on_read(2, FaultInjector::key(0, 1), payload),
+  EXPECT_EQ(inj.on_read(2, FaultInjector::key("obj", 0, 1), payload),
             ReadFault::Crash);
-  EXPECT_FALSE(inj.on_write(2, FaultInjector::key(0, 2), payload));
+  EXPECT_FALSE(inj.on_write(2, FaultInjector::key("obj", 0, 2), payload));
   EXPECT_EQ(inj.stats().crashes, 1u);
   // Other nodes crash independently.
   EXPECT_FALSE(inj.crashed(3));
@@ -128,7 +128,7 @@ TEST(FaultInjector, CrashIsPermanentUntilRepaired) {
   inj.set_policy(FaultPolicy{});
   inj.repair_node(2);
   EXPECT_FALSE(inj.crashed(2));
-  EXPECT_TRUE(inj.on_write(2, FaultInjector::key(0, 3), payload));
+  EXPECT_TRUE(inj.on_write(2, FaultInjector::key("obj", 0, 3), payload));
 }
 
 TEST(FaultInjector, ManualCrashHook) {
@@ -146,8 +146,8 @@ TEST(FaultInjector, DelayIsAccounted) {
   policy.delay_amount = std::chrono::microseconds{250};
   FaultInjector inj(policy, 23);
   auto payload = bytes(64, 7);
-  inj.on_write(0, FaultInjector::key(0, 0), payload);
-  inj.on_read(0, FaultInjector::key(0, 0), payload);
+  inj.on_write(0, FaultInjector::key("obj", 0, 0), payload);
+  inj.on_read(0, FaultInjector::key("obj", 0, 0), payload);
   EXPECT_EQ(inj.stats().delays, 2u);
   EXPECT_EQ(inj.stats().delay_injected, std::chrono::microseconds{500});
 }
@@ -204,14 +204,12 @@ TEST(FaultInjector, KeysAreStable) {
   EXPECT_EQ(FaultInjector::key("obj", 1, 2), FaultInjector::key("obj", 1, 2));
   EXPECT_NE(FaultInjector::key("obj", 1, 2), FaultInjector::key("obj", 2, 1));
   EXPECT_NE(FaultInjector::key("a", 0, 0), FaultInjector::key("b", 0, 0));
-  EXPECT_EQ(FaultInjector::key(3, 4), FaultInjector::key(3, 4, 0));
-  EXPECT_NE(FaultInjector::key(3, 4), FaultInjector::key(4, 3));
 }
 
 TEST(FaultInjector, QuietPolicyNeverFaultsLinks) {
   FaultInjector inj;
   for (int i = 0; i < 50; ++i)
-    EXPECT_EQ(inj.on_send(FaultInjector::key(0, 1)), LinkFault::None);
+    EXPECT_EQ(inj.on_send(FaultInjector::key("link", 0, 1)), LinkFault::None);
   EXPECT_EQ(inj.stats().link_sends, 50u);
   EXPECT_EQ(inj.stats().link_drops, 0u);
   EXPECT_EQ(inj.stats().link_duplicates, 0u);
@@ -222,13 +220,14 @@ TEST(FaultInjector, LinkDropAndDuplicateRoll) {
   FaultPolicy policy;
   policy.link_drop = 1.0;
   FaultInjector inj(policy, 11);
-  EXPECT_EQ(inj.on_send(FaultInjector::key(0, 1)), LinkFault::Drop);
+  EXPECT_EQ(inj.on_send(FaultInjector::key("link", 0, 1)), LinkFault::Drop);
   EXPECT_EQ(inj.stats().link_drops, 1u);
 
   policy.link_drop = 0.0;
   policy.link_duplicate = 1.0;
   inj.set_policy(policy);
-  EXPECT_EQ(inj.on_send(FaultInjector::key(0, 1)), LinkFault::Duplicate);
+  EXPECT_EQ(inj.on_send(FaultInjector::key("link", 0, 1)),
+            LinkFault::Duplicate);
   EXPECT_EQ(inj.stats().link_duplicates, 1u);
   EXPECT_EQ(inj.stats().link_sends, 2u);
 }
@@ -238,7 +237,7 @@ TEST(FaultInjector, PartitionWindowDropsNSendsThenHeals) {
   policy.link_partition = 1.0;
   policy.partition_ops = 3;
   FaultInjector inj(policy, 13);
-  const auto link = FaultInjector::key(2, 5);
+  const auto link = FaultInjector::key("link", 2, 5);
   // First send opens the window and is eaten by it.
   EXPECT_EQ(inj.on_send(link), LinkFault::Drop);
   EXPECT_TRUE(inj.link_partitioned(link));
@@ -256,8 +255,8 @@ TEST(FaultInjector, PartitionWindowDropsNSendsThenHeals) {
 
 TEST(FaultInjector, PartitionIsPerLink) {
   FaultInjector inj;
-  const auto bad = FaultInjector::key(0, 1);
-  const auto good = FaultInjector::key(1, 0);
+  const auto bad = FaultInjector::key("link", 0, 1);
+  const auto good = FaultInjector::key("link", 1, 0);
   inj.partition_link(bad, 2);
   EXPECT_EQ(inj.on_send(bad), LinkFault::Drop);
   EXPECT_EQ(inj.on_send(good), LinkFault::None);
@@ -276,7 +275,8 @@ TEST(FaultInjector, LinkFaultsDeterministicUnderSeed) {
     FaultInjector inj(policy, seed);
     std::vector<LinkFault> out;
     for (int i = 0; i < 200; ++i)
-      out.push_back(inj.on_send(FaultInjector::key(i % 4, (i + 1) % 4)));
+      out.push_back(
+          inj.on_send(FaultInjector::key("link", i % 4, (i + 1) % 4)));
     return out;
   };
   EXPECT_EQ(run(42), run(42));
