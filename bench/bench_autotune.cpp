@@ -69,7 +69,7 @@ void print_paper_table() {
   std::printf("  evolutionary : %s\n", evo.best_schedule.to_string().c_str());
   std::printf("  model-guided : %s\n", model.best_schedule.to_string().c_str());
 
-  core::GemmCoder default_coder(parity_matrix());
+  core::GemmCoder default_coder(parity_matrix(), tensor::default_schedule());
   const auto data = benchutil::random_data(10 * kUnit, 6);
   tensor::AlignedBuffer<std::uint8_t> parity(4 * kUnit);
   const double default_gbps = benchutil::median_encode_gbps(

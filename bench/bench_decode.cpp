@@ -42,7 +42,7 @@ void bm_decode(benchmark::State& state, const std::string& backend_name,
                core::Backend backend, const std::string& pattern_name) {
   const auto& erased = patterns().at(pattern_name);
   const auto plan = ec::make_decode_plan(code().generator(), erased);
-  const auto coder = benchutil::make_measured_coder(backend, plan->recovery);
+  const auto coder = core::make_coder(backend, plan->recovery);
   const auto survivors =
       benchutil::random_data(plan->survivors.size() * kUnit, 7);
   tensor::AlignedBuffer<std::uint8_t> out(erased.size() * kUnit);
@@ -78,7 +78,7 @@ void print_paper_table() {
         benchutil::random_data(plan->survivors.size() * kUnit, 8);
     std::printf("%-14s", pattern_name.c_str());
     for (const auto& [name, b] : backends) {
-      const auto coder = benchutil::make_measured_coder(b, plan->recovery);
+      const auto coder = core::make_coder(b, plan->recovery);
       tensor::AlignedBuffer<std::uint8_t> out(erased.size() * kUnit);
       const double gbps = benchutil::median_encode_gbps(
           *coder, survivors.span(), out.span(), kUnit, 15);

@@ -48,7 +48,8 @@ std::vector<Entry> make_entries(const GridPoint& g) {
       {"uezato", core::make_coder(core::Backend::Uezato, parity)});
   entries.push_back({"isal", core::make_coder(core::Backend::Isal, parity)});
 
-  auto untuned = std::make_unique<core::GemmCoder>(parity);
+  auto untuned =
+      std::make_unique<core::GemmCoder>(parity, tensor::default_schedule());
   entries.push_back({"tvm-ec-untuned", std::move(untuned)});
 
   auto tuned = std::make_unique<core::GemmCoder>(parity);

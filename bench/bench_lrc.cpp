@@ -27,7 +27,7 @@ const ec::Lrc& lrc() {
 }
 
 void bm_lrc_encode(benchmark::State& state, core::Backend backend) {
-  const auto coder = benchutil::make_measured_coder(backend, lrc().parity_matrix());
+  const auto coder = core::make_coder(backend, lrc().parity_matrix());
   const auto data = benchutil::random_data(kLrcParams.k * kUnit, 11);
   tensor::AlignedBuffer<std::uint8_t> parity(
       (kLrcParams.l + kLrcParams.g) * kUnit);
@@ -50,7 +50,7 @@ void print_paper_table() {
   for (const core::Backend b :
        {core::Backend::JerasureSmart, core::Backend::Uezato,
         core::Backend::Isal, core::Backend::Gemm}) {
-    const auto coder = benchutil::make_measured_coder(b, lrc().parity_matrix());
+    const auto coder = core::make_coder(b, lrc().parity_matrix());
     const double gbps = benchutil::median_encode_gbps(
         *coder, data.span(), parity.span(), kUnit, 15);
     std::printf("  %-16s %8.2f\n", core::to_string(b), gbps);
@@ -58,7 +58,7 @@ void print_paper_table() {
 
   // RS with the same parity count for comparison.
   const ec::ReedSolomon rs(ec::CodeParams{12, 4, 8});
-  const auto rs_coder = benchutil::make_measured_coder(core::Backend::Gemm,
+  const auto rs_coder = core::make_coder(core::Backend::Gemm,
                                          rs.parity_matrix());
   tensor::AlignedBuffer<std::uint8_t> rs_parity(4 * kUnit);
   const double rs_gbps = benchutil::median_encode_gbps(
@@ -83,9 +83,9 @@ void print_paper_table() {
 
   // Repair wall time through the GEMM path.
   const auto local_coder =
-      benchutil::make_measured_coder(core::Backend::Gemm, local_plan->recovery);
+      core::make_coder(core::Backend::Gemm, local_plan->recovery);
   const auto rs_repair_coder =
-      benchutil::make_measured_coder(core::Backend::Gemm, rs_plan->recovery);
+      core::make_coder(core::Backend::Gemm, rs_plan->recovery);
   const auto local_in =
       benchutil::random_data(local_plan->survivors.size() * kUnit, 13);
   const auto rs_in =

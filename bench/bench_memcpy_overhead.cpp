@@ -35,9 +35,6 @@ struct Fixture {
         contiguous(benchutil::random_data(kK * unit, 11)),
         parity(kR * unit),
         staging((kK + kR) * unit) {
-    // A representative tuned schedule; an untuned encode would understate
-    // the relative gather cost the paper reports.
-    codec.set_schedule(tensor::Schedule{8, 16, 0, 512, 1});
     // This bench measures the raw zero-copy mechanism at every size; the
     // default sub-16 KB routing to the accumulator would silently turn
     // the small-unit arm into the staged path it's being compared with.

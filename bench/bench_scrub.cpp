@@ -12,6 +12,7 @@
 
 #include "bench_util.h"
 #include "cluster/scrubber.h"
+#include "storage/crc32c.h"
 
 namespace {
 
@@ -100,6 +101,8 @@ void print_paper_table() {
       "self-healing in situ: a node-local CRC-32C pass (no parity "
       "re-encode) runs at checksum speed; repairs ride the DAG decode path");
 
+  std::printf("crc32c tier: %s\n\n",
+              storage::to_string(storage::crc32c_tier()));
   std::printf("%-12s %10s %12s %12s %10s\n", "corruption", "planted",
               "verified", "scrub GB/s", "repairs/s");
   std::uint64_t seed = 7;

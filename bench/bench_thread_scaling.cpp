@@ -34,7 +34,7 @@ const gf::Matrix& parity_matrix() {
 }
 
 tensor::Schedule scaling_schedule(tensor::ParAxis axis, int threads) {
-  tensor::Schedule s = benchutil::representative_gemm_schedule();
+  tensor::Schedule s = core::default_coder_schedule();
   s.num_threads = threads;
   s.par_axis = axis;
   s.par_grain = 0;  // auto chunking: a few chunks per thread
@@ -76,7 +76,7 @@ void print_paper_table() {
       "N-partitioned schedules keep scaling with cores; M-only "
       "partitioning plateaus at M/tile_m chunks");
 
-  const tensor::Schedule rep = benchutil::representative_gemm_schedule();
+  const tensor::Schedule rep = core::default_coder_schedule();
   const std::size_t m_chunks =
       (kR * 8 + static_cast<std::size_t>(rep.tile_m) - 1) /
       static_cast<std::size_t>(rep.tile_m);

@@ -29,7 +29,7 @@ const gf::Matrix& parity_matrix() {
 
 void bm_unit(benchmark::State& state, core::Backend backend) {
   const std::size_t unit = static_cast<std::size_t>(state.range(0));
-  const auto coder = benchutil::make_measured_coder(backend, parity_matrix());
+  const auto coder = core::make_coder(backend, parity_matrix());
   const auto data = benchutil::random_data(kK * unit, unit);
   tensor::AlignedBuffer<std::uint8_t> parity(kR * unit);
   for (auto _ : state) coder->apply(data.span(), parity.span(), unit);
@@ -45,9 +45,9 @@ void print_paper_table() {
   std::printf("%-12s %14s %14s %16s %16s\n", "unit", "uezato GB/s",
               "tvm-ec GB/s", "uezato us/call", "tvm-ec us/call");
   for (const std::size_t unit : kUnitSizes) {
-    const auto uezato = benchutil::make_measured_coder(core::Backend::Uezato,
+    const auto uezato = core::make_coder(core::Backend::Uezato,
                                          parity_matrix());
-    const auto gemm = benchutil::make_measured_coder(core::Backend::Gemm, parity_matrix());
+    const auto gemm = core::make_coder(core::Backend::Gemm, parity_matrix());
     const auto data = benchutil::random_data(kK * unit, unit + 1);
     tensor::AlignedBuffer<std::uint8_t> parity(kR * unit);
 

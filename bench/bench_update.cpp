@@ -18,11 +18,7 @@ constexpr std::size_t kK = 10;
 constexpr std::size_t kR = 4;
 
 core::Codec& codec() {
-  static core::Codec c = [] {
-    core::Codec codec(ec::CodeParams{kK, kR, 8});
-    codec.set_schedule(benchutil::representative_gemm_schedule());
-    return codec;
-  }();
+  static core::Codec c(ec::CodeParams{kK, kR, 8});
   return c;
 }
 

@@ -124,29 +124,6 @@ inline void tune_gemm(core::GemmCoder& coder, std::size_t unit_size,
   coder.set_schedule(finalists[best]);
 }
 
-/// A representative tuned schedule for the GEMM backend (what the
-/// autotuner converges to on this class of machine); used by benches
-/// that compare backends without running a fresh tuning session.
-inline tensor::Schedule representative_gemm_schedule() {
-  tensor::Schedule s;
-  s.tile_m = 8;
-  s.tile_n = 16;
-  s.block_k = 0;
-  s.block_n = 512;
-  s.num_threads = 1;
-  s.par_axis = tensor::ParAxis::N;  // the long axis for EC shapes
-  s.par_grain = 0;
-  return s;
-}
-
-/// make_coder, but the Gemm backend gets the representative schedule.
-inline std::unique_ptr<ec::MatrixCoder> make_measured_coder(
-    core::Backend b, const gf::Matrix& coeffs) {
-  if (b == core::Backend::Gemm)
-    return core::make_gemm_coder(coeffs, representative_gemm_schedule());
-  return core::make_coder(b, coeffs);
-}
-
 inline void print_header(const char* experiment, const char* paper_claim) {
   std::printf("\n=== %s ===\n", experiment);
   std::printf("paper: %s\n\n", paper_claim);

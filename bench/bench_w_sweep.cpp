@@ -41,7 +41,7 @@ const gf::Matrix& parity_for(const Case& c) {
 }
 
 void bm_w(benchmark::State& state, core::Backend backend, Case c) {
-  const auto coder = benchutil::make_measured_coder(backend, parity_for(c));
+  const auto coder = core::make_coder(backend, parity_for(c));
   const auto data = benchutil::random_data(kK * kUnit, c.w);
   tensor::AlignedBuffer<std::uint8_t> parity(c.r * kUnit);
   for (auto _ : state) coder->apply(data.span(), parity.span(), kUnit);
@@ -62,15 +62,15 @@ void print_paper_table() {
     const auto data = benchutil::random_data(kK * kUnit, 100 + c.w);
     tensor::AlignedBuffer<std::uint8_t> parity(c.r * kUnit);
 
-    const auto uezato = benchutil::make_measured_coder(core::Backend::Uezato, parity_for(c));
-    const auto gemm = benchutil::make_measured_coder(core::Backend::Gemm, parity_for(c));
+    const auto uezato = core::make_coder(core::Backend::Uezato, parity_for(c));
+    const auto gemm = core::make_coder(core::Backend::Gemm, parity_for(c));
     const double uezato_gbps = benchutil::median_encode_gbps(
         *uezato, data.span(), parity.span(), kUnit, 11);
     const double gemm_gbps = benchutil::median_encode_gbps(
         *gemm, data.span(), parity.span(), kUnit, 11);
     double isal_gbps = 0;
     if (c.w == 8) {
-      const auto isal = benchutil::make_measured_coder(core::Backend::Isal, parity_for(c));
+      const auto isal = core::make_coder(core::Backend::Isal, parity_for(c));
       isal_gbps = benchutil::median_encode_gbps(*isal, data.span(),
                                                 parity.span(), kUnit, 11);
     }

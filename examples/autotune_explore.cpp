@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
   const std::size_t unit = 128 * 1024;
 
   core::Codec codec(params);
+  // A Codec starts from the tuned shape this search tends to find; the
+  // baseline is the untuned schedule a tuning session must beat.
+  codec.set_schedule(tensor::default_schedule());
   std::printf("autotuning k=%zu r=%zu w=%u encode at %zu KB units, "
               "%zu trials, policy=model-guided\n",
               params.k, params.r, params.w, unit / 1024, trials);

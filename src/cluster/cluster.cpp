@@ -72,6 +72,8 @@ void Cluster::put(const std::string& name,
 
   ObjectMeta meta;
   meta.size = bytes.size();
+  // Every byte is rewritten per stripe: the data by the copy below (and
+  // a short last stripe's padding by the fill), the parity by encode.
   std::vector<std::uint8_t> stripe(n * unit_size_);
   std::vector<std::size_t> failed_stripes;
   for (std::size_t s = 0; s < num_stripes; ++s) {
@@ -84,10 +86,11 @@ void Cluster::put(const std::string& name,
     for (std::size_t u = 0; u < n; ++u)
       loc.nodes[u] = (start + u) % nodes_.size();
 
-    std::fill(stripe.begin(), stripe.end(), 0);
     const std::size_t off = s * stripe_data;
     const std::size_t take = std::min(stripe_data, bytes.size() - off);
     std::memcpy(stripe.data(), bytes.data() + off, take);
+    std::fill(stripe.begin() + static_cast<std::ptrdiff_t>(take),
+              stripe.begin() + static_cast<std::ptrdiff_t>(stripe_data), 0);
     codec_.encode(std::span<const std::uint8_t>(stripe.data(), stripe_data),
                   std::span<std::uint8_t>(stripe.data() + stripe_data,
                                           (n - k) * unit_size_),
@@ -361,7 +364,7 @@ bool Cluster::corrupt_unit(const std::string& name, std::size_t stripe,
   if (node_failed(node)) return false;
   const auto uit = nodes_[node].units.find({name, stripe, unit});
   if (uit == nodes_[node].units.end()) return false;
-  uit->second.bytes[0] ^= 0x5A;
+  uit->second[0] ^= 0x5A;
   return true;
 }
 
@@ -382,7 +385,7 @@ StripeScrubResult Cluster::scrub_stripe(const std::string& name,
     if (!node_usable(node)) continue;
     const auto uit = nodes_[node].units.find({name, s, u});
     if (uit == nodes_[node].units.end()) continue;
-    if (storage::crc32c(uit->second.bytes) == loc.unit_crcs[u]) {
+    if (storage::crc32c(uit->second) == loc.unit_crcs[u]) {
       ++res.units_verified;
     } else {
       ++res.crc_errors;
@@ -446,14 +449,12 @@ bool Cluster::store_unit(const std::string& name, const StripeLocation& loc,
   net_.advance(latency);
   if (!shipped) return false;
 
-  StoredUnit unit;
-  unit.bytes.assign(src, src + unit_size_);
-  // The recorded checksum is of the *intended* bytes: injected write
-  // corruption must stay detectable on read.
-  unit.crc = storage::crc32c({src, unit_size_});
+  // The metadata checksum was taken from the *intended* bytes, so
+  // injected write corruption stays detectable on read.
+  std::vector<std::uint8_t> unit(src, src + unit_size_);
   if (injector_ != nullptr &&
       !injector_->on_write(node, storage::FaultInjector::key(name, s, u),
-                           unit.bytes)) {
+                           unit)) {
     mark_node_failed(node);
     return false;
   }
@@ -480,7 +481,10 @@ Cluster::UnitRead Cluster::fetch_unit(const std::string& name,
           result = UnitRead::Missing;
           return storage::Attempt::Abort;
         }
-        std::vector<std::uint8_t> copy = uit->second.bytes;
+        // The attempt's copy is dest itself: read faults land there, and
+        // the next attempt re-copies the stored bytes over them.
+        const std::span<std::uint8_t> copy(dest, unit_size_);
+        std::memcpy(dest, uit->second.data(), unit_size_);
         if (injector_ != nullptr) {
           switch (injector_->on_read(
               node, storage::FaultInjector::key(name, s, u), copy)) {
@@ -507,7 +511,6 @@ Cluster::UnitRead Cluster::fetch_unit(const std::string& name,
           result = UnitRead::Corrupt;
           return storage::Attempt::Retry;
         }
-        std::memcpy(dest, copy.data(), unit_size_);
         result = UnitRead::Ok;
         return storage::Attempt::Success;
       });

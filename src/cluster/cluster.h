@@ -22,11 +22,13 @@
 /// store; every unit that moves between endpoints moves over the
 /// modeled Network (so traffic, latency, and link faults are accounted),
 /// and every local disk op consults the shared FaultInjector (so disk
-/// and wire chaos replay from one seed). Units carry CRC-32C checksums
-/// both on the node and in object metadata, so corruption is caught on
-/// read and every reconstruction is verified before it is returned or
-/// stored. The defaults (one failure domain) give a single-rack store;
-/// the network model only adds virtual time.
+/// and wire chaos replay from one seed). Each unit's CRC-32C checksum
+/// lives in the object metadata only, computed once from the intended
+/// bytes when the unit is written; a node stores bare bytes. Every read,
+/// scrub and reconstruction is checked against that metadata checksum,
+/// so corruption is caught before bytes are returned or stored. The
+/// defaults (one failure domain) give a single-rack store; the network
+/// model only adds virtual time.
 ///
 /// Robustness features:
 ///  - stripe placement across failure domains (a stripe's n units spread
@@ -307,13 +309,12 @@ class Cluster {
  private:
   friend class RepairCoordinator;
 
-  struct StoredUnit {
-    std::vector<std::uint8_t> bytes;
-    std::uint32_t crc = 0;
-  };
   struct Node {
     bool failed = false;
-    std::map<std::tuple<std::string, std::size_t, std::size_t>, StoredUnit>
+    /// Stored bytes per (object, stripe, unit); their checksum is the
+    /// metadata's unit_crcs entry.
+    std::map<std::tuple<std::string, std::size_t, std::size_t>,
+             std::vector<std::uint8_t>>
         units;
     /// Unit keys held when the node was marked failed — the
     /// re-replication debt a later revive owes (see revive_node).
@@ -334,8 +335,10 @@ class Cluster {
   /// against metadata (one re-read on mismatch). With `latency_us` it is
   /// a client RPC: the payload crosses the network node -> client, a
   /// dropped response is retried, and *latency_us receives the modeled
-  /// response latency. Null is a repair helper's node-local read. On Ok,
-  /// dest holds unit_size_ bytes.
+  /// response latency. Null is a repair helper's node-local read. Each
+  /// attempt copies the stored bytes straight into dest and applies read
+  /// faults there, so on Ok dest holds the verified unit_size_ bytes; on
+  /// any other result its contents are unspecified.
   UnitRead fetch_unit(const std::string& name, const StripeLocation& loc,
                       std::size_t s, std::size_t u, std::uint8_t* dest,
                       std::uint64_t* latency_us);

@@ -353,17 +353,16 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
             ++report.hops;
             report.makespan_us += ser;
           }
-          Cluster::StoredUnit su;
-          su.bytes = recovered[i];
-          su.crc = loc.unit_crcs[uid];
+          // Verified against loc.unit_crcs already; nothing to re-CRC.
+          std::vector<std::uint8_t> bytes = std::move(recovered[i]);
           if (cluster_.injector_ != nullptr &&
               !cluster_.injector_->on_write(
                   target, storage::FaultInjector::key(name, s, uid),
-                  su.bytes)) {
+                  bytes)) {
             cluster_.mark_node_failed(target);
             return false;
           }
-          cluster_.nodes_[target].units[{name, s, uid}] = std::move(su);
+          cluster_.nodes_[target].units[{name, s, uid}] = std::move(bytes);
           loc.nodes[uid] = target;
           ++report.units_repaired;
           ++stats_.units_repaired;
@@ -526,7 +525,7 @@ RepairCoordinator::StripeDamage RepairCoordinator::assess_stripe(
     if (!bad) {
       const auto it = cluster_.nodes_[node].units.find({name, s, u});
       bad = it == cluster_.nodes_[node].units.end() ||
-            storage::crc32c(it->second.bytes) != loc.unit_crcs[u];
+            storage::crc32c(it->second) != loc.unit_crcs[u];
     }
     (bad ? damage.erased : damage.survivors).push_back(u);
   }

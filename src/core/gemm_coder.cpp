@@ -28,8 +28,19 @@ tensor::AlignedBuffer<std::uint64_t> build_masks(const gf::Matrix& coeffs) {
 
 }  // namespace
 
+tensor::Schedule default_coder_schedule() noexcept {
+  tensor::Schedule s;
+  s.tile_m = 8;
+  s.tile_n = 16;
+  s.block_k = 0;
+  s.block_n = 512;
+  s.num_threads = 1;
+  s.par_axis = tensor::ParAxis::N;  // the long axis for EC shapes
+  return s;
+}
+
 GemmCoder::GemmCoder(const gf::Matrix& coeffs)
-    : GemmCoder(coeffs, tensor::default_schedule()) {}
+    : GemmCoder(coeffs, default_coder_schedule()) {}
 
 GemmCoder::GemmCoder(const gf::Matrix& coeffs, const tensor::Schedule& schedule)
     : w_(coeffs.field().w()),

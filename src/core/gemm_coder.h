@@ -29,6 +29,16 @@ struct ScatteredCoderItem {
   std::size_t unit_size = 0;
 };
 
+/// The schedule every GemmCoder, and so every Codec, starts from: the
+/// representative tuned shape for EC task shapes (mt8x16, K unblocked,
+/// N blocked by 512 words), what the autotuner converges to on
+/// AVX-512-class hosts. One thread: a pool-wide default lost end to end
+/// on the object store's 64 KiB stripes although the bare encode ran
+/// faster; serve opens the knob per batch (default_service_schedule).
+/// tensor::default_schedule() stays the untuned baseline a tuning
+/// session must beat.
+tensor::Schedule default_coder_schedule() noexcept;
+
 class GemmCoder final : public ec::MatrixCoder {
  public:
   /// Scattered items with units smaller than this are routed to the
@@ -38,7 +48,7 @@ class GemmCoder final : public ec::MatrixCoder {
   /// (0 disables routing — every qualified item goes zero-copy).
   static constexpr std::size_t kScatteredStageMaxBytes = 16 * 1024;
 
-  /// Expands the coefficient matrix; starts with the default schedule.
+  /// Expands the coefficient matrix; starts with default_coder_schedule().
   explicit GemmCoder(const gf::Matrix& coeffs);
   GemmCoder(const gf::Matrix& coeffs, const tensor::Schedule& schedule);
 

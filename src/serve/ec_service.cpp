@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/backends.h"
+#include "core/gemm_coder.h"
 #include "ec/code_params.h"
 #include "ec/decoder.h"
 #include "ec/encoder.h"
@@ -73,15 +74,9 @@ const char* to_string(HealthState s) noexcept {
 }
 
 tensor::Schedule default_service_schedule() {
-  tensor::Schedule s = tensor::default_schedule();
-  // The representative tuned shape from the encode benches: a wide
-  // register tile with cache blocking over the (long, batched) N axis.
-  s.tile_m = 8;
-  s.tile_n = 16;
-  s.block_n = 512;
-  s.par_axis = tensor::ParAxis::N;
-  // Open the thread knob to the whole pool; effective_gemm_threads()
-  // narrows it per batch.
+  // Every Codec's tuned default shape, with the thread knob opened to
+  // the whole pool; effective_gemm_threads() narrows it per batch.
+  tensor::Schedule s = core::default_coder_schedule();
   s.num_threads = static_cast<int>(
       std::min<std::size_t>(tensor::ThreadPool::shared().size(), 256));
   return s;

@@ -59,8 +59,8 @@
 ///    per-batch width land in log-bucketed histograms (serve/stats.h).
 namespace tvmec::serve {
 
-/// The GEMM schedule service codecs start from: the representative tuned
-/// tile shape with the thread knob opened to the shared pool's width
+/// The GEMM schedule service codecs start from: core::default_coder_schedule()
+/// with the thread knob opened to the shared pool's width
 /// (effective_gemm_threads() then caps it per batch).
 tensor::Schedule default_service_schedule();
 

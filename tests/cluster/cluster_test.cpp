@@ -51,6 +51,18 @@ TEST(Cluster, PutGetRoundtripWithPadding) {
   EXPECT_EQ(*got, payload);
   EXPECT_EQ(cluster.stats().degraded_reads, 0u);
 
+  // The short last stripe stores its padding as zeros, not as bytes of
+  // the stripe before it left over in put's stripe buffer.
+  const auto is_zero = [](std::uint8_t b) { return b == 0; };
+  const auto tail = cluster.read_unit("obj", 3, 0);
+  EXPECT_TRUE(
+      std::equal(tail.begin(), tail.begin() + 137, payload.end() - 137));
+  EXPECT_TRUE(std::all_of(tail.begin() + 137, tail.end(), is_zero));
+  for (std::size_t u = 1; u < 4; ++u) {
+    const auto pad = cluster.read_unit("obj", 3, u);
+    EXPECT_TRUE(std::all_of(pad.begin(), pad.end(), is_zero)) << "unit " << u;
+  }
+
   EXPECT_FALSE(cluster.get("nope").has_value());
   cluster.remove("obj");
   EXPECT_FALSE(cluster.exists("obj"));

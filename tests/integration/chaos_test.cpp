@@ -176,6 +176,40 @@ TEST(Chaos, ClusterCampaignIsDeterministic) {
                c.faults.transient_errors == a.faults.transient_errors);
 }
 
+/// ClusterCampaignIsDeterministic compares two runs of one binary, so a
+/// change to the order or number of injector calls would still pass it.
+/// This pins the seed-1 outcome itself: a storage-path change that keeps
+/// it replays every seeded campaign recorded before it.
+TEST(Chaos, ClusterCampaignSeed1OutcomeIsPinned) {
+  const ChaosOutcome out = cluster_chaos(kCampaignSeed);
+  EXPECT_EQ(out.faults.reads, 987u);
+  EXPECT_EQ(out.faults.writes, 422u);
+  EXPECT_EQ(out.faults.write_bit_flips, 7u);
+  EXPECT_EQ(out.faults.torn_writes, 2u);
+  EXPECT_EQ(out.faults.writes_corrupted, 9u);
+  EXPECT_EQ(out.faults.read_bit_flips, 0u);
+  EXPECT_EQ(out.faults.transient_bursts, 55u);
+  EXPECT_EQ(out.faults.transient_errors, 55u);
+  EXPECT_EQ(out.faults.crashes, 2u);
+
+  EXPECT_EQ(out.store.degraded_reads, 48u);
+  EXPECT_EQ(out.store.units_repaired, 92u);
+  EXPECT_EQ(out.store.corruptions_detected, 9u);
+  EXPECT_EQ(out.store.units_lost_on_revive, 83u);
+
+  EXPECT_EQ(out.scrub.stripes_scanned, 55u);
+  EXPECT_EQ(out.scrub.crc_errors, 9u);
+  EXPECT_EQ(out.scrub.units_repaired, 9u);
+  EXPECT_EQ(out.scrub.unrecoverable_stripes, 0u);
+
+  EXPECT_EQ(out.retries.attempts, 1598u);
+  EXPECT_EQ(out.retries.retries, 55u);
+  EXPECT_EQ(out.retries.exhausted, 0u);
+
+  EXPECT_EQ(out.degraded_under_transients, 0u);
+  EXPECT_EQ(out.repaired_after_crash, 83u);
+}
+
 TEST(Chaos, RaidArrayReadFaultsAndLatentCorruption) {
   const auto run = [](std::uint64_t seed) {
     RaidArray raid(ec::CodeParams{4, 2, 8}, 256, 16);
