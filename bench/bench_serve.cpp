@@ -2,12 +2,14 @@
 // one-at-a-time execution. The paper's thesis is that EC is a GEMM and
 // GEMM efficiency grows with operand size; a front-end serving workload
 // of small concurrent requests squanders that unless requests coalesce.
-// This bench drives EcService with a closed-loop load generator and
-// reports throughput and p50/p99/p99.9 latency vs offered load (client
-// count) for the batched service against the batching=false ablation,
-// then sweeps the batch-size cap at fixed load, and finally demonstrates
-// admission control (bounded queue, Overloaded rejections) under an
-// open-loop burst. Pass --smoke for the CI-sized run.
+// This bench drives an EcService — the one shard of a ShardedEcService
+// front, which owns the serve threads — with a closed-loop load
+// generator and reports throughput and p50/p99/p99.9 latency vs offered
+// load (client count) for the batched service against the
+// one-request-at-a-time ablation (batch cap 1), then sweeps the
+// batch-size cap at fixed load, and finally demonstrates admission
+// control (bounded queue, Overloaded rejections) under an open-loop
+// burst. Pass --smoke for the CI-sized run.
 //
 // E20 (overload protection) rides in the same binary: goodput under a
 // 4x-overloaded closed loop with deadline shedding + watchdog
@@ -28,6 +30,7 @@
 #include "bench_util.h"
 #include "core/tvmec.h"
 #include "serve/ec_service.h"
+#include "serve/shard.h"
 #include "tensor/cancel.h"
 #include "tensor/threadpool.h"
 
@@ -55,17 +58,27 @@ struct LoadResult {
 
 double us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
 
+/// A one-shard front: `workers` threads pump one EcService. No QoS and
+/// no buffer pools, so the front adds only its threads, its watchdog and
+/// tenant accounting on the submit path.
+serve::ShardedServiceConfig one_shard_front(std::size_t workers) {
+  serve::ShardedServiceConfig cfg;
+  cfg.num_shards = 1;
+  cfg.workers_per_shard = workers;
+  cfg.qos_enforcement = false;
+  cfg.pool_bytes_per_shard = 0;
+  return cfg;
+}
+
 /// Closed-loop load: `clients` threads each submit-and-wait in a loop.
 /// Offered load rises with the client count; the service coalesces
 /// whatever overlaps in the queue.
 LoadResult run_closed_loop(std::size_t clients, std::size_t per_client,
                            bool batching, std::size_t batch_cap) {
-  serve::ServiceConfig cfg;
-  cfg.num_workers = 1;
-  cfg.batching = batching;
-  cfg.batch.max_batch_requests = batch_cap;
-  cfg.batch.queue_capacity = 4096;  // closed loop: never the bottleneck
-  serve::EcService service(cfg);
+  serve::ShardedServiceConfig cfg = one_shard_front(/*workers=*/1);
+  cfg.shard.batch.max_batch_requests = batching ? batch_cap : 1;
+  cfg.shard.batch.queue_capacity = 4096;  // closed loop: never the bottleneck
+  serve::ShardedEcService service(cfg);
 
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
@@ -76,8 +89,9 @@ LoadResult run_closed_loop(std::size_t clients, std::size_t per_client,
           benchutil::random_data(kK * kUnit, 0xE19 + 977 * c);
       tensor::AlignedBuffer<std::uint8_t> parity(kR * kUnit);
       for (std::size_t i = 0; i < per_client; ++i) {
-        serve::EcFuture f =
-            service.submit_encode(kKey, data.span(), parity.span(), kUnit);
+        serve::EcFuture f = service.submit_encode(
+            /*tenant=*/1, /*client=*/c, kKey, data.span(), parity.span(),
+            kUnit);
         f.wait();
       }
     });
@@ -88,7 +102,7 @@ LoadResult run_closed_loop(std::size_t clients, std::size_t per_client,
           .count();
   service.shutdown();
 
-  const serve::ServeStatsSnapshot s = service.stats();
+  const serve::ServeStatsSnapshot s = service.stats().aggregate;
   LoadResult r;
   r.ok = s.completed_ok;
   r.rejected = s.rejected_overload;
@@ -104,7 +118,7 @@ LoadResult run_closed_loop(std::size_t clients, std::size_t per_client,
 void print_load_sweep() {
   benchutil::print_header(
       "E19a: closed-loop serving, batched vs one-at-a-time "
-      "(k=10 r=4 w=8, 4 KiB units, 1 service worker)",
+      "(k=10 r=4 w=8, 4 KiB units, one-shard front, 1 worker)",
       "coalescing concurrent small requests into one wide-N GEMM lifts "
       "throughput and tames tail latency as offered load grows");
 
@@ -160,8 +174,9 @@ void print_admission_control() {
   const std::size_t capacity = 64;
   const std::size_t burst = g_smoke ? 128 : 256;
 
+  // A standalone service runs nothing until pumped, so the whole burst
+  // lands before any batch executes.
   serve::ServiceConfig cfg;
-  cfg.num_workers = 0;  // hold the queue closed while the burst lands
   cfg.batch.queue_capacity = capacity;
   cfg.batch.max_batch_requests = 32;
   serve::EcService service(cfg);
@@ -187,7 +202,9 @@ void print_admission_control() {
       capacity, burst, static_cast<unsigned long long>(s.accepted),
       static_cast<unsigned long long>(s.rejected_overload),
       static_cast<unsigned long long>(s.completed_ok),
-      s.submitted == s.accepted + s.rejected_overload ? "ok" : "VIOLATED");
+      s.admission_balanced() && s.rejected_shed + s.rejected_shutdown == 0
+          ? "ok"
+          : "VIOLATED");
 }
 
 // ---- E20: overload protection ---------------------------------------------
@@ -218,14 +235,13 @@ struct OverloadResult {
 OverloadResult run_overload(std::size_t clients, std::size_t per_client,
                             std::chrono::nanoseconds deadline,
                             bool protection) {
-  serve::ServiceConfig cfg;
-  cfg.num_workers = 1;
-  cfg.batch.max_batch_requests = kOverloadBatch;
-  cfg.batch.queue_capacity = 4096;
-  cfg.batch.deadline_shedding = protection;
+  serve::ShardedServiceConfig cfg = one_shard_front(/*workers=*/1);
+  cfg.shard.batch.max_batch_requests = kOverloadBatch;
+  cfg.shard.batch.queue_capacity = 4096;
+  cfg.shard.batch.deadline_shedding = protection;
   cfg.watchdog.enabled = protection;
   cfg.watchdog.poll = std::chrono::milliseconds(1);
-  serve::EcService service(cfg);
+  serve::ShardedEcService service(cfg);
 
   std::mutex merge_mutex;
   std::int64_t max_overshoot_ns = 0;
@@ -265,8 +281,8 @@ OverloadResult run_overload(std::size_t clients, std::size_t per_client,
           window.erase(window.begin());
         }
         window.push_back(service.submit_encode(
-            kKey, data.span(), parity[i % kWindow].span(), kBigUnit,
-            deadline));
+            /*tenant=*/1, /*client=*/c, kKey, data.span(),
+            parity[i % kWindow].span(), kBigUnit, deadline));
       }
       for (auto& f : window) reap(f);
       std::lock_guard lock(merge_mutex);
@@ -279,7 +295,7 @@ OverloadResult run_overload(std::size_t clients, std::size_t per_client,
           .count();
   service.shutdown();
 
-  const serve::ServeStatsSnapshot s = service.stats();
+  const serve::ServeStatsSnapshot s = service.stats().aggregate;
   OverloadResult r;
   r.good = good.load();
   r.ok = s.completed_ok;
@@ -317,16 +333,15 @@ void print_goodput_overload() {
   // a 4x overload against the deadline.
   std::chrono::nanoseconds t1{0};
   {
-    serve::ServiceConfig cfg;
-    cfg.num_workers = 1;
-    serve::EcService service(cfg);
+    serve::ShardedEcService service(one_shard_front(/*workers=*/1));
     const auto data = benchutil::random_data(kK * kBigUnit, 0xE20A);
     tensor::AlignedBuffer<std::uint8_t> parity(kR * kBigUnit);
     const auto m0 = std::chrono::steady_clock::now();
     constexpr int kProbe = 8;
     for (int i = 0; i < kProbe; ++i)
       service
-          .submit_encode(kKey, data.span(), parity.span(), kBigUnit)
+          .submit_encode(/*tenant=*/1, /*client=*/0, kKey, data.span(),
+                         parity.span(), kBigUnit)
           .wait();
     t1 = std::chrono::duration_cast<std::chrono::nanoseconds>(
         (std::chrono::steady_clock::now() - m0) / kProbe);
@@ -423,22 +438,21 @@ bool run_chaos_smoke() {
       "faults cost latency, never bytes: requests ride the singly-rescue "
       "or degraded naive path while the breaker trips and recovers");
 
-  serve::ServiceConfig cfg;
-  cfg.num_workers = 2;
-  cfg.batch.max_batch_requests = 16;
-  cfg.batch.queue_capacity = 512;
-  cfg.batch.deadline_shedding = true;
+  serve::ShardedServiceConfig cfg = one_shard_front(/*workers=*/2);
+  cfg.shard.batch.max_batch_requests = 16;
+  cfg.shard.batch.queue_capacity = 512;
+  cfg.shard.batch.deadline_shedding = true;
   cfg.watchdog.poll = std::chrono::milliseconds(1);
-  cfg.breaker.failure_threshold = 3;
-  cfg.breaker.success_threshold = 2;
-  cfg.breaker.cooldown = std::chrono::milliseconds(2);
+  cfg.shard.breaker.failure_threshold = 3;
+  cfg.shard.breaker.success_threshold = 2;
+  cfg.shard.breaker.cooldown = std::chrono::milliseconds(2);
   std::atomic<std::uint64_t> dispatches{0};
-  cfg.fault_injector = [&](serve::RequestKind, const serve::CodecKey&,
-                           std::size_t) {
+  cfg.shard.fault_injector = [&](serve::RequestKind, const serve::CodecKey&,
+                                 std::size_t) {
     // 20-batch failure bursts separated by 40 healthy batches.
     return dispatches.fetch_add(1, std::memory_order_relaxed) % 60 < 20;
   };
-  serve::EcService service(cfg);
+  serve::ShardedEcService service(cfg);
 
   const std::size_t clients = 4;
   const std::size_t per_client = g_smoke ? 60 : 200;
@@ -460,12 +474,13 @@ bool run_chaos_smoke() {
                                  : std::chrono::nanoseconds{0};
         serve::EcFuture f =
             i % 3 == 2
-                ? service.submit_decode(kKey, stripe.span(),
+                ? service.submit_decode(/*tenant=*/1, /*client=*/c, kKey,
+                                        stripe.span(),
                                         patterns[i % std::size(patterns)],
                                         kUnit,
                                         std::chrono::nanoseconds(timeout))
-                : service.submit_encode(kKey, data.span(), parity.span(),
-                                        kUnit,
+                : service.submit_encode(/*tenant=*/1, /*client=*/c, kKey,
+                                        data.span(), parity.span(), kUnit,
                                         std::chrono::nanoseconds(timeout));
         if (i % 7 == 6) f.cancel();
         f.wait();
@@ -475,13 +490,11 @@ bool run_chaos_smoke() {
   for (auto& t : threads) t.join();
   service.shutdown();
 
-  const serve::ServeStatsSnapshot s = service.stats();
-  const bool submit_identity =
-      s.submitted == s.accepted + s.rejected_overload + s.rejected_shed +
-                         s.rejected_shutdown;
-  const bool outcome_identity =
-      s.accepted == s.completed_ok + s.expired + s.failed + s.cancelled +
-                        s.shutdown_drained;
+  const serve::ShardedStatsSnapshot fs = service.stats();
+  const serve::ServeStatsSnapshot& s = fs.aggregate;
+  const bool submit_identity = s.admission_balanced();
+  const bool outcome_identity = s.drained_balanced();
+  const bool front_identity = fs.front_balanced();
   const bool tripped = s.breaker_trips >= 1;
   std::printf(
       "submitted %llu: ok %llu, shed %llu, expired %llu, cancelled %llu, "
@@ -490,6 +503,7 @@ bool run_chaos_smoke() {
       "/ probes %llu, watchdog aborts %llu\n"
       "identity submitted == accepted + rejections: %s\n"
       "identity accepted == terminal outcomes: %s\n"
+      "identity shard and tenant sums == front aggregate: %s\n"
       "breaker observed tripping: %s\n",
       static_cast<unsigned long long>(s.submitted),
       static_cast<unsigned long long>(s.completed_ok),
@@ -504,7 +518,8 @@ bool run_chaos_smoke() {
       static_cast<unsigned long long>(s.breaker_probes),
       static_cast<unsigned long long>(s.watchdog_aborts),
       submit_identity ? "ok" : "VIOLATED",
-      outcome_identity ? "ok" : "VIOLATED", tripped ? "yes" : "NO");
+      outcome_identity ? "ok" : "VIOLATED",
+      front_identity ? "ok" : "VIOLATED", tripped ? "yes" : "NO");
   const std::uint64_t plan_lookups = s.plan_cache_hits + s.plan_cache_misses;
   std::printf(
       "plan cache: %llu hits / %llu misses (hit rate %.1f%%)\n",
@@ -516,18 +531,19 @@ bool run_chaos_smoke() {
   if (s.failed != 0)
     std::printf("(failed must be 0 — injected faults may only cost "
                 "latency)\n");
-  return submit_identity && outcome_identity && tripped && s.failed == 0;
+  return submit_identity && outcome_identity && front_identity && tripped &&
+         s.failed == 0;
 }
 
 void bm_submit_wait(benchmark::State& state) {
-  serve::ServiceConfig cfg;
-  cfg.batching = state.range(0) != 0;
-  serve::EcService service(cfg);
+  serve::ShardedServiceConfig cfg = one_shard_front(/*workers=*/1);
+  if (state.range(0) == 0) cfg.shard.batch.max_batch_requests = 1;
+  serve::ShardedEcService service(cfg);
   const auto data = benchutil::random_data(kK * kUnit, 0xE19D);
   tensor::AlignedBuffer<std::uint8_t> parity(kR * kUnit);
   for (auto _ : state) {
-    serve::EcFuture f =
-        service.submit_encode(kKey, data.span(), parity.span(), kUnit);
+    serve::EcFuture f = service.submit_encode(
+        /*tenant=*/1, /*client=*/0, kKey, data.span(), parity.span(), kUnit);
     f.wait();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

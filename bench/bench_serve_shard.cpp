@@ -77,23 +77,15 @@ class Zipf {
 bool check_identities(const serve::ShardedStatsSnapshot& s,
                       const char* label) {
   const serve::ServeStatsSnapshot& a = s.aggregate;
-  bool ok = a.submitted == a.accepted + a.rejected_overload +
-                               a.rejected_shed + a.rejected_shutdown;
-  ok = ok && a.accepted == a.completed_ok + a.expired + a.failed +
-                               a.cancelled + a.shutdown_drained;
+  bool ok = a.admission_balanced() && a.drained_balanced();
   for (const serve::TenantCounters& t : s.tenants)
     ok = ok && t.admission_balanced() && t.drained_balanced();
   const serve::TenantCounters& ta = s.tenant_aggregate;
-  ok = ok && ta.submitted == a.submitted && ta.accepted == a.accepted &&
-       ta.completed_ok == a.completed_ok &&
-       ta.rejected() == a.rejected_overload + a.rejected_shed +
-                            a.rejected_shutdown &&
-       ta.in_queue == 0;
-  std::uint64_t shard_submitted = 0;
-  for (const serve::ShardStatsSnapshot& sh : s.shards)
-    shard_submitted += sh.stats.submitted;
-  ok = ok && shard_submitted + s.qos_rejected == a.submitted;
+  ok = ok && s.front_balanced() && ta.in_queue == 0;
   if (!ok) {
+    std::uint64_t shard_submitted = 0;
+    for (const serve::ShardStatsSnapshot& sh : s.shards)
+      shard_submitted += sh.stats.submitted;
     std::printf(
         "COUNTER IDENTITY VIOLATED (%s)\n"
         "  aggregate: submitted %llu accepted %llu ovl %llu shed %llu "

@@ -256,8 +256,10 @@ std::size_t ContinuousAutotuner::run_cycle() {
     options.trials = policy_.trials;
     options.seed = policy_.seed ^ (shape.m * 1000003 + shape.n * 10007 +
                                    shape.k * 101);
+    // Serial trials: a tuning run must never fork the shared GEMM pool
+    // out from under live batches.
     const tune::TuneResult result =
-        scratch.tune(pair.unit_size, options, policy_.tune_threads);
+        scratch.tune(pair.unit_size, options, /*max_threads=*/1);
     {
       std::lock_guard lock(stats_mutex_);
       stats_.trials_run += result.history.size();

@@ -150,9 +150,6 @@ struct AutotunePolicy {
   /// front construction (warm start), rewritten after any cycle that
   /// installed a new winner.
   std::string log_path;
-  /// Thread-knob cap for tuning trials (keep at 1 so trials never fork
-  /// the shared GEMM pool out from under live batches).
-  int tune_threads = 1;
   std::uint64_t seed = 42;
   /// false = no background thread; the owner drives run_cycle()
   /// manually (tests, manual-pump fuzzing).

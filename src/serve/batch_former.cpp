@@ -81,11 +81,6 @@ BatchFormer::LaneMap::iterator BatchFormer::oldest_lane_locked() {
   return oldest;
 }
 
-bool BatchFormer::lane_batch_ready_locked(const Lane& lane) const {
-  return lane.queue.size() >= policy_.max_batch_requests ||
-         lane.bytes >= policy_.max_batch_bytes;
-}
-
 std::vector<PendingRequest> BatchFormer::pop_batch_locked(
     LaneMap::iterator it) {
   Lane& lane = it->second;
@@ -114,27 +109,6 @@ std::vector<PendingRequest> BatchFormer::pop_batch_locked(
     }
   }
   return batch;
-}
-
-std::vector<PendingRequest> BatchFormer::next_batch() {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    work_cv_.wait(lock, [&] { return total_ > 0 || closed_; });
-    if (total_ == 0) return {};  // closed and drained
-    const auto it = oldest_lane_locked();
-    // Linger: give the oldest lane a bounded window to fill before
-    // dispatching a small batch. Re-evaluated from scratch after every
-    // wakeup — another consumer may have taken the lane meanwhile.
-    if (policy_.linger > std::chrono::nanoseconds{0} && !closed_ &&
-        !lane_batch_ready_locked(it->second)) {
-      const auto until = it->second.queue.front().submitted + policy_.linger;
-      if (Clock::now() < until) {
-        work_cv_.wait_until(lock, until);
-        continue;
-      }
-    }
-    return pop_batch_locked(it);
-  }
 }
 
 bool BatchFormer::wait_for_work(std::chrono::nanoseconds timeout) const {

@@ -11,7 +11,7 @@
 #include "serve/request.h"
 
 /// Admission control + batch formation: the queue between submitters and
-/// the service workers.
+/// the threads that pump the service.
 ///
 /// The structure is a bounded multi-producer multi-consumer queue that
 /// is *class-aware*: requests land in per-(kind, codec-key) FIFO lanes,
@@ -38,10 +38,6 @@ struct BatchPolicy {
   /// always taken, so a single oversized request bypasses coalescing and
   /// forms a batch of one.
   std::size_t max_batch_bytes = std::size_t{8} << 20;
-  /// How long a forming batch may wait for more compatible requests
-  /// after its head arrived (0 = dispatch immediately). Bounded by each
-  /// request's deadline at execution time, not here.
-  std::chrono::nanoseconds linger{0};
   /// Per-lane queued-request cap (fairness): one hot (kind, key) class
   /// cannot occupy more than this many queue slots, so other classes
   /// always find room under sustained single-class overload.
@@ -73,22 +69,17 @@ class BatchFormer {
   /// Admission: O(log lanes) under the mutex, never blocks.
   PushResult push(PendingRequest request);
 
-  /// Blocks until work is available (or the former closes), then forms
-  /// and returns one batch from the oldest lane. All requests of a batch
-  /// share (kind, key). Returns an empty vector exactly when the former
-  /// is closed *and* drained — the worker-loop exit condition.
-  std::vector<PendingRequest> next_batch();
-
-  /// Non-blocking variant (ignores linger): false when nothing is
-  /// queued. The manual-pump mode of EcService uses this, which is what
-  /// makes rejection/deadline accounting deterministic under test.
+  /// Forms one batch from the oldest lane into `out` without blocking;
+  /// false when nothing is queued. All requests of a batch share (kind,
+  /// key). Queued work stays poppable after close() (drain-on-shutdown).
   bool try_next_batch(std::vector<PendingRequest>& out);
 
   /// Blocks until at least one request is queued, the former closes, or
-  /// `timeout` elapses; true when work is available. The sharded front's
-  /// shard workers use this as their idle wait — bounded, so a worker
-  /// whose own queue is empty still wakes up to scan neighbors for
-  /// stealable load instead of parking forever.
+  /// `timeout` elapses; true when work is available, so false with the
+  /// former closed means closed *and* drained. The sharded front's
+  /// workers use this as their idle wait — bounded, so a worker whose
+  /// own queue is empty still wakes up to scan neighbors for stealable
+  /// load instead of parking forever.
   bool wait_for_work(std::chrono::nanoseconds timeout) const;
 
   /// Closes the queue: subsequent pushes fail with Closed, blocked
@@ -132,7 +123,6 @@ class BatchFormer {
   using LaneMap = std::map<BatchClass, Lane>;
 
   LaneMap::iterator oldest_lane_locked();
-  bool lane_batch_ready_locked(const Lane& lane) const;
   std::vector<PendingRequest> pop_batch_locked(LaneMap::iterator it);
 
   const BatchPolicy policy_;

@@ -10,6 +10,7 @@
 #include "ec/code_params.h"
 #include "ec/decoder.h"
 #include "ec/encoder.h"
+#include "serve/tenant.h"
 #include "tensor/threadpool.h"
 #include "tensor/variant.h"
 
@@ -19,14 +20,6 @@ using std::chrono::duration_cast;
 using std::chrono::nanoseconds;
 
 namespace {
-
-/// The ablation switch: batching=false turns the service into a
-/// one-request-at-a-time executor without touching any other policy.
-BatchPolicy effective_policy(const ServiceConfig& config) {
-  BatchPolicy p = config.batch;
-  if (!config.batching) p.max_batch_requests = 1;
-  return p;
-}
 
 ec::CodeParams params_of(const CodecKey& key) {
   return ec::CodeParams{key.k, key.r, key.w};
@@ -95,20 +88,16 @@ int EcService::effective_gemm_threads(std::size_t batch_words,
       std::min({fair_share, by_work, std::size_t{256}}));
 }
 
-EcService::EcService(const ServiceConfig& config)
+EcService::EcService(const ServiceConfig& config, std::size_t executors,
+                     TenantRegistry* tenants)
     : config_(config),
+      executors_(std::max<std::size_t>(1, executors)),
+      tenants_(tenants),
       plan_cache_(config.plan_cache ? config.plan_cache
                                     : std::make_shared<core::PlanCache>()),
-      former_(effective_policy(config)) {
+      former_(config.batch) {
   if (!config_.schedule.valid())
     throw std::invalid_argument("EcService: invalid schedule");
-  config_.batch = former_.policy();
-
-  workers_.reserve(config_.num_workers);
-  for (std::size_t i = 0; i < config_.num_workers; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-  if (config_.watchdog.enabled)
-    watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
 EcService::~EcService() { shutdown(true); }
@@ -173,11 +162,14 @@ EcFuture EcService::submit_request(EcRequest request) {
   return submit(std::move(request), payload_bytes);
 }
 
+void EcService::observe(const RequestEvent& event) {
+  if (tenants_) tenants_->observe(event);
+}
+
 EcFuture EcService::submit(EcRequest request, std::size_t payload_bytes) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (config_.request_observer)
-    config_.request_observer({RequestEvent::Kind::Submitted, request.tenant,
-                              RequestStatus::Pending, /*admitted=*/false});
+  observe({RequestEvent::Kind::Submitted, request.tenant,
+           RequestStatus::Pending, /*admitted=*/false});
 
   PendingRequest pending;
   pending.req = std::move(request);
@@ -209,10 +201,8 @@ EcFuture EcService::submit(EcRequest request, std::size_t payload_bytes) {
   switch (former_.push(std::move(pending))) {
     case PushResult::Accepted:
       accepted_.fetch_add(1, std::memory_order_relaxed);
-      if (config_.request_observer)
-        config_.request_observer(
-            {RequestEvent::Kind::Accepted, tenant, RequestStatus::Pending,
-             /*admitted=*/true});
+      observe({RequestEvent::Kind::Accepted, tenant, RequestStatus::Pending,
+               /*admitted=*/true});
       break;
     case PushResult::QueueFull:
       reject(RequestStatus::Overloaded);
@@ -245,40 +235,11 @@ void EcService::shutdown(bool drain) {
     }
   }
 
-  if (config_.num_workers == 0) {
-    if (drain) run_pending();
-    former_.close();
-  } else if (drain) {
-    // Workers keep popping batches after close() until the queue is
-    // empty, then see the empty batch and exit.
-    former_.close();
-  } else {
-    // Snatch everything still queued before closing so it completes as
-    // Shutdown instead of being executed. A worker mid-pop may still win
-    // a final batch; that batch simply executes — the guarantee is that
-    // nothing *newly* dequeues for execution after this.
-    auto abandoned = former_.drain_all();
-    former_.close();
-    const auto now = Clock::now();
-    for (PendingRequest& p : abandoned)
-      complete(p, RequestStatus::Shutdown, {}, now, now, 0,
-               /*admitted=*/true);
-  }
+  if (drain) run_pending();
+  former_.close();
 
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
-
-  if (watchdog_.joinable()) {
-    {
-      std::lock_guard wl(watchdog_mutex_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_.join();
-  }
-
-  // Manual-pump leftovers (shutdown(false), or requests pushed between
-  // the last run_pending() and close()).
+  // Leftovers: everything still queued after shutdown(false), or
+  // requests pushed between the last run_pending() and close().
   auto left = former_.drain_all();
   const auto now = Clock::now();
   for (PendingRequest& p : left)
@@ -313,20 +274,6 @@ void EcService::install_schedule(const CodecKey& key,
   slot.codec.set_schedule(schedule);
 }
 
-void EcService::worker_loop() {
-  for (;;) {
-    std::vector<PendingRequest> batch = former_.next_batch();
-    if (batch.empty()) return;  // closed and drained
-    execute_batch(batch);
-  }
-}
-
-std::size_t EcService::executors() const noexcept {
-  return config_.executor_hint != 0
-             ? config_.executor_hint
-             : std::max<std::size_t>(1, config_.num_workers);
-}
-
 EcService::CodecSlot& EcService::codec_slot(const CodecKey& key) {
   std::lock_guard lock(codecs_mutex_);
   auto it = codecs_.find(key);
@@ -342,46 +289,31 @@ EcService::CodecSlot& EcService::codec_slot(const CodecKey& key) {
   return *it->second;
 }
 
-void EcService::watchdog_loop() {
-  const auto poll = std::max<std::chrono::nanoseconds>(
-      config_.watchdog.poll, std::chrono::microseconds(100));
-  std::unique_lock lock(watchdog_mutex_);
-  while (!watchdog_stop_) {
-    watchdog_cv_.wait_for(lock, poll);
-    if (watchdog_stop_) break;
-    lock.unlock();
-
-    const auto now = Clock::now();
-    {
-      std::lock_guard il(inflight_mutex_);
-      for (auto& [id, batch] : inflight_) {
-        // Stuck scan: a batch in flight past the budget is flagged (and
-        // degrades health()) until it completes, whichever thread runs
-        // it.
-        if (!batch.stuck &&
-            now - batch.formed > config_.watchdog.stuck_budget) {
-          batch.stuck = true;
-          watchdog_stuck_.fetch_add(1, std::memory_order_relaxed);
-        }
-        // Abort batches nobody is waiting for anymore: every member is
-        // client-cancelled or past its deadline. A batch with even one
-        // live member runs to completion (its output is still wanted).
-        if (batch.aborted || batch.members.empty()) continue;
-        bool all_dead = true;
-        for (const InflightBatch::Member& m : batch.members)
-          if (!member_dead(m, now)) {
-            all_dead = false;
-            break;
-          }
-        if (all_dead) {
-          batch.source.request_cancel();
-          batch.aborted = true;
-          watchdog_aborts_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+void EcService::watchdog_scan(Clock::time_point now,
+                              std::chrono::nanoseconds stuck_budget) {
+  std::lock_guard il(inflight_mutex_);
+  for (auto& [id, batch] : inflight_) {
+    // Stuck scan: a batch in flight past the budget is flagged (and
+    // degrades health()) until it completes, whichever thread runs it.
+    if (!batch.stuck && now - batch.formed > stuck_budget) {
+      batch.stuck = true;
+      watchdog_stuck_.fetch_add(1, std::memory_order_relaxed);
     }
-
-    lock.lock();
+    // Abort batches nobody is waiting for anymore: every member is
+    // client-cancelled or past its deadline. A batch with even one live
+    // member runs to completion (its output is still wanted).
+    if (batch.aborted || batch.members.empty()) continue;
+    bool all_dead = true;
+    for (const InflightBatch::Member& m : batch.members)
+      if (!member_dead(m, now)) {
+        all_dead = false;
+        break;
+      }
+    if (all_dead) {
+      batch.source.request_cancel();
+      batch.aborted = true;
+      watchdog_aborts_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -409,12 +341,12 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch) {
 
   std::size_t batch_bytes = 0;
   for (const PendingRequest* p : live) batch_bytes += p->payload_bytes;
-  // executor_hint lets the sharded front divide the fork-join pool by
-  // the fleet-wide number of concurrent batch executors, not just this
-  // service's own workers.
+  // The sharded front passes its fleet-wide executor count, so the
+  // fork-join pool is divided among every thread that may be running a
+  // batch right now, on any shard.
   const int gemm_threads = effective_gemm_threads(
       batch_bytes / sizeof(std::uint64_t), tensor::ThreadPool::shared().size(),
-      executors());
+      executors_);
 
   batches_.fetch_add(1, std::memory_order_relaxed);
   {
@@ -703,11 +635,9 @@ void EcService::complete(PendingRequest& p, RequestStatus status,
           static_cast<std::uint64_t>(result.service_time.count()));
   }
 
-  // Observer fires before the future unblocks so a caller that waits on
-  // the result always observes tenant counters that already include it.
-  if (config_.request_observer)
-    config_.request_observer(
-        {RequestEvent::Kind::Completed, p.req.tenant, status, admitted});
+  // Tenant accounting runs before the future unblocks so a caller that
+  // waits on the result always observes tenant counters that include it.
+  observe({RequestEvent::Kind::Completed, p.req.tenant, status, admitted});
 
   p.completion->complete(std::move(result));
 }
@@ -756,10 +686,6 @@ ServeStatsSnapshot EcService::stats() const {
 HealthSnapshot EcService::health() const {
   HealthSnapshot h;
   h.kernel_variant = tensor::to_string(tensor::active_variant());
-  if (config_.buffer_pool) {
-    h.has_pool = true;
-    h.pool = config_.buffer_pool->stats();
-  }
   if (stopped_flag_.load(std::memory_order_acquire)) {
     h.state = HealthState::Unhealthy;
     h.reasons.push_back("service is shut down");
@@ -790,7 +716,7 @@ HealthSnapshot EcService::health() const {
     }
   }
 
-  if (h.stuck_batches >= executors())
+  if (h.stuck_batches >= executors_)
     h.state = HealthState::Unhealthy;
   else if (!h.reasons.empty())
     h.state = HealthState::Degraded;

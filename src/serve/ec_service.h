@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <map>
@@ -10,7 +9,6 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/tvmec.h"
@@ -35,6 +33,12 @@
 /// persistent ThreadPool — per-stripe microbenchmark throughput becomes
 /// multi-client serving throughput.
 ///
+/// An EcService starts no threads: it is a queue, codec slots and
+/// counters, and batches run only inside run_pending(). A standalone
+/// service is pumped by its owner (deterministic — tests and the fuzzer
+/// use this); the sharded front (serve/shard.h) owns the worker threads
+/// that pump its shards and the watchdog thread that scans them.
+///
 /// Policies:
 ///  - Admission: the queue is bounded; a full queue rejects immediately
 ///    with RequestStatus::Overloaded (backpressure, never unbounded
@@ -47,14 +51,14 @@
 ///  - Cancellation: EcFuture::cancel() (or a caller-supplied
 ///    EcRequest::cancel token) completes a queued request as Cancelled at
 ///    formation; once a batch whose members are *all* dead (cancelled or
-///    past deadline) is executing, the watchdog aborts its kernel at the
-///    next tile-chunk poll.
+///    past deadline) is executing, watchdog_scan() aborts its kernel at
+///    the next tile-chunk poll.
 ///  - Degradation: per-(codec, direction) circuit breakers; persistent
 ///    primary-path failures reroute batches to the naive reference
 ///    backend (byte-identical output, slower) until probes recover.
 ///  - Pool sharing: each batch's GEMM thread count is capped by
-///    effective_gemm_threads() so concurrent batches from multiple
-///    service workers cannot oversubscribe the shared pool.
+///    effective_gemm_threads() so concurrent batches from the front's
+///    workers cannot oversubscribe the shared pool.
 ///  - Accounting: per-request queue-wait/service/total latency and
 ///    per-batch width land in log-bucketed histograms (serve/stats.h).
 namespace tvmec::serve {
@@ -63,21 +67,6 @@ namespace tvmec::serve {
 /// with the thread knob opened to the shared pool's width
 /// (effective_gemm_threads() then caps it per batch).
 tensor::Schedule default_service_schedule();
-
-/// Watchdog configuration: a background thread that (a) aborts in-flight
-/// batches every member of which is already dead (cancelled or past
-/// deadline) — the mechanism bounding deadline overshoot to one
-/// batch-service time — and (b) flags in-flight batches older than
-/// `stuck_budget`, whatever thread runs them (a service worker, a
-/// manual pump, a sharded front's worker or thief), degrading health().
-struct WatchdogPolicy {
-  bool enabled = true;
-  /// Scan period. The cancellation latency for an abandoned batch is at
-  /// most one poll plus one tile-chunk.
-  std::chrono::nanoseconds poll = std::chrono::milliseconds(2);
-  /// A batch in flight for longer than this is considered stuck.
-  std::chrono::nanoseconds stuck_budget = std::chrono::seconds(2);
-};
 
 enum class HealthState : std::uint8_t { Ok, Degraded, Unhealthy };
 
@@ -97,28 +86,22 @@ struct HealthSnapshot {
   /// answer "which kernel is this replica actually running?" from the
   /// readiness endpoint instead of rebuilding with different flags.
   std::string kernel_variant;
-  /// Registered-buffer pool attached via ServiceConfig::buffer_pool
-  /// (the sharded front gives every shard its own). has_pool == false
-  /// when the service runs without one; `pool` is then all zeros.
+  /// The shard-local registered-buffer pool, filled in by the sharded
+  /// front (which owns one per shard). has_pool == false for a shard
+  /// without one and for a standalone service; `pool` is then all zeros.
   bool has_pool = false;
   BufferPoolStats pool;
 };
 
 struct ServiceConfig {
-  /// Service worker threads executing batches. 0 = manual-pump mode: no
-  /// threads are created and the owner drives execution via
-  /// run_pending() — fully deterministic, used by tests and the fuzzer.
-  std::size_t num_workers = 1;
+  /// Batch policy; max_batch_requests = 1 is the one-request-at-a-time
+  /// ablation (admission control and deadlines still apply).
   BatchPolicy batch;
-  /// false = the one-request-at-a-time ablation: batches are capped at a
-  /// single request (admission control and deadlines still apply).
-  bool batching = true;
   /// Base schedule for every codec the service instantiates.
   tensor::Schedule schedule = default_service_schedule();
   /// Per-(codec, direction) circuit breakers (set enabled=false for the
   /// PR-4 behavior of re-dispatching a failing backend forever).
   BreakerPolicy breaker;
-  WatchdogPolicy watchdog;
   /// Test/chaos hook: when set, called before each *primary-path* batch
   /// dispatch with (kind, key, batch size); returning true makes the
   /// dispatch throw. The singly-rescue fallback and the degraded path do
@@ -132,29 +115,12 @@ struct ServiceConfig {
   /// Codec instances the scrubber drives — lets all of them skip matrix
   /// inversion for loss patterns any one of them has already planned.
   std::shared_ptr<core::PlanCache> plan_cache;
-  /// Registered-buffer pool this service advertises (health() surfaces
-  /// its stats; the sharded front attaches one per shard so shard
-  /// payload buffers never contend on a cross-shard free-list lock).
-  /// Null = the service runs without a pool; it never allocates from it
-  /// itself, clients do via buffer_pool().
-  std::shared_ptr<BufferPool> buffer_pool;
-  /// How many executors systemwide concurrently run batches against the
-  /// shared fork-join pool. 0 = this service's own workers (the
-  /// single-service default). The sharded front sets the fleet-wide
-  /// worker count here so effective_gemm_threads() divides the pool by
-  /// *all* concurrent batch executors, not just this shard's.
-  std::size_t executor_hint = 0;
-  /// QoS accounting hook: called with an Accepted event at successful
-  /// admission and exactly one Completed event per submission (terminal
-  /// status, including admission rejections). Called on submitter /
-  /// worker threads with no service lock held beyond the stats mutex —
-  /// keep it cheap. Null = no accounting.
-  std::function<void(const RequestEvent&)> request_observer;
 };
 
 /// Point-in-time copy of the service's counters and histograms. The
-/// counter identities are load-bearing for tests and the fuzzer's
-/// oracle:
+/// counter identities are load-bearing for tests, benches and the
+/// fuzzer's oracle, which check them through admission_balanced() and
+/// drained_balanced() (TenantCounters mirrors both per tenant):
 ///   submitted == accepted + rejected_overload + rejected_shed
 ///                + rejected_shutdown
 /// and, once drained,
@@ -191,13 +157,35 @@ struct ServeStatsSnapshot {
   LatencyHistogram total_ns;
   LatencyHistogram batch_width;    ///< requests per executed batch
   LatencyHistogram gemm_threads;   ///< capped thread knob per batch
+
+  std::uint64_t rejected() const noexcept {
+    return rejected_overload + rejected_shed + rejected_shutdown;
+  }
+  std::uint64_t terminal() const noexcept {
+    return completed_ok + expired + failed + cancelled + shutdown_drained;
+  }
+  /// submitted == accepted + rejected_* (holds whenever no submission is
+  /// in flight).
+  bool admission_balanced() const noexcept {
+    return submitted == accepted + rejected();
+  }
+  /// accepted == terminal buckets (holds once the service is drained).
+  bool drained_balanced() const noexcept { return accepted == terminal(); }
 };
+
+class TenantRegistry;
 
 class EcService {
  public:
   /// Throws std::invalid_argument on an invalid config (bad policy or
-  /// schedule).
-  explicit EcService(const ServiceConfig& config);
+  /// schedule). The two trailing arguments are the sharded front's:
+  /// `executors` is how many threads concurrently run batches against
+  /// the shared fork-join pool — the divisor of effective_gemm_threads()
+  /// and health()'s stuck-batch limit (1 = the owner's manual pump);
+  /// `tenants` receives one RequestEvent per lifecycle step of every
+  /// submission (null = no tenant accounting).
+  explicit EcService(const ServiceConfig& config, std::size_t executors = 1,
+                     TenantRegistry* tenants = nullptr);
   /// Graceful: shutdown(true).
   ~EcService();
 
@@ -239,16 +227,16 @@ class EcService {
   static std::size_t validate_request(const EcRequest& request);
 
   /// Stops the service. drain=true executes everything already admitted
-  /// before returning; drain=false completes queued requests with
-  /// RequestStatus::Shutdown and aborts in-flight batches via their
-  /// cancel tokens (their members complete as Shutdown too). Either way,
-  /// submissions from this point complete as Shutdown. Idempotent.
+  /// on the calling thread before returning; drain=false completes
+  /// queued requests with RequestStatus::Shutdown and aborts batches
+  /// other threads are running via their cancel tokens (their members
+  /// complete as Shutdown too). Either way, submissions from this point
+  /// complete as Shutdown. Idempotent.
   void shutdown(bool drain = true);
 
-  /// Manual-pump mode (num_workers == 0): executes queued batches on the
-  /// calling thread until the queue is empty; returns requests
-  /// completed. Also legal alongside worker threads (the caller just
-  /// acts as an extra worker).
+  /// Executes queued batches on the calling thread until the queue is
+  /// empty; returns requests completed. Any number of threads may pump
+  /// one service concurrently (the front's workers and thieves do).
   std::size_t run_pending();
 
   /// Bounded variant: executes at most `max_batches` batches. This is
@@ -283,25 +271,28 @@ class EcService {
   void install_schedule(const CodecKey& key,
                         const tensor::Schedule& schedule);
 
-  /// The pool configured via ServiceConfig::buffer_pool (may be null).
-  const std::shared_ptr<BufferPool>& buffer_pool() const noexcept {
-    return config_.buffer_pool;
-  }
+  /// One watchdog pass over the in-flight batches: (a) aborts every
+  /// batch all of whose members are already dead (cancelled or past
+  /// deadline) at its kernel's next tile-chunk poll — the mechanism
+  /// bounding deadline overshoot to one batch-service time — and (b)
+  /// flags batches in flight longer than `stuck_budget`, whatever thread
+  /// runs them, degrading health(). The sharded front's watchdog thread
+  /// calls this on every shard once per poll.
+  void watchdog_scan(Clock::time_point now,
+                     std::chrono::nanoseconds stuck_budget);
 
   ServeStatsSnapshot stats() const;
 
   /// Readiness probe. Degraded when any circuit breaker is not Closed or
   /// a batch is flagged stuck; Unhealthy when the service is shut down
-  /// or the stuck batches reach the executor count (the divisor of
-  /// effective_gemm_threads(): executor_hint, else num_workers, at
-  /// least 1). Reasons name the conditions.
+  /// or the stuck batches reach the executor count. Reasons name the
+  /// conditions.
   HealthSnapshot health() const;
 
   std::size_t pending() const { return former_.pending(); }
-  std::size_t num_workers() const noexcept { return config_.num_workers; }
 
   /// The per-batch GEMM thread cap: at most the pool's width divided by
-  /// the number of concurrent service workers (so two concurrent batches
+  /// the number of concurrent batch executors (so two concurrent batches
   /// cannot oversubscribe the pool), and at most one thread per
   /// kMinWordsPerGemmThread 64-bit words of batch payload (so tiny
   /// batches do not pay fork-join overhead for no work). Always >= 1.
@@ -357,13 +348,10 @@ class EcService {
   };
 
   EcFuture submit(EcRequest request, std::size_t payload_bytes);
-  void worker_loop();
   void execute_batch(std::vector<PendingRequest>& batch);
-  /// Concurrent batch executors sharing the fork-join pool:
-  /// executor_hint, else this service's workers (at least 1).
-  std::size_t executors() const noexcept;
   CodecSlot& codec_slot(const CodecKey& key);
-  void watchdog_loop();
+  /// Forwards one lifecycle event to the tenant registry, if any.
+  void observe(const RequestEvent& event);
   /// True when the request can no longer want its result.
   static bool member_dead(const InflightBatch::Member& m,
                           Clock::time_point now) {
@@ -380,9 +368,10 @@ class EcService {
                 std::size_t batch_size, bool admitted);
 
   ServiceConfig config_;
+  const std::size_t executors_;      ///< at least 1
+  TenantRegistry* const tenants_;    ///< null = no tenant accounting
   std::shared_ptr<core::PlanCache> plan_cache_;  // never null after ctor
   BatchFormer former_;
-  std::vector<std::thread> workers_;
 
   mutable std::mutex codecs_mutex_;  ///< stats()/health() aggregate breakers
   std::map<CodecKey, std::unique_ptr<CodecSlot>> codecs_;
@@ -393,16 +382,11 @@ class EcService {
   std::atomic<bool> stopped_flag_{false};  // health() view of stopped_
   std::atomic<bool> aborting_{false};      // shutdown(false) in progress
 
-  // In-flight batch registry (the watchdog's worklist; health() counts
+  // In-flight batch registry (watchdog_scan's worklist; health() counts
   // its stuck batches).
   mutable std::mutex inflight_mutex_;
   std::map<std::uint64_t, InflightBatch> inflight_;
   std::uint64_t next_batch_id_ = 0;
-
-  std::thread watchdog_;
-  std::mutex watchdog_mutex_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;  // under watchdog_mutex_
 
   // Counters are atomics (hot submit path); histograms live under a
   // mutex and are only touched at completion time.

@@ -201,13 +201,14 @@ struct EcRequest {
   TenantId tenant = 0;
 };
 
-/// One accounting event on a request's lifecycle, delivered to
-/// ServiceConfig::request_observer. Submitted fires once per valid
-/// submission (after argument validation — malformed submissions throw
-/// and are nobody's traffic); Accepted fires when admission succeeds;
-/// Completed fires exactly once per submission with the terminal status
-/// (including admission rejections, where admitted == false). Per
-/// tenant, the PR-4/5 identities follow:
+/// One accounting event on a request's lifecycle, delivered by the shard
+/// that handles the request to the sharded front's TenantRegistry (the
+/// front synthesizes the pair for its own QoS rejections). Submitted
+/// fires once per valid submission (after argument validation —
+/// malformed submissions throw and are nobody's traffic); Accepted fires
+/// when admission succeeds; Completed fires exactly once per submission
+/// with the terminal status (including admission rejections, where
+/// admitted == false). Per tenant, the service identities follow:
 ///   submitted == accepted + rejected_*   and
 ///   accepted  == ok + expired + failed + cancelled + shutdown_drained.
 struct RequestEvent {

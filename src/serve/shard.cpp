@@ -14,6 +14,11 @@ std::size_t resolve_shards(const ShardedServiceConfig& config) {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+/// How long an idle worker waits for its own shard's work before its
+/// next steal scan: bounded so workers notice neighbors' backlogs
+/// promptly without spinning.
+constexpr std::chrono::microseconds kStealIdleWait{500};
+
 /// Concurrent batch executors across the front: every shard worker
 /// (at least one per shard, for the manual pump).
 std::size_t fleet_executors(std::size_t num_shards,
@@ -53,6 +58,33 @@ void merge_stats(ServeStatsSnapshot& into, const ServeStatsSnapshot& from) {
 
 }  // namespace
 
+bool ShardedStatsSnapshot::front_balanced() const noexcept {
+  std::uint64_t submitted = qos_rejected, accepted = 0,
+                overload = qos_rejected, shed = 0, shut = 0;
+  for (const ShardStatsSnapshot& sh : shards) {
+    submitted += sh.stats.submitted;
+    accepted += sh.stats.accepted;
+    overload += sh.stats.rejected_overload;
+    shed += sh.stats.rejected_shed;
+    shut += sh.stats.rejected_shutdown;
+  }
+  const ServeStatsSnapshot& a = aggregate;
+  const bool shards_sum = submitted == a.submitted && accepted == a.accepted &&
+                          overload == a.rejected_overload &&
+                          shed == a.rejected_shed &&
+                          shut == a.rejected_shutdown;
+  const TenantCounters& t = tenant_aggregate;
+  const bool tenants_sum =
+      t.submitted == a.submitted && t.accepted == a.accepted &&
+      t.rejected_overload == a.rejected_overload &&
+      t.rejected_shed == a.rejected_shed &&
+      t.rejected_shutdown == a.rejected_shutdown &&
+      t.completed_ok == a.completed_ok && t.expired == a.expired &&
+      t.failed == a.failed && t.cancelled == a.cancelled &&
+      t.shutdown_drained == a.shutdown_drained;
+  return shards_sum && tenants_sum;
+}
+
 std::size_t ShardedEcService::shard_of(std::uint64_t client_id,
                                        std::size_t num_shards) noexcept {
   if (num_shards <= 1) return 0;
@@ -81,39 +113,19 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
   if (!config.autotune.log_path.empty())
     schedule_cache_.load(config.autotune.log_path, &warm_start_load_);
 
-  std::shared_ptr<core::PlanCache> shared_plans;
-  if (config.share_plan_cache)
-    shared_plans = config.shard.plan_cache
-                       ? config.shard.plan_cache
-                       : std::make_shared<core::PlanCache>();
-
+  // Every worker may run a batch on any shard (stealing), so each shard
+  // divides the GEMM pool by the whole fleet's executors.
+  const std::size_t executors =
+      fleet_executors(num_shards, config.workers_per_shard);
   shards_.reserve(num_shards);
+  pools_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
-    ServiceConfig sc = config.shard;
-    sc.num_workers = 0;  // the front owns the threads (they must steal)
-    // Every shard worker is a potential concurrent batch executor
-    // against the one shared GEMM pool; without the hint each
-    // manual-pump shard would assume it executes alone and
-    // oversubscribe.
-    sc.executor_hint = fleet_executors(num_shards, config.workers_per_shard);
-    sc.buffer_pool =
+    shards_.push_back(
+        std::make_unique<EcService>(config.shard, executors, &tenants_));
+    pools_.push_back(
         config.pool_bytes_per_shard > 0
             ? std::make_shared<BufferPool>(config.pool_bytes_per_shard)
-            : nullptr;
-    sc.plan_cache = shared_plans;  // null = EcService makes a private one
-    if (config.shard.request_observer) {
-      // Chain: tenant accounting first, then the caller's hook.
-      sc.request_observer = [this, user = config.shard.request_observer](
-                                const RequestEvent& event) {
-        tenants_.observe(event);
-        user(event);
-      };
-    } else {
-      sc.request_observer = [this](const RequestEvent& event) {
-        tenants_.observe(event);
-      };
-    }
-    shards_.push_back(std::make_unique<EcService>(sc));
+            : nullptr);
   }
 
   if (config.autotune.enabled) {
@@ -125,12 +137,12 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
     autotuner_->start();  // no-op unless policy.background
   }
 
-  if (config.workers_per_shard > 0) {
-    workers_.reserve(num_shards * config.workers_per_shard);
-    for (std::size_t s = 0; s < num_shards; ++s)
-      for (std::size_t j = 0; j < config.workers_per_shard; ++j)
-        workers_.emplace_back([this, s] { worker_loop(s); });
-  }
+  workers_.reserve(num_shards * config.workers_per_shard);
+  for (std::size_t s = 0; s < num_shards; ++s)
+    for (std::size_t j = 0; j < config.workers_per_shard; ++j)
+      workers_.emplace_back([this, s] { worker_loop(s); });
+  if (config.watchdog.enabled)
+    watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
 ShardedEcService::~ShardedEcService() { shutdown(true); }
@@ -288,11 +300,23 @@ void ShardedEcService::worker_loop(std::size_t shard_index) {
   while (!stop_workers_.load(std::memory_order_acquire)) {
     std::size_t did = own.run_pending();
     if (stop_workers_.load(std::memory_order_acquire)) break;
-    if (did == 0 && config_.steal.enabled && shards_.size() > 1)
-      did += try_steal(shard_index);
+    if (did == 0 && shards_.size() > 1) did += try_steal(shard_index);
     // Bounded idle wait: wake on own work, or time out and rescan
     // neighbors (a parked worker must still notice a hot neighbor).
-    if (did == 0) own.wait_for_work(config_.steal.idle_wait);
+    if (did == 0) own.wait_for_work(kStealIdleWait);
+  }
+}
+
+void ShardedEcService::watchdog_loop() {
+  const auto poll = std::max<std::chrono::nanoseconds>(
+      config_.watchdog.poll, std::chrono::microseconds(100));
+  std::unique_lock lock(watchdog_mutex_);
+  while (!watchdog_cv_.wait_for(lock, poll, [&] { return watchdog_stop_; })) {
+    lock.unlock();
+    const auto now = Clock::now();
+    for (const auto& shard : shards_)
+      shard->watchdog_scan(now, config_.watchdog.stuck_budget);
+    lock.lock();
   }
 }
 
@@ -307,6 +331,16 @@ void ShardedEcService::shutdown(bool drain) {
   for (std::thread& t : workers_) t.join();
   workers_.clear();
   for (const auto& shard : shards_) shard->shutdown(drain);
+  // The watchdog outlives the drain: batches the drain runs stay
+  // abortable and visible to the stuck scan until the last one ends.
+  if (watchdog_.joinable()) {
+    {
+      std::lock_guard lock(watchdog_mutex_);
+      watchdog_stop_ = true;
+    }
+    watchdog_cv_.notify_all();
+    watchdog_.join();
+  }
 }
 
 std::size_t ShardedEcService::pending() const {
@@ -323,14 +357,14 @@ ShardedStatsSnapshot ShardedEcService::stats() const {
     s.shard = i;
     s.stats = shards_[i]->stats();
     s.queue_wait_ewma = shards_[i]->queue_wait_ewma();
-    if (const auto& pool = shards_[i]->buffer_pool()) {
+    if (pools_[i]) {
       s.has_pool = true;
-      s.pool = pool->stats();
+      s.pool = pools_[i]->stats();
     }
     merge_stats(out.aggregate, s.stats);
     out.shards.push_back(std::move(s));
   }
-  if (config_.share_plan_cache && !out.shards.empty()) {
+  if (config_.shard.plan_cache && !out.shards.empty()) {
     // Every shard reported the same shared cache; summing overcounted.
     out.aggregate.plan_cache_hits = out.shards.front().stats.plan_cache_hits;
     out.aggregate.plan_cache_misses =
@@ -366,6 +400,10 @@ ShardedHealthSnapshot ShardedEcService::health() const {
   std::size_t stuck = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     HealthSnapshot h = shards_[i]->health();
+    if (pools_[i]) {
+      h.has_pool = true;
+      h.pool = pools_[i]->stats();
+    }
     if (h.state == HealthState::Unhealthy) ++unhealthy;
     stuck += h.stuck_batches;
     for (const std::string& reason : h.reasons)

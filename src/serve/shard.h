@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -39,9 +40,9 @@
 /// edges, not a global queue re-invented badly.
 namespace tvmec::serve {
 
-/// When and how much an idle shard worker steals.
+/// How much an idle shard worker steals, and from whom. Workers steal
+/// whenever the front has more than one shard.
 struct StealPolicy {
-  bool enabled = true;
   /// A victim qualifies when its queue-wait EWMA exceeds the thief's
   /// own by this factor (and the absolute floor below) — stealing is
   /// for *relieving pressure*, not for perfectly levelling noise.
@@ -52,27 +53,41 @@ struct StealPolicy {
   /// Batches taken per steal — bounded so a thief relieves a hot shard
   /// without abandoning its own queue.
   std::size_t max_batches = 1;
-  /// Idle wait between a worker's own-queue drain and its next steal
-  /// scan (bounded so workers notice neighbors' backlogs promptly
-  /// without spinning).
-  std::chrono::nanoseconds idle_wait = std::chrono::microseconds(500);
+};
+
+/// The front's watchdog thread: once per poll it runs
+/// EcService::watchdog_scan on every shard, which (a) aborts in-flight
+/// batches every member of which is already dead (cancelled or past
+/// deadline) — the mechanism bounding deadline overshoot to one
+/// batch-service time — and (b) flags batches in flight longer than
+/// `stuck_budget`, whatever thread runs them (a front worker, a thief,
+/// a manual pump), degrading health().
+struct WatchdogPolicy {
+  bool enabled = true;
+  /// Scan period. The cancellation latency for an abandoned batch is at
+  /// most one poll plus one tile-chunk.
+  std::chrono::nanoseconds poll = std::chrono::milliseconds(2);
+  /// A batch in flight for longer than this is considered stuck.
+  std::chrono::nanoseconds stuck_budget = std::chrono::seconds(2);
 };
 
 struct ShardedServiceConfig {
   /// Service shards. 0 = one per hardware thread.
   std::size_t num_shards = 0;
-  /// Worker threads *per shard* (owned by the front, so they can steal
-  /// across shards). 0 = manual-pump mode: no threads anywhere, the
-  /// owner drives all shards via run_pending() — deterministic, used by
-  /// tests and the fuzzer.
+  /// Worker threads *per shard*; each pumps its own shard and steals
+  /// from hot neighbors. 0 = manual-pump mode: the owner drives all
+  /// shards via run_pending() — deterministic, used by tests and the
+  /// fuzzer. Either way the front runs one watchdog thread (unless
+  /// watchdog.enabled is false), so a front starts
+  /// num_shards * workers_per_shard + 1 threads.
   std::size_t workers_per_shard = 1;
-  /// Template for every shard's EcService. num_workers, buffer_pool,
-  /// plan_cache (unless shared, below), executor_hint and
-  /// request_observer are overridden per shard; everything else
-  /// (batch policy, breaker, watchdog, schedule, fault injector)
-  /// applies to each shard as written.
+  /// Every shard's EcService config, applied to each shard exactly as
+  /// written. A non-null plan_cache is shared by every shard (a loss
+  /// pattern planned anywhere is planned everywhere); null gives each
+  /// shard its own (no cross-shard lock, plans warm per shard).
   ServiceConfig shard;
   StealPolicy steal;
+  WatchdogPolicy watchdog;
   AutotunePolicy autotune;
   /// false turns TenantRegistry into pure accounting: no share
   /// enforcement, no deadline budgets, but per-tenant counters still
@@ -86,11 +101,6 @@ struct ShardedServiceConfig {
   /// payload staging never contends on a cross-shard free-list lock).
   /// 0 = no pools.
   std::size_t pool_bytes_per_shard = std::size_t{32} << 20;
-  /// true = one decode-plan cache shared by every shard (a loss pattern
-  /// planned anywhere is planned everywhere); false = per-shard caches
-  /// (no cross-shard lock, plans warm per shard). The default favors
-  /// isolation, matching the shard-local buffer pools.
-  bool share_plan_cache = false;
 };
 
 /// One shard's view in the front-wide snapshot.
@@ -119,6 +129,12 @@ struct ShardedStatsSnapshot {
   std::uint64_t steal_batches = 0;
   std::uint64_t steal_requests = 0;
   AutotuneStats autotune;
+
+  /// The front's two cross-level identities, checked on a quiescent
+  /// front: the per-shard admission counts plus the front-level QoS
+  /// rejections reproduce the aggregate's, and the tenant aggregate
+  /// equals the front aggregate bucket for bucket.
+  bool front_balanced() const noexcept;
 };
 
 struct ShardedHealthSnapshot {
@@ -183,8 +199,9 @@ class ShardedEcService {
   /// exercise the policy deterministically.
   std::size_t steal_for(std::size_t thief) { return try_steal(thief); }
 
-  /// Stops workers, the autotuner, and every shard. drain=true executes
-  /// everything admitted first. Idempotent.
+  /// Stops the autotuner and the workers, shuts every shard down, then
+  /// stops the watchdog. drain=true executes everything admitted first,
+  /// on the calling thread. Idempotent.
   void shutdown(bool drain = true);
 
   ShardedStatsSnapshot stats() const;
@@ -203,7 +220,7 @@ class ShardedEcService {
   const EcService& shard(std::size_t i) const { return *shards_.at(i); }
   /// Shard-local pool (null when pool_bytes_per_shard == 0).
   const std::shared_ptr<BufferPool>& pool(std::size_t i) const {
-    return shards_.at(i)->buffer_pool();
+    return pools_.at(i);
   }
 
   TenantRegistry& tenants() noexcept { return tenants_; }
@@ -220,6 +237,7 @@ class ShardedEcService {
 
  private:
   void worker_loop(std::size_t shard_index);
+  void watchdog_loop();
   std::size_t try_steal(std::size_t thief);
   /// Publishes a schedule into every shard (the autotuner's InstallFn).
   void install_everywhere(const CodecKey& key,
@@ -230,8 +248,14 @@ class ShardedEcService {
 
   ShardedServiceConfig config_;
   std::vector<std::unique_ptr<EcService>> shards_;
+  std::vector<std::shared_ptr<BufferPool>> pools_;  ///< one per shard
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_workers_{false};
+
+  std::mutex watchdog_mutex_;
+  std::condition_variable watchdog_cv_;
+  bool watchdog_stop_ = false;  // under watchdog_mutex_
+  std::thread watchdog_;
 
   TenantRegistry tenants_;
   TrafficProfile traffic_;

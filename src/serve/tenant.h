@@ -90,7 +90,7 @@ struct TenantCounters {
 /// weighted-fair admission decision. Tenants materialize lazily (first
 /// policy write or first request) with the default policy.
 ///
-/// Counting protocol (the front + shard observers drive it):
+/// Counting protocol (the front and its shards drive it):
 ///  - RequestEvent::Submitted   -> submitted++
 ///  - RequestEvent::Accepted    -> accepted++, in_queue++
 ///  - RequestEvent::Completed   -> terminal bucket++; in_queue-- when

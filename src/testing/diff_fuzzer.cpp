@@ -797,7 +797,6 @@ FuzzOutcome run_serve(const FuzzConfig& c) {
 
   std::mt19937_64 rng(c.seed ^ 0x5E54E11CE);
   serve::ServiceConfig sc;
-  sc.num_workers = 0;  // manual pump
   sc.batch.queue_capacity = 1 + rng() % 8;
   sc.batch.max_batch_requests = 1 + rng() % 4;
   sc.schedule = DiffFuzzer::schedule_menu().at(c.sched);
@@ -910,11 +909,16 @@ FuzzOutcome run_serve(const FuzzConfig& c) {
   if (auto f = check(s.accepted == expected_accepted,
                      "accepted != min(requests, capacity)"))
     return *f;
-  if (auto f = check(s.submitted == s.accepted + s.rejected_overload +
-                                        s.rejected_shutdown,
+  // Nothing here sheds, cancels or shuts down before this check, so
+  // those buckets must be empty.
+  if (auto f = check(s.rejected_shed == 0 && s.cancelled == 0 &&
+                         s.shutdown_drained == 0,
+                     "shed, cancelled or drained before shutdown"))
+    return *f;
+  if (auto f = check(s.admission_balanced(),
                      "submitted != accepted + rejected"))
     return *f;
-  if (auto f = check(s.accepted == s.completed_ok + s.expired + s.failed,
+  if (auto f = check(s.drained_balanced(),
                      "accepted != completed + expired + failed (drained)"))
     return *f;
 
@@ -945,7 +949,6 @@ FuzzOutcome run_serve_chaos(const FuzzConfig& c) {
 
   std::mt19937_64 rng(c.seed ^ 0xC4A05C4A05ULL);
   serve::ServiceConfig sc;
-  sc.num_workers = 0;  // manual pump: admission and faults deterministic
   sc.batch.queue_capacity = 2 + rng() % 8;
   sc.batch.max_batch_requests = 1 + rng() % 4;
   sc.batch.deadline_shedding = rng() % 2 == 0;
@@ -1125,12 +1128,10 @@ FuzzOutcome run_serve_chaos(const FuzzConfig& c) {
   if (auto f = check(s.cancelled == want_cancelled, "cancelled mismatch"))
     return *f;
   if (auto f = check(s.failed == want_failed, "failed mismatch")) return *f;
-  if (auto f = check(s.submitted == s.accepted + s.rejected_overload +
-                                        s.rejected_shed + s.rejected_shutdown,
+  if (auto f = check(s.admission_balanced(),
                      "submitted != accepted + rejected"))
     return *f;
-  if (auto f = check(s.accepted == s.completed_ok + s.expired + s.failed +
-                                       s.cancelled + s.shutdown_drained,
+  if (auto f = check(s.drained_balanced(),
                      "accepted != terminal outcomes (drained)"))
     return *f;
   // Breaker accounting sanity: every trip was caused by an injected
@@ -1179,7 +1180,8 @@ FuzzOutcome run_serve_shard(const FuzzConfig& c) {
   sc.shard.batch.max_batch_requests = 1 + rng() % 4;
   sc.shard.schedule = DiffFuzzer::schedule_menu().at(c.sched);
   sc.pool_bytes_per_shard = rng() % 2 == 0 ? std::size_t{1} << 20 : 0;
-  sc.share_plan_cache = rng() % 2 == 0;
+  if (rng() % 2 == 0)
+    sc.shard.plan_cache = std::make_shared<core::PlanCache>();
   const std::size_t num_tenants = 1 + rng() % 3;
   // Sometimes skew the weights hard, so shares bind and front-level QoS
   // rejections fire alongside the shards' queue-capacity ones.
@@ -1338,32 +1340,23 @@ FuzzOutcome run_serve_shard(const FuzzConfig& c) {
     return *f;
   if (auto f = check(a.expired == want_expired, "expired mismatch")) return *f;
   if (auto f = check(a.failed == want_failed, "failed mismatch")) return *f;
-  if (auto f = check(a.submitted == a.accepted + a.rejected_overload +
-                                        a.rejected_shed + a.rejected_shutdown,
+  if (auto f = check(a.admission_balanced(),
                      "submitted != accepted + rejected"))
     return *f;
-  if (auto f = check(a.accepted == a.completed_ok + a.expired + a.failed +
-                                       a.cancelled + a.shutdown_drained,
+  if (auto f = check(a.drained_balanced(),
                      "accepted != terminal outcomes (drained)"))
     return *f;
 
-  // Per-shard decomposition: shard sums plus front-level QoS rejections
-  // reproduce the aggregate admission counts.
-  std::uint64_t shard_submitted = 0, shard_accepted = 0;
-  for (const serve::ShardStatsSnapshot& sh : s.shards) {
-    shard_submitted += sh.stats.submitted;
-    shard_accepted += sh.stats.accepted;
-  }
-  if (auto f = check(shard_submitted + s.qos_rejected == a.submitted,
-                     "shard submitted + qos_rejected != aggregate submitted"))
-    return *f;
-  if (auto f = check(shard_accepted == a.accepted,
-                     "shard accepted sum != aggregate accepted"))
+  // Per-shard decomposition and tenant roll-up: shard sums plus
+  // front-level QoS rejections reproduce the aggregate admission counts,
+  // and the tenant aggregate equals the front aggregate bucket for
+  // bucket.
+  if (auto f = check(s.front_balanced(),
+                     "shard sums or tenant aggregate != front aggregate"))
     return *f;
 
   // Per-tenant identities, unconditional — each tenant balances and
-  // matches our ledger exactly; the tenant aggregate equals the front
-  // aggregate bucket for bucket.
+  // matches our ledger exactly.
   for (const serve::TenantCounters& t : s.tenants) {
     if (auto f = check(t.admission_balanced() && t.drained_balanced(),
                        "tenant " + std::to_string(t.tenant) +
@@ -1380,16 +1373,8 @@ FuzzOutcome run_serve_shard(const FuzzConfig& c) {
                                   " counters diverge from the mirror"))
       return *f;
   }
-  const serve::TenantCounters& ta = s.tenant_aggregate;
-  const bool agg_equal =
-      ta.submitted == a.submitted && ta.accepted == a.accepted &&
-      ta.rejected_overload == a.rejected_overload &&
-      ta.rejected_shed == a.rejected_shed &&
-      ta.rejected_shutdown == a.rejected_shutdown &&
-      ta.completed_ok == a.completed_ok && ta.expired == a.expired &&
-      ta.failed == a.failed && ta.cancelled == a.cancelled &&
-      ta.shutdown_drained == a.shutdown_drained && ta.in_queue == 0;
-  if (auto f = check(agg_equal, "tenant aggregate != front aggregate"))
+  if (auto f = check(s.tenant_aggregate.in_queue == 0,
+                     "tenant aggregate still in queue"))
     return *f;
 
   // Post-shutdown submissions must complete as Shutdown — and the late

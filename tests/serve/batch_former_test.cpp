@@ -134,10 +134,13 @@ TEST(BatchFormer, CloseRejectsPushesButKeepsQueuedWork) {
   EXPECT_EQ(former.push(make_request(RequestKind::Encode, 4, 64)),
             PushResult::Closed);
   // Queued work survives the close (drain-on-shutdown).
-  std::vector<PendingRequest> batch = former.next_batch();
+  std::vector<PendingRequest> batch;
+  ASSERT_TRUE(former.try_next_batch(batch));
   EXPECT_EQ(batch.size(), 1u);
-  // Closed and drained: next_batch returns empty without blocking.
-  EXPECT_TRUE(former.next_batch().empty());
+  // Closed and drained: wait_for_work reports no work without blocking
+  // out its timeout, and nothing is left to pop.
+  EXPECT_FALSE(former.wait_for_work(std::chrono::hours(1)));
+  EXPECT_FALSE(former.try_next_batch(batch));
 }
 
 TEST(BatchFormer, DrainAllPreservesAdmissionOrder) {
@@ -154,36 +157,6 @@ TEST(BatchFormer, DrainAllPreservesAdmissionOrder) {
   EXPECT_EQ(all[1].payload_bytes, 2u);
   EXPECT_EQ(all[2].payload_bytes, 3u);
   EXPECT_EQ(former.pending(), 0u);
-}
-
-TEST(BatchFormer, LingerDispatchesImmediatelyOnceClosed) {
-  // linger must never delay shutdown: with the former closed, a small
-  // batch dispatches without waiting out the linger window.
-  BatchFormer former(
-      BatchPolicy{.linger = std::chrono::milliseconds(60'000)});
-  ASSERT_EQ(former.push(make_request(RequestKind::Encode, 4, 64)),
-            PushResult::Accepted);
-  former.close();
-  const auto t0 = Clock::now();
-  const std::vector<PendingRequest> batch = former.next_batch();
-  EXPECT_EQ(batch.size(), 1u);
-  EXPECT_LT(Clock::now() - t0, std::chrono::seconds(10));
-}
-
-TEST(BatchFormer, LingerWaitsForBatchToFill) {
-  BatchFormer former(BatchPolicy{.max_batch_requests = 2,
-                                 .linger = std::chrono::seconds(30)});
-  ASSERT_EQ(former.push(make_request(RequestKind::Encode, 4, 64)),
-            PushResult::Accepted);
-  std::thread filler([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ASSERT_EQ(former.push(make_request(RequestKind::Encode, 4, 64)),
-              PushResult::Accepted);
-  });
-  // A full batch releases the linger wait long before the 30s window.
-  const std::vector<PendingRequest> batch = former.next_batch();
-  filler.join();
-  EXPECT_EQ(batch.size(), 2u);
 }
 
 TEST(BatchFormer, LaneCapacityCapsOneClassOnly) {
@@ -372,10 +345,14 @@ TEST(BatchFormer, ConcurrentProducersAndConsumersLoseNothing) {
   std::vector<std::thread> consumers;
   for (int c = 0; c < 2; ++c) {
     consumers.emplace_back([&] {
+      std::vector<PendingRequest> batch;
       for (;;) {
-        const std::vector<PendingRequest> batch = former.next_batch();
-        if (batch.empty()) return;
-        consumed.fetch_add(static_cast<int>(batch.size()));
+        if (former.try_next_batch(batch)) {
+          consumed.fetch_add(static_cast<int>(batch.size()));
+          continue;
+        }
+        // false only once the former is closed and drained.
+        if (!former.wait_for_work(std::chrono::hours(1))) return;
       }
     });
   }

@@ -1,7 +1,10 @@
 // serve/ec_service.h — the batched asynchronous EC service: correctness
 // against the Codec oracle, admission control, deadline enforcement,
 // shutdown semantics, degenerate code shapes, and the pool-sharing
-// thread-cap rule.
+// thread-cap rule. A standalone EcService starts no threads, so most
+// tests pump it on the test thread; the ones that need serve threads
+// (concurrent clients, racing shutdown, the watchdog) run it as the one
+// shard of a ShardedEcService.
 
 #include "serve/ec_service.h"
 
@@ -40,13 +43,24 @@ Bytes oracle_parity(const CodecKey& key, std::span<const std::uint8_t> data,
   return parity;
 }
 
+/// One EcService on `workers` front threads (0 = pumped by the test
+/// thread, with the front's watchdog still running). No QoS and no
+/// pools: the front adds only its threads and tenant accounting.
+ShardedServiceConfig one_shard_front(std::size_t workers) {
+  ShardedServiceConfig cfg;
+  cfg.num_shards = 1;
+  cfg.workers_per_shard = workers;
+  cfg.qos_enforcement = false;
+  cfg.pool_bytes_per_shard = 0;
+  return cfg;
+}
+
 TEST(EcService, EncodeMatchesCodecOracle) {
-  ServiceConfig cfg;
-  cfg.num_workers = 1;
-  EcService service(cfg);
+  EcService service(ServiceConfig{});
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 1);
   Bytes parity(kKey.r * kUnit);
   EcFuture f = service.submit_encode(kKey, data.span(), parity.span(), kUnit);
+  service.run_pending();
   const EcResult& r = f.wait();
   EXPECT_EQ(r.status, RequestStatus::Ok);
   EXPECT_EQ(r.batch_size, 1u);
@@ -56,9 +70,7 @@ TEST(EcService, EncodeMatchesCodecOracle) {
 }
 
 TEST(EcService, DecodeRepairsStripeInPlace) {
-  ServiceConfig cfg;
-  cfg.num_workers = 1;
-  EcService service(cfg);
+  EcService service(ServiceConfig{});
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 2);
   Bytes stripe(kKey.n() * kUnit);
   std::memcpy(stripe.data(), data.data(), data.size());
@@ -70,15 +82,15 @@ TEST(EcService, DecodeRepairsStripeInPlace) {
   for (const std::size_t id : erased)
     std::memset(stripe.data() + id * kUnit, 0xEE, kUnit);
   EcFuture f = service.submit_decode(kKey, stripe.span(), erased, kUnit);
+  service.run_pending();
   EXPECT_EQ(f.wait().status, RequestStatus::Ok);
   EXPECT_EQ(std::memcmp(stripe.data(), want.data(), want.size()), 0);
 }
 
 TEST(EcService, ConcurrentClientsAllServedCorrectly) {
-  ServiceConfig cfg;
-  cfg.num_workers = 2;
-  cfg.batch.max_batch_requests = 8;
-  EcService service(cfg);
+  ShardedServiceConfig cfg = one_shard_front(/*workers=*/2);
+  cfg.shard.batch.max_batch_requests = 8;
+  ShardedEcService front(cfg);
   constexpr int kClients = 4;
   constexpr int kPerClient = 50;
   std::vector<std::thread> clients;
@@ -89,25 +101,28 @@ TEST(EcService, ConcurrentClientsAllServedCorrectly) {
       const Bytes want = oracle_parity(kKey, data.span(), kUnit);
       Bytes parity(kKey.r * kUnit);
       for (int i = 0; i < kPerClient; ++i) {
-        EcFuture f =
-            service.submit_encode(kKey, data.span(), parity.span(), kUnit);
+        EcFuture f = front.submit_encode(/*tenant=*/1, /*client=*/c, kKey,
+                                         data.span(), parity.span(), kUnit);
         ASSERT_EQ(f.wait().status, RequestStatus::Ok);
         ASSERT_EQ(std::memcmp(parity.data(), want.data(), want.size()), 0);
       }
     });
   }
   for (auto& t : clients) t.join();
-  service.shutdown();
-  const ServeStatsSnapshot s = service.stats();
+  front.shutdown();
+  const ShardedStatsSnapshot fs = front.stats();
+  const ServeStatsSnapshot& s = fs.aggregate;
   EXPECT_EQ(s.completed_ok, kClients * kPerClient);
-  EXPECT_EQ(s.submitted, s.accepted);
-  EXPECT_EQ(s.accepted, s.completed_ok + s.expired + s.failed);
+  EXPECT_TRUE(s.admission_balanced());
+  EXPECT_EQ(s.rejected(), 0u);
+  EXPECT_TRUE(s.drained_balanced());
+  EXPECT_EQ(s.cancelled + s.shutdown_drained, 0u);
+  EXPECT_TRUE(fs.front_balanced());
   EXPECT_GE(s.batch_width.max(), 1u);
 }
 
 TEST(EcService, ManualPumpBackpressureIsDeterministic) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;  // nothing consumes while we submit
   cfg.batch.queue_capacity = 3;
   EcService service(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 3);
@@ -141,7 +156,6 @@ TEST(EcService, ManualPumpBackpressureIsDeterministic) {
 
 TEST(EcService, ExpiredRequestNeverExecutesAndLeavesOutputUntouched) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   EcService service(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 4);
   Bytes parity(kKey.r * kUnit);
@@ -165,7 +179,6 @@ TEST(EcService, ExpiredRequestNeverExecutesAndLeavesOutputUntouched) {
 
 TEST(EcService, MixedExpiryExecutesOnlyLiveRequests) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   EcService service(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 5);
   Bytes p_live(kKey.r * kUnit), p_dead(kKey.r * kUnit);
@@ -181,7 +194,6 @@ TEST(EcService, MixedExpiryExecutesOnlyLiveRequests) {
 
 TEST(EcService, DegenerateShapes) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   EcService service(cfg);
   // k == 1, r == 0: striping only — encode produces no parity.
   const CodecKey trivial{1, 0, 8, ec::RsFamily::CauchyGood};
@@ -206,7 +218,6 @@ TEST(EcService, DegenerateShapes) {
 
 TEST(EcService, UnrecoverablePatternCompletesFailed) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   EcService service(cfg);
   Bytes stripe(kKey.n() * kUnit);
   const std::vector<std::size_t> erased{0, 1, 2};  // > r = 2 distinct
@@ -219,7 +230,6 @@ TEST(EcService, UnrecoverablePatternCompletesFailed) {
 
 TEST(EcService, InvalidArgumentsThrowAtSubmit) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   EcService service(cfg);
   Bytes data(kKey.k * kUnit), parity(kKey.r * kUnit), stripe(kKey.n() * kUnit);
   // Wrong span sizes.
@@ -239,18 +249,17 @@ TEST(EcService, InvalidArgumentsThrowAtSubmit) {
 }
 
 TEST(EcService, ShutdownDrainCompletesInFlightRequests) {
-  ServiceConfig cfg;
-  cfg.num_workers = 1;
-  EcService service(cfg);
+  ShardedEcService front(one_shard_front(/*workers=*/1));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 7);
   std::vector<Bytes> parities;
   std::vector<EcFuture> futures;
   for (int i = 0; i < 32; ++i) {
     parities.emplace_back(kKey.r * kUnit);
-    futures.push_back(
-        service.submit_encode(kKey, data.span(), parities.back().span(), kUnit));
+    futures.push_back(front.submit_encode(/*tenant=*/1, /*client=*/0, kKey,
+                                          data.span(), parities.back().span(),
+                                          kUnit));
   }
-  service.shutdown(/*drain=*/true);
+  front.shutdown(/*drain=*/true);
   const Bytes want = oracle_parity(kKey, data.span(), kUnit);
   for (std::size_t i = 0; i < futures.size(); ++i) {
     ASSERT_TRUE(futures[i].ready()) << i;
@@ -261,7 +270,6 @@ TEST(EcService, ShutdownDrainCompletesInFlightRequests) {
 
 TEST(EcService, ShutdownWithoutDrainCompletesQueuedAsShutdown) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;  // queue everything, execute nothing
   EcService service(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 8);
   std::vector<Bytes> parities;
@@ -287,9 +295,7 @@ TEST(EcService, ShutdownWithoutDrainCompletesQueuedAsShutdown) {
 }
 
 TEST(EcService, SubmitAfterShutdownCompletesAsShutdownImmediately) {
-  ServiceConfig cfg;
-  cfg.num_workers = 1;
-  EcService service(cfg);
+  EcService service(ServiceConfig{});
   service.shutdown();
   Bytes data(kKey.k * kUnit), parity(kKey.r * kUnit);
   EcFuture f = service.submit_encode(kKey, data.span(), parity.span(), kUnit);
@@ -302,10 +308,8 @@ TEST(EcService, SubmitAfterShutdownCompletesAsShutdownImmediately) {
 
 TEST(EcService, ConcurrentSubmitAndShutdownLeavesNoFutureHanging) {
   // Every submission must reach a terminal status even when shutdown
-  // races the submitters — the TSan-watched path.
-  ServiceConfig cfg;
-  cfg.num_workers = 2;
-  EcService service(cfg);
+  // races the submitters and the workers — the TSan-watched path.
+  ShardedEcService front(one_shard_front(/*workers=*/2));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 9);
   std::vector<std::thread> submitters;
   std::vector<std::vector<EcFuture>> futures(3);
@@ -314,13 +318,14 @@ TEST(EcService, ConcurrentSubmitAndShutdownLeavesNoFutureHanging) {
     submitters.emplace_back([&, t] {
       for (int i = 0; i < 100; ++i) {
         parities[t].emplace_back(kKey.r * kUnit);
-        futures[t].push_back(service.submit_encode(
-            kKey, data.span(), parities[t].back().span(), kUnit));
+        futures[t].push_back(front.submit_encode(
+            /*tenant=*/1, /*client=*/static_cast<std::uint64_t>(t), kKey,
+            data.span(), parities[t].back().span(), kUnit));
       }
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  service.shutdown(/*drain=*/true);
+  front.shutdown(/*drain=*/true);
   for (auto& th : submitters) th.join();
   std::size_t terminal = 0;
   for (auto& vec : futures)
@@ -330,12 +335,12 @@ TEST(EcService, ConcurrentSubmitAndShutdownLeavesNoFutureHanging) {
       ++terminal;
     }
   EXPECT_EQ(terminal, 300u);
-  const ServeStatsSnapshot s = service.stats();
+  const ShardedStatsSnapshot fs = front.stats();
+  const ServeStatsSnapshot& s = fs.aggregate;
   EXPECT_EQ(s.submitted, 300u);
-  EXPECT_EQ(s.submitted, s.accepted + s.rejected_overload + s.rejected_shed +
-                             s.rejected_shutdown);
-  EXPECT_EQ(s.accepted, s.completed_ok + s.expired + s.failed + s.cancelled +
-                            s.shutdown_drained);
+  EXPECT_TRUE(s.admission_balanced());
+  EXPECT_TRUE(s.drained_balanced());
+  EXPECT_TRUE(fs.front_balanced());
 }
 
 // Satellite 2 regression: the pool-sharing thread cap. Concurrent
@@ -360,7 +365,6 @@ TEST(EcService, EffectiveGemmThreadsCapsByWorkersAndWork) {
 
 TEST(EcService, GemmThreadCapIsObservedPerBatch) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   cfg.batch.max_batch_requests = 16;
   EcService service(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 10);
@@ -387,7 +391,6 @@ TEST(EcService, GemmThreadCapIsObservedPerBatch) {
 
 TEST(EcService, CancelledQueuedRequestNeverExecutes) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;  // manual pump: cancellation lands before formation
   EcService service(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 20);
   Bytes parity(kKey.r * kUnit);
@@ -410,7 +413,6 @@ TEST(EcService, CancelledQueuedRequestNeverExecutes) {
 
 TEST(EcService, CallerSuppliedCancelTokenHonored) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   EcService service(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 21);
   Bytes parity(kKey.r * kUnit);
@@ -430,7 +432,6 @@ TEST(EcService, CallerSuppliedCancelTokenHonored) {
 
 TEST(EcService, CancelAfterCompletionKeepsOriginalStatus) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   EcService service(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 22);
   Bytes parity(kKey.r * kUnit);
@@ -444,7 +445,6 @@ TEST(EcService, CancelAfterCompletionKeepsOriginalStatus) {
 
 TEST(EcService, DeadlineSheddingRejectsDoomedRequests) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   cfg.batch.deadline_shedding = true;
   EcService service(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 23);
@@ -465,13 +465,11 @@ TEST(EcService, DeadlineSheddingRejectsDoomedRequests) {
   EXPECT_EQ(s.rejected_shed, 1u);
   EXPECT_EQ(s.submitted, 2u);
   EXPECT_EQ(s.accepted, 1u);
-  EXPECT_EQ(s.submitted, s.accepted + s.rejected_overload + s.rejected_shed +
-                             s.rejected_shutdown);
+  EXPECT_TRUE(s.admission_balanced());
 }
 
 TEST(EcService, BreakerTripsToDegradedPathWithCorrectBytes) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   cfg.breaker.failure_threshold = 2;
   cfg.breaker.cooldown = std::chrono::hours(1);  // no recovery this test
   std::atomic<bool> inject{true};
@@ -515,7 +513,6 @@ TEST(EcService, BreakerTripsToDegradedPathWithCorrectBytes) {
 
 TEST(EcService, BreakerRecoversThroughProbes) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   cfg.breaker.failure_threshold = 1;
   cfg.breaker.success_threshold = 2;
   cfg.breaker.cooldown = std::chrono::nanoseconds(0);  // probe immediately
@@ -551,7 +548,6 @@ TEST(EcService, BreakerRecoversThroughProbes) {
 
 TEST(EcService, BreakerDisabledKeepsRetryingPrimary) {
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   cfg.breaker.enabled = false;
   std::atomic<int> injections{0};
   cfg.fault_injector = [&](RequestKind, const CodecKey&, std::size_t) {
@@ -576,7 +572,6 @@ TEST(EcService, CounterIdentitiesHoldAcrossAllOutcomes) {
   // Satellite audit: one run that exercises every terminal bucket, then
   // checks both identities exactly.
   ServiceConfig cfg;
-  cfg.num_workers = 0;
   cfg.batch.queue_capacity = 4;
   cfg.batch.deadline_shedding = true;
   EcService service(cfg);
@@ -611,16 +606,12 @@ TEST(EcService, CounterIdentitiesHoldAcrossAllOutcomes) {
   EXPECT_EQ(s.rejected_overload, 1u);
   EXPECT_EQ(s.shutdown_drained, 4u);
   EXPECT_EQ(s.rejected_shutdown, 1u);
-  EXPECT_EQ(s.submitted, s.accepted + s.rejected_overload + s.rejected_shed +
-                             s.rejected_shutdown);
-  EXPECT_EQ(s.accepted, s.completed_ok + s.expired + s.failed + s.cancelled +
-                            s.shutdown_drained);
+  EXPECT_TRUE(s.admission_balanced());
+  EXPECT_TRUE(s.drained_balanced());
 }
 
 TEST(EcService, HealthReportsOkThenUnhealthyAfterShutdown) {
-  ServiceConfig cfg;
-  cfg.num_workers = 1;
-  EcService service(cfg);
+  EcService service(ServiceConfig{});
   HealthSnapshot h = service.health();
   EXPECT_EQ(h.state, HealthState::Ok);
   EXPECT_TRUE(h.reasons.empty());
@@ -632,10 +623,9 @@ TEST(EcService, HealthReportsOkThenUnhealthyAfterShutdown) {
 }
 
 TEST(EcService, BatchingOffForcesSingletonBatches) {
+  // The one-request-at-a-time ablation is a batch cap of 1.
   ServiceConfig cfg;
-  cfg.num_workers = 0;
-  cfg.batching = false;
-  cfg.batch.max_batch_requests = 32;  // overridden by batching=false
+  cfg.batch.max_batch_requests = 1;
   EcService service(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 11);
   std::vector<Bytes> parities;
@@ -654,103 +644,80 @@ TEST(EcService, BatchingOffForcesSingletonBatches) {
 
 // --- Mid-kernel cancellation and the watchdog ------------------------------
 //
-// The mid-kernel abort tests need a kernel that runs long enough
-// (hundreds of ms) for a cancellation to land while it executes. We
-// calibrate a unit size on the host running the tests rather than
-// hardcoding one, and force the serial kernel path (num_workers == pool
-// size ⇒ one gemm thread per worker) so the calibrated time is stable.
+// The watchdog is the front's thread. The fault-injector hook runs inside
+// a batch after the batch registered with the watchdog and before its
+// kernel starts, so holding the batch there until the watchdog fires
+// means the kernel starts with its cancel token already set and must
+// throw at its first chunk claim (KernelCancel.BatchedPreCancelledThrows
+// pins that at the kernel level). An Ok status would mean the kernel
+// ignored the token.
 
-constexpr CodecKey kHeavyKey{10, 4, 16, ec::RsFamily::CauchyGood};
-
-std::size_t heavy_workers() {
-  return std::max<std::size_t>(1, tensor::ThreadPool::shared().size());
-}
-
-struct SlowShape {
-  std::size_t unit = 0;
-  std::chrono::nanoseconds service_time{};  // one-request encode, serial
+/// A hook that holds every batch until the front's watchdog has aborted
+/// one, then lets it run without injecting a fault. It gives up after
+/// 10 s, so a watchdog that never fires fails the test instead of
+/// hanging it. `entered` counts the batches that reached the hook.
+struct HoldUntilWatchdogAborts {
+  const ShardedEcService* const* front;
+  std::atomic<int>* entered;
+  bool operator()(RequestKind, const CodecKey&, std::size_t) const {
+    entered->fetch_add(1);
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((*front)->stats().aggregate.watchdog_aborts == 0 &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return false;
+  }
 };
 
-const SlowShape& slow_shape() {
-  static const SlowShape shape = [] {
-    ServiceConfig cfg;
-    cfg.num_workers = heavy_workers();
-    cfg.watchdog.enabled = false;
-    EcService service(cfg);
-    SlowShape s;
-    for (s.unit = std::size_t(1) << 16;; s.unit *= 2) {
-      const Bytes data = testutil::random_bytes(kHeavyKey.k * s.unit, 31);
-      Bytes parity(kHeavyKey.r * s.unit);
-      const auto t0 = std::chrono::steady_clock::now();
-      EcFuture f =
-          service.submit_encode(kHeavyKey, data.span(), parity.span(), s.unit);
-      EXPECT_EQ(f.wait().status, RequestStatus::Ok);
-      s.service_time = std::chrono::steady_clock::now() - t0;
-      if (s.service_time >= std::chrono::milliseconds(150) ||
-          s.unit >= (std::size_t(1) << 22))
-        break;
-    }
-    return s;
-  }();
-  return shape;
-}
-
 TEST(Watchdog, AbortsExpiredBatchMidKernel) {
-  const SlowShape& shape = slow_shape();
-  ServiceConfig cfg;
-  cfg.num_workers = heavy_workers();
+  const ShardedEcService* front_ptr = nullptr;
+  std::atomic<int> entered{0};
+  ShardedServiceConfig cfg = one_shard_front(/*workers=*/0);
   cfg.watchdog.poll = std::chrono::milliseconds(1);
   cfg.watchdog.stuck_budget = std::chrono::hours(1);
-  EcService service(cfg);
-  const Bytes data = testutil::random_bytes(kHeavyKey.k * shape.unit, 32);
-  Bytes parity(kHeavyKey.r * shape.unit);
-  // Warm the codec slot so construction cost doesn't eat the deadline.
-  ASSERT_EQ(service.submit_encode(kHeavyKey, data.span(), parity.span(),
-                                  shape.unit)
-                .wait()
-                .status,
-            RequestStatus::Ok);
+  cfg.shard.fault_injector = HoldUntilWatchdogAborts{&front_ptr, &entered};
+  ShardedEcService front(cfg);
+  front_ptr = &front;
+  const Bytes data = testutil::random_bytes(kKey.k * kUnit, 32);
+  Bytes parity(kKey.r * kUnit);
 
-  // A deadline a fraction of the kernel time: the batch forms in time,
-  // the deadline expires mid-kernel, the watchdog cancels the batch.
-  const auto t0 = std::chrono::steady_clock::now();
-  EcFuture f = service.submit_encode(kHeavyKey, data.span(), parity.span(),
-                                     shape.unit, shape.service_time / 6);
+  // The test thread pumps right after submitting, so the batch forms
+  // live; the deadline then lapses while the hook holds it, and the
+  // watchdog aborts the all-dead batch.
+  EcFuture f = front.submit_encode(/*tenant=*/1, /*client=*/0, kKey,
+                                   data.span(), parity.span(), kUnit,
+                                   std::chrono::milliseconds(100));
+  front.run_pending();
+  EXPECT_EQ(entered.load(), 1);
   EXPECT_EQ(f.wait().status, RequestStatus::Expired);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  // Aborted well before a full kernel would have finished — the overshoot
-  // past the deadline is bounded by one poll plus one tile-chunk.
-  EXPECT_LT(elapsed, shape.service_time * 3 / 4);
-  EXPECT_GE(service.stats().watchdog_aborts, 1u);
+  EXPECT_GE(front.stats().aggregate.watchdog_aborts, 1u);
 }
 
 TEST(Watchdog, ClientCancelAbortsRunningBatch) {
-  const SlowShape& shape = slow_shape();
-  ServiceConfig cfg;
-  cfg.num_workers = heavy_workers();
+  const ShardedEcService* front_ptr = nullptr;
+  std::atomic<int> entered{0};
+  ShardedServiceConfig cfg = one_shard_front(/*workers=*/1);
   cfg.watchdog.poll = std::chrono::milliseconds(1);
   cfg.watchdog.stuck_budget = std::chrono::hours(1);
-  EcService service(cfg);
-  const Bytes data = testutil::random_bytes(kHeavyKey.k * shape.unit, 33);
-  Bytes parity(kHeavyKey.r * shape.unit);
-  ASSERT_EQ(service.submit_encode(kHeavyKey, data.span(), parity.span(),
-                                  shape.unit)
-                .wait()
-                .status,
-            RequestStatus::Ok);
+  cfg.shard.fault_injector = HoldUntilWatchdogAborts{&front_ptr, &entered};
+  ShardedEcService front(cfg);
+  front_ptr = &front;
+  const Bytes data = testutil::random_bytes(kKey.k * kUnit, 33);
+  Bytes parity(kKey.r * kUnit);
 
-  const std::uint64_t batches0 = service.stats().batches;
-  EcFuture f =
-      service.submit_encode(kHeavyKey, data.span(), parity.span(), shape.unit);
-  // Wait until the batch is executing (the counter bumps just before the
-  // kernel), so this cancel can only land mid-kernel via the watchdog.
-  while (service.stats().batches == batches0) std::this_thread::yield();
-  const auto t0 = std::chrono::steady_clock::now();
+  EcFuture f = front.submit_encode(/*tenant=*/1, /*client=*/0, kKey,
+                                   data.span(), parity.span(), kUnit);
+  // Wait until a front worker holds the batch, so this cancel can only
+  // land through the watchdog.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (entered.load() == 0 && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(entered.load(), 1);
   f.cancel();
   EXPECT_EQ(f.wait().status, RequestStatus::Cancelled);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(elapsed, shape.service_time * 3 / 4);
-  EXPECT_GE(service.stats().watchdog_aborts, 1u);
+  EXPECT_GE(front.stats().aggregate.watchdog_aborts, 1u);
 }
 
 TEST(Watchdog, StuckWorkerSurfacesInHealth) {
@@ -761,26 +728,26 @@ TEST(Watchdog, StuckWorkerSurfacesInHealth) {
   std::mutex hook_mutex;
   std::condition_variable hook_cv;
   bool release = false;
-  ServiceConfig cfg;
-  cfg.num_workers = 1;
+  ShardedServiceConfig cfg = one_shard_front(/*workers=*/1);
   cfg.watchdog.poll = std::chrono::milliseconds(1);
   cfg.watchdog.stuck_budget = std::chrono::milliseconds(20);
-  cfg.fault_injector = [&](RequestKind, const CodecKey&, std::size_t) {
+  cfg.shard.fault_injector = [&](RequestKind, const CodecKey&, std::size_t) {
     std::unique_lock lock(hook_mutex);
     hook_cv.wait(lock, [&] { return release; });
     return false;
   };
-  EcService service(cfg);
+  ShardedEcService front(cfg);
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 34);
   Bytes parity(kKey.r * kUnit);
-  EcFuture f = service.submit_encode(kKey, data.span(), parity.span(), kUnit);
+  EcFuture f = front.submit_encode(/*tenant=*/1, /*client=*/0, kKey,
+                                   data.span(), parity.span(), kUnit);
 
-  // Health degrades with a stuck-worker reason while the batch is held.
+  // Health degrades with a stuck reason while the batch is held.
   bool saw_stuck = false;
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!saw_stuck && std::chrono::steady_clock::now() < give_up) {
-    const HealthSnapshot h = service.health();
+    const ShardedHealthSnapshot h = front.health();
     for (const std::string& reason : h.reasons) {
       if (reason.find("stuck") != std::string::npos) {
         EXPECT_NE(h.state, HealthState::Ok);
@@ -798,24 +765,25 @@ TEST(Watchdog, StuckWorkerSurfacesInHealth) {
 
   // The request itself is fine — stuck is a health signal, not an abort.
   EXPECT_EQ(f.wait().status, RequestStatus::Ok);
-  EXPECT_GE(service.stats().watchdog_stuck, 1u);
+  EXPECT_GE(front.stats().aggregate.watchdog_stuck, 1u);
 
   // The flag clears with the batch; health recovers.
   const auto recover_by =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (service.health().state != HealthState::Ok &&
+  while (front.health().state != HealthState::Ok &&
          std::chrono::steady_clock::now() < recover_by)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_EQ(service.health().state, HealthState::Ok);
+  EXPECT_EQ(front.health().state, HealthState::Ok);
 }
 
 TEST(Watchdog, StuckBatchSurfacesInShardedHealth) {
-  // The same held hook, through the sharded front: its shards have no
-  // workers of their own (the front's threads run their batches), so
-  // the stuck scan must watch batches, not service workers. Any front
-  // thread may run any shard's batch, so the front is Degraded until
-  // stuck batches fill all num_shards * workers_per_shard executors,
-  // then Unhealthy.
+  // A hook blocked until release holds a batch past the 20ms stuck
+  // budget for exactly as long as the test needs, whatever the kernel
+  // speed. The shards have no threads of their own (the front's workers
+  // run their batches), so the stuck scan watches batches, not threads.
+  // Any front thread may run any shard's batch, so the front is Degraded
+  // until stuck batches fill all num_shards * workers_per_shard
+  // executors, then Unhealthy.
   for (const std::size_t num_shards : {std::size_t{1}, std::size_t{2}}) {
     SCOPED_TRACE(num_shards);
     std::mutex hook_mutex;
@@ -824,8 +792,8 @@ TEST(Watchdog, StuckBatchSurfacesInShardedHealth) {
     ShardedServiceConfig cfg;
     cfg.num_shards = num_shards;
     cfg.workers_per_shard = 1;
-    cfg.shard.watchdog.poll = std::chrono::milliseconds(1);
-    cfg.shard.watchdog.stuck_budget = std::chrono::milliseconds(20);
+    cfg.watchdog.poll = std::chrono::milliseconds(1);
+    cfg.watchdog.stuck_budget = std::chrono::milliseconds(20);
     cfg.shard.fault_injector = [&](RequestKind, const CodecKey&,
                                    std::size_t) {
       std::unique_lock lock(hook_mutex);
@@ -861,6 +829,11 @@ TEST(Watchdog, StuckBatchSurfacesInShardedHealth) {
       EXPECT_EQ(stuck_of(h), s + 1);
       EXPECT_EQ(h.state, s + 1 == num_shards ? HealthState::Unhealthy
                                              : HealthState::Degraded);
+      // Each stuck batch is named among the reasons.
+      std::size_t stuck_reasons = 0;
+      for (const std::string& reason : h.reasons)
+        if (reason.find("stuck") != std::string::npos) ++stuck_reasons;
+      EXPECT_EQ(stuck_reasons, s + 1);
     }
     {
       std::lock_guard lock(hook_mutex);
@@ -868,9 +841,16 @@ TEST(Watchdog, StuckBatchSurfacesInShardedHealth) {
     }
     hook_cv.notify_all();
 
+    // The requests themselves are fine: stuck is a health signal, not an
+    // abort.
     for (EcFuture& f : futures) EXPECT_EQ(f.wait().status, RequestStatus::Ok);
     EXPECT_GE(front.stats().aggregate.watchdog_stuck, num_shards);
-    // Once the batches complete, nothing is stuck any more.
+    // The flags clear with the batches; health recovers.
+    const auto recover_by =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (front.health().state != HealthState::Ok &&
+           std::chrono::steady_clock::now() < recover_by)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
     EXPECT_EQ(front.health().state, HealthState::Ok);
   }
 }
@@ -882,7 +862,6 @@ TEST(Watchdog, StuckBatchSurfacesInShardedHealth) {
 /// Codec oracle.
 TEST(EcService, RegisteredBuffersEncodeWithZeroStagingCopies) {
   ServiceConfig cfg;
-  cfg.num_workers = 1;
   cfg.batch.max_batch_requests = 8;
   EcService service(cfg);
   BufferPool pool;
@@ -906,6 +885,7 @@ TEST(EcService, RegisteredBuffersEncodeWithZeroStagingCopies) {
     futures.push_back(service.submit_encode(
         kKey, datas[i].span(),
         std::span<std::uint8_t>(parities[i].data(), kKey.r * kUnit), kUnit));
+  service.run_pending();
   for (auto& f : futures) ASSERT_EQ(f.wait().status, RequestStatus::Ok);
 
   // Zero intermediate copies: the kernel read the client payloads and
@@ -919,9 +899,7 @@ TEST(EcService, RegisteredBuffersEncodeWithZeroStagingCopies) {
 }
 
 TEST(EcService, MisalignedPayloadFallsBackToStaging) {
-  ServiceConfig cfg;
-  cfg.num_workers = 1;
-  EcService service(cfg);
+  EcService service(ServiceConfig{});
 
   // Same payload, shifted one byte off word alignment: correctness is
   // preserved through the staged fallback and the counter records it.
@@ -933,6 +911,7 @@ TEST(EcService, MisalignedPayloadFallsBackToStaging) {
 
   const std::uint64_t before = tensor::kernel_stage_stats().stage_copies;
   EcFuture f = service.submit_encode(kKey, data, parity.span(), kUnit);
+  service.run_pending();
   ASSERT_EQ(f.wait().status, RequestStatus::Ok);
   EXPECT_GT(tensor::kernel_stage_stats().stage_copies, before);
 
@@ -943,7 +922,6 @@ TEST(EcService, MisalignedPayloadFallsBackToStaging) {
 TEST(EcService, SharedPlanCacheReportsHits) {
   const auto cache = std::make_shared<core::PlanCache>();
   ServiceConfig cfg;
-  cfg.num_workers = 1;
   cfg.plan_cache = cache;
   EcService service(cfg);
 
@@ -960,6 +938,7 @@ TEST(EcService, SharedPlanCacheReportsHits) {
     for (const std::size_t id : erased)
       std::memset(stripe.data() + id * kUnit, 0xEE, kUnit);
     EcFuture f = service.submit_decode(kKey, stripe.span(), erased, kUnit);
+    service.run_pending();
     ASSERT_EQ(f.wait().status, RequestStatus::Ok);
     ASSERT_EQ(std::memcmp(stripe.data(), want.data(), want.size()), 0);
   }

@@ -38,7 +38,7 @@ ShardedServiceConfig pump_config(std::size_t shards) {
   ShardedServiceConfig cfg;
   cfg.num_shards = shards;
   cfg.workers_per_shard = 0;
-  cfg.shard.watchdog.enabled = false;
+  cfg.watchdog.enabled = false;
   return cfg;
 }
 
@@ -149,12 +149,9 @@ TEST(ShardedEcService, PerTenantCountersBalanceAndMatchAggregate) {
     EXPECT_TRUE(c.drained_balanced()) << "tenant " << c.tenant;
     EXPECT_EQ(c.submitted, static_cast<std::uint64_t>(kPerTenant));
   }
-  // Tenant totals == front-wide totals, bucket by bucket.
-  EXPECT_EQ(s.tenant_aggregate.submitted, s.aggregate.submitted);
-  EXPECT_EQ(s.tenant_aggregate.accepted, s.aggregate.accepted);
-  EXPECT_EQ(s.tenant_aggregate.rejected_overload,
-            s.aggregate.rejected_overload);
-  EXPECT_EQ(s.tenant_aggregate.completed_ok, s.aggregate.completed_ok);
+  // Tenant totals == front-wide totals, bucket by bucket, and the shard
+  // sums reproduce the aggregate.
+  EXPECT_TRUE(s.front_balanced());
   EXPECT_TRUE(s.tenant_aggregate.admission_balanced());
   EXPECT_TRUE(s.tenant_aggregate.drained_balanced());
 }
@@ -187,9 +184,8 @@ TEST(ShardedEcService, QosRejectsTenantOverItsShare) {
   EXPECT_EQ(t1.rejected_overload, 1u);
   EXPECT_TRUE(t1.admission_balanced());
   // Front-level rejections fold into the aggregate identity.
-  EXPECT_EQ(s.aggregate.submitted,
-            s.aggregate.accepted + s.aggregate.rejected_overload +
-                s.aggregate.rejected_shed + s.aggregate.rejected_shutdown);
+  EXPECT_TRUE(s.aggregate.admission_balanced());
+  EXPECT_TRUE(s.front_balanced());
 }
 
 TEST(ShardedEcService, DeadlineBudgetExpiresSlowTenants) {
@@ -263,7 +259,7 @@ TEST(ShardedEcService, WorkersServeSkewedLoadWithStealing) {
   ShardedServiceConfig cfg;
   cfg.num_shards = 2;
   cfg.workers_per_shard = 1;
-  cfg.shard.watchdog.enabled = false;
+  cfg.watchdog.enabled = false;
   cfg.steal.min_victim_wait = std::chrono::nanoseconds(0);
   cfg.steal.wait_ratio = 1.0;
   ShardedEcService front(cfg);
@@ -314,6 +310,43 @@ TEST(ShardedEcService, ShardLocalPoolsSurfaceInHealth) {
   ShardedEcService bare(no_pool);
   EXPECT_EQ(bare.pool(0), nullptr);
   EXPECT_FALSE(bare.health().shards[0].has_pool);
+}
+
+TEST(ShardedEcService, CallerPlanCacheIsSharedByEveryShard) {
+  // The front applies config.shard as written: a caller's plan cache is
+  // the one every shard plans into, so a loss pattern one shard planned
+  // is a hit on the other.
+  const auto cache = std::make_shared<core::PlanCache>();
+  ShardedServiceConfig cfg = pump_config(2);
+  cfg.shard.plan_cache = cache;
+  ShardedEcService front(cfg);
+
+  const Bytes data = testutil::random_bytes(kKey.k * kUnit, 13);
+  Bytes want(kKey.n() * kUnit);
+  std::memcpy(want.data(), data.data(), data.size());
+  const Bytes parity = oracle_parity(kKey, data.span(), kUnit);
+  std::memcpy(want.data() + kKey.k * kUnit, parity.data(), parity.size());
+  const std::vector<std::size_t> erased{1, 4};
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    Bytes stripe = want;
+    for (const std::size_t id : erased)
+      std::memset(stripe.data() + id * kUnit, 0xEE, kUnit);
+    EcFuture f = front.submit_decode(1, client_on_shard(shard, 2), kKey,
+                                     stripe.span(), erased, kUnit);
+    front.run_pending();
+    ASSERT_EQ(f.wait().status, RequestStatus::Ok);
+    ASSERT_EQ(std::memcmp(stripe.data(), want.data(), want.size()), 0);
+  }
+
+  const ShardedStatsSnapshot s = front.stats();
+  ASSERT_EQ(s.shards[0].stats.submitted, 1u);
+  ASSERT_EQ(s.shards[1].stats.submitted, 1u);
+  // Shard 0 built the plan into the caller's cache; shard 1 found it.
+  EXPECT_EQ(cache->stats().misses, 1u);
+  EXPECT_GE(cache->stats().hits, 1u);
+  // Both shards report the one shared cache; the aggregate counts it once.
+  EXPECT_EQ(s.aggregate.plan_cache_misses, cache->stats().misses);
+  EXPECT_EQ(s.aggregate.plan_cache_hits, cache->stats().hits);
 }
 
 TEST(ShardedEcService, ShutdownRejectsAndGoesUnhealthy) {
