@@ -58,9 +58,36 @@ void GemmCoder::set_schedule(const tensor::Schedule& schedule) {
   schedule_ = schedule;
 }
 
+tensor::Schedule GemmCoder::schedule_for(std::size_t unit_size) const {
+  if (!schedule_cache_) return schedule_;
+  const auto hit = schedule_cache_->lookup(task_shape(unit_size));
+  if (!hit) return schedule_;
+  // The cache names the kernel shape; how many threads a call may fork
+  // stays the caller's decision (a serially tuned winner must not
+  // serialize a pool-wide coder, nor a pool-wide one widen a t1 path).
+  tensor::Schedule s = hit->schedule;
+  s.num_threads = schedule_.num_threads;
+  s.par_axis = schedule_.par_axis;
+  s.par_grain = schedule_.par_grain;
+  return s;
+}
+
+tensor::Schedule GemmCoder::batch_schedule(std::size_t unit_size,
+                                           int max_threads) const {
+  tensor::Schedule s = schedule_for(unit_size);
+  if (max_threads > 0) s.num_threads = std::min(s.num_threads, max_threads);
+  return s;
+}
+
 void GemmCoder::do_apply(std::span<const std::uint8_t> in,
                          std::span<std::uint8_t> out,
                          std::size_t unit_size) const {
+  run(in, out, unit_size, schedule_for(unit_size));
+}
+
+void GemmCoder::run(std::span<const std::uint8_t> in,
+                    std::span<std::uint8_t> out, std::size_t unit_size,
+                    const tensor::Schedule& schedule) const {
   // MatrixCoder::apply guarantees aligned operands and a word-multiple
   // packet size before dispatching here.
   const std::size_t packet_words = unit_size / w_ / 8;
@@ -75,7 +102,7 @@ void GemmCoder::do_apply(std::span<const std::uint8_t> in,
   const tensor::MatView<std::uint64_t> c{
       reinterpret_cast<std::uint64_t*>(out.data()), rw, packet_words,
       packet_words};
-  tensor::gemm_xorand(a, b, c, schedule_);
+  tensor::gemm_xorand(a, b, c, schedule);
 }
 
 void GemmCoder::apply_batch(std::span<const ec::CoderBatchItem> items,
@@ -108,10 +135,10 @@ void GemmCoder::apply_batch(std::span<const ec::CoderBatchItem> items,
   }
 
   if (!fast.empty()) {
-    tensor::Schedule s = schedule_;
-    if (max_threads > 0) s.num_threads = std::min(s.num_threads, max_threads);
     const tensor::MatView<const std::uint64_t> a{masks_.data(), rw, kw, kw};
-    tensor::gemm_xorand_batched(a, fast, s, cancel);
+    tensor::gemm_xorand_batched(
+        a, fast, batch_schedule(items.front().unit_size, max_threads),
+        cancel);
   }
   for (const ec::CoderBatchItem* item : slow) {
     cancel.throw_if_cancelled();
@@ -189,15 +216,13 @@ void GemmCoder::apply_scattered(std::span<const ScatteredCoderItem> items,
             {reinterpret_cast<std::uint64_t*>(item->out[u] + p * pb), pb / 8});
       }
     }
-    tensor::Schedule s = schedule_;
-    if (max_threads > 0) s.num_threads = std::min(s.num_threads, max_threads);
     const tensor::MatView<const std::uint64_t> a{masks_.data(), rw, kw, kw};
     tensor::gemm_xorand_scattered(
         a,
         tensor::ScatteredView<const std::uint64_t>(kw, n_total,
                                                    std::move(b_frags)),
         tensor::ScatteredView<std::uint64_t>(rw, n_total, std::move(c_frags)),
-        s, cancel);
+        batch_schedule(items.front().unit_size, max_threads), cancel);
   }
 
   // Degenerate items (misaligned pointers or sub-word packets) take the
@@ -241,17 +266,15 @@ tune::TuneResult GemmCoder::tune(std::size_t unit_size,
 
   const tune::SearchSpace space(task_shape(unit_size), max_threads);
   const double bytes = static_cast<double>(in_units_ * unit_size);
-  tensor::Schedule saved = schedule_;
   const tune::MeasureFn measure = [&](const tensor::Schedule& s) {
-    schedule_ = s;
     // One warmup, then median of five timed runs (this box is noisy).
-    apply(data.span(), parity.span(), unit_size);
+    run(data.span(), parity.span(), unit_size, s);
     const double secs = tune::measure_seconds_median(
-        [&] { apply(data.span(), parity.span(), unit_size); }, 5);
+        [&] { run(data.span(), parity.span(), unit_size, s); }, 5);
     return bytes / secs;
   };
   tune::TuneResult result = tune::tune(space, measure, options);
-  schedule_ = result.best_throughput > 0 ? result.best_schedule : saved;
+  if (result.best_throughput > 0) schedule_ = result.best_schedule;
   return result;
 }
 

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <memory>
+
 #include "ec/bitmatrix_code.h"
 #include "ec/encoder.h"
 #include "gf/gf_matrix.h"
 #include "tensor/buffer.h"
 #include "tensor/schedule.h"
-#include "tune/tuner.h"
+#include "tune/tuning_log.h"
 
 /// The paper's contribution: erasure coding executed as a GEMM through
 /// the ML-library substrate.
@@ -56,9 +58,27 @@ class GemmCoder final : public ec::MatrixCoder {
   std::size_t out_units() const noexcept override { return out_units_; }
   std::string name() const override { return "tvm-ec"; }
 
+  /// The coder's own schedule: what every call runs without a schedule
+  /// cache or on a cache miss, and the source of the thread knobs.
   const tensor::Schedule& schedule() const noexcept { return schedule_; }
   /// Throws std::invalid_argument if the schedule is not supported.
   void set_schedule(const tensor::Schedule& schedule);
+
+  /// Attaches the tuned-schedule store every later call reads (null
+  /// detaches): each GEMM call then runs schedule_for(unit_size).
+  void set_schedule_cache(std::shared_ptr<const tune::ScheduleCache> cache) {
+    schedule_cache_ = std::move(cache);
+  }
+  const std::shared_ptr<const tune::ScheduleCache>& schedule_cache()
+      const noexcept {
+    return schedule_cache_;
+  }
+  /// The schedule a call at `unit_size` runs. On a cache hit for
+  /// task_shape(unit_size) the entry supplies the kernel shape (tiles,
+  /// cache blocks, variant) and this coder keeps its own thread knobs
+  /// (num_threads, par_axis, par_grain); otherwise schedule(). A batched
+  /// call resolves once, from its first item.
+  tensor::Schedule schedule_for(std::size_t unit_size) const;
 
   /// Batched multi-request entry: items whose buffers qualify for the
   /// word fast path (8-byte aligned, whole-word packets) are packed into
@@ -85,10 +105,11 @@ class GemmCoder final : public ec::MatrixCoder {
                        const tensor::CancelToken& cancel = {}) const;
 
   /// Autotunes the encode for the given unit size on synthetic data and
-  /// installs the best schedule found (the paper's §6.1 measurement
-  /// setup, with a configurable trial budget instead of 20 000).
-  /// `max_threads` caps the thread knob of the search space.
-  /// Returns the full tuning history for analysis.
+  /// installs the best schedule found as the coder's own (the paper's
+  /// §6.1 measurement setup, with a configurable trial budget instead of
+  /// 20 000). Every trial times its own schedule; an attached cache is
+  /// not consulted. `max_threads` caps the thread knob of the search
+  /// space. Returns the full tuning history for analysis.
   tune::TuneResult tune(std::size_t unit_size,
                         const tune::TuneOptions& options, int max_threads);
 
@@ -113,11 +134,20 @@ class GemmCoder final : public ec::MatrixCoder {
   unsigned bit_sliced_w() const noexcept override { return w_; }
 
  private:
+  /// One contiguous GEMM under `schedule` (do_apply's body).
+  void run(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
+           std::size_t unit_size, const tensor::Schedule& schedule) const;
+  /// schedule_for(unit_size) with its thread knob capped by
+  /// `max_threads` when positive (the batched entries' contract).
+  tensor::Schedule batch_schedule(std::size_t unit_size,
+                                  int max_threads) const;
+
   unsigned w_;
   std::size_t in_units_;
   std::size_t out_units_;
   tensor::AlignedBuffer<std::uint64_t> masks_;  // (out*w) x (in*w) broadcast
   tensor::Schedule schedule_;
+  std::shared_ptr<const tune::ScheduleCache> schedule_cache_;
   std::size_t scattered_staging_threshold_ = kScatteredStageMaxBytes;
 };
 

@@ -5,8 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "tune/tuning_log.h"
-
 namespace tvmec::core {
 
 namespace {
@@ -103,6 +101,7 @@ const Codec::DecodeEntry& Codec::decode_entry(
     throw std::runtime_error("decode: erasure pattern is unrecoverable");
   auto coder =
       std::make_unique<GemmCoder>(shared->recovery, encode_coder_.schedule());
+  coder->set_schedule_cache(encode_coder_.schedule_cache());
   coder->set_scattered_staging_threshold(
       encode_coder_.scattered_staging_threshold());
   const auto [pos, inserted] = decode_cache_.emplace(
@@ -225,6 +224,7 @@ void Codec::update_unit(std::span<std::uint8_t> stripe, std::size_t unit_id,
     for (std::size_t i = 0; i < params_.r; ++i)
       column.set(i, 0, generator_.at(params_.k + i, unit_id));
     coder = std::make_unique<GemmCoder>(column, encode_coder_.schedule());
+    coder->set_schedule_cache(encode_coder_.schedule_cache());
   }
 
   const std::size_t needed = (1 + params_.r) * unit_size;
@@ -254,22 +254,6 @@ tune::TuneResult Codec::tune(std::size_t unit_size,
   // Coders built later inherit the tuned schedule; drop stale ones.
   decode_cache_.clear();
   delta_coders_.clear();
-  return result;
-}
-
-tune::TuneResult Codec::tune_cached(std::size_t unit_size,
-                                    const tune::TuneOptions& options,
-                                    int max_threads,
-                                    const std::string& log_path) {
-  const tune::TaskShape shape = encode_coder_.task_shape(unit_size);
-  if (auto logged = tune::load_log(log_path, shape)) {
-    encode_coder_.set_schedule(logged->best_schedule);
-    decode_cache_.clear();
-    delta_coders_.clear();
-    return std::move(*logged);
-  }
-  tune::TuneResult result = tune(unit_size, options, max_threads);
-  tune::append_log(log_path, shape, result);
   return result;
 }
 

@@ -133,14 +133,6 @@ class Codec {
                    std::span<const std::uint8_t> new_data,
                    std::size_t unit_size);
 
-  /// Log-backed tuning (TVM's tuning-records workflow): if `log_path`
-  /// already holds records for this task shape, installs the best logged
-  /// schedule and returns the logged history without measuring anything;
-  /// otherwise runs `tune` and appends the results to the log.
-  tune::TuneResult tune_cached(std::size_t unit_size,
-                               const tune::TuneOptions& options,
-                               int max_threads, const std::string& log_path);
-
   /// Autotunes the encode schedule (see GemmCoder::tune).
   tune::TuneResult tune(std::size_t unit_size,
                         const tune::TuneOptions& options, int max_threads);
@@ -150,6 +142,18 @@ class Codec {
   /// coders so every later decode and update runs on it too.
   void set_schedule(const tensor::Schedule& schedule) {
     encode_coder_.set_schedule(schedule);
+    decode_cache_.clear();
+    delta_coders_.clear();
+  }
+
+  /// Attaches a tuned-schedule store (TVM's tuning-records workflow:
+  /// ScheduleCache::load a log, attach it). The encode coder and every
+  /// decode and delta coder built from then on look up each GEMM call's
+  /// schedule by task shape (GemmCoder::schedule_for); set_schedule's
+  /// schedule still supplies the thread knobs and every miss. Null
+  /// detaches. Thread-safe to read from concurrent encodes.
+  void set_schedule_cache(std::shared_ptr<const tune::ScheduleCache> cache) {
+    encode_coder_.set_schedule_cache(std::move(cache));
     decode_cache_.clear();
     delta_coders_.clear();
   }
@@ -208,9 +212,10 @@ class Codec {
   /// The exact code identity PlanKey::code carries.
   std::vector<std::uint32_t> code_id_;
   GemmCoder encode_coder_;
-  /// Per-pattern decode coders. They carry the schedule they were built
-  /// with, and every schedule change (set_schedule, tune, tune_cached)
-  /// drops them, so the loss pattern alone keys them.
+  /// Per-pattern decode coders. They carry the schedule and schedule
+  /// cache they were built with, and every change to either
+  /// (set_schedule, set_schedule_cache, tune) drops them, so the loss
+  /// pattern alone keys them.
   std::map<std::vector<std::size_t>, DecodeEntry> decode_cache_;
   std::shared_ptr<PlanCache> plan_cache_;
   /// Per-data-unit r x 1 delta coders for update_unit (lazy).

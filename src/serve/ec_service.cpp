@@ -89,10 +89,12 @@ int EcService::effective_gemm_threads(std::size_t batch_words,
 }
 
 EcService::EcService(const ServiceConfig& config, std::size_t executors,
-                     TenantRegistry* tenants)
+                     TenantRegistry* tenants,
+                     std::shared_ptr<const tune::ScheduleCache> schedules)
     : config_(config),
       executors_(std::max<std::size_t>(1, executors)),
       tenants_(tenants),
+      schedules_(std::move(schedules)),
       plan_cache_(config.plan_cache ? config.plan_cache
                                     : std::make_shared<core::PlanCache>()),
       former_(config.batch) {
@@ -262,18 +264,6 @@ std::size_t EcService::run_pending(std::size_t max_batches) {
   return completed;
 }
 
-void EcService::install_schedule(const CodecKey& key,
-                                 const tensor::Schedule& schedule) {
-  if (!schedule.valid())
-    throw std::invalid_argument("install_schedule: invalid schedule");
-  CodecSlot& slot = codec_slot(key);
-  // Exclusive against the shared locks every executing batch holds: the
-  // install waits for in-flight batches on this codec, and no kernel
-  // ever reads a half-written schedule.
-  std::unique_lock lock(slot.schedule_mutex);
-  slot.codec.set_schedule(schedule);
-}
-
 EcService::CodecSlot& EcService::codec_slot(const CodecKey& key) {
   std::lock_guard lock(codecs_mutex_);
   auto it = codecs_.find(key);
@@ -281,6 +271,7 @@ EcService::CodecSlot& EcService::codec_slot(const CodecKey& key) {
     auto slot = std::make_unique<CodecSlot>(params_of(key), key.family,
                                             config_.breaker);
     slot->codec.set_schedule(config_.schedule);
+    slot->codec.set_schedule_cache(schedules_);
     // Every slot shares the service's plan cache: a loss pattern planned
     // for any key/consumer is an inversion nobody pays again.
     slot->codec.set_plan_cache(plan_cache_);
@@ -352,7 +343,10 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch) {
   {
     std::lock_guard lock(stats_mutex_);
     hist_.batch_width.record(live.size());
-    hist_.gemm_threads.record(static_cast<std::uint64_t>(gemm_threads));
+    // What the kernel receives: the slot schedule's thread knob (a
+    // cached schedule never supplies threads) under the batch cap.
+    hist_.gemm_threads.record(static_cast<std::uint64_t>(
+        std::min(config_.schedule.num_threads, gemm_threads)));
   }
 
   // All requests of a batch share (kind, key) — the batch former's lane
@@ -495,13 +489,9 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch) {
   const BreakerDecision decision = breaker.allow_primary(formed);
 
   {
-    // Shared against install_schedule()'s exclusive lock: batches of one
-    // codec may run concurrently with each other, never with a schedule
-    // swap on that codec.
-    std::shared_lock sched_lock(slot.schedule_mutex);
     // decode mutates the per-codec plan cache (primary and naive);
     // serialize per key. Encode paths are immutable-state and take no
-    // lock beyond the schedule guard.
+    // lock.
     std::unique_lock<std::mutex> decode_lock;
     if (kind == RequestKind::Decode)
       decode_lock = std::unique_lock(slot.decode_mutex);

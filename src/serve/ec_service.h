@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "serve/stats.h"
 #include "tensor/cancel.h"
 #include "tensor/schedule.h"
+#include "tune/tuning_log.h"
 
 /// The in-process EC service: asynchronous encode/decode with request
 /// coalescing.
@@ -97,7 +97,9 @@ struct ServiceConfig {
   /// Batch policy; max_batch_requests = 1 is the one-request-at-a-time
   /// ablation (admission control and deadlines still apply).
   BatchPolicy batch;
-  /// Base schedule for every codec the service instantiates.
+  /// Base schedule for every codec the service instantiates: its thread
+  /// knob, and its kernel shape wherever the front's schedule cache has
+  /// no entry for a call's task shape.
   tensor::Schedule schedule = default_service_schedule();
   /// Per-(codec, direction) circuit breakers (set enabled=false for the
   /// PR-4 behavior of re-dispatching a failing backend forever).
@@ -156,7 +158,7 @@ struct ServeStatsSnapshot {
   LatencyHistogram service_ns;
   LatencyHistogram total_ns;
   LatencyHistogram batch_width;    ///< requests per executed batch
-  LatencyHistogram gemm_threads;   ///< capped thread knob per batch
+  LatencyHistogram gemm_threads;   ///< GEMM threads each batch ran
 
   std::uint64_t rejected() const noexcept {
     return rejected_overload + rejected_shed + rejected_shutdown;
@@ -178,14 +180,18 @@ class TenantRegistry;
 class EcService {
  public:
   /// Throws std::invalid_argument on an invalid config (bad policy or
-  /// schedule). The two trailing arguments are the sharded front's:
+  /// schedule). The three trailing arguments are the sharded front's:
   /// `executors` is how many threads concurrently run batches against
   /// the shared fork-join pool — the divisor of effective_gemm_threads()
   /// and health()'s stuck-batch limit (1 = the owner's manual pump);
   /// `tenants` receives one RequestEvent per lifecycle step of every
-  /// submission (null = no tenant accounting).
+  /// submission (null = no tenant accounting); `schedules` is attached
+  /// to every codec slot, whose GEMM calls then look their schedule up
+  /// by task shape (null = the config's schedule everywhere).
   explicit EcService(const ServiceConfig& config, std::size_t executors = 1,
-                     TenantRegistry* tenants = nullptr);
+                     TenantRegistry* tenants = nullptr,
+                     std::shared_ptr<const tune::ScheduleCache> schedules =
+                         nullptr);
   /// Graceful: shutdown(true).
   ~EcService();
 
@@ -260,17 +266,6 @@ class EcService {
     return former_.queue_wait_ewma();
   }
 
-  /// Atomically installs a new GEMM schedule for one codec key (the
-  /// continuous autotuner's publish step). Takes the slot's schedule
-  /// lock exclusively, so the install waits for in-flight batches on
-  /// that codec and no batch ever observes a half-written schedule.
-  /// Affects every later encode and decode: the codec drops its cached
-  /// decode coders, which the exclusive lock keeps away from running
-  /// batches.
-  /// Throws std::invalid_argument on an invalid schedule.
-  void install_schedule(const CodecKey& key,
-                        const tensor::Schedule& schedule);
-
   /// One watchdog pass over the in-flight batches: (a) aborts every
   /// batch all of whose members are already dead (cancelled or past
   /// deadline) at its kernel's next tile-chunk poll — the mechanism
@@ -307,9 +302,6 @@ class EcService {
  private:
   struct CodecSlot {
     core::Codec codec;
-    /// Batches hold this shared; install_schedule() takes it exclusive
-    /// so a schedule swap can never race a kernel reading the knobs.
-    std::shared_mutex schedule_mutex;
     std::mutex decode_mutex;  ///< decode mutates the plan cache
     CircuitBreaker encode_breaker;
     CircuitBreaker decode_breaker;
@@ -370,6 +362,7 @@ class EcService {
   ServiceConfig config_;
   const std::size_t executors_;      ///< at least 1
   TenantRegistry* const tenants_;    ///< null = no tenant accounting
+  const std::shared_ptr<const tune::ScheduleCache> schedules_;  ///< or null
   std::shared_ptr<core::PlanCache> plan_cache_;  // never null after ctor
   BatchFormer former_;
 

@@ -101,7 +101,8 @@ std::size_t ShardedEcService::shard_of(std::uint64_t client_id,
 ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
     : config_(config),
       tenants_(resolve_shards(config) * config.shard.batch.queue_capacity,
-               config.qos_enforcement) {
+               config.qos_enforcement),
+      schedule_cache_(std::make_shared<tune::ScheduleCache>()) {
   const std::size_t num_shards = resolve_shards(config);
 
   for (const auto& [tenant, policy] : config.tenant_policies)
@@ -111,7 +112,7 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
   // any traffic arrives, so the first request of a known shape already
   // runs tuned.
   if (!config.autotune.log_path.empty())
-    schedule_cache_.load(config.autotune.log_path, &warm_start_load_);
+    schedule_cache_->load(config.autotune.log_path);
 
   // Every worker may run a batch on any shard (stealing), so each shard
   // divides the GEMM pool by the whole fleet's executors.
@@ -120,8 +121,8 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
   shards_.reserve(num_shards);
   pools_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(
-        std::make_unique<EcService>(config.shard, executors, &tenants_));
+    shards_.push_back(std::make_unique<EcService>(
+        config.shard, executors, &tenants_, schedule_cache_));
     pools_.push_back(
         config.pool_bytes_per_shard > 0
             ? std::make_shared<BufferPool>(config.pool_bytes_per_shard)
@@ -129,11 +130,8 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
   }
 
   if (config.autotune.enabled) {
-    autotuner_ = std::make_unique<ContinuousAutotuner>(
-        config.autotune, traffic_, schedule_cache_,
-        [this](const CodecKey& key, const tensor::Schedule& schedule) {
-          install_everywhere(key, schedule);
-        });
+    autotuner_ = std::make_unique<ContinuousAutotuner>(config.autotune,
+                                                       *schedule_cache_);
     autotuner_->start();  // no-op unless policy.background
   }
 
@@ -147,27 +145,6 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
 
 ShardedEcService::~ShardedEcService() { shutdown(true); }
 
-void ShardedEcService::install_everywhere(const CodecKey& key,
-                                          const tensor::Schedule& schedule) {
-  for (const auto& shard : shards_) shard->install_schedule(key, schedule);
-}
-
-void ShardedEcService::maybe_warm_start(const CodecKey& key,
-                                        std::size_t unit_size) {
-  // The encode task shape, computed directly (GemmCoder::task_shape
-  // with out_units = r, in_units = k) — building a Codec just to ask
-  // would cost a bitmatrix on the submit path.
-  tune::TaskShape shape;
-  shape.m = key.r * key.w;
-  shape.n = unit_size / (std::size_t{8} * key.w);
-  shape.k = key.k * key.w;
-  const std::optional<ScheduleCache::Entry> cached =
-      schedule_cache_.lookup(shape);
-  if (!cached) return;
-  install_everywhere(key, cached->schedule);
-  warm_start_installs_.fetch_add(1, std::memory_order_relaxed);
-}
-
 EcFuture ShardedEcService::submit_request(TenantId tenant,
                                           std::uint64_t client_id,
                                           EcRequest request) {
@@ -176,8 +153,7 @@ EcFuture ShardedEcService::submit_request(TenantId tenant,
   // errors are not tenant traffic) — same contract as EcService.
   EcService::validate_request(request);
 
-  if (traffic_.record(request.key, request.unit_size))
-    maybe_warm_start(request.key, request.unit_size);
+  if (autotuner_) autotuner_->record(request.key, request.unit_size);
 
   const auto now = Clock::now();
   const std::optional<RequestStatus> verdict =
@@ -383,13 +359,8 @@ ShardedStatsSnapshot ShardedEcService::stats() const {
   out.steal_scans = steal_scans_.load(std::memory_order_relaxed);
   out.steal_batches = steal_batches_.load(std::memory_order_relaxed);
   out.steal_requests = steal_requests_.load(std::memory_order_relaxed);
-  if (autotuner_) {
-    out.autotune = autotuner_->stats();
-  } else {
-    out.autotune.cache = schedule_cache_.stats();
-  }
-  out.autotune.warm_start_installs +=
-      warm_start_installs_.load(std::memory_order_relaxed);
+  if (autotuner_) out.autotune = autotuner_->stats();
+  out.autotune.cache = schedule_cache_->stats();
   return out;
 }
 

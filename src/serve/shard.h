@@ -188,8 +188,9 @@ class ShardedEcService {
 
   /// One background-autotuner cycle on the calling thread (works in
   /// any mode; the background thread, when enabled, calls the same).
-  /// Returns schedules published. Present so manual-pump tests and the
-  /// fuzzer can drive tuning deterministically.
+  /// Returns the winners installed in schedule_cache(); 0 without an
+  /// autotuner. Present so manual-pump tests can drive tuning
+  /// deterministically.
   std::size_t run_autotune_cycle();
 
   /// One steal scan on behalf of shard `thief` on the calling thread:
@@ -225,26 +226,18 @@ class ShardedEcService {
 
   TenantRegistry& tenants() noexcept { return tenants_; }
   const TenantRegistry& tenants() const noexcept { return tenants_; }
-  ScheduleCache& schedule_cache() noexcept { return schedule_cache_; }
-  TrafficProfile& traffic() noexcept { return traffic_; }
+  /// The front's tuned schedules, attached to every shard's codecs:
+  /// each GEMM call looks its schedule up here by task shape, so an
+  /// install is read by the next batch of that shape on any shard.
+  /// Loaded from autotune.log_path at construction (warm start).
+  tune::ScheduleCache& schedule_cache() noexcept { return *schedule_cache_; }
   /// Null when autotuning is disabled.
   ContinuousAutotuner* autotuner() noexcept { return autotuner_.get(); }
-
-  /// What ScheduleCache::load dropped/kept at construction (warm start).
-  const tune::LoadLogStats& warm_start_load_stats() const noexcept {
-    return warm_start_load_;
-  }
 
  private:
   void worker_loop(std::size_t shard_index);
   void watchdog_loop();
   std::size_t try_steal(std::size_t thief);
-  /// Publishes a schedule into every shard (the autotuner's InstallFn).
-  void install_everywhere(const CodecKey& key,
-                          const tensor::Schedule& schedule);
-  /// Warm start: on the first sighting of a (key, unit) pair, install
-  /// the cached best schedule for its task shape, if any.
-  void maybe_warm_start(const CodecKey& key, std::size_t unit_size);
 
   ShardedServiceConfig config_;
   std::vector<std::unique_ptr<EcService>> shards_;
@@ -258,10 +251,8 @@ class ShardedEcService {
   std::thread watchdog_;
 
   TenantRegistry tenants_;
-  TrafficProfile traffic_;
-  ScheduleCache schedule_cache_;
+  const std::shared_ptr<tune::ScheduleCache> schedule_cache_;
   std::unique_ptr<ContinuousAutotuner> autotuner_;
-  tune::LoadLogStats warm_start_load_;
 
   std::mutex shutdown_mutex_;
   bool stopped_ = false;  // under shutdown_mutex_
@@ -270,7 +261,6 @@ class ShardedEcService {
   std::atomic<std::uint64_t> steal_scans_{0};
   std::atomic<std::uint64_t> steal_batches_{0};
   std::atomic<std::uint64_t> steal_requests_{0};
-  std::atomic<std::uint64_t> warm_start_installs_{0};
 };
 
 }  // namespace tvmec::serve

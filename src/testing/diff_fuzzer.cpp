@@ -1157,9 +1157,10 @@ FuzzOutcome run_serve_chaos(const FuzzConfig& c) {
 /// Sharded multi-tenant differential: random tenant/client mixes through
 /// ShardedEcService in manual-pump mode — client hashing across shards,
 /// front-level tenant QoS (sometimes with hard weight skew so shares
-/// bind), shard-local pools, shared or per-shard plan caches, and an
-/// opportunistic steal scan — against the same sequential per-request
-/// Codec oracle. Sharding, stealing, and QoS may only decide *where* a
+/// bind), shard-local pools, shared or per-shard plan caches, a cached
+/// schedule for the encode task shape, and an opportunistic steal scan
+/// — against the same sequential per-request Codec oracle. Sharding,
+/// stealing, QoS and schedules may only decide *where* and *how* a
 /// request runs or whether it is admitted: completed bytes must match
 /// the oracle exactly, and rejected/expired requests must leave their
 /// buffers untouched (encode outputs stay zero, decode stripes keep
@@ -1190,6 +1191,12 @@ FuzzOutcome run_serve_shard(const FuzzConfig& c) {
   const serve::CodecKey key{c.k, c.r, c.w, c.family};
 
   core::Codec oracle(params, c.family);  // default schedule, sequential
+  // Encodes resolve their kernel shape through the front's schedule
+  // cache: the menu's next entry, installed for this encode task shape
+  // without an rng draw, so every pin replays the same configuration.
+  const std::vector<tensor::Schedule>& menu = DiffFuzzer::schedule_menu();
+  service.schedule_cache().install(oracle.encoder().task_shape(unit),
+                                   {menu[(c.sched + 1) % menu.size()], 1.0});
 
   struct ShardReq {
     serve::TenantId tenant = 0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <random>
 #include <vector>
@@ -25,6 +26,8 @@ struct TaskShape {
   std::size_t m = 0;
   std::size_t n = 0;
   std::size_t k = 0;
+
+  auto operator<=>(const TaskShape&) const = default;
 };
 
 class SearchSpace {

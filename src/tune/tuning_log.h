@@ -1,13 +1,18 @@
 #pragma once
 
+#include <cstdint>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "tune/tuner.h"
 
-/// Persistence for tuning results, mirroring TVM's tuning-record files:
-/// measure once, reuse the best schedule forever (the paper's §6.1 setup
-/// tunes for 20 000 trials precisely because the result is cached).
+/// Tuned schedules at run time and on disk, mirroring TVM's
+/// tuning-record files: measure once, reuse the best schedule forever
+/// (the paper's §6.1 setup tunes for 20 000 trials precisely because the
+/// result is cached).
 ///
 /// File format: one record per line,
 ///   `<task m>x<task n>x<task k> | <schedule to_string> | <throughput>`
@@ -15,11 +20,12 @@
 /// human-diffable, like TVM's JSON logs but simpler. Older logs whose
 /// schedule strings predate the parallel-axis or kernel-variant knobs
 /// parse with those knobs defaulted (see Schedule::parse), so a log
-/// survives library upgrades.
+/// survives library upgrades. load_log_all is the one reader and
+/// ScheduleCache::save the one writer.
 namespace tvmec::tune {
 
-/// What load_log skipped and why (logs travel between machines, so some
-/// records may not apply to the loading host).
+/// What load_log_all skipped and why (logs travel between machines, so
+/// some records may not apply to the loading host).
 struct LoadLogStats {
   /// Records whose schedule names a concrete kernel variant this host
   /// cannot execute (e.g. an avx512-tuned record loaded on an AVX2-only
@@ -28,25 +34,6 @@ struct LoadLogStats {
   std::size_t dropped_unavailable_variant = 0;
 };
 
-/// Appends every trial of `result` for `shape` to the log at `path`
-/// (creating the file if needed). Throws std::runtime_error on I/O
-/// failure.
-void append_log(const std::string& path, const TaskShape& shape,
-                const TuneResult& result);
-
-/// Reads all records for the exact task shape and returns the recorded
-/// history (in file order) as a TuneResult whose best_* fields are the
-/// best recorded entry. Returns nullopt if the file does not exist or
-/// holds no matching record. Throws std::runtime_error on a malformed
-/// record line (corrupt log files should fail loudly, not silently
-/// detune a production encoder). Records tuned for a kernel variant the
-/// running host lacks are NOT an error: they are skipped with a counted
-/// warning (`stats`, optional) — a cross-machine log is partially
-/// usable, a corrupt one is not.
-std::optional<TuneResult> load_log(const std::string& path,
-                                   const TaskShape& shape,
-                                   LoadLogStats* stats = nullptr);
-
 /// One parsed log line, shape included.
 struct LogRecord {
   TaskShape shape;
@@ -54,14 +41,60 @@ struct LogRecord {
   double throughput = 0.0;
 };
 
-/// Reads *every* record in the log, in file order, regardless of task
-/// shape — the warm-start path of the serving-layer schedule cache,
-/// which wants the whole file in one pass instead of one load_log()
-/// scan per shape it might ever see. Same error contract as load_log:
-/// a missing file returns an empty vector, a malformed line throws,
-/// and records tuned for a kernel variant this host lacks are skipped
-/// with a counted warning.
+/// Reads every record in the log, in file order. A missing file returns
+/// an empty vector; a malformed record line throws std::runtime_error
+/// (corrupt log files should fail loudly, not silently detune a
+/// production encoder). Records tuned for a kernel variant the running
+/// host lacks are NOT an error: they are skipped with a counted warning
+/// (`stats`, optional) — a cross-machine log is partially usable, a
+/// corrupt one is not.
 std::vector<LogRecord> load_log_all(const std::string& path,
                                     LoadLogStats* stats = nullptr);
+
+/// The best-known schedule per GEMM task shape: the one runtime store of
+/// tuned schedules. A core::Codec with a cache attached looks up every
+/// GEMM call's schedule here by task shape; the serving front's
+/// autotuner installs its winners here. Thread-safe.
+class ScheduleCache {
+ public:
+  struct Entry {
+    tensor::Schedule schedule;
+    double throughput = 0.0;
+  };
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t installs = 0;
+    std::uint64_t saves = 0;
+    std::uint64_t loaded_records = 0;
+    std::uint64_t dropped_unavailable_variant = 0;
+  };
+
+  /// Best-known entry for the shape (counted as a hit/miss).
+  std::optional<Entry> lookup(const TaskShape& shape) const;
+
+  /// Installs/overwrites the entry for a shape.
+  void install(const TaskShape& shape, const Entry& entry);
+
+  /// Merges a tuning log into the cache (best record per shape wins —
+  /// both within the file and against anything already cached).
+  /// Returns the entries it added or replaced. load_log_all's error
+  /// contract; records it drops are counted in Stats.
+  std::size_t load(const std::string& path);
+
+  /// Writes the whole cache to `path` in the tuning-log format —
+  /// snapshot under the lock, write to `path + ".tmp"`, rename — so a
+  /// concurrently restarting front never reads a half-written file.
+  /// Throws std::runtime_error on I/O failure.
+  void save(const std::string& path) const;
+
+  std::size_t size() const;
+  Stats stats() const;
+
+ private:
+  mutable std::mutex mutex_;
+  std::map<TaskShape, Entry> entries_;
+  mutable Stats stats_;  ///< hits/misses mutate under lookup() const
+};
 
 }  // namespace tvmec::tune

@@ -217,36 +217,46 @@ TEST(Codec, UpdateUnitValidation) {
                std::invalid_argument);
 }
 
+/// `kernel`'s tiles, cache blocks and variant with `own`'s thread
+/// knobs: what a coder whose own schedule is `own` runs on a cache hit.
+tensor::Schedule with_threads_of(tensor::Schedule kernel,
+                                 const tensor::Schedule& own) {
+  kernel.num_threads = own.num_threads;
+  kernel.par_axis = own.par_axis;
+  kernel.par_grain = own.par_grain;
+  return kernel;
+}
+
 TEST(Codec, TuneCachedReusesLoggedSchedules) {
+  // TVM's tuning-records workflow: tune once, log the winner per task
+  // shape, and let a later codec run it by loading the log.
   const std::string log =
-      ::testing::TempDir() + "/codec_tune_cached.log";
+      ::testing::TempDir() + "/codec_schedule_log.log";
   std::remove(log.c_str());
 
   tune::TuneOptions opt;
   opt.policy = tune::Policy::Random;
   opt.trials = 6;
   opt.seed = 5;
-
   Codec first(ec::CodeParams{6, 3, 8});
-  const auto fresh = first.tune_cached(kUnit, opt, 1, log);
+  const tune::TuneResult fresh = first.tune(kUnit, opt, 1);
   EXPECT_EQ(fresh.history.size(), 6u);
+  tune::ScheduleCache tuned;
+  tuned.install(first.encoder().task_shape(kUnit),
+                {fresh.best_schedule, fresh.best_throughput});
+  tuned.save(log);
 
-  // A second codec with the same shape loads the log instead of tuning:
-  // same best schedule, and the history comes back verbatim.
+  auto cache = std::make_shared<tune::ScheduleCache>();
+  EXPECT_EQ(cache->load(log), 1u);
   Codec second(ec::CodeParams{6, 3, 8});
-  const auto cached = second.tune_cached(kUnit, opt, 1, log);
-  EXPECT_EQ(cached.best_schedule, fresh.best_schedule);
-  EXPECT_EQ(cached.history.size(), fresh.history.size());
-  EXPECT_EQ(second.encoder().schedule(), fresh.best_schedule);
+  second.set_schedule_cache(cache);
+  const GemmCoder& coder = second.encoder();
+  EXPECT_EQ(coder.schedule_for(kUnit),
+            with_threads_of(fresh.best_schedule, coder.schedule()));
+  // Another task shape misses and runs the codec's own schedule.
+  EXPECT_EQ(coder.schedule_for(2 * kUnit), coder.schedule());
 
-  // A different task shape tunes fresh and appends.
-  Codec other(ec::CodeParams{4, 2, 8});
-  const auto other_result = other.tune_cached(kUnit, opt, 1, log);
-  EXPECT_EQ(other_result.history.size(), 6u);
-  EXPECT_NE(other.encoder().task_shape(kUnit).m,
-            first.encoder().task_shape(kUnit).m);
-
-  // Cached codec still encodes correctly.
+  // The cached codec still decodes correctly.
   auto stripe = make_stripe(second, 77);
   tensor::AlignedBuffer<std::uint8_t> damaged = stripe;
   const std::vector<std::size_t> erased = {0, 4, 8};
@@ -256,6 +266,36 @@ TEST(Codec, TuneCachedReusesLoggedSchedules) {
   EXPECT_TRUE(std::equal(stripe.span().begin(), stripe.span().end(),
                          damaged.span().begin()));
   std::remove(log.c_str());
+}
+
+TEST(Codec, ScheduleCacheRunsEachTaskShapesOwnSchedule) {
+  Codec codec(ec::CodeParams{4, 2, 8});
+  const Codec plain(ec::CodeParams{4, 2, 8});
+  const tensor::Schedule small{.tile_m = 1, .tile_n = 1};
+  const tensor::Schedule big{
+      .tile_m = 8, .tile_n = 64, .block_k = 8, .block_n = 256};
+  auto cache = std::make_shared<tune::ScheduleCache>();
+  cache->install(codec.encoder().task_shape(kUnit), {small, 1.0});
+  cache->install(codec.encoder().task_shape(4 * kUnit), {big, 1.0});
+  codec.set_schedule_cache(cache);
+
+  // One lookup per encode: two hits, and the 2x unit misses.
+  for (const std::size_t unit : {kUnit, 2 * kUnit, 4 * kUnit}) {
+    const auto data = random_bytes(4 * unit, unit);
+    tensor::AlignedBuffer<std::uint8_t> got(2 * unit), want(2 * unit);
+    codec.encode(data.span(), got.span(), unit);
+    plain.encode(data.span(), want.span(), unit);
+    ASSERT_TRUE(std::equal(want.span().begin(), want.span().end(),
+                           got.span().begin()));
+  }
+  EXPECT_EQ(cache->stats().hits, 2u);
+  EXPECT_EQ(cache->stats().misses, 1u);
+
+  const GemmCoder& coder = codec.encoder();
+  EXPECT_EQ(coder.schedule_for(kUnit), with_threads_of(small, coder.schedule()));
+  EXPECT_EQ(coder.schedule_for(4 * kUnit),
+            with_threads_of(big, coder.schedule()));
+  EXPECT_EQ(coder.schedule_for(2 * kUnit), coder.schedule());
 }
 
 TEST(Codec, InvalidParamsThrow) {

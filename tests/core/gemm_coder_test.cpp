@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "../test_util.h"
 #include "baselines/naive.h"
@@ -131,6 +132,70 @@ TEST(GemmCoder, SizeAndAlignmentValidation) {
   EXPECT_NO_THROW(coder.apply(in_off, parity.span(), 64));
   EXPECT_TRUE(std::equal(parity.span().begin(), parity.span().end(),
                          expect.span().begin()));
+}
+
+TEST(GemmCoder, ScheduleCacheSuppliesKernelShapeNotThreads) {
+  const ec::ReedSolomon rs(ec::CodeParams{4, 2, 8});
+  const std::size_t unit = 64 * 1024;
+  tensor::Schedule own = default_coder_schedule();
+  own.num_threads = 2;
+  GemmCoder coder(rs.parity_matrix(), own);
+  const tensor::Schedule tuned{.tile_m = 4,
+                               .tile_n = 16,
+                               .block_k = 8,
+                               .block_n = 256,
+                               .num_threads = 4,
+                               .par_axis = tensor::ParAxis::MN,
+                               .par_grain = 3,
+                               .variant = tensor::KernelVariant::Scalar};
+  auto cache = std::make_shared<tune::ScheduleCache>();
+  cache->install(coder.task_shape(unit), {tuned, 1.0e9});
+  coder.set_schedule_cache(cache);
+
+  const tensor::Schedule got = coder.schedule_for(unit);
+  EXPECT_EQ(got.tile_m, tuned.tile_m);
+  EXPECT_EQ(got.tile_n, tuned.tile_n);
+  EXPECT_EQ(got.block_k, tuned.block_k);
+  EXPECT_EQ(got.block_n, tuned.block_n);
+  EXPECT_EQ(got.variant, tuned.variant);
+  // The thread knobs stay the coder's own.
+  EXPECT_EQ(got.num_threads, own.num_threads);
+  EXPECT_EQ(got.par_axis, own.par_axis);
+  EXPECT_EQ(got.par_grain, own.par_grain);
+
+  const auto data = random_bytes(4 * unit, 41);
+  tensor::AlignedBuffer<std::uint8_t> out(2 * unit), expect(2 * unit);
+  coder.apply(data.span(), out.span(), unit);
+  baseline::NaiveBitmatrixCoder(rs.parity_matrix())
+      .apply(data.span(), expect.span(), unit);
+  ASSERT_TRUE(std::equal(expect.span().begin(), expect.span().end(),
+                         out.span().begin()));
+}
+
+TEST(GemmCoder, TuneIgnoresAttachedScheduleCache) {
+  const ec::ReedSolomon rs(ec::CodeParams{4, 2, 8});
+  const std::size_t unit = 4096;
+  GemmCoder coder(rs.parity_matrix());
+  // An entry the kernel rejects (no 5-row microkernel): any call that
+  // reads it throws.
+  tensor::Schedule rejected = default_coder_schedule();
+  rejected.tile_m = 5;
+  auto cache = std::make_shared<tune::ScheduleCache>();
+  cache->install(coder.task_shape(unit), {rejected, 1.0e12});
+  coder.set_schedule_cache(cache);
+
+  tune::TuneOptions opt;
+  opt.policy = tune::Policy::Random;
+  opt.trials = 4;
+  const tune::TuneResult result = coder.tune(unit, opt, 1);
+  EXPECT_EQ(result.failed_trials, 0u);  // every trial ran its own schedule
+  EXPECT_EQ(cache->stats().hits + cache->stats().misses, 0u);
+
+  const auto data = random_bytes(4 * unit, 42);
+  tensor::AlignedBuffer<std::uint8_t> out(2 * unit);
+  EXPECT_THROW(coder.apply(data.span(), out.span(), unit),
+               std::invalid_argument);
+  EXPECT_EQ(cache->stats().hits, 1u);
 }
 
 TEST(GemmCoder, TuneInstallsBestScheduleAndImproves) {

@@ -1,21 +1,15 @@
-// serve/autotune.h — traffic profiling, the schedule cache and its
-// tuning-log persistence (round-trip, concurrent saves, unavailable
-// variants dropped-and-counted), and the continuous autotuner's
-// warm-start/install cycle.
+// serve/autotune.h — traffic profiling and the continuous autotuner's
+// tune/install/persist cycle into a tune::ScheduleCache.
 
 #include "serve/autotune.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/ec_service.h"
-#include "tensor/variant.h"
 
 namespace tvmec::serve {
 namespace {
@@ -37,10 +31,9 @@ tune::TaskShape shape_of(const CodecKey& key, std::size_t unit) {
 
 TEST(TrafficProfile, RecordsTopAndFirstSeen) {
   TrafficProfile traffic;
-  EXPECT_TRUE(traffic.record(kKey, 512));
-  EXPECT_FALSE(traffic.record(kKey, 512));
-  EXPECT_TRUE(traffic.record(kKey, 1024));
-  for (int i = 0; i < 8; ++i) traffic.record(kKey, 1024);
+  traffic.record(kKey, 512);
+  traffic.record(kKey, 512);
+  for (int i = 0; i < 9; ++i) traffic.record(kKey, 1024);
   EXPECT_EQ(traffic.total(), 11u);
   EXPECT_EQ(traffic.distinct_pairs(), 2u);
 
@@ -62,173 +55,20 @@ TEST(TrafficProfile, DecayHalvesAndForgets) {
   traffic.decay();  // 512 -> 0 (forgotten), 1024 -> 2
   EXPECT_EQ(traffic.distinct_pairs(), 1u);
   EXPECT_EQ(traffic.total(), 2u);
-  EXPECT_TRUE(traffic.record(kKey, 512));  // re-registers as first-seen
-}
-
-TEST(ScheduleCache, LookupCountsHitsAndMisses) {
-  ScheduleCache cache;
-  const tune::TaskShape shape = shape_of(kKey, 512);
-  EXPECT_FALSE(cache.lookup(shape).has_value());
-  tensor::Schedule s = default_service_schedule();
-  s.tile_m = 2;
-  cache.install(shape, {s, 5.0e9});
-  const auto hit = cache.lookup(shape);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->schedule, s);
-  EXPECT_DOUBLE_EQ(hit->throughput, 5.0e9);
-  const ScheduleCache::Stats st = cache.stats();
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_EQ(st.installs, 1u);
-}
-
-TEST(ScheduleCache, SaveLoadRoundTrip) {
-  TempFile tmp("schedule_cache_roundtrip.log");
-  ScheduleCache cache;
-  tensor::Schedule a = default_service_schedule();
-  a.tile_m = 2;
-  tensor::Schedule b = default_service_schedule();
-  b.block_k = 64;
-  cache.install(shape_of(kKey, 512), {a, 1.0e9});
-  cache.install(shape_of(kKey, 4096), {b, 2.0e9});
-  cache.save(tmp.path);
-
-  ScheduleCache fresh;
-  tune::LoadLogStats stats;
-  EXPECT_EQ(fresh.load(tmp.path, &stats), 2u);
-  EXPECT_EQ(stats.dropped_unavailable_variant, 0u);
-  EXPECT_EQ(fresh.size(), 2u);
-  const auto ea = fresh.lookup(shape_of(kKey, 512));
-  ASSERT_TRUE(ea.has_value());
-  EXPECT_EQ(ea->schedule, a);
-  EXPECT_DOUBLE_EQ(ea->throughput, 1.0e9);
-  const auto eb = fresh.lookup(shape_of(kKey, 4096));
-  ASSERT_TRUE(eb.has_value());
-  EXPECT_EQ(eb->schedule, b);
-  EXPECT_EQ(fresh.stats().loaded_records, 2u);
-}
-
-TEST(ScheduleCache, LoadMergesBestRecordPerShape) {
-  TempFile tmp("schedule_cache_merge.log");
-  const tune::TaskShape shape = shape_of(kKey, 512);
-  {
-    // Hand-written log with two records for one shape: best must win.
-    std::ofstream out(tmp.path);
-    tensor::Schedule slow = default_service_schedule();
-    tensor::Schedule fast = default_service_schedule();
-    fast.tile_m = 2;
-    out << shape.m << "x" << shape.n << "x" << shape.k << " | "
-        << slow.to_string() << " | 1e9\n";
-    out << shape.m << "x" << shape.n << "x" << shape.k << " | "
-        << fast.to_string() << " | 3e9\n";
-  }
-  ScheduleCache cache;
-  // An already-better cached entry survives a weaker log...
-  tensor::Schedule best = default_service_schedule();
-  best.tile_n = 8;
-  cache.install(shape, {best, 9.0e9});
-  cache.load(tmp.path);
-  EXPECT_EQ(cache.lookup(shape)->schedule, best);
-
-  // ...and a weaker cached entry is upgraded to the log's best.
-  ScheduleCache weak;
-  weak.install(shape, {default_service_schedule(), 0.5e9});
-  weak.load(tmp.path);
-  EXPECT_DOUBLE_EQ(weak.lookup(shape)->throughput, 3.0e9);
-}
-
-TEST(ScheduleCache, MissingFileLoadsNothingAndMalformedThrows) {
-  ScheduleCache cache;
-  EXPECT_EQ(cache.load(::testing::TempDir() + "/no_such_cache.log"), 0u);
-  TempFile tmp("schedule_cache_malformed.log");
-  {
-    std::ofstream out(tmp.path);
-    out << "not a record\n";
-  }
-  EXPECT_THROW(cache.load(tmp.path), std::runtime_error);
-}
-
-TEST(ScheduleCache, UnavailableVariantRecordsDroppedAndCounted) {
-  // Find a concrete kernel tier the running host lacks; on a host with
-  // every tier (impossible today — no machine has AVX-512 and NEON)
-  // there would be nothing to drop.
-  tensor::KernelVariant missing = tensor::KernelVariant::Auto;
-  for (const tensor::KernelVariant v :
-       {tensor::KernelVariant::Neon, tensor::KernelVariant::Avx512,
-        tensor::KernelVariant::Avx2}) {
-    if (!tensor::variant_available(v)) {
-      missing = v;
-      break;
-    }
-  }
-  if (missing == tensor::KernelVariant::Auto)
-    GTEST_SKIP() << "host supports every kernel variant";
-
-  TempFile tmp("schedule_cache_variant.log");
-  const tune::TaskShape shape = shape_of(kKey, 512);
-  {
-    std::ofstream out(tmp.path);
-    tensor::Schedule foreign = default_service_schedule();
-    foreign.variant = missing;
-    tensor::Schedule local = default_service_schedule();
-    out << shape.m << "x" << shape.n << "x" << shape.k << " | "
-        << foreign.to_string() << " | 9e9\n";
-    out << shape.m << "x" << shape.n << "x" << shape.k << " | "
-        << local.to_string() << " | 1e9\n";
-  }
-  ScheduleCache cache;
-  tune::LoadLogStats stats;
-  EXPECT_EQ(cache.load(tmp.path, &stats), 1u);
-  EXPECT_EQ(stats.dropped_unavailable_variant, 1u);
-  EXPECT_EQ(cache.stats().dropped_unavailable_variant, 1u);
-  // The surviving (runnable) record is the one cached, despite the
-  // foreign record's higher throughput.
-  ASSERT_TRUE(cache.lookup(shape).has_value());
-  EXPECT_DOUBLE_EQ(cache.lookup(shape)->throughput, 1.0e9);
-}
-
-TEST(ScheduleCache, SaveUnderConcurrentInstallsYieldsParsableFile) {
-  TempFile tmp("schedule_cache_concurrent.log");
-  ScheduleCache cache;
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    tensor::Schedule s = default_service_schedule();
-    std::size_t i = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      // Rotate across shapes and throughputs while saves snapshot.
-      cache.install(shape_of(kKey, 512 * (1 + i % 4)),
-                    {s, 1.0e9 + static_cast<double>(i)});
-      ++i;
-    }
-  });
-  for (int i = 0; i < 20; ++i) cache.save(tmp.path);
-  stop.store(true, std::memory_order_relaxed);
-  writer.join();
-  cache.save(tmp.path);  // final quiescent save
-
-  // Every save wrote a complete snapshot (tmp + rename): the file must
-  // parse and hold every shape present at the final save.
-  ScheduleCache fresh;
-  EXPECT_EQ(fresh.load(tmp.path), cache.size());
-  EXPECT_EQ(fresh.size(), cache.size());
 }
 
 TEST(ContinuousAutotuner, CtorValidates) {
-  TrafficProfile traffic;
-  ScheduleCache cache;
+  tune::ScheduleCache cache;
   AutotunePolicy policy;
-  EXPECT_THROW(ContinuousAutotuner(policy, traffic, cache, nullptr),
-               std::invalid_argument);
   policy.trials = 0;
-  EXPECT_THROW(ContinuousAutotuner(policy, traffic, cache,
-                                   [](const CodecKey&,
-                                      const tensor::Schedule&) {}),
-               std::invalid_argument);
+  EXPECT_THROW(ContinuousAutotuner(policy, cache), std::invalid_argument);
+  policy.trials = 1;
+  policy.max_pairs_per_cycle = 0;
+  EXPECT_THROW(ContinuousAutotuner(policy, cache), std::invalid_argument);
 }
 
 TEST(ContinuousAutotuner, CycleTunesHotPairAndInstalls) {
-  TrafficProfile traffic;
-  ScheduleCache cache;
+  tune::ScheduleCache cache;
   AutotunePolicy policy;
   policy.enabled = true;
   policy.background = false;
@@ -236,38 +76,33 @@ TEST(ContinuousAutotuner, CycleTunesHotPairAndInstalls) {
   policy.min_requests = 4;
   policy.max_pairs_per_cycle = 1;
   policy.min_gain = 1.0;
-
-  std::vector<CodecKey> installed;
-  ContinuousAutotuner tuner(policy, traffic, cache,
-                            [&](const CodecKey& key,
-                                const tensor::Schedule&) {
-                              installed.push_back(key);
-                            });
+  ContinuousAutotuner tuner(policy, cache);
 
   // Below min_requests: nothing to tune.
-  traffic.record(kKey, 512);
+  tuner.record(kKey, 512);
   EXPECT_EQ(tuner.run_cycle(), 0u);
   EXPECT_EQ(tuner.stats().pairs_considered, 0u);
+  EXPECT_EQ(cache.size(), 0u);
 
-  for (int i = 0; i < 8; ++i) traffic.record(kKey, 512);
-  const std::size_t published = tuner.run_cycle();
-  EXPECT_GE(published, 1u);  // measured throughput > 0 beats empty cache
-  ASSERT_FALSE(installed.empty());
-  EXPECT_EQ(installed.front(), kKey);
+  for (int i = 0; i < 8; ++i) tuner.record(kKey, 512);
+  // Measured throughput > 0 beats the empty cache.
+  EXPECT_EQ(tuner.run_cycle(), 1u);
   const AutotuneStats st = tuner.stats();
   EXPECT_EQ(st.cycles, 2u);
   EXPECT_EQ(st.pairs_considered, 1u);
   EXPECT_GE(st.trials_run, 2u);
   EXPECT_EQ(st.installs, 1u);
-  // The winner landed in the cache under the pair's task shape.
+  EXPECT_EQ(st.cache.installs, 1u);
+  // The winner landed in the cache under the pair's task shape, the
+  // only entry there.
+  EXPECT_EQ(cache.size(), 1u);
   EXPECT_TRUE(cache.lookup(shape_of(kKey, 512)).has_value());
 }
 
 TEST(ContinuousAutotuner, WarmStartPublishesCachedScheduleOnce) {
-  TrafficProfile traffic;
-  ScheduleCache cache;
-  // A cached record no live measurement can beat: only the warm-start
-  // install may publish.
+  tune::ScheduleCache cache;
+  // A cached record no live measurement can beat: the cycle tunes, but
+  // the warm-started entry stays the one every codec reads.
   tensor::Schedule best = default_service_schedule();
   best.tile_m = 2;
   cache.install(shape_of(kKey, 512), {best, 1.0e18});
@@ -277,30 +112,18 @@ TEST(ContinuousAutotuner, WarmStartPublishesCachedScheduleOnce) {
   policy.background = false;
   policy.trials = 1;
   policy.min_requests = 1;
-
-  std::vector<tensor::Schedule> published;
-  ContinuousAutotuner tuner(policy, traffic, cache,
-                            [&](const CodecKey&,
-                                const tensor::Schedule& s) {
-                              published.push_back(s);
-                            });
-  traffic.record(kKey, 512);
-  EXPECT_EQ(tuner.run_cycle(), 1u);
-  ASSERT_EQ(published.size(), 1u);
-  EXPECT_EQ(published.front(), best);
-  EXPECT_EQ(tuner.stats().warm_start_installs, 1u);
-  EXPECT_EQ(tuner.stats().installs, 0u);
-
-  // Same pair again: already published, nothing new.
-  traffic.record(kKey, 512);
+  ContinuousAutotuner tuner(policy, cache);
+  tuner.record(kKey, 512);
   EXPECT_EQ(tuner.run_cycle(), 0u);
-  EXPECT_EQ(published.size(), 1u);
+  EXPECT_EQ(tuner.stats().installs, 0u);
+  EXPECT_EQ(tuner.stats().pairs_considered, 1u);
+  EXPECT_EQ(cache.stats().installs, 1u);  // only the seed above
+  EXPECT_EQ(cache.lookup(shape_of(kKey, 512))->schedule, best);
 }
 
 TEST(ContinuousAutotuner, PersistsWinnersForWarmRestart) {
   TempFile tmp("autotune_persist.log");
-  TrafficProfile traffic;
-  ScheduleCache cache;
+  tune::ScheduleCache cache;
   AutotunePolicy policy;
   policy.enabled = true;
   policy.background = false;
@@ -309,37 +132,31 @@ TEST(ContinuousAutotuner, PersistsWinnersForWarmRestart) {
   policy.min_gain = 1.0;
   policy.log_path = tmp.path;
 
-  ContinuousAutotuner tuner(policy, traffic, cache,
-                            [](const CodecKey&, const tensor::Schedule&) {});
-  traffic.record(kKey, 512);
-  ASSERT_GE(tuner.run_cycle(), 1u);
-  EXPECT_GE(cache.stats().saves, 1u);
+  ContinuousAutotuner tuner(policy, cache);
+  tuner.record(kKey, 512);
+  ASSERT_EQ(tuner.run_cycle(), 1u);
+  EXPECT_EQ(cache.stats().saves, 1u);
 
   // "Restart": a fresh cache warm-starts from the persisted log.
-  ScheduleCache restarted;
-  tune::LoadLogStats stats;
-  EXPECT_GE(restarted.load(tmp.path, &stats), 1u);
+  tune::ScheduleCache restarted;
+  EXPECT_EQ(restarted.load(tmp.path), 1u);
   const auto entry = restarted.lookup(shape_of(kKey, 512));
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->schedule, cache.lookup(shape_of(kKey, 512))->schedule);
 }
 
 TEST(ContinuousAutotuner, BackgroundThreadStartsAndStops) {
-  TrafficProfile traffic;
-  ScheduleCache cache;
+  tune::ScheduleCache cache;
   AutotunePolicy policy;
   policy.enabled = true;
   policy.background = true;
   policy.interval = std::chrono::milliseconds(1);
   policy.trials = 1;
   policy.min_requests = 1;
-  std::atomic<int> installs{0};
   {
-    ContinuousAutotuner tuner(policy, traffic, cache,
-                              [&](const CodecKey&,
-                                  const tensor::Schedule&) { ++installs; });
+    ContinuousAutotuner tuner(policy, cache);
     tuner.start();
-    traffic.record(kKey, 512);
+    tuner.record(kKey, 512);
     // Wait (bounded) for at least one background cycle.
     for (int i = 0; i < 2000 && tuner.stats().cycles == 0; ++i)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));

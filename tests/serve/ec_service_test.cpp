@@ -387,6 +387,17 @@ TEST(EcService, GemmThreadCapIsObservedPerBatch) {
   // And the batch former actually coalesced.
   EXPECT_EQ(s.batch_width.max(), 16u);
   EXPECT_EQ(s.batches, 1u);
+
+  // The histogram records the threads the kernel ran, not the cap: a
+  // one-thread schedule runs one thread however wide the cap is.
+  cfg.schedule.num_threads = 1;
+  EcService serial(cfg);
+  for (int i = 0; i < 16; ++i)
+    futures.push_back(serial.submit_encode(kKey, data.span(),
+                                           parities[i].span(), kUnit));
+  serial.run_pending();
+  EXPECT_EQ(serial.stats().gemm_threads.count(), 1u);
+  EXPECT_EQ(serial.stats().gemm_threads.max(), 1u);
 }
 
 TEST(EcService, CancelledQueuedRequestNeverExecutes) {

@@ -1,11 +1,13 @@
 // serve/shard.h — the sharded multi-tenant front: placement, byte
 // correctness against the Codec oracle, per-tenant QoS and counter
-// identities, bounded work stealing, shard-local pools, warm start.
+// identities, bounded work stealing, shard-local pools, and the
+// front's schedule cache (warm start, installs under live serving).
 
 #include "serve/shard.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -375,20 +377,20 @@ TEST(ShardedEcService, MalformedSubmissionThrowsWithoutAccounting) {
   EXPECT_EQ(front.stats().aggregate.submitted, 0u);
 }
 
+tune::TaskShape encode_shape(const CodecKey& key, std::size_t unit) {
+  return tune::TaskShape{key.r * key.w, unit / (8 * key.w), key.k * key.w};
+}
+
 TEST(ShardedEcService, WarmStartInstallsCachedScheduleOnFirstSight) {
   const std::string log =
       ::testing::TempDir() + "/shard_warm_start_schedules.log";
   std::remove(log.c_str());
   {
     // A previous run's best-known schedule for kKey/kUnit's task shape.
-    ScheduleCache cache;
-    tune::TaskShape shape;
-    shape.m = kKey.r * kKey.w;
-    shape.n = kUnit / (8 * kKey.w);
-    shape.k = kKey.k * kKey.w;
+    tune::ScheduleCache cache;
     tensor::Schedule best = default_service_schedule();
     best.tile_m = 2;
-    cache.install(shape, {best, 1.0e9});
+    cache.install(encode_shape(kKey, kUnit), {best, 1.0e9});
     cache.save(log);
   }
 
@@ -397,23 +399,75 @@ TEST(ShardedEcService, WarmStartInstallsCachedScheduleOnFirstSight) {
   ShardedEcService front(cfg);
   EXPECT_EQ(front.schedule_cache().size(), 1u);
 
+  // Every batch of that shape, on either shard, reads the loaded entry.
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 12);
-  Bytes parity(kKey.r * kUnit);
-  EcFuture f = front.submit_encode(1, 0, kKey, data.span(), parity.span(),
-                                   kUnit);
-  front.run_pending();
-  EXPECT_EQ(f.wait().status, RequestStatus::Ok);
   const Bytes want = oracle_parity(kKey, data.span(), kUnit);
-  EXPECT_EQ(std::memcmp(parity.data(), want.data(), want.size()), 0);
-  EXPECT_EQ(front.stats().autotune.warm_start_installs, 1u);
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    Bytes parity(kKey.r * kUnit);
+    EcFuture f = front.submit_encode(1, client_on_shard(shard, 2), kKey,
+                                     data.span(), parity.span(), kUnit);
+    front.run_pending();
+    EXPECT_EQ(f.wait().status, RequestStatus::Ok);
+    EXPECT_EQ(std::memcmp(parity.data(), want.data(), want.size()), 0);
+    EXPECT_EQ(front.stats().autotune.cache.hits, shard + 1);
+  }
+  std::remove(log.c_str());
+}
 
-  // Second request of the same pair: no re-install.
-  Bytes parity2(kKey.r * kUnit);
-  EcFuture g = front.submit_encode(1, 1, kKey, data.span(), parity2.span(),
-                                   kUnit);
-  front.run_pending();
-  EXPECT_EQ(g.wait().status, RequestStatus::Ok);
-  EXPECT_EQ(front.stats().autotune.warm_start_installs, 1u);
+TEST(ShardedEcService, ConcurrentCacheInstallsKeepServingExact) {
+  // Schedules swap under live batches with no lock on the serving path:
+  // the cache hands each GEMM call a copy, and every schedule computes
+  // the same bytes.
+  ShardedServiceConfig cfg;
+  cfg.num_shards = 2;
+  cfg.workers_per_shard = 2;
+  cfg.shard.batch.max_batch_requests = 4;
+  ShardedEcService front(cfg);
+  const std::size_t units[2] = {kUnit, 8 * kUnit};
+  const std::vector<tensor::Schedule> menu = {
+      default_service_schedule(),
+      {.tile_m = 1, .tile_n = 1},
+      {.tile_m = 8, .tile_n = 64, .block_k = 8, .block_n = 256},
+      {.tile_m = 4, .tile_n = 16, .variant = tensor::KernelVariant::Scalar}};
+
+  constexpr int kPerClient = 100;
+  std::atomic<int> served{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      const std::size_t unit = units[c];
+      const Bytes data = testutil::random_bytes(kKey.k * unit, 300 + c);
+      const Bytes want = oracle_parity(kKey, data.span(), unit);
+      Bytes parity(kKey.r * unit);
+      for (int i = 0; i < kPerClient; ++i) {
+        EcFuture f = front.submit_encode(1, static_cast<std::uint64_t>(c),
+                                         kKey, data.span(), parity.span(),
+                                         unit);
+        EXPECT_EQ(f.wait().status, RequestStatus::Ok);
+        EXPECT_EQ(std::memcmp(parity.data(), want.data(), want.size()), 0);
+        served.fetch_add(1);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < 200; ++i) {
+      // Paced by the clients' progress, so installs land mid-serving
+      // instead of racing ahead of the first request.
+      while (served.load() < i) std::this_thread::yield();
+      for (const std::size_t unit : units)
+        front.schedule_cache().install(encode_shape(kKey, unit),
+                                       {menu[i % menu.size()], 1.0});
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  front.shutdown();
+
+  const ShardedStatsSnapshot fs = front.stats();
+  EXPECT_EQ(fs.aggregate.completed_ok, 2u * kPerClient);
+  EXPECT_TRUE(fs.aggregate.admission_balanced());
+  EXPECT_TRUE(fs.aggregate.drained_balanced());
+  EXPECT_TRUE(fs.front_balanced());
+  EXPECT_EQ(fs.autotune.cache.installs, 400u);
 }
 
 }  // namespace
