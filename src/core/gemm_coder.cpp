@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <stdexcept>
 #include <vector>
-
-#include <cstring>
 
 #include "tensor/kernel.h"
 #include "tensor/scattered.h"
@@ -14,6 +13,10 @@
 namespace tvmec::core {
 
 namespace {
+
+bool word_aligned(const void* p) noexcept {
+  return reinterpret_cast<std::uintptr_t>(p) % 8 == 0;
+}
 
 tensor::AlignedBuffer<std::uint64_t> build_masks(const gf::Matrix& coeffs) {
   const ec::BitmatrixCode code(coeffs);
@@ -87,9 +90,9 @@ void GemmCoder::do_apply(std::span<const std::uint8_t> in,
 
 void GemmCoder::run(std::span<const std::uint8_t> in,
                     std::span<std::uint8_t> out, std::size_t unit_size,
-                    const tensor::Schedule& schedule) const {
-  // MatrixCoder::apply guarantees aligned operands and a word-multiple
-  // packet size before dispatching here.
+                    const tensor::Schedule& schedule,
+                    const tensor::CancelToken& cancel) const {
+  // Callers guarantee aligned operands and a word-multiple packet size.
   const std::size_t packet_words = unit_size / w_ / 8;
   const std::size_t kw = in_units_ * w_;
   const std::size_t rw = out_units_ * w_;
@@ -102,19 +105,13 @@ void GemmCoder::run(std::span<const std::uint8_t> in,
   const tensor::MatView<std::uint64_t> c{
       reinterpret_cast<std::uint64_t*>(out.data()), rw, packet_words,
       packet_words};
-  tensor::gemm_xorand(a, b, c, schedule);
+  tensor::gemm_xorand(a, b, c, schedule, cancel);
 }
 
 void GemmCoder::apply_batch(std::span<const ec::CoderBatchItem> items,
                             int max_threads,
                             const tensor::CancelToken& cancel) const {
-  const auto word_aligned = [](const void* p) {
-    return reinterpret_cast<std::uintptr_t>(p) % 8 == 0;
-  };
-  const std::size_t kw = in_units_ * w_;
-  const std::size_t rw = out_units_ * w_;
-
-  std::vector<tensor::XorAndBatch> fast;
+  std::vector<const ec::CoderBatchItem*> fast;
   std::vector<const ec::CoderBatchItem*> slow;
   fast.reserve(items.size());
   for (const ec::CoderBatchItem& item : items) {
@@ -126,19 +123,39 @@ void GemmCoder::apply_batch(std::span<const ec::CoderBatchItem> items,
       slow.push_back(&item);  // the staging path of apply() handles it
       continue;
     }
-    const std::size_t packet_words = pb / 8;
-    fast.push_back(tensor::XorAndBatch{
-        {reinterpret_cast<const std::uint64_t*>(item.in.data()), kw,
-         packet_words, packet_words},
-        {reinterpret_cast<std::uint64_t*>(item.out.data()), rw, packet_words,
-         packet_words}});
+    fast.push_back(&item);
   }
 
-  if (!fast.empty()) {
-    const tensor::MatView<const std::uint64_t> a{masks_.data(), rw, kw, kw};
-    tensor::gemm_xorand_batched(
-        a, fast, batch_schedule(items.front().unit_size, max_threads),
-        cancel);
+  // schedule_for keeps this coder's thread knob, so whether the batch
+  // runs serially is known before the schedule is resolved.
+  const bool serial = schedule_.num_threads <= 1 || max_threads == 1;
+  if (fast.size() > 1 && !serial) {
+    // Many items for many threads: one wide-N GEMM packed from their
+    // units by apply_scattered.
+    std::vector<const std::uint8_t*> in_ptrs;
+    std::vector<std::uint8_t*> out_ptrs;
+    for (const ec::CoderBatchItem* item : fast) {
+      for (std::size_t u = 0; u < in_units_; ++u)
+        in_ptrs.push_back(item->in.data() + u * item->unit_size);
+      for (std::size_t u = 0; u < out_units_; ++u)
+        out_ptrs.push_back(item->out.data() + u * item->unit_size);
+    }
+    std::vector<ScatteredCoderItem> packed;
+    for (std::size_t i = 0; i < fast.size(); ++i)
+      packed.push_back({{&in_ptrs[i * in_units_], in_units_},
+                        {&out_ptrs[i * out_units_], out_units_},
+                        fast[i]->unit_size});
+    apply_scattered(packed, max_threads, cancel);
+  } else if (!fast.empty()) {
+    // A lone item, or a serial batch (a wide N only gives threads work
+    // to share): each item's contiguous units are its B and C, read and
+    // written in place.
+    const tensor::Schedule s =
+        batch_schedule(items.front().unit_size, max_threads);
+    for (const ec::CoderBatchItem* item : fast) {
+      cancel.throw_if_cancelled();
+      run(item->in, item->out, item->unit_size, s, cancel);
+    }
   }
   for (const ec::CoderBatchItem* item : slow) {
     cancel.throw_if_cancelled();
@@ -149,9 +166,6 @@ void GemmCoder::apply_batch(std::span<const ec::CoderBatchItem> items,
 void GemmCoder::apply_scattered(std::span<const ScatteredCoderItem> items,
                                 int max_threads,
                                 const tensor::CancelToken& cancel) const {
-  const auto word_aligned = [](const void* p) {
-    return reinterpret_cast<std::uintptr_t>(p) % 8 == 0;
-  };
   const std::size_t kw = in_units_ * w_;
   const std::size_t rw = out_units_ * w_;
 
@@ -173,11 +187,8 @@ void GemmCoder::apply_scattered(std::span<const ScatteredCoderItem> items,
         throw std::invalid_argument("apply_scattered: null output unit");
     if (out_units_ == 0) continue;  // r == 0: nothing to compute
     const std::size_t pb = item.unit_size / w_;
-    // Sub-threshold units take the staged road on purpose (the E21
-    // crossover): the fragment walk's per-panel overhead beats one bulk
-    // memcpy only once units are big enough to amortize it.
     const bool qualified =
-        pb % 8 == 0 && item.unit_size >= scattered_staging_threshold_ &&
+        pb % 8 == 0 &&
         std::all_of(item.in.begin(), item.in.end(), word_aligned) &&
         std::all_of(item.out.begin(), item.out.end(), word_aligned);
     if (qualified) {
@@ -225,9 +236,9 @@ void GemmCoder::apply_scattered(std::span<const ScatteredCoderItem> items,
         batch_schedule(items.front().unit_size, max_threads), cancel);
   }
 
-  // Degenerate items (misaligned pointers or sub-word packets) take the
-  // staging road they always took: gather into contiguous scratch, apply,
-  // scatter back — every memcpy visible in kernel_stage_stats.
+  // Degenerate items (misaligned pointers or sub-word packets) stage:
+  // gather into contiguous scratch, apply, scatter back — every memcpy
+  // visible in kernel_stage_stats.
   for (const ScatteredCoderItem* item : slow) {
     cancel.throw_if_cancelled();
     const std::size_t unit = item->unit_size;

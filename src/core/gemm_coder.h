@@ -6,6 +6,7 @@
 #include "ec/encoder.h"
 #include "gf/gf_matrix.h"
 #include "tensor/buffer.h"
+#include "tensor/cancel.h"
 #include "tensor/schedule.h"
 #include "tune/tuning_log.h"
 
@@ -43,13 +44,6 @@ tensor::Schedule default_coder_schedule() noexcept;
 
 class GemmCoder final : public ec::MatrixCoder {
  public:
-  /// Scattered items with units smaller than this are routed to the
-  /// staged accumulator path even when their pointers qualify for the
-  /// zero-copy kernel: E21 measured the per-fragment panel walk costing
-  /// more than one bulk memcpy below ~16 KB units. Settable per coder
-  /// (0 disables routing — every qualified item goes zero-copy).
-  static constexpr std::size_t kScatteredStageMaxBytes = 16 * 1024;
-
   /// Expands the coefficient matrix; starts with default_coder_schedule().
   explicit GemmCoder(const gf::Matrix& coeffs);
   GemmCoder(const gf::Matrix& coeffs, const tensor::Schedule& schedule);
@@ -80,16 +74,20 @@ class GemmCoder final : public ec::MatrixCoder {
   /// call resolves once, from its first item.
   tensor::Schedule schedule_for(std::size_t unit_size) const;
 
-  /// Batched multi-request entry: items whose buffers qualify for the
-  /// word fast path (8-byte aligned, whole-word packets) are packed into
-  /// a single gemm_xorand_batched call with an enlarged N dimension —
-  /// the kernel sees one big GEMM instead of many tiny ones — while
-  /// degenerate items fall back to the per-item staging path of apply().
-  /// `max_threads` > 0 caps the schedule's thread knob for this batch.
-  /// `cancel` reaches the fused kernel (tile-chunk polling granularity).
+  /// Batched multi-request entry: apply() per item, with validation and
+  /// the buffer contract exactly apply()'s. Items on the word path
+  /// (8-byte aligned, whole-word packets) run in place when there is one
+  /// of them or the schedule is serial; many of them under a parallel
+  /// schedule go through apply_scattered as one wide-N GEMM, so the
+  /// threads share one big N instead of many tiny ones. Degenerate
+  /// items take apply()'s staging path. `max_threads` > 0 caps the
+  /// schedule's thread knob for this batch. `cancel`, when valid, is
+  /// polled between items and inside the kernel (tensor::gemm_xorand's
+  /// contract); an observed flag throws tensor::Cancelled and leaves the
+  /// batch's outputs indeterminate.
   void apply_batch(std::span<const ec::CoderBatchItem> items,
                    int max_threads = 0,
-                   const tensor::CancelToken& cancel = {}) const override;
+                   const tensor::CancelToken& cancel = {}) const;
 
   /// Zero-copy scattered entry: consumes pointer-per-unit operands
   /// directly. Items whose packets are whole 64-bit words and whose unit
@@ -119,24 +117,16 @@ class GemmCoder final : public ec::MatrixCoder {
 
   unsigned w() const noexcept { return w_; }
 
-  /// See kScatteredStageMaxBytes. Units strictly below the threshold
-  /// stage; at or above it they ride the zero-copy fragment path.
-  void set_scattered_staging_threshold(std::size_t bytes) noexcept {
-    scattered_staging_threshold_ = bytes;
-  }
-  std::size_t scattered_staging_threshold() const noexcept {
-    return scattered_staging_threshold_;
-  }
-
  protected:
   void do_apply(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
                 std::size_t unit_size) const override;
   unsigned bit_sliced_w() const noexcept override { return w_; }
 
  private:
-  /// One contiguous GEMM under `schedule` (do_apply's body).
+  /// One contiguous GEMM under `schedule`, in place (do_apply's body).
   void run(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
-           std::size_t unit_size, const tensor::Schedule& schedule) const;
+           std::size_t unit_size, const tensor::Schedule& schedule,
+           const tensor::CancelToken& cancel = {}) const;
   /// schedule_for(unit_size) with its thread knob capped by
   /// `max_threads` when positive (the batched entries' contract).
   tensor::Schedule batch_schedule(std::size_t unit_size,
@@ -148,7 +138,6 @@ class GemmCoder final : public ec::MatrixCoder {
   tensor::AlignedBuffer<std::uint64_t> masks_;  // (out*w) x (in*w) broadcast
   tensor::Schedule schedule_;
   std::shared_ptr<const tune::ScheduleCache> schedule_cache_;
-  std::size_t scattered_staging_threshold_ = kScatteredStageMaxBytes;
 };
 
 }  // namespace tvmec::core

@@ -102,8 +102,6 @@ const Codec::DecodeEntry& Codec::decode_entry(
   auto coder =
       std::make_unique<GemmCoder>(shared->recovery, encode_coder_.schedule());
   coder->set_schedule_cache(encode_coder_.schedule_cache());
-  coder->set_scattered_staging_threshold(
-      encode_coder_.scattered_staging_threshold());
   const auto [pos, inserted] = decode_cache_.emplace(
       erased, DecodeEntry{std::move(shared), std::move(coder)});
   return pos->second;

@@ -71,9 +71,11 @@ class Codec {
               std::span<std::uint8_t> parity, std::size_t unit_size) const;
 
   /// Batched encode (the serving-layer entry point): each item is an
-  /// independent (data, parity, unit_size) request; the whole batch runs
-  /// as one wide-N GEMM (GemmCoder::apply_batch). `max_threads` > 0 caps
-  /// the schedule's thread knob for this batch so concurrent batches can
+  /// independent (data, parity, unit_size) request. A lone aligned item,
+  /// or every item under a serial schedule, runs in place; many aligned
+  /// items under a parallel schedule run as one wide-N GEMM packed from
+  /// their buffers (GemmCoder::apply_batch). `max_threads` > 0 caps the
+  /// schedule's thread knob for this batch so concurrent batches can
   /// share the pool. Thread-safe: encode state is immutable.
   /// `cancel`, when valid, is polled at tile-chunk granularity inside
   /// the kernel; an observed flag throws tensor::Cancelled and leaves
@@ -156,19 +158,6 @@ class Codec {
     encode_coder_.set_schedule_cache(std::move(cache));
     decode_cache_.clear();
     delta_coders_.clear();
-  }
-
-  /// Routes scattered operands below `bytes` to the staged accumulator
-  /// path (the E21 crossover; default GemmCoder::kScatteredStageMaxBytes,
-  /// 0 forces zero-copy for every qualified item). Applies to
-  /// encode_scattered and to decode_batch's per-pattern coders.
-  void set_scattered_staging_threshold(std::size_t bytes) {
-    encode_coder_.set_scattered_staging_threshold(bytes);
-    for (auto& [pattern, entry] : decode_cache_)
-      entry.coder->set_scattered_staging_threshold(bytes);
-  }
-  std::size_t scattered_staging_threshold() const noexcept {
-    return encode_coder_.scattered_staging_threshold();
   }
 
   /// Number of distinct erasure patterns with cached decode coders.

@@ -33,20 +33,6 @@ void MatrixCoder::validate_apply_args(std::span<const std::uint8_t> in,
     throw std::invalid_argument(name() + ": bad output size");
 }
 
-void MatrixCoder::apply_batch(std::span<const CoderBatchItem> items,
-                              int max_threads,
-                              const tensor::CancelToken& cancel) const {
-  // Reference semantics: a batch is the sequence of its requests. Only
-  // backends with a schedule knob (GemmCoder) interpret max_threads;
-  // cancellation is polled at item granularity here (an item is the
-  // smallest unit a sequential backend can skip).
-  (void)max_threads;
-  for (const CoderBatchItem& item : items) {
-    cancel.throw_if_cancelled();
-    apply(item.in, item.out, item.unit_size);
-  }
-}
-
 void MatrixCoder::apply(std::span<const std::uint8_t> in,
                         std::span<std::uint8_t> out,
                         std::size_t unit_size) const {

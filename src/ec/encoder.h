@@ -6,8 +6,6 @@
 #include <string>
 #include <stdexcept>
 
-#include "tensor/cancel.h"
-
 /// The backend-neutral coding interface.
 ///
 /// Every encoding library in this repo — the naive reference, the three
@@ -30,9 +28,10 @@ inline void require_word_aligned(const void* p, const char* what) {
                                 ": buffer must be 8-byte aligned");
 }
 
-/// One request of a batched apply: its own operand pair and unit size
-/// (unit sizes may differ across a batch; the coefficient matrix — and
-/// therefore in_units/out_units — is the coder's and shared).
+/// One request of a batched apply (core::GemmCoder::apply_batch): its own
+/// operand pair and unit size (unit sizes may differ across a batch; the
+/// coefficient matrix — and therefore in_units/out_units — is the coder's
+/// and shared).
 struct CoderBatchItem {
   std::span<const std::uint8_t> in;
   std::span<std::uint8_t> out;
@@ -59,23 +58,6 @@ class MatrixCoder {
   void apply(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
              std::size_t unit_size) const;
 
-  /// Applies the coefficient matrix to a whole batch of independent
-  /// requests in one call (the serving-layer entry point). Semantically
-  /// identical to calling apply() per item — and that is the default
-  /// implementation — but backends may execute the batch as a single
-  /// enlarged kernel invocation (GemmCoder packs the payloads into one
-  /// wide-N GEMM). `max_threads` > 0 caps the thread knob of whatever
-  /// schedule the backend would use, so concurrent batches can share a
-  /// thread pool without oversubscribing; 0 leaves it unchanged.
-  /// Validation and the buffer contract are exactly apply()'s, per item.
-  /// `cancel`, when valid, is polled between items (and, for GemmCoder,
-  /// at tile-chunk granularity inside the fused kernel); an observed
-  /// flag throws tensor::Cancelled and leaves the remaining outputs
-  /// unwritten — outputs of the aborted batch are indeterminate.
-  virtual void apply_batch(std::span<const CoderBatchItem> items,
-                           int max_threads = 0,
-                           const tensor::CancelToken& cancel = {}) const;
-
   virtual std::size_t in_units() const noexcept = 0;
   virtual std::size_t out_units() const noexcept = 0;
 
@@ -84,7 +66,7 @@ class MatrixCoder {
 
  protected:
   /// apply()'s argument validation alone (sizes, unit-size granularity),
-  /// shared with apply_batch overrides. Throws std::invalid_argument.
+  /// shared with GemmCoder::apply_batch. Throws std::invalid_argument.
   void validate_apply_args(std::span<const std::uint8_t> in,
                            std::span<std::uint8_t> out,
                            std::size_t unit_size) const;

@@ -13,7 +13,6 @@
 #include "core/tvmec.h"
 #include "ec/encoder.h"
 #include "serve/batch_former.h"
-#include "serve/buffer_pool.h"
 #include "serve/circuit_breaker.h"
 #include "serve/request.h"
 #include "serve/stats.h"
@@ -86,11 +85,6 @@ struct HealthSnapshot {
   /// answer "which kernel is this replica actually running?" from the
   /// readiness endpoint instead of rebuilding with different flags.
   std::string kernel_variant;
-  /// The shard-local registered-buffer pool, filled in by the sharded
-  /// front (which owns one per shard). has_pool == false for a shard
-  /// without one and for a standalone service; `pool` is then all zeros.
-  bool has_pool = false;
-  BufferPoolStats pool;
 };
 
 struct ServiceConfig {

@@ -119,15 +119,9 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
   const std::size_t executors =
       fleet_executors(num_shards, config.workers_per_shard);
   shards_.reserve(num_shards);
-  pools_.reserve(num_shards);
-  for (std::size_t i = 0; i < num_shards; ++i) {
+  for (std::size_t i = 0; i < num_shards; ++i)
     shards_.push_back(std::make_unique<EcService>(
         config.shard, executors, &tenants_, schedule_cache_));
-    pools_.push_back(
-        config.pool_bytes_per_shard > 0
-            ? std::make_shared<BufferPool>(config.pool_bytes_per_shard)
-            : nullptr);
-  }
 
   if (config.autotune.enabled) {
     autotuner_ = std::make_unique<ContinuousAutotuner>(config.autotune,
@@ -333,10 +327,6 @@ ShardedStatsSnapshot ShardedEcService::stats() const {
     s.shard = i;
     s.stats = shards_[i]->stats();
     s.queue_wait_ewma = shards_[i]->queue_wait_ewma();
-    if (pools_[i]) {
-      s.has_pool = true;
-      s.pool = pools_[i]->stats();
-    }
     merge_stats(out.aggregate, s.stats);
     out.shards.push_back(std::move(s));
   }
@@ -371,10 +361,6 @@ ShardedHealthSnapshot ShardedEcService::health() const {
   std::size_t stuck = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     HealthSnapshot h = shards_[i]->health();
-    if (pools_[i]) {
-      h.has_pool = true;
-      h.pool = pools_[i]->stats();
-    }
     if (h.state == HealthState::Unhealthy) ++unhealthy;
     stuck += h.stuck_batches;
     for (const std::string& reason : h.reasons)

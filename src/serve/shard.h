@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "serve/autotune.h"
-#include "serve/buffer_pool.h"
 #include "serve/ec_service.h"
 #include "serve/request.h"
 #include "serve/tenant.h"
@@ -28,9 +27,9 @@
 /// ceiling long before the GEMM does — the same reason ML serving
 /// systems run one request queue per worker rather than one global one.
 /// The front hashes each client to a shard; a client's requests stay on
-/// one shard (affinity keeps its codec slots, buffer pool, and plan
-/// cache warm), while different clients spread across shards and never
-/// share a queue lock.
+/// one shard (affinity keeps its codec slots and plan cache warm),
+/// while different clients spread across shards and never share a
+/// queue lock.
 ///
 /// Sharding alone is vulnerable to skew: hash one hot client to shard 3
 /// and shard 3 queues while the others idle. The corrective is bounded
@@ -97,10 +96,6 @@ struct ShardedServiceConfig {
   /// the default policy on first use; policies can also be set later
   /// via tenants().set_policy()).
   std::map<TenantId, TenantPolicy> tenant_policies;
-  /// Registered-buffer pool bytes per shard (shard-local by default so
-  /// payload staging never contends on a cross-shard free-list lock).
-  /// 0 = no pools.
-  std::size_t pool_bytes_per_shard = std::size_t{32} << 20;
 };
 
 /// One shard's view in the front-wide snapshot.
@@ -108,8 +103,6 @@ struct ShardStatsSnapshot {
   std::size_t shard = 0;
   ServeStatsSnapshot stats;
   std::chrono::nanoseconds queue_wait_ewma{0};
-  bool has_pool = false;
-  BufferPoolStats pool;
 };
 
 struct ShardedStatsSnapshot {
@@ -212,17 +205,13 @@ class ShardedEcService {
   /// every shard is Unhealthy, or when the stuck batches of all shards
   /// together reach num_shards * workers_per_shard, the executor count
   /// each shard divides the GEMM pool by). Per-shard snapshots ride
-  /// along, each carrying its shard-local pool stats.
+  /// along.
   ShardedHealthSnapshot health() const;
 
   std::size_t pending() const;
 
   EcService& shard(std::size_t i) { return *shards_.at(i); }
   const EcService& shard(std::size_t i) const { return *shards_.at(i); }
-  /// Shard-local pool (null when pool_bytes_per_shard == 0).
-  const std::shared_ptr<BufferPool>& pool(std::size_t i) const {
-    return pools_.at(i);
-  }
 
   TenantRegistry& tenants() noexcept { return tenants_; }
   const TenantRegistry& tenants() const noexcept { return tenants_; }
@@ -241,7 +230,6 @@ class ShardedEcService {
 
   ShardedServiceConfig config_;
   std::vector<std::unique_ptr<EcService>> shards_;
-  std::vector<std::shared_ptr<BufferPool>> pools_;  ///< one per shard
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_workers_{false};
 

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstring>
+#include <bit>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "tensor/microkernel.h"
 #include "tensor/scattered.h"
@@ -50,44 +49,11 @@ std::uint64_t* acquire_scratch(std::size_t words,
   return tl_scratch.data();
 }
 
-/// Maps a supported tile_m extent {1,2,4,8} to its dispatch-table index.
-int tile_m_index(int t) {
-  switch (t) {
-    case 1:
-      return 0;
-    case 2:
-      return 1;
-    case 4:
-      return 2;
-    case 8:
-      return 3;
-    default:
-      throw std::invalid_argument("unsupported tile_m extent " +
-                                  std::to_string(t));
-  }
-}
-
-/// Maps a supported tile_n extent {1,2,4,8,16,32,64} to its index.
-int tile_n_index(int t) {
-  switch (t) {
-    case 1:
-      return 0;
-    case 2:
-      return 1;
-    case 4:
-      return 2;
-    case 8:
-      return 3;
-    case 16:
-      return 4;
-    case 32:
-      return 5;
-    case 64:
-      return 6;
-    default:
-      throw std::invalid_argument("unsupported tile_n extent " +
-                                  std::to_string(t));
-  }
+/// Dispatch-table index of a tile extent: log2, since every supported
+/// extent is a power of two (Schedule::valid() checked it before any
+/// kernel runs).
+std::size_t tile_index(int t) {
+  return static_cast<std::size_t>(std::countr_zero(static_cast<unsigned>(t)));
 }
 
 template <class S>
@@ -125,8 +91,8 @@ constexpr std::array<std::array<MicroFn<S>, 7>, 4> make_dispatch() {
 /// construction: no per-file target flags apply here).
 template <class S>
 MicroFn<S> select_micro(const Schedule& s) {
-  const std::size_t mi = static_cast<std::size_t>(tile_m_index(s.tile_m));
-  const std::size_t ni = static_cast<std::size_t>(tile_n_index(s.tile_n));
+  const std::size_t mi = tile_index(s.tile_m);
+  const std::size_t ni = tile_index(s.tile_n);
   if constexpr (std::is_same_v<S, XorAnd64>) {
     return xorand_table(resolve_variant(s.variant))->fn[mi][ni];
   } else {
@@ -135,61 +101,141 @@ MicroFn<S> select_micro(const Schedule& s) {
   }
 }
 
-template <class S>
-void validate_shapes(MatView<const typename S::value_type> a,
-                     MatView<const typename S::value_type> b,
-                     MatView<typename S::value_type> c) {
-  a.validate();
-  b.validate();
-  c.validate();
-  if (a.rows != c.rows || b.cols != c.cols || a.cols != b.rows)
+/// N extent of one in-place block when N is unblocked and the call is
+/// cancellable: the poll per block and the block's re-entry amortize to
+/// well under a percent even for small serving-sized operands, while a
+/// whole-N block could run for milliseconds (one batch-service time)
+/// between polls. A multiple of every supported tile_n.
+constexpr std::size_t kCancelBlockWords = 4096;
+
+/// Operand kinds of the one blocked loop. A MatView is read or written
+/// in place through its stride; a ScatteredView is packed: its panels
+/// are gathered from (or scattered to) its fragments.
+template <class Op>
+inline constexpr bool kPacked = false;
+template <class T>
+inline constexpr bool kPacked<ScatteredView<T>> = true;
+
+template <class T>
+std::pair<std::size_t, std::size_t> shape_of(const MatView<T>& v) {
+  v.validate();
+  return {v.rows, v.cols};
+}
+/// A ScatteredView checked its invariants when it was built.
+template <class T>
+std::pair<std::size_t, std::size_t> shape_of(const ScatteredView<T>& v) {
+  return {v.rows(), v.cols()};
+}
+
+/// Throws std::invalid_argument unless A is MxK, B is KxN and C is MxN;
+/// returns N.
+template <class S, class BOp, class COp>
+std::size_t validate_shapes(MatView<const typename S::value_type> a,
+                            const BOp& b, const COp& c) {
+  const auto [m, k] = shape_of(a);
+  const auto [b_rows, b_cols] = shape_of(b);
+  const auto [c_rows, c_cols] = shape_of(c);
+  if (m != c_rows || b_cols != c_cols || k != b_rows)
     throw std::invalid_argument("gemm: A(MxK) B(KxN) C(MxN) shape mismatch");
+  return c_cols;
 }
 
 /// Executes the output block [m0, m1) x [n0, n1) of C under the given
-/// schedule. Workers own disjoint C blocks, so this is the unit of
-/// parallel work as well as the serial whole-matrix path.
-template <class S>
-void run_block(MatView<const typename S::value_type> a,
-               MatView<const typename S::value_type> b,
-               MatView<typename S::value_type> c, const Schedule& s,
-               std::size_t m0, std::size_t m1, std::size_t n0,
-               std::size_t n1) {
+/// schedule: the one blocked loop every GEMM entry runs. Workers own
+/// disjoint C blocks, so this is the unit of parallel work as well as
+/// the serial whole-matrix path. Per n-block, a packed B is gathered
+/// into a cache-resident panel once per k-block (the packing step of the
+/// tiled loop: each source word is read once, while it is still warm
+/// for the microkernels), and a packed C accumulates in a panel that is
+/// scattered out once. In-place operands are read and written through
+/// their strides, so the all-in-place instantiation takes no scratch.
+/// `cancel` is polled once per n-block; with a valid token an unblocked
+/// in-place N is cut into kCancelBlockWords blocks, so even a one-thread
+/// run observes cancellation mid-matrix.
+template <class S, class BOp, class COp>
+void run_block(MatView<const typename S::value_type> a, const BOp& b,
+               const COp& c, const Schedule& s, std::size_t m0,
+               std::size_t m1, std::size_t n0, std::size_t n1,
+               const CancelToken& cancel) {
   using V = typename S::value_type;
+  constexpr bool kPackB = kPacked<BOp>;
+  constexpr bool kPackC = kPacked<COp>;
   const MicroFn<S> micro = select_micro<S>(s);
   const std::size_t tm = static_cast<std::size_t>(s.tile_m);
   const std::size_t tn = static_cast<std::size_t>(s.tile_n);
   const std::size_t k = a.cols;
-  const std::size_t block_n = s.block_n == 0 ? c.cols : s.block_n;
-  const std::size_t block_k = s.block_k == 0 ? k : s.block_k;
+  const std::size_t rows = m1 - m0;
+  const std::size_t block_k = s.block_k == 0 ? k : std::min(s.block_k, k);
 
-  // Zero the owned block once; k-blocks then accumulate into C.
-  for (std::size_t i = m0; i < m1; ++i) {
-    V* row = c.row(i);
-    std::fill(row + n0, row + n1, S::zero());
+  std::size_t block_n = s.block_n;
+  V* b_panel = nullptr;
+  V* c_panel = nullptr;
+  AlignedBuffer<std::uint64_t> overflow;
+  if constexpr (kPackB || kPackC) {
+    if (block_n == 0) {
+      // A packed n-block is materialized, so block_n == 0 cannot mean
+      // "whole N": a full-width panel would be the staging buffer the
+      // packed road exists to avoid. Size it so the B and C panels stay
+      // cache-resident.
+      constexpr std::size_t kPanelBudgetWords =
+          (std::size_t{1} << 18) / sizeof(std::uint64_t);  // 256 KiB
+      block_n = kPanelBudgetWords / (block_k + rows) / tn * tn;
+    }
+    block_n = std::max(block_n, tn);
+    const std::size_t b_words = kPackB ? block_k * block_n : 0;
+    b_panel = acquire_scratch(b_words + (kPackC ? rows * block_n : 0),
+                              overflow);
+    c_panel = b_panel + b_words;
+  } else if (block_n == 0) {
+    block_n = cancel.valid() ? kCancelBlockWords : n1 - n0;
   }
 
   for (std::size_t nb = n0; nb < n1; nb += block_n) {
-    const std::size_t nb_end = std::min(n1, nb + block_n);
+    cancel.throw_if_cancelled();
+    const std::size_t nn_blk = std::min(n1 - nb, block_n);
+    // This n-block of C: element (i, j) at c_blk[(i - m0) * ldc + j - nb].
+    V* c_blk = c_panel;
+    std::size_t ldc = nn_blk;
+    if constexpr (!kPackC) {
+      c_blk = c.row(m0) + nb;
+      ldc = c.stride;
+    }
+    // Zero the block once; k-blocks then accumulate into it.
+    for (std::size_t i = 0; i < rows; ++i)
+      std::fill_n(c_blk + i * ldc, nn_blk, S::zero());
+
     for (std::size_t kb = 0; kb < k; kb += block_k) {
-      const std::size_t kb_end = std::min(k, kb + block_k);
-      const std::size_t kk = kb_end - kb;
+      const std::size_t kk = std::min(k - kb, block_k);
+      // This (k-block, n-block) of B: element (r, j) at
+      // b_blk[(r - kb) * ldb + j - nb].
+      const V* b_blk = b_panel;
+      std::size_t ldb = nn_blk;
+      if constexpr (kPackB) {
+        for (std::size_t r = 0; r < kk; ++r)
+          b.gather((kb + r) * b.cols() + nb, nn_blk, b_panel + r * nn_blk);
+      } else {
+        b_blk = b.row(kb) + nb;
+        ldb = b.stride;
+      }
       for (std::size_t i = m0; i < m1; i += tm) {
         const std::size_t mm = std::min(tm, m1 - i);
-        for (std::size_t j = nb; j < nb_end; j += tn) {
-          const std::size_t nn = std::min(tn, nb_end - j);
-          const V* a_ptr = a.row(i) + kb;
-          const V* b_ptr = b.row(kb) + j;
-          V* c_ptr = c.row(i) + j;
+        const V* a_ptr = a.row(i) + kb;
+        V* c_row = c_blk + (i - m0) * ldc;
+        for (std::size_t j = 0; j < nn_blk; j += tn) {
+          const std::size_t nn = std::min(tn, nn_blk - j);
           if (mm == tm && nn == tn) {
-            micro(a_ptr, a.stride, b_ptr, b.stride, c_ptr, c.stride, kk);
+            micro(a_ptr, a.stride, b_blk + j, ldb, c_row + j, ldc, kk);
           } else {
-            micro_gemm_edge<S>(a_ptr, a.stride, b_ptr, b.stride, c_ptr,
-                               c.stride, kk, mm, nn);
+            micro_gemm_edge<S>(a_ptr, a.stride, b_blk + j, ldb, c_row + j,
+                               ldc, kk, mm, nn);
           }
         }
       }
     }
+
+    if constexpr (kPackC)
+      for (std::size_t i = 0; i < rows; ++i)
+        c.scatter((m0 + i) * c.cols() + nb, nn_blk, c_panel + i * nn_blk);
   }
 }
 
@@ -236,53 +282,42 @@ AxisChunks make_axis_chunks(std::size_t extent, std::size_t tile,
   return ax;
 }
 
-template <class S>
-void gemm_scheduled(MatView<const typename S::value_type> a,
-                    MatView<const typename S::value_type> b,
-                    MatView<typename S::value_type> c, const Schedule& s,
+/// The one parallel dispatcher: validates, then hands run_block the
+/// whole matrix (serial) or the schedule's partition (parallel).
+template <class S, class BOp, class COp>
+void gemm_scheduled(MatView<const typename S::value_type> a, const BOp& b,
+                    const COp& c, const Schedule& s,
                     const CancelToken& cancel) {
-  validate_shapes<S>(a, b, c);
+  const std::size_t n = validate_shapes<S>(a, b, c);
   if (!s.valid()) throw std::invalid_argument("gemm: invalid schedule");
-  const std::size_t m = c.rows;
-  const std::size_t n = c.cols;
+  constexpr bool kAnyPacked = kPacked<BOp> || kPacked<COp>;
+  const std::size_t m = a.rows;
   const std::size_t threads = static_cast<std::size_t>(s.num_threads);
   const std::size_t tm = static_cast<std::size_t>(s.tile_m);
   const std::size_t tn = static_cast<std::size_t>(s.tile_n);
+  const auto block = [&](std::size_t m0, std::size_t m1, std::size_t n0,
+                         std::size_t n1) {
+    run_block<S>(a, b, c, s, m0, m1, n0, n1, cancel);
+  };
 
   if (threads <= 1) {
-    if (!cancel.valid()) {
-      run_block<S>(a, b, c, s, 0, m, 0, n);
-      return;
-    }
-    // Cancellable serial path: carve N into tile-aligned chunks purely to
-    // bound how much work runs between cancellation polls (a whole-matrix
-    // run_block could be milliseconds — one batch-service time — per
-    // check otherwise). Chunks cover at least kMinCancelWords of N so the
-    // poll and the per-chunk re-entry amortize to well under a percent
-    // even for small serving-sized operands.
-    cancel.throw_if_cancelled();
-    constexpr std::size_t kMinCancelWords = 4096;
-    const std::size_t grain =
-        std::max<std::size_t>(s.par_grain, (kMinCancelWords + tn - 1) / tn);
-    const AxisChunks nc = make_axis_chunks(n, tn, grain, 1);
-    for (std::size_t i = 0; i < nc.chunks; ++i) {
-      cancel.throw_if_cancelled();
-      const auto [n0, n1] = nc.range(i);
-      run_block<S>(a, b, c, s, 0, m, n0, n1);
-    }
+    block(0, m, 0, n);
     return;
   }
 
   ThreadPool& pool = ThreadPool::shared();
 
-  switch (s.par_axis) {
+  // Any packed operand partitions N: M is tiny for erasure codes and
+  // packed C panels are column-block-local, so there is nothing to gain
+  // (and scatter-aliasing to lose) from splitting M.
+  switch (kAnyPacked ? ParAxis::N : s.par_axis) {
     case ParAxis::M: {
       const AxisChunks mc = make_axis_chunks(m, tm, s.par_grain, threads);
       pool.parallel_for(
           mc.chunks,
           [&](std::size_t i) {
             const auto [m0, m1] = mc.range(i);
-            run_block<S>(a, b, c, s, m0, m1, 0, n);
+            block(m0, m1, 0, n);
           },
           threads, cancel.raw());
       break;
@@ -295,7 +330,7 @@ void gemm_scheduled(MatView<const typename S::value_type> a,
           nc.chunks,
           [&](std::size_t i) {
             const auto [n0, n1] = nc.range(i);
-            run_block<S>(a, b, c, s, 0, m, n0, n1);
+            block(0, m, n0, n1);
           },
           threads, cancel.raw());
       break;
@@ -315,7 +350,7 @@ void gemm_scheduled(MatView<const typename S::value_type> a,
           [&](std::size_t i) {
             const auto [m0, m1] = mc.range(i / nc.chunks);
             const auto [n0, n1] = nc.range(i % nc.chunks);
-            run_block<S>(a, b, c, s, m0, m1, n0, n1);
+            block(m0, m1, n0, n1);
           },
           threads, cancel.raw());
       break;
@@ -339,73 +374,6 @@ void gemm_naive(MatView<const typename S::value_type> a,
   }
 }
 
-/// Executes scattered columns [n0, n1): per n-block the B panel is
-/// gathered fragment-by-fragment into cache-resident scratch (the packing
-/// step of the tiled loop — each source word is read once per k-block,
-/// while it is still warm for the microkernels), the full-M C panel
-/// accumulates across k-blocks, and each C panel is scattered out exactly
-/// once. Workers own disjoint column ranges, so this is both the serial
-/// whole-matrix path and the unit of parallel work.
-void run_scattered_range(MatView<const std::uint64_t> a,
-                         const ScatteredView<const std::uint64_t>& b,
-                         const ScatteredView<std::uint64_t>& c,
-                         const Schedule& s, std::size_t n0, std::size_t n1,
-                         const CancelToken& cancel) {
-  using S = XorAnd64;
-  const MicroFn<S> micro = select_micro<S>(s);
-  const std::size_t tm = static_cast<std::size_t>(s.tile_m);
-  const std::size_t tn = static_cast<std::size_t>(s.tile_n);
-  const std::size_t m = a.rows;
-  const std::size_t k = a.cols;
-  const std::size_t n = b.cols();
-  const std::size_t bk = s.block_k == 0 ? k : std::min(s.block_k, k);
-
-  std::size_t bn = s.block_n;
-  if (bn == 0) {
-    // Unlike the contiguous path, block_n == 0 cannot mean "whole N": the
-    // panel is materialized, and a full-width panel would be the staging
-    // buffer this kernel exists to avoid. Size it so B-panel + C-panel
-    // stay cache-resident.
-    constexpr std::size_t kPanelBudgetWords =
-        (std::size_t{1} << 18) / sizeof(std::uint64_t);  // 256 KiB
-    bn = kPanelBudgetWords / (bk + m);
-    bn = bn / tn * tn;
-  }
-  bn = std::max(bn, tn);
-
-  AlignedBuffer<std::uint64_t> overflow;
-  std::uint64_t* const b_panel = acquire_scratch(bk * bn + m * bn, overflow);
-  std::uint64_t* const c_panel = b_panel + bk * bn;
-
-  for (std::size_t nb = n0; nb < n1; nb += bn) {
-    cancel.throw_if_cancelled();
-    const std::size_t nn_blk = std::min(n1 - nb, bn);
-    std::memset(c_panel, 0, m * nn_blk * sizeof(std::uint64_t));
-    for (std::size_t kb = 0; kb < k; kb += bk) {
-      const std::size_t kk = std::min(k, kb + bk) - kb;
-      for (std::size_t r = 0; r < kk; ++r)
-        b.gather((kb + r) * n + nb, nn_blk, b_panel + r * nn_blk);
-      for (std::size_t i = 0; i < m; i += tm) {
-        const std::size_t mm = std::min(tm, m - i);
-        for (std::size_t j = 0; j < nn_blk; j += tn) {
-          const std::size_t nn = std::min(tn, nn_blk - j);
-          const std::uint64_t* a_ptr = a.row(i) + kb;
-          const std::uint64_t* b_ptr = b_panel + j;
-          std::uint64_t* c_ptr = c_panel + i * nn_blk + j;
-          if (mm == tm && nn == tn) {
-            micro(a_ptr, a.stride, b_ptr, nn_blk, c_ptr, nn_blk, kk);
-          } else {
-            micro_gemm_edge<S>(a_ptr, a.stride, b_ptr, nn_blk, c_ptr, nn_blk,
-                               kk, mm, nn);
-          }
-        }
-      }
-    }
-    for (std::size_t i = 0; i < m; ++i)
-      c.scatter(i * n + nb, nn_blk, c_panel + i * nn_blk);
-  }
-}
-
 }  // namespace
 
 KernelStageStats kernel_stage_stats() noexcept {
@@ -423,99 +391,28 @@ std::size_t kernel_scratch_retained_bytes() noexcept {
   return tl_scratch.size() * sizeof(std::uint64_t);
 }
 
-void gemm_xorand_scattered(MatView<const std::uint64_t> a,
-                           const ScatteredView<const std::uint64_t>& b,
-                           const ScatteredView<std::uint64_t>& c,
-                           const Schedule& schedule,
-                           const CancelToken& cancel) {
-  a.validate();
-  if (!schedule.valid())
-    throw std::invalid_argument("gemm: invalid schedule");
-  if (a.rows != c.rows() || b.cols() != c.cols() || a.cols != b.rows())
-    throw std::invalid_argument("gemm: A(MxK) B(KxN) C(MxN) shape mismatch");
-  if (b.contiguous() && c.contiguous()) {
-    // Physically contiguous operands need no packing at all: same code
-    // path (and bytes) as the ordinary MatView kernel.
-    gemm_xorand(a, b.as_matview(), c.as_matview(), schedule, cancel);
-    return;
-  }
-  const std::size_t n = b.cols();
-  const std::size_t threads = static_cast<std::size_t>(schedule.num_threads);
-  if (threads <= 1) {
-    run_scattered_range(a, b, c, schedule, 0, n, cancel);
-    return;
-  }
-  // Scattered operands always partition N: M is tiny for erasure codes
-  // and C panels are column-block-local, so there is nothing to gain
-  // (and scatter-aliasing to lose) from splitting M.
-  const AxisChunks nc = make_axis_chunks(
-      n, static_cast<std::size_t>(schedule.tile_n), schedule.par_grain,
-      threads);
-  ThreadPool::shared().parallel_for(
-      nc.chunks,
-      [&](std::size_t i) {
-        const auto [lo, hi] = nc.range(i);
-        run_scattered_range(a, b, c, schedule, lo, hi, cancel);
-      },
-      threads, cancel.raw());
-}
-
 void gemm_xorand(MatView<const std::uint64_t> a, MatView<const std::uint64_t> b,
                  MatView<std::uint64_t> c, const Schedule& schedule,
                  const CancelToken& cancel) {
   gemm_scheduled<XorAnd64>(a, b, c, schedule, cancel);
 }
 
-void gemm_xorand_batched(MatView<const std::uint64_t> a,
-                         std::span<const XorAndBatch> items,
-                         const Schedule& schedule,
-                         const CancelToken& cancel) {
-  if (items.empty()) return;
-  if (items.size() == 1) {
-    // Oversized / lone requests bypass coalescing: no staging copy.
-    gemm_xorand(a, items[0].b, items[0].c, schedule, cancel);
-    return;
-  }
-  const std::size_t k = a.cols;
-  const std::size_t m = a.rows;
-  std::size_t n_total = 0;
-  for (const XorAndBatch& item : items) {
-    validate_shapes<XorAnd64>(a, item.b, item.c);
-    n_total += item.b.cols;
-  }
-
-  // Coalescing exists to enlarge N so thread partitioning has work to
-  // hand out; a serial schedule gains nothing from a wide B and would
-  // pay the gather/scatter memory traffic for free. Run items
-  // back-to-back instead (same results, no staging).
-  if (schedule.num_threads <= 1) {
-    for (const XorAndBatch& item : items) {
-      cancel.throw_if_cancelled();
-      gemm_xorand(a, item.b, item.c, schedule, cancel);
-    }
-    return;
-  }
-
-  // Zero-copy scattered dispatch: logical row r of the wide K x (sum N_i)
-  // B matrix is the concatenation of every item's row r — a fragment
-  // list, not a staging buffer. The scattered kernel folds the gather
-  // into its panel packing, so request payloads flow to the microkernels
-  // straight from the callers' buffers. (This replaces the full-batch
-  // thread_local b_scratch/c_scratch staging this function used to do.)
-  std::vector<Fragment<const std::uint64_t>> b_frags;
-  b_frags.reserve(k * items.size());
-  for (std::size_t row = 0; row < k; ++row)
-    for (const XorAndBatch& item : items)
-      b_frags.push_back({item.b.row(row), item.b.cols});
-  std::vector<Fragment<std::uint64_t>> c_frags;
-  c_frags.reserve(m * items.size());
-  for (std::size_t row = 0; row < m; ++row)
-    for (const XorAndBatch& item : items)
-      c_frags.push_back({item.c.row(row), item.c.cols});
-  gemm_xorand_scattered(
-      a, ScatteredView<const std::uint64_t>(k, n_total, std::move(b_frags)),
-      ScatteredView<std::uint64_t>(m, n_total, std::move(c_frags)), schedule,
-      cancel);
+void gemm_xorand_scattered(MatView<const std::uint64_t> a,
+                           const ScatteredView<const std::uint64_t>& b,
+                           const ScatteredView<std::uint64_t>& c,
+                           const Schedule& schedule,
+                           const CancelToken& cancel) {
+  // A one-fragment operand is physically contiguous: the loop reads or
+  // writes it in place, and packs only the fragmented ones.
+  if (b.contiguous() && c.contiguous())
+    gemm_scheduled<XorAnd64>(a, b.as_matview(), c.as_matview(), schedule,
+                             cancel);
+  else if (b.contiguous())
+    gemm_scheduled<XorAnd64>(a, b.as_matview(), c, schedule, cancel);
+  else if (c.contiguous())
+    gemm_scheduled<XorAnd64>(a, b, c.as_matview(), schedule, cancel);
+  else
+    gemm_scheduled<XorAnd64>(a, b, c, schedule, cancel);
 }
 
 void gemm_sumprod_i64(MatView<const std::int64_t> a,

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "tensor/buffer.h"
 #include "tensor/cancel.h"
@@ -19,9 +18,11 @@
 ///
 /// The executor applies the Schedule's cache blocking, register tiling
 /// (dispatching to the template-instantiated microkernel menu) and thread
-/// parallelism. `gemm_naive_*` are the unoptimized Listing-1/2 triple
-/// loops used as correctness references and as the "what you'd write
-/// without an ML library" baseline.
+/// parallelism. Every entry runs the same blocked loop nest;
+/// gemm_xorand_scattered (tensor/scattered.h) is that loop with its
+/// fragmented operands packed per cache panel. `gemm_naive_*` are the
+/// unoptimized Listing-1/2 triple loops used as correctness references
+/// and as the "what you'd write without an ML library" baseline.
 namespace tvmec::tensor {
 
 /// Shapes must satisfy: A is MxK, B is KxN, C is MxN (each view's
@@ -29,41 +30,14 @@ namespace tvmec::tensor {
 /// mismatch or an unsupported schedule.
 ///
 /// `cancel`, when valid, is polled at tile-chunk granularity (between
-/// the chunks the schedule's partitioning hands to the pool; serial
-/// schedules are carved into N-axis chunks just for the poll, so even a
-/// one-thread run observes cancellation mid-matrix). An observed flag
-/// throws Cancelled; C is then partially written and must be treated as
-/// garbage by the caller.
+/// the chunks the schedule's partitioning hands to the pool, and before
+/// each cache block along N; an unblocked N is cut into 4096-word blocks
+/// just for the poll, so even a one-thread run observes cancellation
+/// mid-matrix). An observed flag throws Cancelled; C is then partially
+/// written and must be treated as garbage by the caller.
 void gemm_xorand(MatView<const std::uint64_t> a, MatView<const std::uint64_t> b,
                  MatView<std::uint64_t> c, const Schedule& schedule,
                  const CancelToken& cancel = {});
-
-/// One request of a batched xorand GEMM: every item shares the A operand
-/// (the expanded bitmatrix) but brings its own B/C pair (its payload and
-/// result). Shapes per item: B is KxN_i, C is MxN_i, with K = a.cols and
-/// M = a.rows; the N_i may differ across items.
-struct XorAndBatch {
-  MatView<const std::uint64_t> b;
-  MatView<std::uint64_t> c;
-};
-
-/// Multi-request GEMM with an enlarged N dimension (the serving-layer
-/// batching primitive): the items' B operands are viewed side by side as
-/// one logical K x (sum N_i) matrix and executed zero-copy through the
-/// scattered kernel — each request's payload is a fragment of the wide
-/// operand, gathered per cache panel inside the tiled loop instead of
-/// being staged up front. GEMM efficiency grows with operand size, so
-/// many small requests batched this way run at large-N throughput
-/// instead of paying per-call tiny-N prices, and since the kernel reads
-/// the callers' buffers directly there is no staging memcpy at all.
-/// A single item dispatches directly. Throws std::invalid_argument on
-/// any per-item shape mismatch. `cancel` follows the gemm_xorand
-/// contract; the serial item-by-item path additionally polls between
-/// items, and the scattered path polls between panels.
-void gemm_xorand_batched(MatView<const std::uint64_t> a,
-                         std::span<const XorAndBatch> items,
-                         const Schedule& schedule,
-                         const CancelToken& cancel = {});
 
 /// Observability for the §5 staging tax and kernel scratch usage.
 ///

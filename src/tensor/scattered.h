@@ -42,13 +42,13 @@ struct Fragment {
 ///   - every fragment has a non-null pointer and words >= 1,
 ///   - sum of fragment words == rows * cols,
 ///   - rows >= 1 and cols >= 1.
+/// Fragments are kept as given, never merged: a view split from one
+/// buffer still has that many fragments, and the kernel packs it.
 /// The view does not own the fragment storage; callers keep the underlying
 /// buffers alive and unmoved while a kernel consumes the view.
 template <typename T>
 class ScatteredView {
  public:
-  ScatteredView() = default;
-
   ScatteredView(std::size_t rows, std::size_t cols,
                 std::vector<Fragment<T>> fragments)
       : rows_(rows), cols_(cols), fragments_(std::move(fragments)) {
@@ -70,10 +70,9 @@ class ScatteredView {
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
-  std::size_t fragment_count() const noexcept { return fragments_.size(); }
 
-  /// A single-fragment view is physically contiguous and eligible for the
-  /// ordinary MatView kernel path with no packing at all.
+  /// A single-fragment view is physically contiguous: the kernel reads
+  /// or writes it in place, with no packing at all.
   bool contiguous() const noexcept { return fragments_.size() == 1; }
 
   /// Only valid when contiguous().
@@ -86,16 +85,9 @@ class ScatteredView {
   /// word is read exactly once per k-block.
   void gather(std::size_t pos, std::size_t len,
               std::remove_const_t<T>* dst) const noexcept {
-    std::size_t f = fragment_index(pos);
-    std::size_t off = pos - offsets_[f];
-    while (len > 0) {
-      const std::size_t take = std::min(len, fragments_[f].words - off);
-      std::memcpy(dst, fragments_[f].ptr + off, take * sizeof(T));
-      dst += take;
-      len -= take;
-      ++f;
-      off = 0;
-    }
+    for_each_piece(pos, len, [dst](T* p, std::size_t at, std::size_t words) {
+      std::memcpy(dst + at, p, words * sizeof(T));
+    });
   }
 
   /// Copies src over the logical word range [pos, pos + len). Only
@@ -103,19 +95,25 @@ class ScatteredView {
   void scatter(std::size_t pos, std::size_t len, const T* src) const noexcept {
     static_assert(!std::is_const_v<T>,
                   "ScatteredView::scatter requires a mutable view");
-    std::size_t f = fragment_index(pos);
-    std::size_t off = pos - offsets_[f];
-    while (len > 0) {
-      const std::size_t take = std::min(len, fragments_[f].words - off);
-      std::memcpy(fragments_[f].ptr + off, src, take * sizeof(T));
-      src += take;
-      len -= take;
-      ++f;
-      off = 0;
-    }
+    for_each_piece(pos, len, [src](T* p, std::size_t at, std::size_t words) {
+      std::memcpy(p, src + at, words * sizeof(T));
+    });
   }
 
  private:
+  /// Calls fn(ptr, at, words) for each fragment piece of the logical
+  /// word range [pos, pos + len), `at` words into the range.
+  template <class Fn>
+  void for_each_piece(std::size_t pos, std::size_t len, Fn fn) const noexcept {
+    std::size_t f = fragment_index(pos);
+    std::size_t off = pos - offsets_[f];
+    for (std::size_t at = 0; at < len; ++f, off = 0) {
+      const std::size_t take = std::min(len - at, fragments_[f].words - off);
+      fn(fragments_[f].ptr + off, at, take);
+      at += take;
+    }
+  }
+
   /// Index of the fragment containing logical position pos (pos < total).
   std::size_t fragment_index(std::size_t pos) const noexcept {
     return static_cast<std::size_t>(
@@ -133,15 +131,17 @@ class ScatteredView {
 /// C = A (x) B over the XorAnd semiring with scattered B and C operands.
 /// Shapes: A is MxK (a MatView of broadcast masks), B is KxN, C is MxN.
 ///
-/// Execution folds the gather into packing: per (n-block, k-block) the B
-/// panel is assembled from fragments into a cache-resident scratch panel,
-/// the register-tile microkernels accumulate into a C panel, and each C
-/// panel is scattered out exactly once. When both B and C are contiguous
-/// (single fragment) this dispatches to the plain gemm_xorand path.
+/// The same blocked loop as gemm_xorand, with the gather folded into
+/// packing: per (n-block, k-block) a fragmented B's panel is assembled
+/// into a cache-resident scratch panel, the register-tile microkernels
+/// accumulate into a C panel, and a fragmented C's panel is scattered out
+/// exactly once. A one-fragment operand is read or written in place, so
+/// two one-fragment operands run exactly as gemm_xorand.
 ///
-/// Parallel schedules always partition the N axis (EC's long axis);
-/// par_axis M/MN are accepted but treated as N since C panels are
-/// column-block-local. `cancel` is polled between panels and chunks.
+/// Parallel schedules with a fragmented operand always partition the N
+/// axis (EC's long axis); par_axis M/MN are accepted but treated as N
+/// since C panels are column-block-local. `cancel` follows gemm_xorand's
+/// contract.
 void gemm_xorand_scattered(MatView<const std::uint64_t> a,
                            const ScatteredView<const std::uint64_t>& b,
                            const ScatteredView<std::uint64_t>& c,

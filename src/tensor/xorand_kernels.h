@@ -31,8 +31,8 @@ using XorAndMicroFn = void (*)(const std::uint64_t* a, std::size_t lda,
                                std::size_t k);
 
 /// One kernel per (tile_m, tile_n) point of the schedule menu, indexed
-/// [tile_m_index][tile_n_index] for tile_m in {1,2,4,8} and tile_n in
-/// {1,2,4,8,16,32,64} (the same index maps as kernel.cpp's dispatch).
+/// [log2 tile_m][log2 tile_n] for tile_m in {1,2,4,8} and tile_n in
+/// {1,2,4,8,16,32,64} (the same index map as kernel.cpp's dispatch).
 struct XorAndKernelTable {
   XorAndMicroFn fn[4][7];
 };

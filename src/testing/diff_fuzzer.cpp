@@ -1180,7 +1180,9 @@ FuzzOutcome run_serve_shard(const FuzzConfig& c) {
   sc.shard.batch.queue_capacity = 1 + rng() % 6;
   sc.shard.batch.max_batch_requests = 1 + rng() % 4;
   sc.shard.schedule = DiffFuzzer::schedule_menu().at(c.sched);
-  sc.pool_bytes_per_shard = rng() % 2 == 0 ? std::size_t{1} << 20 : 0;
+  // Discarded: this draw once sized per-shard buffer pools; keeping it
+  // keeps every pinned seed's configuration unchanged.
+  (void)rng();
   if (rng() % 2 == 0)
     sc.shard.plan_cache = std::make_shared<core::PlanCache>();
   const std::size_t num_tenants = 1 + rng() % 3;

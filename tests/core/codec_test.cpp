@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "tensor/kernel.h"
 
@@ -305,12 +306,9 @@ TEST(Codec, InvalidParamsThrow) {
 
 
 /// encode_scattered with per-unit buffers must match contiguous encode
-/// byte-for-byte, and aligned units must not stage. Threshold 0: this
-/// test pins the zero-copy machinery itself; the default small-unit
-/// routing is pinned separately below.
+/// byte-for-byte, and aligned units must not stage.
 TEST(Codec, EncodeScatteredMatchesContiguous) {
   Codec codec(ec::CodeParams{10, 4, 8});
-  codec.set_scattered_staging_threshold(0);
   const auto& p = codec.params();
 
   // Contiguous oracle.
@@ -343,7 +341,6 @@ TEST(Codec, EncodeScatteredMatchesContiguous) {
 
 TEST(Codec, EncodeScatteredMisalignedUnitsStillCorrect) {
   Codec codec(ec::CodeParams{6, 3, 8});
-  codec.set_scattered_staging_threshold(0);
   const auto& p = codec.params();
   const auto flat = random_bytes(p.k * kUnit, 37);
   tensor::AlignedBuffer<std::uint8_t> want(p.r * kUnit);
@@ -372,76 +369,87 @@ TEST(Codec, EncodeScatteredMisalignedUnitsStillCorrect) {
         << "parity unit " << u;
 }
 
-/// The E21 crossover routing: scattered operands strictly below the
-/// 16 KiB default threshold take the staged accumulator even when their
-/// pointers qualify for zero-copy; at the threshold they ride the
-/// fragment path. Pinned on both sides so a default change is loud.
+/// The default scattered routing has no size threshold: aligned
+/// encode_scattered at 4 KiB and 8 KiB units runs packed from the
+/// callers' buffers, stages nothing and matches the contiguous oracle.
 TEST(Codec, ScatteredRoutingThresholdDefault) {
-  ASSERT_EQ(GemmCoder::kScatteredStageMaxBytes, 16u * 1024u);
   Codec codec(ec::CodeParams{4, 2, 8});
-  ASSERT_EQ(codec.scattered_staging_threshold(),
-            GemmCoder::kScatteredStageMaxBytes);
   const auto& p = codec.params();
-
-  const auto run_at = [&](std::size_t unit) {
-    const auto flat = random_bytes(p.k * unit, 91);
+  for (const std::size_t unit : {std::size_t{4096}, std::size_t{8192}}) {
+    auto stripe = random_bytes(p.n() * unit, 91);
     tensor::AlignedBuffer<std::uint8_t> want(p.r * unit);
-    codec.encode(flat.span(), want.span(), unit);
-    std::vector<tensor::AlignedBuffer<std::uint8_t>> units;
+    codec.encode(stripe.span().first(p.k * unit), want.span(), unit);
     std::vector<const std::uint8_t*> in_ptrs;
     std::vector<std::uint8_t*> out_ptrs;
-    for (std::size_t u = 0; u < p.k; ++u) {
-      units.emplace_back(unit);
-      std::memcpy(units.back().data(), flat.data() + u * unit, unit);
-      in_ptrs.push_back(units.back().data());
-    }
-    for (std::size_t u = 0; u < p.r; ++u) {
-      units.emplace_back(unit);
-      out_ptrs.push_back(units.back().data());
-    }
+    for (std::size_t u = 0; u < p.k; ++u)
+      in_ptrs.push_back(stripe.data() + u * unit);
+    for (std::size_t u = p.k; u < p.n(); ++u)
+      out_ptrs.push_back(stripe.data() + u * unit);
     const std::uint64_t before = tensor::kernel_stage_stats().stage_copies;
     codec.encode_scattered(in_ptrs, out_ptrs, unit);
-    const std::uint64_t staged =
-        tensor::kernel_stage_stats().stage_copies - before;
-    for (std::size_t u = 0; u < p.r; ++u)
-      EXPECT_EQ(std::memcmp(out_ptrs[u], want.data() + u * unit, unit), 0)
-          << "unit_size " << unit << " parity " << u;
-    return staged;
-  };
-
-  // One byte below the threshold is not word-sized; use the largest
-  // aligned size below it instead.
-  EXPECT_GT(run_at(GemmCoder::kScatteredStageMaxBytes - 64), 0u)
-      << "sub-threshold aligned operands must stage";
-  EXPECT_EQ(run_at(GemmCoder::kScatteredStageMaxBytes), 0u)
-      << "at-threshold aligned operands must ride zero-copy";
+    EXPECT_EQ(tensor::kernel_stage_stats().stage_copies, before)
+        << "unit_size " << unit;
+    // The parity units are adjacent in the stripe, as in the oracle.
+    EXPECT_EQ(0, std::memcmp(out_ptrs[0], want.data(), want.size()))
+        << "unit_size " << unit;
+  }
 }
 
-/// decode_batch inherits the routing: small aligned stripes stage, big
-/// ones don't, and both decode to the same bytes.
+/// decode_batch routes the same way: an aligned stripe at 4 KiB and
+/// 8 KiB units is repaired exactly without staging.
 TEST(Codec, ScatteredRoutingThresholdAppliesToDecodeBatch) {
   Codec codec(ec::CodeParams{4, 2, 8});
-  const auto run_at = [&](std::size_t unit) {
-    const auto flat = random_bytes(codec.params().k * unit, 92);
-    tensor::AlignedBuffer<std::uint8_t> stripe(codec.params().n() * unit);
-    std::memcpy(stripe.data(), flat.data(), flat.size());
-    codec.encode(flat.span(),
-                 std::span<std::uint8_t>(stripe.data() + flat.size(),
-                                         codec.params().r * unit),
-                 unit);
+  const auto& p = codec.params();
+  for (const std::size_t unit : {std::size_t{4096}, std::size_t{8192}}) {
+    auto stripe = random_bytes(p.n() * unit, 92);
+    codec.encode(stripe.span().first(p.k * unit),
+                 stripe.span().subspan(p.k * unit), unit);
     const tensor::AlignedBuffer<std::uint8_t> original = stripe;
     const std::vector<std::size_t> erased{1};
     std::fill_n(stripe.data() + unit, unit, 0xEE);
     const Codec::DecodeBatchItem item{stripe.span(), erased, unit};
     const std::uint64_t before = tensor::kernel_stage_stats().stage_copies;
     codec.decode_batch({&item, 1});
+    EXPECT_EQ(tensor::kernel_stage_stats().stage_copies, before)
+        << "unit_size " << unit;
     EXPECT_TRUE(std::equal(original.span().begin(), original.span().end(),
                            stripe.span().begin()))
         << "unit_size " << unit;
-    return tensor::kernel_stage_stats().stage_copies - before;
-  };
-  EXPECT_GT(run_at(4096), 0u);
-  EXPECT_EQ(run_at(GemmCoder::kScatteredStageMaxBytes), 0u);
+  }
+}
+
+/// The routing encode_batch keeps, pinned through the calling thread's
+/// kernel scratch rather than timing: under the codec's default serial
+/// schedule a one-item and a 3-item batch both run in place and take no
+/// scratch, while pointer-per-unit encode_scattered runs packed.
+TEST(Codec, EncodeBatchRunsInPlaceUnderSerialSchedule) {
+  std::thread([] {
+    const Codec codec(ec::CodeParams{10, 4, 8});
+    ASSERT_EQ(codec.encoder().schedule().num_threads, 1);
+    const auto data = random_bytes(10 * kUnit, 70);
+    tensor::AlignedBuffer<std::uint8_t> parity(3 * 4 * kUnit);
+    std::vector<ec::CoderBatchItem> items;
+    for (std::size_t i = 0; i < 3; ++i)
+      items.push_back(
+          {data.span(), parity.span().subspan(i * 4 * kUnit, 4 * kUnit),
+           kUnit});
+    codec.encode_batch({items.data(), 1});
+    EXPECT_EQ(tensor::kernel_scratch_retained_bytes(), 0u)
+        << "a one-item batch must run in place";
+    codec.encode_batch(items);
+    EXPECT_EQ(tensor::kernel_scratch_retained_bytes(), 0u)
+        << "a serial 3-item batch must run in place";
+
+    std::vector<const std::uint8_t*> in_ptrs;
+    std::vector<std::uint8_t*> out_ptrs;
+    for (std::size_t u = 0; u < 10; ++u)
+      in_ptrs.push_back(data.data() + u * kUnit);
+    for (std::size_t u = 0; u < 4; ++u)
+      out_ptrs.push_back(parity.data() + u * kUnit);
+    codec.encode_scattered(in_ptrs, out_ptrs, kUnit);
+    EXPECT_GT(tensor::kernel_scratch_retained_bytes(), 0u)
+        << "encode_scattered must run packed";
+  }).join();
 }
 
 TEST(Codec, EncodeScatteredValidation) {
@@ -461,10 +469,8 @@ TEST(Codec, EncodeScatteredValidation) {
 
 /// Batched decode over separately damaged stripes must not stage: the
 /// survivors are read and the erased units rebuilt in place.
-/// Threshold 0 again — the routing default is pinned below.
 TEST(Codec, DecodeBatchIsZeroCopyForAlignedStripes) {
   Codec codec(ec::CodeParams{8, 2, 8});
-  codec.set_scattered_staging_threshold(0);
   constexpr int kMembers = 5;
   std::vector<tensor::AlignedBuffer<std::uint8_t>> stripes;
   std::vector<tensor::AlignedBuffer<std::uint8_t>> originals;

@@ -44,14 +44,13 @@ Bytes oracle_parity(const CodecKey& key, std::span<const std::uint8_t> data,
 }
 
 /// One EcService on `workers` front threads (0 = pumped by the test
-/// thread, with the front's watchdog still running). No QoS and no
-/// pools: the front adds only its threads and tenant accounting.
+/// thread, with the front's watchdog still running). No QoS: the front
+/// adds only its threads and tenant accounting.
 ShardedServiceConfig one_shard_front(std::size_t workers) {
   ShardedServiceConfig cfg;
   cfg.num_shards = 1;
   cfg.workers_per_shard = workers;
   cfg.qos_enforcement = false;
-  cfg.pool_bytes_per_shard = 0;
   return cfg;
 }
 

@@ -285,35 +285,6 @@ TEST(ShardedEcService, WorkersServeSkewedLoadWithStealing) {
   EXPECT_TRUE(s.tenant_aggregate.drained_balanced());
 }
 
-TEST(ShardedEcService, ShardLocalPoolsSurfaceInHealth) {
-  ShardedServiceConfig cfg = pump_config(2);
-  cfg.pool_bytes_per_shard = std::size_t{1} << 20;
-  ShardedEcService front(cfg);
-  ASSERT_NE(front.pool(0), nullptr);
-  ASSERT_NE(front.pool(1), nullptr);
-  EXPECT_NE(front.pool(0).get(), front.pool(1).get());  // shard-local
-  { auto lease = front.pool(0)->acquire(4096); }
-  auto lease2 = front.pool(0)->acquire(4096);  // recycled
-
-  const ShardedHealthSnapshot h = front.health();
-  EXPECT_EQ(h.state, HealthState::Ok);
-  ASSERT_EQ(h.shards.size(), 2u);
-  EXPECT_TRUE(h.shards[0].has_pool);
-  EXPECT_EQ(h.shards[0].pool.acquires, 2u);
-  EXPECT_EQ(h.shards[0].pool.pool_hits, 1u);
-  EXPECT_EQ(h.shards[1].pool.acquires, 0u);
-
-  const ShardedStatsSnapshot s = front.stats();
-  EXPECT_TRUE(s.shards[0].has_pool);
-  EXPECT_EQ(s.shards[0].pool.acquires, 2u);
-
-  ShardedServiceConfig no_pool = pump_config(1);
-  no_pool.pool_bytes_per_shard = 0;
-  ShardedEcService bare(no_pool);
-  EXPECT_EQ(bare.pool(0), nullptr);
-  EXPECT_FALSE(bare.health().shards[0].has_pool);
-}
-
 TEST(ShardedEcService, CallerPlanCacheIsSharedByEveryShard) {
   // The front applies config.shard as written: a caller's plan cache is
   // the one every shard plans into, so a loss pattern one shard planned

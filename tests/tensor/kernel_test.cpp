@@ -7,7 +7,10 @@
 
 #include "tensor/buffer.h"
 #include "tensor/cancel.h"
+#include "tensor/scattered.h"
 #include "tensor/schedule.h"
+
+#include "../test_util.h"
 
 namespace tvmec::tensor {
 namespace {
@@ -360,14 +363,15 @@ TEST(KernelCancel, BatchedPreCancelledThrows) {
   AlignedBuffer<std::uint64_t> c0(8 * 32), c1(8 * 32);
   Schedule s = default_schedule();
   s.num_threads = 1;
-  std::vector<XorAndBatch> items{
+  const std::vector<testutil::GemmItem> items{
       {{b0.data(), 8, 32, 32}, {c0.data(), 8, 32, 32}},
       {{b1.data(), 8, 32, 32}, {c1.data(), 8, 32, 32}}};
+  const auto [wide_b, wide_c] = testutil::wide_n(items);
   CancelSource source;
   source.request_cancel();
-  EXPECT_THROW(
-      gemm_xorand_batched({a.data(), 8, 8, 8}, items, s, source.token()),
-      Cancelled);
+  EXPECT_THROW(gemm_xorand_scattered({a.data(), 8, 8, 8}, wide_b, wide_c, s,
+                                     source.token()),
+               Cancelled);
 }
 
 TEST(KernelCancel, UncancelledTokenMatchesNaive) {

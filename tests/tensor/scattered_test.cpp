@@ -10,6 +10,8 @@
 #include "tensor/kernel.h"
 #include "tensor/schedule.h"
 
+#include "../test_util.h"
+
 namespace tvmec::tensor {
 namespace {
 
@@ -195,25 +197,24 @@ TEST(ScatteredGemm, ShapeMismatchThrows) {
 }
 
 TEST(ScatteredGemm, BatchedPathIsZeroCopy) {
-  // The serving batched primitive must not stage: submit a multi-item
-  // threaded batch (the path that used to memcpy through b_scratch /
-  // c_scratch) and assert the staging counter does not move.
+  // A multi-item threaded batch, packed as one wide-N GEMM straight from
+  // the items' buffers, must not stage.
   const std::size_t k = 24, m = 8, n_i = 512;
   const auto a = random_masks(m * k, 51);
   std::vector<AlignedBuffer<std::uint64_t>> bs, cs;
-  std::vector<XorAndBatch> items;
+  std::vector<testutil::GemmItem> items;
   for (int i = 0; i < 4; ++i) {
     bs.push_back(random_words(k * n_i, 60 + i));
     cs.emplace_back(m * n_i);
   }
   for (int i = 0; i < 4; ++i)
-    items.push_back(XorAndBatch{{bs[i].data(), k, n_i, n_i},
-                                {cs[i].data(), m, n_i, n_i}});
+    items.push_back({{bs[i].data(), k, n_i, n_i}, {cs[i].data(), m, n_i, n_i}});
   Schedule s = default_schedule();
   s.num_threads = 2;
 
   const std::uint64_t before = kernel_stage_stats().stage_copies;
-  gemm_xorand_batched({a.data(), m, k, k}, items, s);
+  const auto [wide_b, wide_c] = testutil::wide_n(items);
+  gemm_xorand_scattered({a.data(), m, k, k}, wide_b, wide_c, s);
   EXPECT_EQ(before, kernel_stage_stats().stage_copies);
 
   // Byte-identical to the per-item sequential oracle.
@@ -225,6 +226,45 @@ TEST(ScatteredGemm, BatchedPathIsZeroCopy) {
                              m * n_i * sizeof(std::uint64_t)))
         << "item " << i;
   }
+}
+
+TEST(ScatteredGemm, MixedInPlaceAndPackedOperands) {
+  // One loop, each operand on its own road: a one-fragment B read in
+  // place with a fragmented C packed, and the reverse.
+  const Shape shape{8, 131, 24};
+  const std::size_t b_words = shape.k * shape.n, c_words = shape.m * shape.n;
+  const auto a = random_masks(shape.m * shape.k, 81);
+  const auto b = random_words(b_words, 82);
+  const MatView<const std::uint64_t> av{a.data(), shape.m, shape.k, shape.k};
+  AlignedBuffer<std::uint64_t> ref(c_words);
+  gemm_naive_xorand(av, {b.data(), shape.k, shape.n, shape.n},
+                    {ref.data(), shape.m, shape.n, shape.n});
+
+  for (const KernelVariant v : available_variants())
+    for (const int threads : {1, 2})
+      for (const bool pack_b : {false, true}) {
+        Schedule s = default_schedule();
+        s.tile_n = 16;
+        s.num_threads = threads;
+        s.variant = v;
+        AlignedBuffer<std::uint64_t> out(c_words);
+        using BFrags = std::vector<Fragment<const std::uint64_t>>;
+        using CFrags = std::vector<Fragment<std::uint64_t>>;
+        gemm_xorand_scattered(
+            av,
+            {shape.k, shape.n,
+             pack_b ? random_split<const std::uint64_t>(b.data(), b_words,
+                                                        83, 11)
+                    : BFrags{{b.data(), b_words}}},
+            {shape.m, shape.n,
+             pack_b ? CFrags{{out.data(), c_words}}
+                    : random_split<std::uint64_t>(out.data(), c_words, 84,
+                                                  11)},
+            s);
+        ASSERT_EQ(0, std::memcmp(ref.data(), out.data(), c_words * 8))
+            << to_string(v) << " t" << threads
+            << (pack_b ? ": packed B, in-place C" : ": in-place B, packed C");
+      }
 }
 
 TEST(ScatteredScratch, RetentionIsCappedAndHighWaterMarkMoves) {

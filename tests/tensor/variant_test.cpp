@@ -12,6 +12,8 @@
 #include "tensor/scattered.h"
 #include "tensor/xorand_kernels.h"
 
+#include "../test_util.h"
+
 namespace tvmec::tensor {
 namespace {
 
@@ -238,7 +240,7 @@ TEST(VariantDifferential, BatchedWideNMatchesScalar) {
 
   const auto run = [&](KernelVariant v,
                        std::vector<AlignedBuffer<std::uint64_t>>& cs) {
-    std::vector<XorAndBatch> items;
+    std::vector<testutil::GemmItem> items;
     for (std::size_t i = 0; i < std::size(widths); ++i)
       items.push_back({{bs[i].data(), k, widths[i], widths[i]},
                        {cs[i].data(), m, widths[i], widths[i]}});
@@ -246,7 +248,8 @@ TEST(VariantDifferential, BatchedWideNMatchesScalar) {
     s.tile_m = 4;
     s.tile_n = 16;
     s.variant = v;
-    gemm_xorand_batched(av, items, s);
+    const auto [wide_b, wide_c] = testutil::wide_n(items);
+    gemm_xorand_scattered(av, wide_b, wide_c, s);
   };
 
   for (const KernelVariant v : available_variants()) {

@@ -3,9 +3,11 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "tensor/buffer.h"
+#include "tensor/scattered.h"
 
 /// Shared helpers for the test suite.
 namespace tvmec::testutil {
@@ -46,6 +48,33 @@ inline std::vector<std::vector<std::size_t>> erasure_patterns(std::size_t n,
   };
   recurse(recurse, 0, 0);
   return out;
+}
+
+/// One GEMM of a batch that shares A: its B (K x N_i) and C (M x N_i).
+struct GemmItem {
+  tensor::MatView<const std::uint64_t> b;
+  tensor::MatView<std::uint64_t> c;
+};
+
+/// The batch as one wide-N operand pair, the layout GemmCoder packs a
+/// multi-item batch into: row r of the logical K x (sum N_i) B, and of
+/// the M x (sum N_i) C, is every item's row r in turn, one fragment each.
+inline std::pair<tensor::ScatteredView<const std::uint64_t>,
+                 tensor::ScatteredView<std::uint64_t>>
+wide_n(std::span<const GemmItem> items) {
+  const std::size_t k = items.front().b.rows;
+  const std::size_t m = items.front().c.rows;
+  std::size_t n = 0;
+  for (const GemmItem& item : items) n += item.b.cols;
+  std::vector<tensor::Fragment<const std::uint64_t>> b;
+  std::vector<tensor::Fragment<std::uint64_t>> c;
+  for (std::size_t r = 0; r < k; ++r)
+    for (const GemmItem& item : items)
+      b.push_back({item.b.row(r), item.b.cols});
+  for (std::size_t r = 0; r < m; ++r)
+    for (const GemmItem& item : items)
+      c.push_back({item.c.row(r), item.c.cols});
+  return {{k, n, std::move(b)}, {m, n, std::move(c)}};
 }
 
 }  // namespace tvmec::testutil
