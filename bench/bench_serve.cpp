@@ -2,8 +2,8 @@
 // one-at-a-time execution. The paper's thesis is that EC is a GEMM and
 // GEMM efficiency grows with operand size; a front-end serving workload
 // of small concurrent requests squanders that unless requests coalesce.
-// This bench drives an EcService — the one shard of a ShardedEcService
-// front, which owns the serve threads — with a closed-loop load
+// This bench drives a one-shard ShardedEcService front, which owns the
+// serve threads, with a closed-loop load
 // generator and reports throughput and p50/p99/p99.9 latency vs offered
 // load (client count) for the batched service against the
 // one-request-at-a-time ablation (batch cap 1), then sweeps the
@@ -58,7 +58,7 @@ struct LoadResult {
 
 double us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
 
-/// A one-shard front: `workers` threads pump one EcService. No QoS, so
+/// A one-shard front: `workers` threads pump its one shard. No QoS, so
 /// the front adds only its threads, its watchdog and tenant accounting
 /// on the submit path.
 serve::ShardedServiceConfig one_shard_front(std::size_t workers) {
@@ -173,12 +173,13 @@ void print_admission_control() {
   const std::size_t capacity = 64;
   const std::size_t burst = g_smoke ? 128 : 256;
 
-  // A standalone service runs nothing until pumped, so the whole burst
-  // lands before any batch executes.
-  serve::ServiceConfig cfg;
-  cfg.batch.queue_capacity = capacity;
-  cfg.batch.max_batch_requests = 32;
-  serve::EcService service(cfg);
+  // A front with no threads runs nothing until pumped, so the whole
+  // burst lands before any batch executes.
+  serve::ShardedServiceConfig cfg = one_shard_front(/*workers=*/0);
+  cfg.watchdog.enabled = false;
+  cfg.shard.batch.queue_capacity = capacity;
+  cfg.shard.batch.max_batch_requests = 32;
+  serve::ShardedEcService service(cfg);
 
   const auto data = benchutil::random_data(kK * kUnit, 0xE19C);
   std::vector<tensor::AlignedBuffer<std::uint8_t>> parities;
@@ -187,13 +188,14 @@ void print_admission_control() {
   futures.reserve(burst);
   for (std::size_t i = 0; i < burst; ++i) {
     parities.emplace_back(kR * kUnit);
-    futures.push_back(service.submit_encode(kKey, data.span(),
+    futures.push_back(service.submit_encode(/*tenant=*/1, /*client=*/0, kKey,
+                                            data.span(),
                                             parities.back().span(), kUnit));
   }
   service.run_pending();
   service.shutdown();
 
-  const serve::ServeStatsSnapshot s = service.stats();
+  const serve::ServeStatsSnapshot s = service.stats().aggregate;
   std::printf(
       "queue capacity %zu, burst of %zu requests:\n"
       "  accepted %llu, rejected (Overloaded) %llu, served ok %llu\n"

@@ -12,7 +12,6 @@
 #include "ec/encoder.h"
 #include "serve/tenant.h"
 #include "tensor/threadpool.h"
-#include "tensor/variant.h"
 
 namespace tvmec::serve {
 
@@ -75,6 +74,8 @@ tensor::Schedule default_service_schedule() {
   return s;
 }
 
+namespace detail {
+
 int EcService::effective_gemm_threads(std::size_t batch_words,
                                       std::size_t pool_width,
                                       std::size_t service_workers) noexcept {
@@ -89,10 +90,10 @@ int EcService::effective_gemm_threads(std::size_t batch_words,
 }
 
 EcService::EcService(const ServiceConfig& config, std::size_t executors,
-                     TenantRegistry* tenants,
+                     TenantRegistry& tenants,
                      std::shared_ptr<const tune::ScheduleCache> schedules)
     : config_(config),
-      executors_(std::max<std::size_t>(1, executors)),
+      executors_(executors),
       tenants_(tenants),
       schedules_(std::move(schedules)),
       plan_cache_(config.plan_cache ? config.plan_cache
@@ -104,83 +105,19 @@ EcService::EcService(const ServiceConfig& config, std::size_t executors,
 
 EcService::~EcService() { shutdown(true); }
 
-EcFuture EcService::submit_encode(const CodecKey& key,
-                                  std::span<const std::uint8_t> data,
-                                  std::span<std::uint8_t> parity,
-                                  std::size_t unit_size,
-                                  std::chrono::nanoseconds timeout) {
-  EcRequest req;
-  req.kind = RequestKind::Encode;
-  req.key = key;
-  req.unit_size = unit_size;
-  req.in = data;
-  req.out = parity;
-  if (timeout != nanoseconds{0}) req.deadline = Clock::now() + timeout;
-  return submit_request(std::move(req));
-}
-
-EcFuture EcService::submit_decode(const CodecKey& key,
-                                  std::span<std::uint8_t> stripe,
-                                  std::span<const std::size_t> erased_ids,
-                                  std::size_t unit_size,
-                                  std::chrono::nanoseconds timeout) {
-  EcRequest req;
-  req.kind = RequestKind::Decode;
-  req.key = key;
-  req.unit_size = unit_size;
-  req.stripe = stripe;
-  req.erased.assign(erased_ids.begin(), erased_ids.end());
-  if (timeout != nanoseconds{0}) req.deadline = Clock::now() + timeout;
-  return submit_request(std::move(req));
-}
-
-std::size_t EcService::validate_request(const EcRequest& request) {
-  const ec::CodeParams params = params_of(request.key);
-  params.validate();
-  ec::packet_bytes(params, request.unit_size);  // throws on a bad unit size
-
-  std::size_t payload_bytes = 0;
-  if (request.kind == RequestKind::Encode) {
-    if (request.in.size() != params.k * request.unit_size)
-      throw std::invalid_argument("submit_encode: data span must be k units");
-    if (request.out.size() != params.r * request.unit_size)
-      throw std::invalid_argument(
-          "submit_encode: parity span must be r units");
-    payload_bytes = request.in.size() + request.out.size();
-  } else {
-    if (request.stripe.size() != params.n() * request.unit_size)
-      throw std::invalid_argument(
-          "submit_decode: stripe span must be n units");
-    for (std::size_t id : request.erased)
-      if (id >= params.n())
-        throw std::invalid_argument("submit_decode: erased id out of range");
-    payload_bytes = request.stripe.size();
-  }
-  return payload_bytes;
-}
-
-EcFuture EcService::submit_request(EcRequest request) {
-  const std::size_t payload_bytes = validate_request(request);
-  return submit(std::move(request), payload_bytes);
-}
-
-void EcService::observe(const RequestEvent& event) {
-  if (tenants_) tenants_->observe(event);
-}
-
 EcFuture EcService::submit(EcRequest request, std::size_t payload_bytes) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  observe({RequestEvent::Kind::Submitted, request.tenant,
-           RequestStatus::Pending, /*admitted=*/false});
+  tenants_.observe({RequestEvent::Kind::Submitted, request.tenant,
+                    RequestStatus::Pending, /*admitted=*/false});
 
   PendingRequest pending;
   pending.req = std::move(request);
-  pending.completion = std::make_shared<detail::Completion>();
+  pending.completion = std::make_shared<Completion>();
   pending.submitted = Clock::now();
   pending.payload_bytes = payload_bytes;
   // Kept aside: push() consumes `pending`, and a rejection must still be
   // able to complete the caller's future (and bill the right tenant).
-  std::shared_ptr<detail::Completion> completion = pending.completion;
+  std::shared_ptr<Completion> completion = pending.completion;
   const Clock::time_point submitted = pending.submitted;
   const TenantId tenant = pending.req.tenant;
   EcFuture future(completion);
@@ -203,8 +140,8 @@ EcFuture EcService::submit(EcRequest request, std::size_t payload_bytes) {
   switch (former_.push(std::move(pending))) {
     case PushResult::Accepted:
       accepted_.fetch_add(1, std::memory_order_relaxed);
-      observe({RequestEvent::Kind::Accepted, tenant, RequestStatus::Pending,
-               /*admitted=*/true});
+      tenants_.observe({RequestEvent::Kind::Accepted, tenant,
+                        RequestStatus::Pending, /*admitted=*/true});
       break;
     case PushResult::QueueFull:
       reject(RequestStatus::Overloaded);
@@ -246,10 +183,6 @@ void EcService::shutdown(bool drain) {
   const auto now = Clock::now();
   for (PendingRequest& p : left)
     complete(p, RequestStatus::Shutdown, {}, now, now, 0, /*admitted=*/true);
-}
-
-std::size_t EcService::run_pending() {
-  return run_pending(static_cast<std::size_t>(-1));
 }
 
 std::size_t EcService::run_pending(std::size_t max_batches) {
@@ -627,7 +560,8 @@ void EcService::complete(PendingRequest& p, RequestStatus status,
 
   // Tenant accounting runs before the future unblocks so a caller that
   // waits on the result always observes tenant counters that include it.
-  observe({RequestEvent::Kind::Completed, p.req.tenant, status, admitted});
+  tenants_.observe(
+      {RequestEvent::Kind::Completed, p.req.tenant, status, admitted});
 
   p.completion->complete(std::move(result));
 }
@@ -675,7 +609,6 @@ ServeStatsSnapshot EcService::stats() const {
 
 HealthSnapshot EcService::health() const {
   HealthSnapshot h;
-  h.kernel_variant = tensor::to_string(tensor::active_variant());
   if (stopped_flag_.load(std::memory_order_acquire)) {
     h.state = HealthState::Unhealthy;
     h.reasons.push_back("service is shut down");
@@ -706,11 +639,9 @@ HealthSnapshot EcService::health() const {
     }
   }
 
-  if (h.stuck_batches >= executors_)
-    h.state = HealthState::Unhealthy;
-  else if (!h.reasons.empty())
-    h.state = HealthState::Degraded;
+  if (!h.reasons.empty()) h.state = HealthState::Degraded;
   return h;
 }
 
+}  // namespace detail
 }  // namespace tvmec::serve

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -20,11 +19,11 @@
 #include "tensor/schedule.h"
 #include "tune/tuning_log.h"
 
-/// The in-process EC service: asynchronous encode/decode with request
-/// coalescing.
+/// The serving layer's shared types, and the sharded front's
+/// thread-less shard.
 ///
-/// Why it exists: bitmatrix EC is a GEMM, and GEMM efficiency grows with
-/// operand size — but a front-end workload is many small concurrent
+/// Why serving exists: bitmatrix EC is a GEMM, and GEMM efficiency grows
+/// with operand size — but a front-end workload is many small concurrent
 /// requests, each of which alone runs the kernel at starvation-level N.
 /// Borrowing the batching discipline of ML serving stacks, the service
 /// queues submissions, coalesces compatible ones (same kind + codec key)
@@ -32,11 +31,11 @@
 /// persistent ThreadPool — per-stripe microbenchmark throughput becomes
 /// multi-client serving throughput.
 ///
-/// An EcService starts no threads: it is a queue, codec slots and
-/// counters, and batches run only inside run_pending(). A standalone
-/// service is pumped by its owner (deterministic — tests and the fuzzer
-/// use this); the sharded front (serve/shard.h) owns the worker threads
-/// that pump its shards and the watchdog thread that scans them.
+/// serve::ShardedEcService (serve/shard.h) is the one public serving
+/// class. detail::EcService is one of its shards: a queue, codec slots
+/// and counters that start no threads and run batches only inside
+/// run_pending(), which the front's workers call (or, in manual-pump
+/// mode, the front's owner through the front's run_pending()).
 ///
 /// Policies:
 ///  - Admission: the queue is bounded; a full queue rejects immediately
@@ -76,8 +75,7 @@ const char* to_string(HealthState s) noexcept;
 struct HealthSnapshot {
   HealthState state = HealthState::Ok;
   std::vector<std::string> reasons;
-  /// In-flight batches past the watchdog's stuck budget (the sharded
-  /// front sums them against its fleet of executors).
+  /// In-flight batches past the watchdog's stuck budget.
   std::size_t stuck_batches = 0;
   /// The SIMD microkernel tier encodes are currently dispatching to
   /// ("scalar", "avx2", "avx512", "neon") — runtime CPUID truth, after
@@ -106,8 +104,8 @@ struct ServiceConfig {
   std::function<bool(RequestKind, const CodecKey&, std::size_t)>
       fault_injector;
   /// Decode-plan cache shared by every codec slot (and the degraded
-  /// naive-decode path). Null = the service creates a private one.
-  /// Passing the same cache to several services — or to a Cluster /
+  /// naive-decode path). Null = each shard creates a private one.
+  /// Passing one cache — shared by every shard, and by a Cluster or the
   /// Codec instances the scrubber drives — lets all of them skip matrix
   /// inversion for loss patterns any one of them has already planned.
   std::shared_ptr<core::PlanCache> plan_cache;
@@ -171,62 +169,33 @@ struct ServeStatsSnapshot {
 
 class TenantRegistry;
 
+namespace detail {
+
+/// One shard of ShardedEcService. The front validates every request
+/// before it gets here, and owns every thread that pumps it.
 class EcService {
  public:
-  /// Throws std::invalid_argument on an invalid config (bad policy or
-  /// schedule). The three trailing arguments are the sharded front's:
   /// `executors` is how many threads concurrently run batches against
-  /// the shared fork-join pool — the divisor of effective_gemm_threads()
-  /// and health()'s stuck-batch limit (1 = the owner's manual pump);
+  /// the shared fork-join pool, the divisor of effective_gemm_threads();
   /// `tenants` receives one RequestEvent per lifecycle step of every
-  /// submission (null = no tenant accounting); `schedules` is attached
-  /// to every codec slot, whose GEMM calls then look their schedule up
-  /// by task shape (null = the config's schedule everywhere).
-  explicit EcService(const ServiceConfig& config, std::size_t executors = 1,
-                     TenantRegistry* tenants = nullptr,
-                     std::shared_ptr<const tune::ScheduleCache> schedules =
-                         nullptr);
+  /// submission; `schedules` is attached to every codec slot, whose GEMM
+  /// calls then look their schedule up by task shape. Throws
+  /// std::invalid_argument on an invalid config (bad policy or
+  /// schedule).
+  EcService(const ServiceConfig& config, std::size_t executors,
+            TenantRegistry& tenants,
+            std::shared_ptr<const tune::ScheduleCache> schedules);
   /// Graceful: shutdown(true).
   ~EcService();
 
   EcService(const EcService&) = delete;
   EcService& operator=(const EcService&) = delete;
 
-  /// Submits an encode: k contiguous data units in, r contiguous parity
-  /// units out. `timeout` bounds how long the request may wait for a
-  /// batch (zero = no deadline; negative = already expired, useful for
-  /// tests). Buffers must stay alive and untouched until the future is
-  /// ready. Throws std::invalid_argument on malformed arguments (span
-  /// sizes, unsupported key) — malformed submissions are programming
-  /// errors, operational outcomes come back in the EcResult.
-  EcFuture submit_encode(const CodecKey& key,
-                         std::span<const std::uint8_t> data,
-                         std::span<std::uint8_t> parity,
-                         std::size_t unit_size,
-                         std::chrono::nanoseconds timeout = {});
+  /// Admits (or rejects) one request the front has already validated;
+  /// `payload_bytes` is its payload size, for the batch byte cap.
+  EcFuture submit(EcRequest request, std::size_t payload_bytes);
 
-  /// Submits a decode: the full n-unit stripe is repaired in place.
-  /// Erased ids may be unsorted/duplicated (the Codec contract); an
-  /// unrecoverable pattern completes as Failed.
-  EcFuture submit_decode(const CodecKey& key, std::span<std::uint8_t> stripe,
-                         std::span<const std::size_t> erased_ids,
-                         std::size_t unit_size,
-                         std::chrono::nanoseconds timeout = {});
-
-  /// Variants taking a fully-formed request (the cancel-token path: set
-  /// EcRequest::cancel before submitting). Validation matches the
-  /// convenience overloads.
-  EcFuture submit_request(EcRequest request);
-
-  /// Validates a request's key/unit/span geometry exactly as
-  /// submit_request() does; throws std::invalid_argument on malformed
-  /// arguments and returns the payload byte count otherwise. The sharded
-  /// front calls this *before* its QoS admission so a malformed
-  /// submission throws (a programming error) instead of being billed as
-  /// tenant traffic.
-  static std::size_t validate_request(const EcRequest& request);
-
-  /// Stops the service. drain=true executes everything already admitted
+  /// Stops the shard. drain=true executes everything already admitted
   /// on the calling thread before returning; drain=false completes
   /// queued requests with RequestStatus::Shutdown and aborts batches
   /// other threads are running via their cancel tokens (their members
@@ -234,28 +203,25 @@ class EcService {
   /// complete as Shutdown. Idempotent.
   void shutdown(bool drain = true);
 
-  /// Executes queued batches on the calling thread until the queue is
-  /// empty; returns requests completed. Any number of threads may pump
-  /// one service concurrently (the front's workers and thieves do).
-  std::size_t run_pending();
+  /// Executes at most `max_batches` queued batches on the calling
+  /// thread; returns requests completed (0 when nothing was queued). Any
+  /// number of threads may pump one shard concurrently. A bounded call
+  /// is the work-stealing entry point: a neighbor's worker drains a
+  /// *bounded* amount of this shard's backlog so stealing relieves a hot
+  /// shard without starving the thief's own queue.
+  std::size_t run_pending(
+      std::size_t max_batches = static_cast<std::size_t>(-1));
 
-  /// Bounded variant: executes at most `max_batches` batches. This is
-  /// the work-stealing entry point — a neighbor shard's worker drains a
-  /// *bounded* amount of this service's backlog so stealing relieves a
-  /// hot shard without starving the thief's own queue. Returns requests
-  /// completed (0 when nothing was queued).
-  std::size_t run_pending(std::size_t max_batches);
-
-  /// Blocks until work is queued, the service shuts down, or `timeout`
-  /// elapses; true when a batch is available. The sharded front's
-  /// workers use this as their bounded idle wait between steal scans.
+  /// Blocks until work is queued, the shard shuts down, or `timeout`
+  /// elapses; true when a batch is available. The front's workers use
+  /// this as their bounded idle wait between steal scans.
   bool wait_for_work(std::chrono::nanoseconds timeout) const {
     return former_.wait_for_work(timeout);
   }
 
   /// Current queue-wait EWMA (the batch former's pop-time estimate).
-  /// The sharded front compares shards' estimates to decide when a
-  /// neighbor is hot enough to steal from.
+  /// The front compares shards' estimates to decide when a neighbor is
+  /// hot enough to steal from.
   std::chrono::nanoseconds queue_wait_ewma() const {
     return former_.queue_wait_ewma();
   }
@@ -265,17 +231,17 @@ class EcService {
   /// deadline) at its kernel's next tile-chunk poll — the mechanism
   /// bounding deadline overshoot to one batch-service time — and (b)
   /// flags batches in flight longer than `stuck_budget`, whatever thread
-  /// runs them, degrading health(). The sharded front's watchdog thread
-  /// calls this on every shard once per poll.
+  /// runs them, degrading health(). The front's watchdog thread calls
+  /// this on every shard once per poll.
   void watchdog_scan(Clock::time_point now,
                      std::chrono::nanoseconds stuck_budget);
 
   ServeStatsSnapshot stats() const;
 
-  /// Readiness probe. Degraded when any circuit breaker is not Closed or
-  /// a batch is flagged stuck; Unhealthy when the service is shut down
-  /// or the stuck batches reach the executor count. Reasons name the
-  /// conditions.
+  /// This shard's part of the front's readiness probe: Unhealthy once
+  /// shut down, otherwise Degraded when any circuit breaker is not
+  /// Closed or a batch is flagged stuck. Reasons name the conditions;
+  /// kernel_variant is left to the front.
   HealthSnapshot health() const;
 
   std::size_t pending() const { return former_.pending(); }
@@ -324,7 +290,7 @@ class EcService {
     tensor::CancelSource source;
     Clock::time_point formed;
     struct Member {
-      std::shared_ptr<detail::Completion> completion;
+      std::shared_ptr<Completion> completion;
       tensor::CancelToken client;  ///< caller-supplied token (may be invalid)
       Clock::time_point deadline;
     };
@@ -333,11 +299,8 @@ class EcService {
     bool stuck = false;    ///< in flight past the stuck budget
   };
 
-  EcFuture submit(EcRequest request, std::size_t payload_bytes);
   void execute_batch(std::vector<PendingRequest>& batch);
   CodecSlot& codec_slot(const CodecKey& key);
-  /// Forwards one lifecycle event to the tenant registry, if any.
-  void observe(const RequestEvent& event);
   /// True when the request can no longer want its result.
   static bool member_dead(const InflightBatch::Member& m,
                           Clock::time_point now) {
@@ -354,9 +317,9 @@ class EcService {
                 std::size_t batch_size, bool admitted);
 
   ServiceConfig config_;
-  const std::size_t executors_;      ///< at least 1
-  TenantRegistry* const tenants_;    ///< null = no tenant accounting
-  const std::shared_ptr<const tune::ScheduleCache> schedules_;  ///< or null
+  const std::size_t executors_;
+  TenantRegistry& tenants_;
+  const std::shared_ptr<const tune::ScheduleCache> schedules_;
   std::shared_ptr<core::PlanCache> plan_cache_;  // never null after ctor
   BatchFormer former_;
 
@@ -386,4 +349,5 @@ class EcService {
       degraded_batches_{0}, watchdog_aborts_{0}, watchdog_stuck_{0};
 };
 
+}  // namespace detail
 }  // namespace tvmec::serve

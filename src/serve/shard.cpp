@@ -4,9 +4,36 @@
 #include <stdexcept>
 #include <utility>
 
+#include "ec/code_params.h"
+#include "tensor/variant.h"
+
 namespace tvmec::serve {
 
 namespace {
+
+/// Checks a request's key/unit/span geometry; throws
+/// std::invalid_argument on malformed arguments and returns the payload
+/// byte count otherwise.
+std::size_t validate_request(const EcRequest& request) {
+  const ec::CodeParams params{request.key.k, request.key.r, request.key.w};
+  params.validate();
+  ec::packet_bytes(params, request.unit_size);  // throws on a bad unit size
+
+  if (request.kind == RequestKind::Encode) {
+    if (request.in.size() != params.k * request.unit_size)
+      throw std::invalid_argument("submit_encode: data span must be k units");
+    if (request.out.size() != params.r * request.unit_size)
+      throw std::invalid_argument(
+          "submit_encode: parity span must be r units");
+    return request.in.size() + request.out.size();
+  }
+  if (request.stripe.size() != params.n() * request.unit_size)
+    throw std::invalid_argument("submit_decode: stripe span must be n units");
+  for (std::size_t id : request.erased)
+    if (id >= params.n())
+      throw std::invalid_argument("submit_decode: erased id out of range");
+  return request.stripe.size();
+}
 
 std::size_t resolve_shards(const ShardedServiceConfig& config) {
   if (config.num_shards != 0) return config.num_shards;
@@ -120,8 +147,8 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
       fleet_executors(num_shards, config.workers_per_shard);
   shards_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i)
-    shards_.push_back(std::make_unique<EcService>(
-        config.shard, executors, &tenants_, schedule_cache_));
+    shards_.push_back(std::make_unique<detail::EcService>(
+        config.shard, executors, tenants_, schedule_cache_));
 
   if (config.autotune.enabled) {
     autotuner_ = std::make_unique<ContinuousAutotuner>(config.autotune,
@@ -144,8 +171,8 @@ EcFuture ShardedEcService::submit_request(TenantId tenant,
                                           EcRequest request) {
   request.tenant = tenant;
   // Malformed submissions throw before any accounting (programming
-  // errors are not tenant traffic) — same contract as EcService.
-  EcService::validate_request(request);
+  // errors are not tenant traffic).
+  const std::size_t payload_bytes = validate_request(request);
 
   if (autotuner_) autotuner_->record(request.key, request.unit_size);
 
@@ -167,8 +194,8 @@ EcFuture ShardedEcService::submit_request(TenantId tenant,
     completion->complete(std::move(result));
     return EcFuture(std::move(completion));
   }
-  return shards_[shard_of(client_id, shards_.size())]->submit_request(
-      std::move(request));
+  return shards_[shard_of(client_id, shards_.size())]->submit(
+      std::move(request), payload_bytes);
 }
 
 EcFuture ShardedEcService::submit_encode(TenantId tenant,
@@ -266,7 +293,7 @@ std::size_t ShardedEcService::try_steal(std::size_t thief) {
 }
 
 void ShardedEcService::worker_loop(std::size_t shard_index) {
-  EcService& own = *shards_[shard_index];
+  detail::EcService& own = *shards_[shard_index];
   while (!stop_workers_.load(std::memory_order_acquire)) {
     std::size_t did = own.run_pending();
     if (stop_workers_.load(std::memory_order_acquire)) break;
@@ -354,23 +381,22 @@ ShardedStatsSnapshot ShardedEcService::stats() const {
   return out;
 }
 
-ShardedHealthSnapshot ShardedEcService::health() const {
-  ShardedHealthSnapshot out;
-  out.shards.reserve(shards_.size());
-  std::size_t unhealthy = 0;
-  std::size_t stuck = 0;
+HealthSnapshot ShardedEcService::health() const {
+  HealthSnapshot out;
+  out.kernel_variant = tensor::to_string(tensor::active_variant());
+  std::size_t shut_down = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    HealthSnapshot h = shards_[i]->health();
-    if (h.state == HealthState::Unhealthy) ++unhealthy;
-    stuck += h.stuck_batches;
+    const HealthSnapshot h = shards_[i]->health();
+    if (h.state == HealthState::Unhealthy) ++shut_down;
+    out.stuck_batches += h.stuck_batches;
     for (const std::string& reason : h.reasons)
       out.reasons.push_back("shard " + std::to_string(i) + ": " + reason);
-    out.shards.push_back(std::move(h));
   }
   // Any front thread may run any shard's batch, so stuck batches count
   // against the whole fleet of executors, not one shard's share.
-  if ((unhealthy == shards_.size() && !shards_.empty()) ||
-      stuck >= fleet_executors(shards_.size(), config_.workers_per_shard))
+  if (shut_down == shards_.size() ||
+      out.stuck_batches >=
+          fleet_executors(shards_.size(), config_.workers_per_shard))
     out.state = HealthState::Unhealthy;
   else if (!out.reasons.empty())
     out.state = HealthState::Degraded;

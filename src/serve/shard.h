@@ -17,11 +17,11 @@
 #include "serve/request.h"
 #include "serve/tenant.h"
 
-/// The sharded multi-tenant front: per-core EC service shards with
-/// bounded work stealing, tenant QoS, and warm-start continuous
-/// autotuning.
+/// The sharded multi-tenant front, the one public serving class:
+/// per-core EC service shards with bounded work stealing, tenant QoS,
+/// and warm-start continuous autotuning.
 ///
-/// Why shard at all: a single EcService funnels every submitter through
+/// Why shard at all: a single shard funnels every submitter through
 /// one batch-former mutex and one stats block. At per-core request
 /// rates that lock (and the cache line ping-pong behind it) becomes the
 /// ceiling long before the GEMM does — the same reason ML serving
@@ -55,7 +55,7 @@ struct StealPolicy {
 };
 
 /// The front's watchdog thread: once per poll it runs
-/// EcService::watchdog_scan on every shard, which (a) aborts in-flight
+/// detail::EcService::watchdog_scan on every shard, which (a) aborts in-flight
 /// batches every member of which is already dead (cancelled or past
 /// deadline) — the mechanism bounding deadline overshoot to one
 /// batch-service time — and (b) flags batches in flight longer than
@@ -80,10 +80,10 @@ struct ShardedServiceConfig {
   /// watchdog.enabled is false), so a front starts
   /// num_shards * workers_per_shard + 1 threads.
   std::size_t workers_per_shard = 1;
-  /// Every shard's EcService config, applied to each shard exactly as
-  /// written. A non-null plan_cache is shared by every shard (a loss
-  /// pattern planned anywhere is planned everywhere); null gives each
-  /// shard its own (no cross-shard lock, plans warm per shard).
+  /// Every shard's config, applied to each shard exactly as written. A
+  /// non-null plan_cache is shared by every shard (a loss pattern
+  /// planned anywhere is planned everywhere); null gives each shard its
+  /// own (no cross-shard lock, plans warm per shard).
   ServiceConfig shard;
   StealPolicy steal;
   WatchdogPolicy watchdog;
@@ -130,12 +130,6 @@ struct ShardedStatsSnapshot {
   bool front_balanced() const noexcept;
 };
 
-struct ShardedHealthSnapshot {
-  HealthState state = HealthState::Ok;
-  std::vector<std::string> reasons;  ///< prefixed "shard <i>: "
-  std::vector<HealthSnapshot> shards;
-};
-
 class ShardedEcService {
  public:
   /// Throws std::invalid_argument on an invalid config.
@@ -155,10 +149,19 @@ class ShardedEcService {
   std::size_t num_shards() const noexcept { return shards_.size(); }
 
   /// Tenant-attributed submissions. `client_id` picks the shard (use a
-  /// stable per-connection id for affinity); `tenant` is billed.
-  /// Validation and buffer-lifetime contracts match EcService. The QoS
-  /// layer may reject at the front (Overloaded future, never queued)
-  /// when the tenant's occupancy exceeds its weighted share.
+  /// stable per-connection id for affinity); `tenant` is billed. An
+  /// encode reads k contiguous data units and writes r contiguous parity
+  /// units; a decode repairs the full n-unit stripe in place (erased ids
+  /// may be unsorted or duplicated; an unrecoverable pattern completes
+  /// as Failed). `timeout` bounds how long the request may wait for a
+  /// batch (zero = no deadline; negative = already expired). Buffers
+  /// must stay alive and untouched until the future is ready. Each
+  /// request is validated once, before any accounting: malformed
+  /// arguments (span sizes, unsupported key or unit size) throw
+  /// std::invalid_argument, since they are programming errors, not
+  /// tenant traffic. The QoS layer may reject at the front (Overloaded
+  /// future, never queued) when the tenant's occupancy exceeds its
+  /// weighted share.
   EcFuture submit_encode(TenantId tenant, std::uint64_t client_id,
                          const CodecKey& key,
                          std::span<const std::uint8_t> data,
@@ -170,7 +173,9 @@ class ShardedEcService {
                          std::span<const std::size_t> erased_ids,
                          std::size_t unit_size,
                          std::chrono::nanoseconds timeout = {});
-  /// Fully-formed request (request.tenant is overwritten with `tenant`).
+  /// Fully-formed request, e.g. one carrying a caller-supplied
+  /// EcRequest::cancel token (request.tenant is overwritten with
+  /// `tenant`).
   EcFuture submit_request(TenantId tenant, std::uint64_t client_id,
                           EcRequest request);
 
@@ -200,18 +205,15 @@ class ShardedEcService {
 
   ShardedStatsSnapshot stats() const;
 
-  /// Front-wide readiness: worst shard state wins (one degraded shard
-  /// degrades the front; the front is Unhealthy when shut down, when
-  /// every shard is Unhealthy, or when the stuck batches of all shards
-  /// together reach num_shards * workers_per_shard, the executor count
-  /// each shard divides the GEMM pool by). Per-shard snapshots ride
-  /// along.
-  ShardedHealthSnapshot health() const;
+  /// Front-wide readiness. Unhealthy when shut down, or when the stuck
+  /// batches of all shards together reach num_shards * workers_per_shard
+  /// (at least one per shard), the executor count each shard divides the
+  /// GEMM pool by; otherwise Degraded on any reason (an open breaker or
+  /// a stuck batch on any shard). Reasons are prefixed "shard <i>: ";
+  /// stuck_batches is the front-wide sum.
+  HealthSnapshot health() const;
 
   std::size_t pending() const;
-
-  EcService& shard(std::size_t i) { return *shards_.at(i); }
-  const EcService& shard(std::size_t i) const { return *shards_.at(i); }
 
   TenantRegistry& tenants() noexcept { return tenants_; }
   const TenantRegistry& tenants() const noexcept { return tenants_; }
@@ -229,7 +231,7 @@ class ShardedEcService {
   std::size_t try_steal(std::size_t thief);
 
   ShardedServiceConfig config_;
-  std::vector<std::unique_ptr<EcService>> shards_;
+  std::vector<std::unique_ptr<detail::EcService>> shards_;
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_workers_{false};
 

@@ -781,8 +781,20 @@ FuzzOutcome run_cluster_heal(const FuzzConfig& c) {
   return FuzzOutcome{true, {}, {}, 1};
 }
 
+/// The `serve` and `serve-chaos` harness: a one-shard front with no
+/// serve threads (no workers, no watchdog) and no QoS, so the fuzzer's
+/// own thread pumps it and every run replays deterministically.
+serve::ShardedServiceConfig manual_one_shard_front() {
+  serve::ShardedServiceConfig sc;
+  sc.num_shards = 1;
+  sc.workers_per_shard = 0;
+  sc.qos_enforcement = false;
+  sc.watchdog.enabled = false;
+  return sc;
+}
+
 /// Serving-layer differential: a random mix of encode/decode requests
-/// (some pre-expired) through EcService in manual-pump mode, checked
+/// (some pre-expired) through a manual-pump one-shard front, checked
 /// against a sequential per-request Codec oracle running the *default*
 /// schedule — so batched wide-N execution under the menu schedule is
 /// differentially compared with one-at-a-time execution, byte for byte.
@@ -796,11 +808,11 @@ FuzzOutcome run_serve(const FuzzConfig& c) {
   const std::size_t n = params.n();
 
   std::mt19937_64 rng(c.seed ^ 0x5E54E11CE);
-  serve::ServiceConfig sc;
-  sc.batch.queue_capacity = 1 + rng() % 8;
-  sc.batch.max_batch_requests = 1 + rng() % 4;
-  sc.schedule = DiffFuzzer::schedule_menu().at(c.sched);
-  serve::EcService service(sc);
+  serve::ShardedServiceConfig sc = manual_one_shard_front();
+  sc.shard.batch.queue_capacity = 1 + rng() % 8;
+  sc.shard.batch.max_batch_requests = 1 + rng() % 4;
+  sc.shard.schedule = DiffFuzzer::schedule_menu().at(c.sched);
+  serve::ShardedEcService service(sc);
   const serve::CodecKey key{c.k, c.r, c.w, c.family};
 
   core::Codec oracle(params, c.family);  // default schedule, sequential
@@ -840,19 +852,20 @@ FuzzOutcome run_serve(const FuzzConfig& c) {
           r.expect_failed = true;  // > r distinct erasures
         }
       }
-      r.future = service.submit_decode(key, r.stripe.span(), c.losses, unit,
-                                       timeout);
+      r.future = service.submit_decode(1, 0, key, r.stripe.span(), c.losses,
+                                       unit, timeout);
     } else {
       r.in = data;
       r.out = Bytes(c.r * unit);  // zero-initialized
       r.want = Bytes(c.r * unit);
       if (!r.expired) oracle.encode(r.in.span(), r.want.span(), unit);
-      r.future = service.submit_encode(key, r.in.span(), r.out.span(), unit,
-                                       timeout);
+      r.future = service.submit_encode(1, 0, key, r.in.span(), r.out.span(),
+                                       unit, timeout);
     }
 
     // Deterministic admission: accept iff the queue still had room.
-    const bool should_accept = expected_accepted < sc.batch.queue_capacity;
+    const bool should_accept =
+        expected_accepted < sc.shard.batch.queue_capacity;
     r.accepted = should_accept;
     if (should_accept) {
       ++expected_accepted;
@@ -898,7 +911,7 @@ FuzzOutcome run_serve(const FuzzConfig& c) {
   }
 
   // Counter identities (the queue-capacity accounting contract).
-  const serve::ServeStatsSnapshot s = service.stats();
+  const serve::ServeStatsSnapshot s = service.stats().aggregate;
   const auto check = [&](bool ok, const std::string& what)
       -> std::optional<FuzzOutcome> {
     if (ok) return std::nullopt;
@@ -926,17 +939,18 @@ FuzzOutcome run_serve(const FuzzConfig& c) {
   service.shutdown();
   Bytes late_in(c.k * unit), late_out(c.r * unit);
   serve::EcFuture late =
-      service.submit_encode(key, late_in.span(), late_out.span(), unit);
+      service.submit_encode(1, 0, key, late_in.span(), late_out.span(), unit);
   if (!late.ready() ||
       late.wait().status != serve::RequestStatus::Shutdown)
     return fail(c, "serve: post-shutdown submit did not complete as shutdown");
   return FuzzOutcome{true, {}, {}, 1};
 }
 
-/// Chaos variant of the serve differential: the same manual-pump service
-/// and sequential Codec oracle, plus the overload-protection machinery —
-/// random client cancels, pre-expired deadlines with admission shedding,
-/// and injected primary-backend faults with the circuit breaker enabled.
+/// Chaos variant of the serve differential: the same manual-pump
+/// one-shard front and sequential Codec oracle, plus the
+/// overload-protection machinery — random client cancels, pre-expired
+/// deadlines with admission shedding, and injected primary-backend
+/// faults with the circuit breaker enabled.
 /// The invariant stays byte-exact: faults and breaker trips may only move
 /// requests onto slower paths (singly-rescue, degraded naive backend),
 /// never change completed bytes; cancelled/expired/shed requests leave
@@ -948,29 +962,30 @@ FuzzOutcome run_serve_chaos(const FuzzConfig& c) {
   const std::size_t n = params.n();
 
   std::mt19937_64 rng(c.seed ^ 0xC4A05C4A05ULL);
-  serve::ServiceConfig sc;
-  sc.batch.queue_capacity = 2 + rng() % 8;
-  sc.batch.max_batch_requests = 1 + rng() % 4;
-  sc.batch.deadline_shedding = rng() % 2 == 0;
-  sc.schedule = DiffFuzzer::schedule_menu().at(c.sched);
-  sc.breaker.failure_threshold = 1 + rng() % 2;
-  sc.breaker.success_threshold = 1 + rng() % 2;
+  serve::ShardedServiceConfig sc = manual_one_shard_front();
+  serve::ServiceConfig& shard = sc.shard;
+  shard.batch.queue_capacity = 2 + rng() % 8;
+  shard.batch.max_batch_requests = 1 + rng() % 4;
+  shard.batch.deadline_shedding = rng() % 2 == 0;
+  shard.schedule = DiffFuzzer::schedule_menu().at(c.sched);
+  shard.breaker.failure_threshold = 1 + rng() % 2;
+  shard.breaker.success_threshold = 1 + rng() % 2;
   // Either probe immediately (exercises recovery) or never this run
   // (exercises the steady degraded path).
-  sc.breaker.cooldown = rng() % 2 == 0 ? std::chrono::nanoseconds{0}
-                                       : std::chrono::hours(1);
+  shard.breaker.cooldown = rng() % 2 == 0 ? std::chrono::nanoseconds{0}
+                                          : std::chrono::hours(1);
   // Deterministic fault sequence: the pump is single-threaded, so the
   // injector call order — hence the exact fault pattern — replays.
   const auto fault_rng = std::make_shared<std::mt19937_64>(c.seed ^ 0xFA017);
   std::size_t injected = 0;
-  sc.fault_injector = [fault_rng, &injected](serve::RequestKind,
-                                             const serve::CodecKey&,
-                                             std::size_t) {
+  shard.fault_injector = [fault_rng, &injected](serve::RequestKind,
+                                                const serve::CodecKey&,
+                                                std::size_t) {
     const bool fire = (*fault_rng)() % 3 == 0;
     if (fire) ++injected;
     return fire;
   };
-  serve::EcService service(sc);
+  serve::ShardedEcService service(sc);
   const serve::CodecKey key{c.k, c.r, c.w, c.family};
 
   core::Codec oracle(params, c.family);  // default schedule, sequential
@@ -1013,29 +1028,29 @@ FuzzOutcome run_serve_chaos(const FuzzConfig& c) {
       } catch (const std::runtime_error&) {
         r.expect_failed = true;  // > r distinct erasures
       }
-      r.future = service.submit_decode(key, r.stripe.span(), c.losses, unit,
-                                       timeout);
+      r.future = service.submit_decode(1, 0, key, r.stripe.span(), c.losses,
+                                       unit, timeout);
     } else {
       r.in = data;
       r.out = Bytes(c.r * unit);  // zero-initialized
       r.want = Bytes(c.r * unit);
       oracle.encode(r.in.span(), r.want.span(), unit);
-      r.future = service.submit_encode(key, r.in.span(), r.out.span(), unit,
-                                       timeout);
+      r.future = service.submit_encode(1, 0, key, r.in.span(), r.out.span(),
+                                       unit, timeout);
     }
 
     // Mirror of the admission rules, in push order: shedding first (a
     // doomed request is shed even when the queue is full), then global
     // capacity. The pump consumes nothing while we submit, so the mirror
     // is exact.
-    if (sc.batch.deadline_shedding && r.expired) {
+    if (shard.batch.deadline_shedding && r.expired) {
       r.shed = true;
       ++expected_shed;
       if (!r.future.ready() ||
           r.future.wait().status != serve::RequestStatus::Shed)
         return fail(c, "serve-chaos: doomed request " + std::to_string(i) +
                            " was not shed at admission");
-    } else if (expected_accepted < sc.batch.queue_capacity) {
+    } else if (expected_accepted < shard.batch.queue_capacity) {
       r.accepted = true;
       ++expected_accepted;
       if (r.future.ready())
@@ -1107,7 +1122,7 @@ FuzzOutcome run_serve_chaos(const FuzzConfig& c) {
   }
 
   // Widened counter identities, balanced exactly against the mirror.
-  const serve::ServeStatsSnapshot s = service.stats();
+  const serve::ServeStatsSnapshot s = service.stats().aggregate;
   const auto check = [&](bool ok, const std::string& what)
       -> std::optional<FuzzOutcome> {
     if (ok) return std::nullopt;
@@ -1145,7 +1160,7 @@ FuzzOutcome run_serve_chaos(const FuzzConfig& c) {
   service.shutdown();
   Bytes late_in(c.k * unit), late_out(c.r * unit);
   serve::EcFuture late =
-      service.submit_encode(key, late_in.span(), late_out.span(), unit);
+      service.submit_encode(1, 0, key, late_in.span(), late_out.span(), unit);
   if (!late.ready() ||
       late.wait().status != serve::RequestStatus::Shutdown)
     return fail(c,
@@ -1157,9 +1172,9 @@ FuzzOutcome run_serve_chaos(const FuzzConfig& c) {
 /// Sharded multi-tenant differential: random tenant/client mixes through
 /// ShardedEcService in manual-pump mode — client hashing across shards,
 /// front-level tenant QoS (sometimes with hard weight skew so shares
-/// bind), shard-local pools, shared or per-shard plan caches, a cached
-/// schedule for the encode task shape, and an opportunistic steal scan
-/// — against the same sequential per-request Codec oracle. Sharding,
+/// bind), shared or per-shard plan caches, a cached schedule for the
+/// encode task shape, and an opportunistic steal scan — against the
+/// same sequential per-request Codec oracle. Sharding,
 /// stealing, QoS and schedules may only decide *where* and *how* a
 /// request runs or whether it is admitted: completed bytes must match
 /// the oracle exactly, and rejected/expired requests must leave their

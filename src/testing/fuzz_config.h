@@ -22,8 +22,9 @@ enum class Scenario {
   LrcRoundTrip,    ///< LRC through core::Codec: encode/decode vs the
                    ///< bitpacket reference, and single local losses
                    ///< planned from the group alone
-  Serve,           ///< random request mix through EcService (manual pump)
-                   ///< vs a sequential per-request Codec oracle, including
+  Serve,           ///< random request mix through a one-shard
+                   ///< ShardedEcService (manual pump, no threads) vs a
+                   ///< sequential per-request Codec oracle, including
                    ///< queue-capacity admission accounting
   ServeChaos,      ///< Serve plus chaos: random cancels, pre-expired
                    ///< deadlines, shedding, and injected backend faults

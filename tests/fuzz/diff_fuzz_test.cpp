@@ -176,9 +176,10 @@ TEST(DiffFuzz, EdgeCaseReprosPass) {
       // CRCs each stored copy on its own node, which this shape pins.
       "fuzz:v1 s=store-fault k=4 r=2 w=16 u=16 seed=10867058663792815222 "
       "loss=3,5",
-      // Serving layer: random request mixes through EcService (manual
-      // pump) vs the sequential per-request oracle, including deadline
-      // expiry and queue-capacity admission accounting.
+      // Serving layer: random request mixes through a one-shard front
+      // (manual pump, no threads) vs the sequential per-request oracle,
+      // including deadline expiry and queue-capacity admission
+      // accounting.
       "fuzz:v1 s=serve k=4 r=2 w=8 u=64 seed=12 loss=1,4",
       "fuzz:v1 s=serve k=1 r=0 w=8 u=8 seed=13",
       "fuzz:v1 s=serve k=6 r=3 w=16 u=48 seed=14 loss=0 sched=3",
@@ -196,9 +197,9 @@ TEST(DiffFuzz, EdgeCaseReprosPass) {
       // Sharded multi-tenant serving: random tenant/client mixes through
       // ShardedEcService (manual pump) vs the same sequential oracle —
       // client-to-shard hashing, front-level QoS shares (skewed weights
-      // on half the seeds), shard-local pools, opportunistic steal
-      // scans, and the per-tenant counter identities asserted
-      // unconditionally against a request-by-request mirror.
+      // on half the seeds), opportunistic steal scans, and the
+      // per-tenant counter identities asserted unconditionally against
+      // a request-by-request mirror.
       "fuzz:v1 s=serve-shard k=4 r=2 w=8 u=64 seed=26 loss=1,4",
       "fuzz:v1 s=serve-shard k=1 r=1 w=8 u=8 seed=27 loss=0",
       "fuzz:v1 s=serve-shard k=6 r=3 w=16 u=48 seed=28 loss=5,2 sched=3",

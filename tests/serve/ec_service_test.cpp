@@ -1,14 +1,13 @@
-// serve/ec_service.h — the batched asynchronous EC service: correctness
-// against the Codec oracle, admission control, deadline enforcement,
-// shutdown semantics, degenerate code shapes, and the pool-sharing
-// thread-cap rule. A standalone EcService starts no threads, so most
-// tests pump it on the test thread; the ones that need serve threads
-// (concurrent clients, racing shutdown, the watchdog) run it as the one
-// shard of a ShardedEcService.
+// serve/ec_service.h — the batched asynchronous EC service, driven as
+// the one shard of a ShardedEcService: correctness against the Codec
+// oracle, admission control, deadline enforcement, shutdown semantics,
+// degenerate code shapes, and the pool-sharing thread-cap rule. Most
+// tests run a front with no serve threads and pump it on the test
+// thread; the ones that need serve threads (concurrent clients, racing
+// shutdown, the watchdog) give the front workers or its watchdog.
 
 #include "serve/ec_service.h"
 
-#include "serve/buffer_pool.h"
 #include "serve/shard.h"
 #include "tensor/kernel.h"
 
@@ -26,6 +25,7 @@
 #include "core/tvmec.h"
 #include "tensor/cancel.h"
 #include "tensor/threadpool.h"
+#include "tensor/variant.h"
 
 namespace tvmec::serve {
 namespace {
@@ -43,7 +43,7 @@ Bytes oracle_parity(const CodecKey& key, std::span<const std::uint8_t> data,
   return parity;
 }
 
-/// One EcService on `workers` front threads (0 = pumped by the test
+/// One shard on `workers` front threads (0 = pumped by the test
 /// thread, with the front's watchdog still running). No QoS: the front
 /// adds only its threads and tenant accounting.
 ShardedServiceConfig one_shard_front(std::size_t workers) {
@@ -54,12 +54,23 @@ ShardedServiceConfig one_shard_front(std::size_t workers) {
   return cfg;
 }
 
+/// One shard with `shard` as its config and no serve threads at all (no
+/// workers, no watchdog): the test thread pumps it, so admission and
+/// execution are deterministic. Tests submit as tenant 1, client 0.
+ShardedServiceConfig manual_front(const ServiceConfig& shard = {}) {
+  ShardedServiceConfig cfg = one_shard_front(/*workers=*/0);
+  cfg.watchdog.enabled = false;
+  cfg.shard = shard;
+  return cfg;
+}
+
 TEST(EcService, EncodeMatchesCodecOracle) {
-  EcService service(ServiceConfig{});
+  ShardedEcService front(manual_front());
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 1);
   Bytes parity(kKey.r * kUnit);
-  EcFuture f = service.submit_encode(kKey, data.span(), parity.span(), kUnit);
-  service.run_pending();
+  EcFuture f =
+      front.submit_encode(1, 0, kKey, data.span(), parity.span(), kUnit);
+  front.run_pending();
   const EcResult& r = f.wait();
   EXPECT_EQ(r.status, RequestStatus::Ok);
   EXPECT_EQ(r.batch_size, 1u);
@@ -69,7 +80,7 @@ TEST(EcService, EncodeMatchesCodecOracle) {
 }
 
 TEST(EcService, DecodeRepairsStripeInPlace) {
-  EcService service(ServiceConfig{});
+  ShardedEcService front(manual_front());
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 2);
   Bytes stripe(kKey.n() * kUnit);
   std::memcpy(stripe.data(), data.data(), data.size());
@@ -80,8 +91,8 @@ TEST(EcService, DecodeRepairsStripeInPlace) {
   const std::vector<std::size_t> erased{1, 4};
   for (const std::size_t id : erased)
     std::memset(stripe.data() + id * kUnit, 0xEE, kUnit);
-  EcFuture f = service.submit_decode(kKey, stripe.span(), erased, kUnit);
-  service.run_pending();
+  EcFuture f = front.submit_decode(1, 0, kKey, stripe.span(), erased, kUnit);
+  front.run_pending();
   EXPECT_EQ(f.wait().status, RequestStatus::Ok);
   EXPECT_EQ(std::memcmp(stripe.data(), want.data(), want.size()), 0);
 }
@@ -123,14 +134,14 @@ TEST(EcService, ConcurrentClientsAllServedCorrectly) {
 TEST(EcService, ManualPumpBackpressureIsDeterministic) {
   ServiceConfig cfg;
   cfg.batch.queue_capacity = 3;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 3);
   std::vector<Bytes> parities;
   std::vector<EcFuture> futures;
   for (int i = 0; i < 5; ++i) {
     parities.emplace_back(kKey.r * kUnit);
-    futures.push_back(
-        service.submit_encode(kKey, data.span(), parities.back().span(), kUnit));
+    futures.push_back(front.submit_encode(1, 0, kKey, data.span(),
+                                          parities.back().span(), kUnit));
   }
   // Exactly the first `capacity` submissions are accepted.
   for (int i = 0; i < 3; ++i) EXPECT_FALSE(futures[i].ready()) << i;
@@ -139,7 +150,7 @@ TEST(EcService, ManualPumpBackpressureIsDeterministic) {
     EXPECT_EQ(futures[i].wait().status, RequestStatus::Overloaded) << i;
     EXPECT_EQ(futures[i].wait().batch_size, 0u);
   }
-  EXPECT_EQ(service.run_pending(), 3u);
+  EXPECT_EQ(front.run_pending(), 3u);
   const Bytes want = oracle_parity(kKey, data.span(), kUnit);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(futures[i].wait().status, RequestStatus::Ok);
@@ -147,7 +158,7 @@ TEST(EcService, ManualPumpBackpressureIsDeterministic) {
                           want.data(), want.size()),
               0);
   }
-  const ServeStatsSnapshot s = service.stats();
+  const ServeStatsSnapshot s = front.stats().aggregate;
   EXPECT_EQ(s.submitted, 5u);
   EXPECT_EQ(s.accepted, 3u);
   EXPECT_EQ(s.rejected_overload, 2u);
@@ -155,21 +166,21 @@ TEST(EcService, ManualPumpBackpressureIsDeterministic) {
 
 TEST(EcService, ExpiredRequestNeverExecutesAndLeavesOutputUntouched) {
   ServiceConfig cfg;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 4);
   Bytes parity(kKey.r * kUnit);
   std::memset(parity.data(), 0xAB, parity.size());
   // Negative timeout: already expired at submission.
-  EcFuture f = service.submit_encode(kKey, data.span(), parity.span(), kUnit,
-                                     std::chrono::nanoseconds{-1});
+  EcFuture f = front.submit_encode(1, 0, kKey, data.span(), parity.span(),
+                                   kUnit, std::chrono::nanoseconds{-1});
   EXPECT_FALSE(f.ready());  // expiry is enforced at batch formation
-  service.run_pending();
+  front.run_pending();
   ASSERT_TRUE(f.ready());
   EXPECT_EQ(f.wait().status, RequestStatus::Expired);
   EXPECT_EQ(f.wait().batch_size, 0u);
   for (std::size_t i = 0; i < parity.size(); ++i)
     ASSERT_EQ(parity[i], 0xAB) << i;
-  const ServeStatsSnapshot s = service.stats();
+  const ServeStatsSnapshot s = front.stats().aggregate;
   EXPECT_EQ(s.expired, 1u);
   // The whole batch expired before work: an empty flush, not a batch.
   EXPECT_EQ(s.batches, 0u);
@@ -178,14 +189,14 @@ TEST(EcService, ExpiredRequestNeverExecutesAndLeavesOutputUntouched) {
 
 TEST(EcService, MixedExpiryExecutesOnlyLiveRequests) {
   ServiceConfig cfg;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 5);
   Bytes p_live(kKey.r * kUnit), p_dead(kKey.r * kUnit);
   EcFuture live =
-      service.submit_encode(kKey, data.span(), p_live.span(), kUnit);
-  EcFuture dead = service.submit_encode(kKey, data.span(), p_dead.span(),
-                                        kUnit, std::chrono::nanoseconds{-1});
-  service.run_pending();
+      front.submit_encode(1, 0, kKey, data.span(), p_live.span(), kUnit);
+  EcFuture dead = front.submit_encode(1, 0, kKey, data.span(), p_dead.span(),
+                                      kUnit, std::chrono::nanoseconds{-1});
+  front.run_pending();
   EXPECT_EQ(live.wait().status, RequestStatus::Ok);
   EXPECT_EQ(live.wait().batch_size, 1u);  // the expired one never counted
   EXPECT_EQ(dead.wait().status, RequestStatus::Expired);
@@ -193,12 +204,12 @@ TEST(EcService, MixedExpiryExecutesOnlyLiveRequests) {
 
 TEST(EcService, DegenerateShapes) {
   ServiceConfig cfg;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   // k == 1, r == 0: striping only — encode produces no parity.
   const CodecKey trivial{1, 0, 8, ec::RsFamily::CauchyGood};
   const Bytes data = testutil::random_bytes(kUnit, 6);
-  EcFuture f = service.submit_encode(trivial, data.span(), {}, kUnit);
-  service.run_pending();
+  EcFuture f = front.submit_encode(1, 0, trivial, data.span(), {}, kUnit);
+  front.run_pending();
   EXPECT_EQ(f.wait().status, RequestStatus::Ok);
 
   // k == 1, r == 2 round trip.
@@ -209,42 +220,42 @@ TEST(EcService, DegenerateShapes) {
   std::memcpy(stripe.data() + kUnit, parity.data(), parity.size());
   std::memset(stripe.data(), 0xEE, kUnit);
   const std::vector<std::size_t> erased{0};
-  EcFuture g = service.submit_decode(tiny, stripe.span(), erased, kUnit);
-  service.run_pending();
+  EcFuture g = front.submit_decode(1, 0, tiny, stripe.span(), erased, kUnit);
+  front.run_pending();
   EXPECT_EQ(g.wait().status, RequestStatus::Ok);
   EXPECT_EQ(std::memcmp(stripe.data(), data.data(), kUnit), 0);
 }
 
 TEST(EcService, UnrecoverablePatternCompletesFailed) {
   ServiceConfig cfg;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   Bytes stripe(kKey.n() * kUnit);
   const std::vector<std::size_t> erased{0, 1, 2};  // > r = 2 distinct
-  EcFuture f = service.submit_decode(kKey, stripe.span(), erased, kUnit);
-  service.run_pending();
+  EcFuture f = front.submit_decode(1, 0, kKey, stripe.span(), erased, kUnit);
+  front.run_pending();
   EXPECT_EQ(f.wait().status, RequestStatus::Failed);
   EXPECT_FALSE(f.wait().error.empty());
-  EXPECT_EQ(service.stats().failed, 1u);
+  EXPECT_EQ(front.stats().aggregate.failed, 1u);
 }
 
 TEST(EcService, InvalidArgumentsThrowAtSubmit) {
   ServiceConfig cfg;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   Bytes data(kKey.k * kUnit), parity(kKey.r * kUnit), stripe(kKey.n() * kUnit);
   // Wrong span sizes.
-  EXPECT_THROW(service.submit_encode(kKey, data.span().subspan(1),
-                                     parity.span(), kUnit),
+  EXPECT_THROW(front.submit_encode(1, 0, kKey, data.span().subspan(1),
+                                   parity.span(), kUnit),
                std::invalid_argument);
   // Bad unit size (not a multiple of w).
-  EXPECT_THROW(service.submit_encode(kKey, data.span().first(kKey.k * 3),
-                                     parity.span().first(kKey.r * 3), 3),
+  EXPECT_THROW(front.submit_encode(1, 0, kKey, data.span().first(kKey.k * 3),
+                                   parity.span().first(kKey.r * 3), 3),
                std::invalid_argument);
   // Out-of-range erasure id.
   const std::vector<std::size_t> bad{kKey.n()};
-  EXPECT_THROW(service.submit_decode(kKey, stripe.span(), bad, kUnit),
+  EXPECT_THROW(front.submit_decode(1, 0, kKey, stripe.span(), bad, kUnit),
                std::invalid_argument);
   // Nothing was admitted.
-  EXPECT_EQ(service.stats().accepted, 0u);
+  EXPECT_EQ(front.stats().aggregate.accepted, 0u);
 }
 
 TEST(EcService, ShutdownDrainCompletesInFlightRequests) {
@@ -269,21 +280,21 @@ TEST(EcService, ShutdownDrainCompletesInFlightRequests) {
 
 TEST(EcService, ShutdownWithoutDrainCompletesQueuedAsShutdown) {
   ServiceConfig cfg;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 8);
   std::vector<Bytes> parities;
   std::vector<EcFuture> futures;
   for (int i = 0; i < 8; ++i) {
     parities.emplace_back(kKey.r * kUnit);
-    futures.push_back(
-        service.submit_encode(kKey, data.span(), parities.back().span(), kUnit));
+    futures.push_back(front.submit_encode(1, 0, kKey, data.span(),
+                                          parities.back().span(), kUnit));
   }
-  service.shutdown(/*drain=*/false);
+  front.shutdown(/*drain=*/false);
   for (auto& f : futures) {
     ASSERT_TRUE(f.ready());
     EXPECT_EQ(f.wait().status, RequestStatus::Shutdown);
   }
-  const ServeStatsSnapshot s = service.stats();
+  const ServeStatsSnapshot s = front.stats().aggregate;
   // These requests were *accepted* and then abandoned: they must land in
   // the drained bucket, not rejected_shutdown, or the identity
   // accepted == ok + expired + failed + cancelled + drained breaks.
@@ -294,15 +305,16 @@ TEST(EcService, ShutdownWithoutDrainCompletesQueuedAsShutdown) {
 }
 
 TEST(EcService, SubmitAfterShutdownCompletesAsShutdownImmediately) {
-  EcService service(ServiceConfig{});
-  service.shutdown();
+  ShardedEcService front(manual_front());
+  front.shutdown();
   Bytes data(kKey.k * kUnit), parity(kKey.r * kUnit);
-  EcFuture f = service.submit_encode(kKey, data.span(), parity.span(), kUnit);
+  EcFuture f =
+      front.submit_encode(1, 0, kKey, data.span(), parity.span(), kUnit);
   ASSERT_TRUE(f.ready());
   EXPECT_EQ(f.wait().status, RequestStatus::Shutdown);
   // Idempotent.
-  service.shutdown();
-  service.shutdown(false);
+  front.shutdown();
+  front.shutdown(false);
 }
 
 TEST(EcService, ConcurrentSubmitAndShutdownLeavesNoFutureHanging) {
@@ -346,41 +358,41 @@ TEST(EcService, ConcurrentSubmitAndShutdownLeavesNoFutureHanging) {
 // service workers must split the pool instead of each requesting its
 // full width, and tiny batches must not fork at all.
 TEST(EcService, EffectiveGemmThreadsCapsByWorkersAndWork) {
-  constexpr std::size_t kWords = EcService::kMinWordsPerGemmThread;
+  constexpr std::size_t kWords = detail::EcService::kMinWordsPerGemmThread;
   // Fair share: pool of 8 split across 2 workers -> at most 4 each.
-  EXPECT_EQ(EcService::effective_gemm_threads(100 * kWords, 8, 2), 4);
-  EXPECT_EQ(EcService::effective_gemm_threads(100 * kWords, 8, 4), 2);
+  EXPECT_EQ(detail::EcService::effective_gemm_threads(100 * kWords, 8, 2), 4);
+  EXPECT_EQ(detail::EcService::effective_gemm_threads(100 * kWords, 8, 4), 2);
   // Work-bound: a batch with fewer than 2 * kMinWordsPerGemmThread words
   // runs serial regardless of pool width.
-  EXPECT_EQ(EcService::effective_gemm_threads(kWords - 1, 64, 1), 1);
-  EXPECT_EQ(EcService::effective_gemm_threads(2 * kWords, 64, 1), 2);
+  EXPECT_EQ(detail::EcService::effective_gemm_threads(kWords - 1, 64, 1), 1);
+  EXPECT_EQ(detail::EcService::effective_gemm_threads(2 * kWords, 64, 1), 2);
   // Never zero, even on degenerate inputs.
-  EXPECT_EQ(EcService::effective_gemm_threads(0, 0, 0), 1);
+  EXPECT_EQ(detail::EcService::effective_gemm_threads(0, 0, 0), 1);
   // More workers than pool width still leaves one thread each.
-  EXPECT_EQ(EcService::effective_gemm_threads(100 * kWords, 2, 8), 1);
+  EXPECT_EQ(detail::EcService::effective_gemm_threads(100 * kWords, 2, 8), 1);
   // Bounded by the kernel's schedule limit.
-  EXPECT_LE(EcService::effective_gemm_threads(1 << 30, 1024, 1), 256);
+  EXPECT_LE(detail::EcService::effective_gemm_threads(1 << 30, 1024, 1), 256);
 }
 
 TEST(EcService, GemmThreadCapIsObservedPerBatch) {
   ServiceConfig cfg;
   cfg.batch.max_batch_requests = 16;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 10);
   std::vector<Bytes> parities;
   std::vector<EcFuture> futures;
   for (int i = 0; i < 16; ++i) {
     parities.emplace_back(kKey.r * kUnit);
-    futures.push_back(
-        service.submit_encode(kKey, data.span(), parities.back().span(), kUnit));
+    futures.push_back(front.submit_encode(1, 0, kKey, data.span(),
+                                          parities.back().span(), kUnit));
   }
-  service.run_pending();
-  const ServeStatsSnapshot s = service.stats();
+  front.run_pending();
+  const ServeStatsSnapshot s = front.stats().aggregate;
   ASSERT_GE(s.gemm_threads.count(), 1u);
   // Every recorded batch honored the cap for a manual pump (1 "worker").
   const std::size_t batch_words =
       16 * (kKey.k + kKey.r) * kUnit / sizeof(std::uint64_t);
-  const int cap = EcService::effective_gemm_threads(
+  const int cap = detail::EcService::effective_gemm_threads(
       batch_words, tensor::ThreadPool::shared().size(), 1);
   EXPECT_LE(s.gemm_threads.max(), static_cast<std::uint64_t>(cap));
   // And the batch former actually coalesced.
@@ -390,31 +402,32 @@ TEST(EcService, GemmThreadCapIsObservedPerBatch) {
   // The histogram records the threads the kernel ran, not the cap: a
   // one-thread schedule runs one thread however wide the cap is.
   cfg.schedule.num_threads = 1;
-  EcService serial(cfg);
+  ShardedEcService serial(manual_front(cfg));
   for (int i = 0; i < 16; ++i)
-    futures.push_back(serial.submit_encode(kKey, data.span(),
+    futures.push_back(serial.submit_encode(1, 0, kKey, data.span(),
                                            parities[i].span(), kUnit));
   serial.run_pending();
-  EXPECT_EQ(serial.stats().gemm_threads.count(), 1u);
-  EXPECT_EQ(serial.stats().gemm_threads.max(), 1u);
+  EXPECT_EQ(serial.stats().aggregate.gemm_threads.count(), 1u);
+  EXPECT_EQ(serial.stats().aggregate.gemm_threads.max(), 1u);
 }
 
 TEST(EcService, CancelledQueuedRequestNeverExecutes) {
   ServiceConfig cfg;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 20);
   Bytes parity(kKey.r * kUnit);
   std::memset(parity.data(), 0xCD, parity.size());
-  EcFuture f = service.submit_encode(kKey, data.span(), parity.span(), kUnit);
+  EcFuture f =
+      front.submit_encode(1, 0, kKey, data.span(), parity.span(), kUnit);
   f.cancel();
   EXPECT_TRUE(f.cancel_requested());
-  service.run_pending();
+  front.run_pending();
   ASSERT_TRUE(f.ready());
   EXPECT_EQ(f.wait().status, RequestStatus::Cancelled);
   // The kernel never touched the output.
   for (std::size_t i = 0; i < parity.size(); ++i)
     ASSERT_EQ(parity[i], 0xCD);
-  const ServeStatsSnapshot s = service.stats();
+  const ServeStatsSnapshot s = front.stats().aggregate;
   EXPECT_EQ(s.cancelled, 1u);
   EXPECT_EQ(s.accepted, 1u);
   EXPECT_EQ(s.completed_ok, 0u);
@@ -423,7 +436,7 @@ TEST(EcService, CancelledQueuedRequestNeverExecutes) {
 
 TEST(EcService, CallerSuppliedCancelTokenHonored) {
   ServiceConfig cfg;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 21);
   Bytes parity(kKey.r * kUnit);
   tensor::CancelSource source;
@@ -434,44 +447,45 @@ TEST(EcService, CallerSuppliedCancelTokenHonored) {
   req.in = data.span();
   req.out = parity.span();
   req.cancel = source.token();
-  EcFuture f = service.submit_request(std::move(req));
+  EcFuture f = front.submit_request(1, 0, std::move(req));
   source.request_cancel();
-  service.run_pending();
+  front.run_pending();
   EXPECT_EQ(f.wait().status, RequestStatus::Cancelled);
 }
 
 TEST(EcService, CancelAfterCompletionKeepsOriginalStatus) {
   ServiceConfig cfg;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 22);
   Bytes parity(kKey.r * kUnit);
-  EcFuture f = service.submit_encode(kKey, data.span(), parity.span(), kUnit);
-  service.run_pending();
+  EcFuture f =
+      front.submit_encode(1, 0, kKey, data.span(), parity.span(), kUnit);
+  front.run_pending();
   ASSERT_EQ(f.wait().status, RequestStatus::Ok);
   f.cancel();  // too late: must not rewrite history
   EXPECT_EQ(f.wait().status, RequestStatus::Ok);
-  EXPECT_EQ(service.stats().cancelled, 0u);
+  EXPECT_EQ(front.stats().aggregate.cancelled, 0u);
 }
 
 TEST(EcService, DeadlineSheddingRejectsDoomedRequests) {
   ServiceConfig cfg;
   cfg.batch.deadline_shedding = true;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 23);
   Bytes parity(kKey.r * kUnit);
   // Negative timeout = deadline already passed: with shedding on this is
   // rejected at admission (Shed), not queued to expire later.
-  EcFuture doomed = service.submit_encode(kKey, data.span(), parity.span(),
-                                          kUnit, std::chrono::seconds(-1));
+  EcFuture doomed = front.submit_encode(1, 0, kKey, data.span(), parity.span(),
+                                        kUnit, std::chrono::seconds(-1));
   ASSERT_TRUE(doomed.ready());
   EXPECT_EQ(doomed.wait().status, RequestStatus::Shed);
   // A comfortable deadline sails through.
   Bytes parity2(kKey.r * kUnit);
-  EcFuture fine = service.submit_encode(kKey, data.span(), parity2.span(),
-                                        kUnit, std::chrono::hours(1));
-  service.run_pending();
+  EcFuture fine = front.submit_encode(1, 0, kKey, data.span(), parity2.span(),
+                                      kUnit, std::chrono::hours(1));
+  front.run_pending();
   EXPECT_EQ(fine.wait().status, RequestStatus::Ok);
-  const ServeStatsSnapshot s = service.stats();
+  const ServeStatsSnapshot s = front.stats().aggregate;
   EXPECT_EQ(s.rejected_shed, 1u);
   EXPECT_EQ(s.submitted, 2u);
   EXPECT_EQ(s.accepted, 1u);
@@ -486,14 +500,14 @@ TEST(EcService, BreakerTripsToDegradedPathWithCorrectBytes) {
   cfg.fault_injector = [&](RequestKind, const CodecKey&, std::size_t) {
     return inject.load();
   };
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 24);
   const Bytes want = oracle_parity(kKey, data.span(), kUnit);
 
   const auto one = [&](Bytes& parity) {
     EcFuture f =
-        service.submit_encode(kKey, data.span(), parity.span(), kUnit);
-    service.run_pending();
+        front.submit_encode(1, 0, kKey, data.span(), parity.span(), kUnit);
+    front.run_pending();
     return f.wait().status;
   };
 
@@ -503,19 +517,19 @@ TEST(EcService, BreakerTripsToDegradedPathWithCorrectBytes) {
   Bytes p1(kKey.r * kUnit), p2(kKey.r * kUnit), p3(kKey.r * kUnit);
   EXPECT_EQ(one(p1), RequestStatus::Ok);
   EXPECT_EQ(one(p2), RequestStatus::Ok);
-  ServeStatsSnapshot s = service.stats();
+  ServeStatsSnapshot s = front.stats().aggregate;
   EXPECT_EQ(s.breaker_trips, 1u);
   EXPECT_EQ(s.degraded_batches, 0u);
 
   // Tripped: the next batch runs on the naive reference backend —
   // byte-identical parity, injector never consulted.
   EXPECT_EQ(one(p3), RequestStatus::Ok);
-  s = service.stats();
+  s = front.stats().aggregate;
   EXPECT_EQ(s.degraded_batches, 1u);
   EXPECT_EQ(std::memcmp(p3.data(), want.data(), want.size()), 0);
 
   // Observable in health() as a degraded (not unhealthy) service.
-  const HealthSnapshot h = service.health();
+  const HealthSnapshot h = front.health();
   EXPECT_EQ(h.state, HealthState::Degraded);
   ASSERT_FALSE(h.reasons.empty());
   EXPECT_NE(h.reasons.front().find("breaker"), std::string::npos);
@@ -530,30 +544,30 @@ TEST(EcService, BreakerRecoversThroughProbes) {
   cfg.fault_injector = [&](RequestKind, const CodecKey&, std::size_t) {
     return inject.load();
   };
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 25);
   const auto one = [&] {
     Bytes parity(kKey.r * kUnit);
     EcFuture f =
-        service.submit_encode(kKey, data.span(), parity.span(), kUnit);
-    service.run_pending();
+        front.submit_encode(1, 0, kKey, data.span(), parity.span(), kUnit);
+    front.run_pending();
     return f.wait().status;
   };
 
   EXPECT_EQ(one(), RequestStatus::Ok);  // primary fails (rescued), trips
-  ASSERT_EQ(service.stats().breaker_trips, 1u);
+  ASSERT_EQ(front.stats().aggregate.breaker_trips, 1u);
 
   // Backend "recovers": probes now succeed. Two probe successes close.
   inject.store(false);
   EXPECT_EQ(one(), RequestStatus::Ok);  // probe 1
   EXPECT_EQ(one(), RequestStatus::Ok);  // probe 2 -> Closed
-  const ServeStatsSnapshot s = service.stats();
+  const ServeStatsSnapshot s = front.stats().aggregate;
   EXPECT_EQ(s.breaker_recoveries, 1u);
   EXPECT_GE(s.breaker_probes, 2u);
-  EXPECT_EQ(service.health().state, HealthState::Ok);
+  EXPECT_EQ(front.health().state, HealthState::Ok);
   // And the next batch is primary again (no further degraded batches).
   EXPECT_EQ(one(), RequestStatus::Ok);
-  EXPECT_EQ(service.stats().degraded_batches, s.degraded_batches);
+  EXPECT_EQ(front.stats().aggregate.degraded_batches, s.degraded_batches);
 }
 
 TEST(EcService, BreakerDisabledKeepsRetryingPrimary) {
@@ -564,18 +578,18 @@ TEST(EcService, BreakerDisabledKeepsRetryingPrimary) {
     ++injections;
     return true;
   };
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 26);
   for (int i = 0; i < 5; ++i) {
     Bytes parity(kKey.r * kUnit);
     EcFuture f =
-        service.submit_encode(kKey, data.span(), parity.span(), kUnit);
-    service.run_pending();
+        front.submit_encode(1, 0, kKey, data.span(), parity.span(), kUnit);
+    front.run_pending();
     EXPECT_EQ(f.wait().status, RequestStatus::Ok);
   }
   EXPECT_EQ(injections.load(), 5);  // every batch retried the primary
-  EXPECT_EQ(service.stats().degraded_batches, 0u);
-  EXPECT_EQ(service.stats().breaker_trips, 0u);
+  EXPECT_EQ(front.stats().aggregate.degraded_batches, 0u);
+  EXPECT_EQ(front.stats().aggregate.breaker_trips, 0u);
 }
 
 TEST(EcService, CounterIdentitiesHoldAcrossAllOutcomes) {
@@ -584,31 +598,31 @@ TEST(EcService, CounterIdentitiesHoldAcrossAllOutcomes) {
   ServiceConfig cfg;
   cfg.batch.queue_capacity = 4;
   cfg.batch.deadline_shedding = true;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 27);
   std::vector<Bytes> parities;
   std::vector<EcFuture> futures;
   const auto submit = [&](std::chrono::nanoseconds timeout) {
     parities.emplace_back(kKey.r * kUnit);
-    futures.push_back(service.submit_encode(
-        kKey, data.span(), parities.back().span(), kUnit, timeout));
+    futures.push_back(front.submit_encode(
+        1, 0, kKey, data.span(), parities.back().span(), kUnit, timeout));
   };
 
   submit({});                         // -> Ok
   submit(std::chrono::seconds(-1));   // -> Shed (shedding on)
   submit({});                         // -> Cancelled
   futures.back().cancel();
-  service.run_pending();              // executes the two queued ones
+  front.run_pending();                // executes the two queued ones
   submit({});                         // queued ...
   submit({});
   submit({});
   submit({});                         // queue now full (capacity 4)
   submit({});                         // -> Overloaded
-  service.shutdown(/*drain=*/false);  // queued 4 -> Shutdown (drained)
+  front.shutdown(/*drain=*/false);    // queued 4 -> Shutdown (drained)
   submit({});                         // -> Shutdown (rejected at submit)
 
   for (auto& f : futures) ASSERT_TRUE(f.ready());
-  const ServeStatsSnapshot s = service.stats();
+  const ServeStatsSnapshot s = front.stats().aggregate;
   EXPECT_EQ(s.submitted, 9u);
   EXPECT_EQ(s.completed_ok, 1u);
   EXPECT_EQ(s.rejected_shed, 1u);
@@ -621,12 +635,13 @@ TEST(EcService, CounterIdentitiesHoldAcrossAllOutcomes) {
 }
 
 TEST(EcService, HealthReportsOkThenUnhealthyAfterShutdown) {
-  EcService service(ServiceConfig{});
-  HealthSnapshot h = service.health();
+  ShardedEcService front(manual_front());
+  HealthSnapshot h = front.health();
   EXPECT_EQ(h.state, HealthState::Ok);
   EXPECT_TRUE(h.reasons.empty());
-  service.shutdown();
-  h = service.health();
+  EXPECT_EQ(h.kernel_variant, tensor::to_string(tensor::active_variant()));
+  front.shutdown();
+  h = front.health();
   EXPECT_EQ(h.state, HealthState::Unhealthy);
   ASSERT_FALSE(h.reasons.empty());
   EXPECT_NE(h.reasons.front().find("shut down"), std::string::npos);
@@ -636,17 +651,17 @@ TEST(EcService, BatchingOffForcesSingletonBatches) {
   // The one-request-at-a-time ablation is a batch cap of 1.
   ServiceConfig cfg;
   cfg.batch.max_batch_requests = 1;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 11);
   std::vector<Bytes> parities;
   std::vector<EcFuture> futures;
   for (int i = 0; i < 6; ++i) {
     parities.emplace_back(kKey.r * kUnit);
-    futures.push_back(
-        service.submit_encode(kKey, data.span(), parities.back().span(), kUnit));
+    futures.push_back(front.submit_encode(1, 0, kKey, data.span(),
+                                          parities.back().span(), kUnit));
   }
-  service.run_pending();
-  const ServeStatsSnapshot s = service.stats();
+  front.run_pending();
+  const ServeStatsSnapshot s = front.stats().aggregate;
   EXPECT_EQ(s.batches, 6u);
   EXPECT_EQ(s.batch_width.max(), 1u);
   for (auto& f : futures) EXPECT_EQ(f.wait().batch_size, 1u);
@@ -757,7 +772,7 @@ TEST(Watchdog, StuckWorkerSurfacesInHealth) {
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!saw_stuck && std::chrono::steady_clock::now() < give_up) {
-    const ShardedHealthSnapshot h = front.health();
+    const HealthSnapshot h = front.health();
     for (const std::string& reason : h.reasons) {
       if (reason.find("stuck") != std::string::npos) {
         EXPECT_NE(h.state, HealthState::Ok);
@@ -815,11 +830,6 @@ TEST(Watchdog, StuckBatchSurfacesInShardedHealth) {
     std::vector<Bytes> parity;
     for (std::size_t s = 0; s < num_shards; ++s)
       parity.emplace_back(kKey.r * kUnit);
-    const auto stuck_of = [](const ShardedHealthSnapshot& h) {
-      std::size_t stuck = 0;
-      for (const HealthSnapshot& shard : h.shards) stuck += shard.stuck_batches;
-      return stuck;
-    };
 
     // One held batch per shard, each run by an idle front thread.
     std::vector<EcFuture> futures;
@@ -829,14 +839,15 @@ TEST(Watchdog, StuckBatchSurfacesInShardedHealth) {
       futures.push_back(front.submit_encode(/*tenant=*/1, client, kKey,
                                             data.span(), parity[s].span(),
                                             kUnit));
-      ShardedHealthSnapshot h = front.health();
+      HealthSnapshot h = front.health();
       const auto give_up =
           std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (stuck_of(h) < s + 1 && std::chrono::steady_clock::now() < give_up) {
+      while (h.stuck_batches < s + 1 &&
+             std::chrono::steady_clock::now() < give_up) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         h = front.health();
       }
-      EXPECT_EQ(stuck_of(h), s + 1);
+      EXPECT_EQ(h.stuck_batches, s + 1);
       EXPECT_EQ(h.state, s + 1 == num_shards ? HealthState::Unhealthy
                                              : HealthState::Degraded);
       // Each stuck batch is named among the reasons.
@@ -865,37 +876,32 @@ TEST(Watchdog, StuckBatchSurfacesInShardedHealth) {
   }
 }
 
-
-/// Tentpole acceptance: payloads in registered (64-byte-aligned) buffers
-/// flow submit -> batch formation -> scattered kernel -> result with zero
-/// staging memcpys, and the result is byte-identical to the sequential
-/// Codec oracle.
+/// Payloads in 64-byte-aligned client buffers (tensor::AlignedBuffer)
+/// flow submit -> batch formation -> scattered kernel -> result with
+/// zero staging memcpys, and the result is byte-identical to the
+/// sequential Codec oracle.
 TEST(EcService, RegisteredBuffersEncodeWithZeroStagingCopies) {
   ServiceConfig cfg;
   cfg.batch.max_batch_requests = 8;
-  EcService service(cfg);
-  BufferPool pool;
+  ShardedEcService front(manual_front(cfg));
 
   constexpr int kRequests = 6;
-  std::vector<RegisteredBuffer> datas;
-  std::vector<RegisteredBuffer> parities;
+  std::vector<Bytes> datas;
+  std::vector<Bytes> parities;
   std::vector<Bytes> oracles;
   for (int i = 0; i < kRequests; ++i) {
-    datas.push_back(pool.acquire(kKey.k * kUnit));
-    parities.push_back(pool.acquire(kKey.r * kUnit));
-    const Bytes fill =
-        testutil::random_bytes(kKey.k * kUnit, 700 + static_cast<unsigned>(i));
-    std::memcpy(datas.back().data(), fill.data(), fill.size());
+    datas.push_back(
+        testutil::random_bytes(kKey.k * kUnit, 700 + static_cast<unsigned>(i)));
+    parities.emplace_back(kKey.r * kUnit);
     oracles.push_back(oracle_parity(kKey, datas.back().span(), kUnit));
   }
 
   const std::uint64_t before = tensor::kernel_stage_stats().stage_copies;
   std::vector<EcFuture> futures;
   for (int i = 0; i < kRequests; ++i)
-    futures.push_back(service.submit_encode(
-        kKey, datas[i].span(),
-        std::span<std::uint8_t>(parities[i].data(), kKey.r * kUnit), kUnit));
-  service.run_pending();
+    futures.push_back(front.submit_encode(1, 0, kKey, datas[i].span(),
+                                          parities[i].span(), kUnit));
+  front.run_pending();
   for (auto& f : futures) ASSERT_EQ(f.wait().status, RequestStatus::Ok);
 
   // Zero intermediate copies: the kernel read the client payloads and
@@ -909,7 +915,7 @@ TEST(EcService, RegisteredBuffersEncodeWithZeroStagingCopies) {
 }
 
 TEST(EcService, MisalignedPayloadFallsBackToStaging) {
-  EcService service(ServiceConfig{});
+  ShardedEcService front(manual_front());
 
   // Same payload, shifted one byte off word alignment: correctness is
   // preserved through the staged fallback and the counter records it.
@@ -920,8 +926,8 @@ TEST(EcService, MisalignedPayloadFallsBackToStaging) {
   Bytes parity(kKey.r * kUnit);
 
   const std::uint64_t before = tensor::kernel_stage_stats().stage_copies;
-  EcFuture f = service.submit_encode(kKey, data, parity.span(), kUnit);
-  service.run_pending();
+  EcFuture f = front.submit_encode(1, 0, kKey, data, parity.span(), kUnit);
+  front.run_pending();
   ASSERT_EQ(f.wait().status, RequestStatus::Ok);
   EXPECT_GT(tensor::kernel_stage_stats().stage_copies, before);
 
@@ -933,7 +939,7 @@ TEST(EcService, SharedPlanCacheReportsHits) {
   const auto cache = std::make_shared<core::PlanCache>();
   ServiceConfig cfg;
   cfg.plan_cache = cache;
-  EcService service(cfg);
+  ShardedEcService front(manual_front(cfg));
 
   const Bytes data = testutil::random_bytes(kKey.k * kUnit, 900);
   Bytes stripe(kKey.n() * kUnit);
@@ -947,13 +953,13 @@ TEST(EcService, SharedPlanCacheReportsHits) {
     std::memcpy(stripe.data(), want.data(), want.size());
     for (const std::size_t id : erased)
       std::memset(stripe.data() + id * kUnit, 0xEE, kUnit);
-    EcFuture f = service.submit_decode(kKey, stripe.span(), erased, kUnit);
-    service.run_pending();
+    EcFuture f = front.submit_decode(1, 0, kKey, stripe.span(), erased, kUnit);
+    front.run_pending();
     ASSERT_EQ(f.wait().status, RequestStatus::Ok);
     ASSERT_EQ(std::memcmp(stripe.data(), want.data(), want.size()), 0);
   }
 
-  const ServeStatsSnapshot s = service.stats();
+  const ServeStatsSnapshot s = front.stats().aggregate;
   EXPECT_GE(s.plan_cache_misses, 1u);
   EXPECT_GE(s.plan_cache_hits + s.plan_cache_misses, 1u);
   // Repeated loss patterns hit the shared cache (the codec builds the

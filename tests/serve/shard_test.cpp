@@ -1,7 +1,7 @@
 // serve/shard.h — the sharded multi-tenant front: placement, byte
 // correctness against the Codec oracle, per-tenant QoS and counter
-// identities, bounded work stealing, shard-local pools, and the
-// front's schedule cache (warm start, installs under live serving).
+// identities, bounded work stealing, and the front's schedule cache
+// (warm start, installs under live serving).
 
 #include "serve/shard.h"
 
@@ -223,12 +223,17 @@ TEST(ShardedEcService, StealForDrainsHotNeighbor) {
   for (int i = 0; i < 4; ++i)
     futures.push_back(front.submit_encode(1, hot_client, kKey, data.span(),
                                           parity[i].span(), kUnit));
-  ASSERT_EQ(front.shard(1).pending(), 4u);
-  ASSERT_EQ(front.shard(thief).pending(), 0u);
+  // A shard's backlog: requests it accepted and has not finished.
+  const auto backlog = [&](std::size_t shard) {
+    const ServeStatsSnapshot st = front.stats().shards[shard].stats;
+    return st.accepted - st.terminal();
+  };
+  ASSERT_EQ(backlog(1), 4u);
+  ASSERT_EQ(backlog(thief), 0u);
 
   // The thief takes at most max_batches batches (1 request each here).
   EXPECT_EQ(front.steal_for(thief), 2u);
-  EXPECT_EQ(front.shard(1).pending(), 2u);
+  EXPECT_EQ(backlog(1), 2u);
   const ShardedStatsSnapshot s = front.stats();
   EXPECT_EQ(s.steal_scans, 1u);
   EXPECT_EQ(s.steal_batches, 2u);
