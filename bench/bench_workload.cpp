@@ -5,9 +5,16 @@
 // read-heavy op mix, and a node failure mid-run. Reports end-to-end
 // store throughput, where encoding is one cost among memcpy, CRCs,
 // placement, and reconstruction.
+//
+// --smoke: the E14 table alone, on a small object set that includes
+// every short-stripe shape and multi-stripe objects with a short last
+// stripe. Every healthy get, every degraded get and every get after
+// repair() is checked byte for byte; exits nonzero on any mismatch (CI
+// runs this).
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <random>
 
 #include "bench_util.h"
@@ -20,6 +27,9 @@ using namespace tvmec;
 constexpr std::size_t kUnit = 64 * 1024;
 const ec::CodeParams kParams{10, 4, 8};
 const cluster::ClusterConfig kConfig{.num_nodes = 14};
+
+bool g_smoke = false;
+bool g_checks_ok = true;
 
 struct Workload {
   std::vector<std::vector<std::uint8_t>> objects;
@@ -41,6 +51,37 @@ Workload make_workload(std::size_t count, std::uint64_t seed) {
     w.objects.push_back(std::move(obj));
   }
   return w;
+}
+
+/// The smoke set: a few lognormal objects plus every short-stripe shape
+/// (one byte, around one unit, around one stripe) and two multi-stripe
+/// objects whose last stripe is short.
+Workload make_smoke_workload() {
+  Workload w = make_workload(4, 4);
+  const std::size_t stripe = kParams.k * kUnit;
+  std::mt19937_64 rng(5);
+  for (const std::size_t size :
+       {std::size_t{1}, kUnit - 1, kUnit + 1, stripe - 1, stripe, stripe + 1,
+        2 * stripe + kUnit / 2, 3 * stripe - 7}) {
+    std::vector<std::uint8_t> obj(size);
+    for (auto& b : obj) b = static_cast<std::uint8_t>(rng());
+    w.total_bytes += size;
+    w.objects.push_back(std::move(obj));
+  }
+  return w;
+}
+
+/// Reads every object back and compares it byte for byte; a mismatch
+/// prints a !! line and fails the run.
+void check_all(cluster::Cluster& store, const Workload& w,
+               const char* phase) {
+  for (std::size_t i = 0; i < w.objects.size(); ++i) {
+    const auto got = store.get("obj" + std::to_string(i));
+    if (!got || *got != w.objects[i]) {
+      std::printf("!! %s get of obj%zu is not byte-exact\n", phase, i);
+      g_checks_ok = false;
+    }
+  }
 }
 
 void bm_put_workload(benchmark::State& state) {
@@ -79,7 +120,7 @@ void print_paper_table() {
       "encoding cost in situ: put/get/degraded-get/repair throughput over "
       "a lognormal object mix");
 
-  const Workload w = make_workload(32, 4);
+  const Workload w = g_smoke ? make_smoke_workload() : make_workload(32, 4);
   cluster::Cluster store(kParams, kUnit, kConfig);
 
   const double put_secs = tune::measure_seconds_median(
@@ -102,6 +143,7 @@ void print_paper_table() {
   const double get_secs = tune::measure_seconds_median(read_all, 3);
   std::printf("get    : %7.2f GB/s  (healthy)\n",
               w.total_bytes / get_secs / 1e9);
+  check_all(store, w, "healthy");
 
   store.fail_node(2);
   const double degraded_secs = tune::measure_seconds_median(read_all, 3);
@@ -109,6 +151,14 @@ void print_paper_table() {
               "reconstructed stripes)\n",
               w.total_bytes / degraded_secs / 1e9,
               store.stats().degraded_reads);
+  // Every stripe has a unit on each of the 14 nodes, a data unit on
+  // most, so this pass must decode.
+  const std::size_t degraded0 = store.stats().degraded_reads;
+  check_all(store, w, "degraded");
+  if (store.stats().degraded_reads == degraded0) {
+    std::printf("!! the degraded pass decoded nothing\n");
+    g_checks_ok = false;
+  }
 
   store.revive_node(2);
   const auto t0 = std::chrono::steady_clock::now();
@@ -118,14 +168,34 @@ void print_paper_table() {
           .count();
   std::printf("repair : %7.2f GB/s  (%zu units rebuilt)\n",
               rebuilt * kUnit / repair_secs / 1e9, rebuilt);
+  check_all(store, w, "post-repair");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Strip --smoke before google-benchmark sees (and rejects) it.
+  int out = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0)
+      g_smoke = true;
+    else
+      argv[out++] = argv[i];
+  }
+  argc = out;
+
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  if (!g_smoke) benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  print_paper_table();
-  return 0;
+  try {
+    print_paper_table();
+  } catch (const std::exception& e) {
+    // A get or repair that throws (a stripe past recovery, a rebuilt
+    // unit failing its checksum) is a failed check too.
+    std::printf("!! E14 table threw: %s\n", e.what());
+    g_checks_ok = false;
+  }
+  if (!g_checks_ok)
+    std::printf("\nE14: CHECK FAILURES above — see !! lines\n");
+  return g_checks_ok ? 0 : 1;
 }

@@ -39,12 +39,15 @@ Cluster::Cluster(const ec::CodeParams& params, std::size_t unit_size,
       net_(config.num_nodes, config.num_domains, config.net, config.seed),
       nodes_(config.num_nodes),
       retry_(config.retry),
-      ewma_(config.num_nodes) {
+      ewma_(config.num_nodes),
+      stripe_buf_(params.n() * unit_size) {
   ec::packet_bytes(params, unit_size);  // validates unit_size
   if (config.num_nodes < params.n())
     throw std::invalid_argument(
         "Cluster: need at least k + r nodes for distinct placement");
   repairer_ = std::make_unique<RepairCoordinator>(*this);
+  // The buffer is still all zeros here.
+  zero_unit_crc_ = storage::crc32c({stripe_buf_.data(), unit_size});
 }
 
 Cluster::~Cluster() = default;
@@ -72,9 +75,10 @@ void Cluster::put(const std::string& name,
 
   ObjectMeta meta;
   meta.size = bytes.size();
-  // Every byte is rewritten per stripe: the data by the copy below (and
-  // a short last stripe's padding by the fill), the parity by encode.
-  std::vector<std::uint8_t> stripe(n * unit_size_);
+  // Every stored byte is rewritten per stripe: the data by the copy
+  // below (and a short stripe's padding by the fill), the parity by
+  // encode. The buffer still holds the previous call's bytes.
+  std::uint8_t* const stripe = stripe_buf_.data();
   std::vector<std::size_t> failed_stripes;
   for (std::size_t s = 0; s < num_stripes; ++s) {
     // Place this stripe's n units on consecutive nodes from a rotating
@@ -88,21 +92,24 @@ void Cluster::put(const std::string& name,
 
     const std::size_t off = s * stripe_data;
     const std::size_t take = std::min(stripe_data, bytes.size() - off);
-    std::memcpy(stripe.data(), bytes.data() + off, take);
-    std::fill(stripe.begin() + static_cast<std::ptrdiff_t>(take),
-              stripe.begin() + static_cast<std::ptrdiff_t>(stripe_data), 0);
-    codec_.encode(std::span<const std::uint8_t>(stripe.data(), stripe_data),
-                  std::span<std::uint8_t>(stripe.data() + stripe_data,
-                                          (n - k) * unit_size_),
-                  unit_size_);
+    // The first `carried` data units hold the stripe's bytes; a short
+    // stripe's others are zero padding, which encode skips and whose
+    // checksum is the zero unit's.
+    const std::size_t carried = (take + unit_size_ - 1) / unit_size_;
+    std::memcpy(stripe, bytes.data() + off, take);
+    std::memset(stripe + take, 0, stripe_data - take);
+    codec_.encode({stripe, carried * unit_size_},
+                  {stripe + stripe_data, (n - k) * unit_size_}, unit_size_);
 
     loc.unit_crcs.resize(n);
     for (std::size_t u = 0; u < n; ++u)
-      loc.unit_crcs[u] = storage::crc32c(
-          {stripe.data() + u * unit_size_, unit_size_});
+      loc.unit_crcs[u] =
+          u >= carried && u < k
+              ? zero_unit_crc_
+              : storage::crc32c({stripe + u * unit_size_, unit_size_});
     bool stripe_ok = true;
     for (std::size_t u = 0; u < n; ++u)
-      stripe_ok &= store_unit(name, loc, s, u, stripe.data() + u * unit_size_);
+      stripe_ok &= store_unit(name, loc, s, u, stripe + u * unit_size_);
     if (!stripe_ok) failed_stripes.push_back(s);
     meta.stripes.push_back(std::move(loc));
     ++stats_.stripes_written;
@@ -125,9 +132,9 @@ std::optional<std::vector<std::uint8_t>> Cluster::get(
   out.reserve(meta.size);
   const std::size_t stripe_data = params_.k * unit_size_;
   for (std::size_t s = 0; s < meta.stripes.size(); ++s) {
-    const auto stripe = read_stripe(name, meta, s);
+    read_stripe(name, meta, s, stripe_buf_.span());
     const std::size_t take = std::min(stripe_data, meta.size - out.size());
-    out.insert(out.end(), stripe.data(), stripe.data() + take);
+    out.insert(out.end(), stripe_buf_.data(), stripe_buf_.data() + take);
   }
   out.resize(meta.size);
   foreground_bytes_ += out.size();
@@ -167,8 +174,9 @@ std::vector<std::uint8_t> Cluster::read_unit(const std::string& name,
     stats_.read_virtual_us += latency;
     net_.advance(latency);
   } else {
-    const auto bytes = read_stripe(name, meta, stripe, unit);
-    std::memcpy(out.data(), bytes.data() + unit * unit_size_, unit_size_);
+    read_stripe(name, meta, stripe, stripe_buf_.span(), unit);
+    std::memcpy(out.data(), stripe_buf_.data() + unit * unit_size_,
+                unit_size_);
   }
   foreground_bytes_ += unit_size_;
   return out;
@@ -215,7 +223,7 @@ void Cluster::write_unit(const std::string& name, std::size_t stripe,
     codec_.update_unit(units, unit, bytes, unit_size_);
   } else {
     ++stats_.full_stripe_writes;
-    units = read_stripe(name, it->second, stripe);
+    read_stripe(name, it->second, stripe, units);
     std::memcpy(at(unit).data(), bytes.data(), unit_size_);
     codec_.encode({units.data(), k * unit_size_},
                   {units.data() + k * unit_size_, (n - k) * unit_size_},
@@ -518,13 +526,14 @@ Cluster::UnitRead Cluster::fetch_unit(const std::string& name,
   return result;
 }
 
-std::vector<std::uint8_t> Cluster::read_stripe(
-    const std::string& name, const ObjectMeta& meta, std::size_t s,
-    std::optional<std::size_t> lost) {
+void Cluster::read_stripe(const std::string& name, const ObjectMeta& meta,
+                          std::size_t s, std::span<std::uint8_t> stripe,
+                          std::optional<std::size_t> lost) {
   const std::size_t k = params_.k;
   const std::size_t n = params_.n();
   const StripeLocation& loc = meta.stripes[s];
-  std::vector<std::uint8_t> stripe(n * unit_size_);
+  // Every unit a decode reads is fetched into `stripe` first: on the
+  // degraded path each unit is either read here or erased.
   std::vector<bool> have(n, false);
   std::vector<std::size_t> erased;
   if (lost) erased.push_back(*lost);
@@ -612,7 +621,6 @@ std::vector<std::uint8_t> Cluster::read_stripe(
 
   stats_.read_virtual_us += stripe_latency;
   net_.advance(stripe_latency);  // stripes of a get() serialize on the client
-  return stripe;
 }
 
 }  // namespace tvmec::cluster

@@ -13,6 +13,7 @@
 #include "storage/crc32c.h"
 #include "storage/fault_injector.h"
 #include "storage/retry.h"
+#include "tensor/buffer.h"
 
 /// A deterministic simulated multi-node erasure-coded cluster — the
 /// repository's object store: the "real storage system" integration
@@ -50,6 +51,10 @@
 /// Repair (DAG-based, partial aggregation at helpers) lives in
 /// cluster/repair.h; Cluster::scrub_stripe() and Cluster::repair() drive
 /// it, and cluster/scrubber.h walks scrub_stripe() incrementally.
+///
+/// Single-threaded: one call at a time. The cluster owns one n-unit
+/// stripe buffer that put(), get() and read_unit() stage through, so no
+/// call allocates or zero-fills a stripe of its own.
 namespace tvmec::cluster {
 
 class RepairCoordinator;
@@ -77,6 +82,12 @@ const char* to_string(DamageKind k) noexcept;
 /// moment the loss is *discovered* — a CRC failure inside a degraded
 /// read, a failed unit store, a scrub finding, a revive — instead of
 /// leaving them for the next full-scan repair_all() walk.
+///
+/// report_damage runs inside the cluster call that found the damage,
+/// while that call's stripe buffer is live: it must not re-enter the
+/// cluster's put(), get(), read_unit() or write_unit(). The one
+/// implementer, the Healer, only enqueues (re-assessing a parked
+/// stripe's node-local health at most).
 class DamageSink {
  public:
   virtual ~DamageSink() = default;
@@ -182,8 +193,11 @@ class Cluster {
     return codec_.plan_cache();
   }
 
-  /// Stores an object: stripes of k*unit_size bytes (last zero-padded),
-  /// encoded, units shipped over the network to their placed nodes.
+  /// Stores an object: stripes of k*unit_size bytes, encoded, units
+  /// shipped over the network to their placed nodes. A short last stripe
+  /// encodes only the c data units that carry bytes (the last one
+  /// zero-filled past the object's end); its k - c padding units are
+  /// stored as zeros with the zero unit's precomputed checksum.
   void put(const std::string& name, std::span<const std::uint8_t> bytes);
 
   /// Retrieves an object; reads degrade through survivors and hedge
@@ -348,14 +362,15 @@ class Cluster {
   bool store_unit(const std::string& name, const StripeLocation& loc,
                   std::size_t s, std::size_t u, const std::uint8_t* src);
 
-  /// Reads stripe s with degradation + hedging; returns the n-unit
-  /// buffer (data units always; a parity only when the read degraded or
-  /// hedged, or when it is `lost`) and accumulates modeled latency.
-  /// `lost` names a unit the caller already failed to read: it is not
-  /// re-read but rebuilt through the survivors.
-  std::vector<std::uint8_t> read_stripe(
-      const std::string& name, const ObjectMeta& meta, std::size_t s,
-      std::optional<std::size_t> lost = std::nullopt);
+  /// Reads stripe s with degradation + hedging into `stripe` (n units)
+  /// and accumulates modeled latency. On return the data units always
+  /// hold the stripe's bytes; a parity does only when the read degraded
+  /// or hedged, or when it is `lost`, and otherwise keeps whatever the
+  /// buffer held. `lost` names a unit the caller already failed to read:
+  /// it is not re-read but rebuilt through the survivors.
+  void read_stripe(const std::string& name, const ObjectMeta& meta,
+                   std::size_t s, std::span<std::uint8_t> stripe,
+                   std::optional<std::size_t> lost = std::nullopt);
 
   void update_ewma(std::size_t node, std::uint64_t latency_us);
   void mark_node_failed(std::size_t node);
@@ -384,6 +399,11 @@ class Cluster {
   Membership* membership_ = nullptr;
   DamageSink* damage_sink_ = nullptr;
   std::uint64_t foreground_bytes_ = 0;
+  /// The one n-unit stripe buffer put(), get() and read_unit() stage
+  /// through; 64-byte aligned, so the encode reads it in place.
+  tensor::AlignedBuffer<std::uint8_t> stripe_buf_;
+  /// CRC-32C of unit_size zero bytes: every padding unit's checksum.
+  std::uint32_t zero_unit_crc_ = 0;
 };
 
 }  // namespace tvmec::cluster

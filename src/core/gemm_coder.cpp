@@ -94,11 +94,14 @@ void GemmCoder::run(std::span<const std::uint8_t> in,
                     const tensor::CancelToken& cancel) const {
   // Callers guarantee aligned operands and a word-multiple packet size.
   const std::size_t packet_words = unit_size / w_ / 8;
-  const std::size_t kw = in_units_ * w_;
+  const std::size_t kw = in.size() / unit_size * w_;
   const std::size_t rw = out_units_ * w_;
   // The contiguous unit buffer *is* the packed B matrix: packet p of unit
-  // u is row u*w + p, and rows are exactly packet_words apart.
-  const tensor::MatView<const std::uint64_t> a{masks_.data(), rw, kw, kw};
+  // u is row u*w + p, and rows are exactly packet_words apart. Leading
+  // units alone (apply_leading) multiply A's leading kw columns, read at
+  // A's full row stride: the missing units' zero rows add nothing.
+  const tensor::MatView<const std::uint64_t> a{masks_.data(), rw, kw,
+                                               in_units_ * w_};
   const tensor::MatView<const std::uint64_t> b{
       reinterpret_cast<const std::uint64_t*>(in.data()), kw, packet_words,
       packet_words};
@@ -106,6 +109,31 @@ void GemmCoder::run(std::span<const std::uint8_t> in,
       reinterpret_cast<std::uint64_t*>(out.data()), rw, packet_words,
       packet_words};
   tensor::gemm_xorand(a, b, c, schedule, cancel);
+}
+
+void GemmCoder::apply_leading(std::span<const std::uint8_t> in,
+                              std::span<std::uint8_t> out,
+                              std::size_t unit_size) const {
+  const std::size_t units = unit_size == 0 ? 0 : in.size() / unit_size;
+  if (units == 0 || units > in_units_ || units * unit_size != in.size())
+    throw std::invalid_argument(name() + ": input must be 1 to " +
+                                std::to_string(in_units_) + " whole units");
+  if (units == in_units_) {
+    apply(in, out, unit_size);
+    return;
+  }
+  if (unit_size % (std::size_t{8} * w_) == 0 && word_aligned(in.data()) &&
+      word_aligned(out.data()) && out.size() == out_units_ * unit_size) {
+    if (!out.empty()) run(in, out, unit_size, schedule_for(unit_size));
+    return;
+  }
+  // Off the word path (or a bad output size, which apply() rejects): the
+  // missing units become zeros in scratch and the stripe takes apply()'s
+  // road, staging copies included.
+  tensor::AlignedBuffer<std::uint8_t> padded(in_units_ * unit_size);
+  std::memcpy(padded.data(), in.data(), in.size());
+  tensor::note_staging_copy(in.size());
+  apply(padded.span(), out, unit_size);
 }
 
 void GemmCoder::apply_batch(std::span<const ec::CoderBatchItem> items,

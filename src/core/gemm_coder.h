@@ -74,6 +74,18 @@ class GemmCoder final : public ec::MatrixCoder {
   /// call resolves once, from its first item.
   tensor::Schedule schedule_for(std::size_t unit_size) const;
 
+  /// apply() given only the leading c = in.size() / unit_size input
+  /// units, 1 <= c <= in_units(); the missing trailing units are zero.
+  /// On the word path (8-byte aligned spans, unit_size a multiple of
+  /// 8*w) the GEMM runs at K = c*w in place, so no padding is read or
+  /// multiplied. Otherwise the units are zero-padded into scratch and
+  /// run through apply(), counted by tensor::kernel_stage_stats. Throws
+  /// std::invalid_argument on no units, a partial unit, more than
+  /// in_units() units, or apply()'s argument errors.
+  void apply_leading(std::span<const std::uint8_t> in,
+                     std::span<std::uint8_t> out,
+                     std::size_t unit_size) const;
+
   /// Batched multi-request entry: apply() per item, with validation and
   /// the buffer contract exactly apply()'s. Items on the word path
   /// (8-byte aligned, whole-word packets) run in place when there is one
@@ -123,7 +135,9 @@ class GemmCoder final : public ec::MatrixCoder {
   unsigned bit_sliced_w() const noexcept override { return w_; }
 
  private:
-  /// One contiguous GEMM under `schedule`, in place (do_apply's body).
+  /// One contiguous GEMM under `schedule`, in place (do_apply's body),
+  /// over the in.size() / unit_size input units `in` holds: all
+  /// in_units(), or apply_leading's leading ones.
   void run(std::span<const std::uint8_t> in, std::span<std::uint8_t> out,
            std::size_t unit_size, const tensor::Schedule& schedule,
            const tensor::CancelToken& cancel = {}) const;

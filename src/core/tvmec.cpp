@@ -86,7 +86,7 @@ std::shared_ptr<const ec::DecodePlan> Codec::plan(
 void Codec::encode(std::span<const std::uint8_t> data,
                    std::span<std::uint8_t> parity,
                    std::size_t unit_size) const {
-  encode_coder_.apply(data, parity, unit_size);
+  encode_coder_.apply_leading(data, parity, unit_size);
 }
 
 const Codec::DecodeEntry& Codec::decode_entry(

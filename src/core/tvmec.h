@@ -65,8 +65,15 @@ class Codec {
       std::vector<std::size_t> erased,
       std::vector<std::size_t> preferred = {}) const;
 
-  /// Encodes k contiguous data units into r contiguous parity units.
-  /// unit_size must be a positive multiple of 8*w bytes.
+  /// Encodes contiguous data units into r contiguous parity units.
+  /// `data` holds k units, or a short stripe's leading c (1 <= c <= k):
+  /// the missing trailing units are zero, and on the word path only the
+  /// c given units are multiplied (GemmCoder::apply_leading). unit_size
+  /// must be a positive multiple of w bytes. 8-byte-aligned spans with
+  /// unit_size a multiple of 8*w run in place; anything else is staged
+  /// through aligned scratch (tensor::kernel_stage_stats). Throws
+  /// std::invalid_argument on empty data, a partial unit, more than k
+  /// units, a bad unit size or a parity span other than r units.
   void encode(std::span<const std::uint8_t> data,
               std::span<std::uint8_t> parity, std::size_t unit_size) const;
 

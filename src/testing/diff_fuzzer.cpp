@@ -119,6 +119,27 @@ FuzzOutcome fail(const FuzzConfig& config, std::string detail) {
   return FuzzOutcome{false, format_repro(config), std::move(detail), 1};
 }
 
+/// Short-stripe arm: Codec::encode given only the leading
+/// c = 1 + seed % k data units must reproduce the bitpacket oracle of the
+/// data with units c..k-1 zeroed. c comes from the seed, not a new draw,
+/// so the repro format and every pinned campaign replay unchanged.
+std::optional<std::string> check_short_encode(
+    const FuzzConfig& c, const core::Codec& codec,
+    const gf::Matrix& parity_matrix, std::span<const std::uint8_t> data) {
+  const std::size_t units = 1 + c.seed % c.k;
+  const std::size_t parity_bytes = parity_matrix.rows() * c.unit_size;
+  Bytes padded(c.k * c.unit_size);
+  std::memcpy(padded.data(), data.data(), units * c.unit_size);
+  Bytes oracle(parity_bytes);
+  Bytes got(parity_bytes);
+  ec::apply_matrix_reference_bitpacket(parity_matrix, padded.span(),
+                                       oracle.span(), c.unit_size);
+  codec.encode(data.first(units * c.unit_size), got.span(), c.unit_size);
+  return first_divergence(
+      got.span(), oracle.span(), c.unit_size,
+      "codec encode of the leading " + std::to_string(units) + " units");
+}
+
 /// Scattered arm 1 (config.frag != 0): Codec::encode_scattered over
 /// separately allocated per-unit buffers — a random mix of word-aligned
 /// and deliberately misaligned units — must reproduce the bitpacket
@@ -255,6 +276,13 @@ FuzzOutcome run_rs_encode(const FuzzConfig& c) {
         return fail(c, *d);
     }
   }
+  {
+    core::Codec codec(params, c.family);
+    if (c.sched != 0)
+      codec.set_schedule(DiffFuzzer::schedule_menu().at(c.sched));
+    if (auto d = check_short_encode(c, codec, parity_matrix, data.span()))
+      return fail(c, *d);
+  }
   if (c.frag != 0) {
     if (auto d = check_scattered_codec(c, data.span(),
                                        oracle_bitpacket.span()))
@@ -373,6 +401,9 @@ FuzzOutcome run_lrc(const FuzzConfig& c) {
                                        oracle.span(), unit);
   if (auto d = first_divergence(stripe.span().subspan(c.k * unit),
                                 oracle.span(), unit, "lrc encode"))
+    return fail(c, *d);
+  if (auto d =
+          check_short_encode(c, codec, lrc.parity_matrix(), data.span()))
     return fail(c, *d);
 
   if (c.losses.empty()) return FuzzOutcome{true, {}, {}, 1};

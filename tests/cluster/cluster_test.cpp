@@ -67,6 +67,51 @@ TEST(Cluster, PutGetRoundtripWithPadding) {
   cluster.remove("obj");
   EXPECT_FALSE(cluster.exists("obj"));
   EXPECT_FALSE(cluster.get("obj").has_value());
+
+  // Every short-stripe shape, each put right after a full random stripe,
+  // so a byte the cluster's reused stripe buffer kept from the previous
+  // call would show in the stored padding or the bytes read back.
+  constexpr std::size_t k = 4;
+  constexpr std::size_t stripe_bytes = k * kUnit;
+  for (const std::size_t size :
+       {std::size_t{1}, kUnit - 1, kUnit, kUnit + 1, stripe_bytes - 1,
+        stripe_bytes, stripe_bytes + 1}) {
+    SCOPED_TRACE(::testing::Message() << "size " << size);
+    Cluster cl(ec::CodeParams{k, 2, 8}, kUnit, make_config(9, 3));
+    cl.put("full", testutil::random_vector(stripe_bytes, 7));
+    const auto bytes = testutil::random_vector(size, size);
+    cl.put("obj", bytes);
+    const auto got = cl.get("obj");
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, bytes);
+
+    // Data units read back as the object's bytes, zero past its end:
+    // every padding unit is all zeros.
+    const std::size_t stripes = cl.object_stripe_count("obj");
+    std::vector<std::uint8_t> padded = bytes;
+    padded.resize(stripes * stripe_bytes, 0);
+    for (std::size_t s = 0; s < stripes; ++s)
+      for (std::size_t u = 0; u < k; ++u) {
+        const auto unit = cl.read_unit("obj", s, u);
+        EXPECT_TRUE(std::equal(unit.begin(), unit.end(),
+                               padded.begin() + static_cast<std::ptrdiff_t>(
+                                                    s * stripe_bytes +
+                                                    u * kUnit)))
+            << "stripe " << s << " unit " << u;
+      }
+    EXPECT_EQ(cl.stats().degraded_reads, 0u);
+    EXPECT_EQ(cl.scrub(), 0u);
+
+    // Lose the holder of the last stripe's first data unit: the get
+    // decodes through the survivors, into a buffer the full get filled.
+    ASSERT_TRUE(cl.get("full").has_value());
+    cl.fail_node(cl.placement("obj", stripes - 1)[0]);
+    const std::size_t degraded0 = cl.stats().degraded_reads;
+    const auto degraded = cl.get("obj");
+    ASSERT_TRUE(degraded.has_value());
+    EXPECT_EQ(*degraded, bytes);
+    EXPECT_GT(cl.stats().degraded_reads, degraded0);
+  }
 }
 
 TEST(Cluster, PutGetRoundTrip) {

@@ -42,6 +42,76 @@ TEST(Codec, EncodeMatchesReference) {
       std::equal(expect.begin(), expect.end(), parity.span().begin()));
 }
 
+/// A short stripe: encode given the leading c data units must write the
+/// parity of the zero-padded stripe byte for byte. Aligned spans with
+/// whole-word packets run in place at K = c*w and stage nothing; +1-offset
+/// spans and a sub-word unit (2w bytes) take the zero-padded staging road.
+TEST(Codec, ShortStripeEncodeMatchesZeroPaddedEncode) {
+  const auto check = [](const Codec& codec, std::size_t unit,
+                        const std::string& label) {
+    const std::size_t k = codec.params().k;
+    const std::size_t r = codec.params().r;
+    const bool word_path = unit % (8 * codec.params().w) == 0;
+    const auto data = random_bytes(k * unit, 31 * k + unit);
+    for (std::size_t c = 1; c <= k; ++c) {
+      SCOPED_TRACE(label + " u=" + std::to_string(unit) +
+                   " c=" + std::to_string(c));
+      tensor::AlignedBuffer<std::uint8_t> padded(k * unit);
+      std::copy_n(data.data(), c * unit, padded.data());
+      tensor::AlignedBuffer<std::uint8_t> want(r * unit);
+      codec.encode(padded.span(), want.span(), unit);
+
+      tensor::AlignedBuffer<std::uint8_t> got(r * unit);
+      const std::uint64_t copies0 = tensor::kernel_stage_stats().stage_copies;
+      codec.encode(data.span().first(c * unit), got.span(), unit);
+      EXPECT_TRUE(std::equal(got.span().begin(), got.span().end(),
+                             want.span().begin()))
+          << "aligned";
+      if (word_path)
+        EXPECT_EQ(tensor::kernel_stage_stats().stage_copies, copies0)
+            << "an aligned short stripe must run in place";
+      else
+        EXPECT_GT(tensor::kernel_stage_stats().stage_copies, copies0)
+            << "a sub-word unit must stage";
+
+      tensor::AlignedBuffer<std::uint8_t> in_off(c * unit + 1);
+      tensor::AlignedBuffer<std::uint8_t> out_off(r * unit + 1);
+      std::copy_n(data.data(), c * unit, in_off.data() + 1);
+      const std::uint64_t copies1 = tensor::kernel_stage_stats().stage_copies;
+      codec.encode(in_off.span().subspan(1), out_off.span().subspan(1), unit);
+      EXPECT_TRUE(std::equal(want.span().begin(), want.span().end(),
+                             out_off.data() + 1))
+          << "+1-offset";
+      EXPECT_GT(tensor::kernel_stage_stats().stage_copies, copies1)
+          << "a misaligned short stripe must stage";
+    }
+  };
+  const auto check_codec = [&](const Codec& codec, const std::string& label) {
+    check(codec, kUnit, label);
+    check(codec, 2 * codec.params().w, label);  // sub-word packets
+  };
+  check_codec(Codec(ec::CodeParams{10, 4, 8}), "RS(10,4) w=8");
+  check_codec(Codec(ec::CodeParams{6, 3, 4}), "RS(6,3) w=4");
+  check_codec(Codec(ec::CodeParams{6, 3, 16}), "RS(6,3) w=16");
+  check_codec(Codec(ec::LrcParams{6, 2, 2, 8}), "LRC(6,2,2)");
+
+  const Codec codec(ec::CodeParams{10, 4, 8});
+  tensor::AlignedBuffer<std::uint8_t> data(11 * kUnit);
+  tensor::AlignedBuffer<std::uint8_t> parity(4 * kUnit);
+  EXPECT_THROW(codec.encode(data.span().first(0), parity.span(), kUnit),
+               std::invalid_argument);
+  EXPECT_THROW(
+      codec.encode(data.span().first(3 * kUnit + 8), parity.span(), kUnit),
+      std::invalid_argument);
+  EXPECT_THROW(codec.encode(data.span().first(kUnit - 8), parity.span(), kUnit),
+               std::invalid_argument);
+  EXPECT_THROW(codec.encode(data.span(), parity.span(), kUnit),
+               std::invalid_argument);
+  EXPECT_THROW(codec.encode(data.span().first(3 * kUnit),
+                            parity.span().first(3 * kUnit), kUnit),
+               std::invalid_argument);
+}
+
 /// Every erasure pattern up to r over the full evaluation parameter grid
 /// must decode back to the original stripe through the GEMM path.
 class CodecDecodeTest
