@@ -151,8 +151,10 @@ void print_paper_table() {
               "reconstructed stripes)\n",
               w.total_bytes / degraded_secs / 1e9,
               store.stats().degraded_reads);
-  // Every stripe has a unit on each of the 14 nodes, a data unit on
-  // most, so this pass must decode.
+  // Every stripe has a unit on each of the 14 nodes, but a get fetches
+  // no padding: a stripe decodes only when node 2 holds one of its
+  // carried data units, as it does for most full stripes, so this pass
+  // must decode.
   const std::size_t degraded0 = store.stats().degraded_reads;
   check_all(store, w, "degraded");
   if (store.stats().degraded_reads == degraded0) {

@@ -101,6 +101,7 @@ void Cluster::put(const std::string& name,
     codec_.encode({stripe, carried * unit_size_},
                   {stripe + stripe_data, (n - k) * unit_size_}, unit_size_);
 
+    loc.carried = carried;
     loc.unit_crcs.resize(n);
     for (std::size_t u = 0; u < n; ++u)
       loc.unit_crcs[u] =
@@ -233,7 +234,9 @@ void Cluster::write_unit(const std::string& name, std::size_t stripe,
   // The units this write stores: the new unit and the r parities, or
   // the whole re-encoded stripe. Metadata first: a store that fails or
   // tears below leaves its unit CRC-stale, caught on read like any
-  // other corruption.
+  // other corruption. A unit written into padding carries bytes from now
+  // on, so reads fetch it and decodes use it.
+  loc.carried = std::max(loc.carried, unit + 1);
   const auto written = [&](std::size_t u) {
     return !patch || u == unit || u >= k;
   };
@@ -532,17 +535,18 @@ void Cluster::read_stripe(const std::string& name, const ObjectMeta& meta,
   const std::size_t k = params_.k;
   const std::size_t n = params_.n();
   const StripeLocation& loc = meta.stripes[s];
-  // Every unit a decode reads is fetched into `stripe` first: on the
-  // degraded path each unit is either read here or erased.
+  // Every unit a decode reads is in `stripe` first: on the degraded path
+  // each unit is read here, erased, or padding. Data units [carried, k)
+  // are padding, known zeros that are never fetched.
   std::vector<bool> have(n, false);
   std::vector<std::size_t> erased;
   if (lost) erased.push_back(*lost);
   std::uint64_t stripe_latency = 0;
   const HedgeConfig& hedge = config_.hedge;
 
-  // Fan out the k data-unit reads (modeled as parallel: the stripe's
-  // latency is the slowest unit's effective latency).
-  for (std::size_t u = 0; u < k; ++u) {
+  // Fan out the carried data-unit reads (modeled as parallel: the
+  // stripe's latency is the slowest unit's effective latency).
+  for (std::size_t u = 0; u < loc.carried; ++u) {
     if (u == lost) continue;
     std::uint64_t latency = 0;
     const UnitRead r =
@@ -609,6 +613,10 @@ void Cluster::read_stripe(const std::string& name, const ObjectMeta& meta,
     if (erased.size() > params_.r)
       throw std::runtime_error(
           "Cluster::get: stripe unrecoverable (more than r units lost)");
+    // The decode reads the padding units as survivors: write in the zeros
+    // they hold.
+    std::memset(stripe.data() + loc.carried * unit_size_, 0,
+                (k - loc.carried) * unit_size_);
     codec_.decode(stripe, erased, unit_size_);
     for (const std::size_t u : erased) {
       if (storage::crc32c({stripe.data() + u * unit_size_, unit_size_}) !=
@@ -617,6 +625,14 @@ void Cluster::read_stripe(const std::string& name, const ObjectMeta& meta,
             "Cluster::get: reconstructed unit failed checksum");
     }
     ++stats_.degraded_reads;
+  } else if (std::any_of(loc.nodes.begin() + loc.carried,
+                         loc.nodes.begin() + k, [&](std::size_t node) {
+                           return !node_usable(node);
+                         })) {
+    // A padding unit is not fetched, but scrub and repair count its
+    // stored copy: a down holder is lost redundancy, so report it as a
+    // degraded read would.
+    report_damage(DamageKind::ReadCorruption, name, s);
   }
 
   stats_.read_virtual_us += stripe_latency;

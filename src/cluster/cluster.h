@@ -81,7 +81,9 @@ const char* to_string(DamageKind k) noexcept;
 /// cluster reports (object, stripe) pairs that lost redundancy the
 /// moment the loss is *discovered* — a CRC failure inside a degraded
 /// read, a failed unit store, a scrub finding, a revive — instead of
-/// leaving them for the next full-scan repair_all() walk.
+/// leaving them for the next full-scan repair_all() walk. A get never
+/// fetches a short stripe's padding units: it reports one whose node is
+/// down without reading it, and a corrupt one is left to the scrub.
 ///
 /// report_damage runs inside the cluster call that found the damage,
 /// while that call's stripe buffer is live: it must not re-enter the
@@ -197,12 +199,17 @@ class Cluster {
   /// shipped over the network to their placed nodes. A short last stripe
   /// encodes only the c data units that carry bytes (the last one
   /// zero-filled past the object's end); its k - c padding units are
-  /// stored as zeros with the zero unit's precomputed checksum.
+  /// stored as zeros with the zero unit's precomputed checksum, and its
+  /// metadata records c as the stripe's carried units.
   void put(const std::string& name, std::span<const std::uint8_t> bytes);
 
   /// Retrieves an object; reads degrade through survivors and hedge
-  /// around stragglers. Returns nullopt for unknown names; throws
-  /// std::runtime_error when a stripe has more than r units unreachable.
+  /// around stragglers. Each stripe read fetches only its carried data
+  /// units, so a short stripe's padding is never fetched, copied or
+  /// CRC'd; a padding unit whose node is down does not degrade the get
+  /// but is reported to the damage sink (ReadCorruption). Returns
+  /// nullopt for unknown names; throws std::runtime_error when a stripe
+  /// has more than r units unreachable.
   std::optional<std::vector<std::uint8_t>> get(const std::string& name);
 
   bool exists(const std::string& name) const;
@@ -223,7 +230,9 @@ class Cluster {
   /// every unit is stored on the node that already holds it; a write
   /// never re-places a stripe. The metadata CRCs of every unit written
   /// are set before the first store, so a failed or torn store is
-  /// caught like any other corruption. Throws std::invalid_argument on
+  /// caught like any other corruption. A write into a padding unit
+  /// raises the stripe's carried units to unit + 1 first, so later reads
+  /// fetch it and decodes use its bytes. Throws std::invalid_argument on
   /// an unknown object or stripe, a parity unit id or a size other than
   /// unit_size(), and std::runtime_error when the stripe is past
   /// recovery.
@@ -337,6 +346,11 @@ class Cluster {
   struct StripeLocation {
     std::vector<std::size_t> nodes;      ///< node per unit, n entries
     std::vector<std::uint32_t> unit_crcs;  ///< intended contents, n entries
+    /// Leading data units that may hold non-zero bytes: put() sets
+    /// ceil(bytes / unit_size) (k for a full stripe), and write_unit()
+    /// raises it past a unit it writes into padding. Data units
+    /// [carried, k) are padding, all zeros.
+    std::size_t carried = 0;
   };
   struct ObjectMeta {
     std::size_t size = 0;
@@ -363,11 +377,15 @@ class Cluster {
                   std::size_t s, std::size_t u, const std::uint8_t* src);
 
   /// Reads stripe s with degradation + hedging into `stripe` (n units)
-  /// and accumulates modeled latency. On return the data units always
-  /// hold the stripe's bytes; a parity does only when the read degraded
-  /// or hedged, or when it is `lost`, and otherwise keeps whatever the
-  /// buffer held. `lost` names a unit the caller already failed to read:
-  /// it is not re-read but rebuilt through the survivors.
+  /// and accumulates modeled latency. Only the carried data units are
+  /// fetched; the padding units count as present. On return the carried
+  /// units always hold the stripe's bytes. The padding units hold zeros
+  /// only when the read degraded (the decode reads them as survivors),
+  /// and a parity holds its bytes only when the read degraded or hedged,
+  /// or when it is `lost`; otherwise they keep whatever the buffer held.
+  /// A read that does not degrade reports a padding unit whose node is
+  /// down. `lost` names a unit the caller already failed to read: it is
+  /// not re-read but rebuilt through the survivors.
   void read_stripe(const std::string& name, const ObjectMeta& meta,
                    std::size_t s, std::span<std::uint8_t> stripe,
                    std::optional<std::size_t> lost = std::nullopt);

@@ -576,6 +576,22 @@ FuzzOutcome run_cluster(const FuzzConfig& c, bool repair) {
                   std::min(unit, object_size - off));
     if (auto failure = check_bytes(rewritten, "small-write re-read"))
       return *failure;
+
+    // One more loss within the budget: the holder of another data unit
+    // of stripe 0 dies. When the write landed in padding, the decode must
+    // read the written unit, not the zeros it held before.
+    if (c.k >= 2 && loss_budget + 1 <= c.r) {
+      cl.fail_node(cl.placement("fuzz-object", 0)[target == 0 ? 1 : 0]);
+      std::optional<std::vector<std::uint8_t>> reread;
+      try {
+        reread = cl.get("fuzz-object");
+      } catch (const std::runtime_error& e) {
+        return fail(c, std::string("post-write loss unrecoverable: ") +
+                           e.what());
+      }
+      if (auto failure = check_bytes(reread, "post-write loss re-read"))
+        return *failure;
+    }
   }
   return FuzzOutcome{true, {}, {}, 1};
 }

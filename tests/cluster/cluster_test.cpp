@@ -114,6 +114,91 @@ TEST(Cluster, PutGetRoundtripWithPadding) {
   }
 }
 
+/// Counts the damage a client read reports.
+struct ReadDamageCounter final : DamageSink {
+  std::size_t reports = 0;
+  void report_damage(DamageKind kind, const std::string&,
+                     std::size_t) override {
+    if (kind == DamageKind::ReadCorruption) ++reports;
+  }
+};
+
+TEST(Cluster, ShortStripeGetFetchesOnlyCarriedUnits) {
+  // A get fetches only the data units that carry bytes, ceil(take / unit)
+  // per stripe: one disk read, one response message and one unit of
+  // payload each. A short stripe's padding units are never fetched.
+  constexpr std::size_t k = 4;
+  constexpr std::size_t stripe_bytes = k * kUnit;
+  for (const std::size_t size :
+       {std::size_t{1}, kUnit - 1, kUnit, kUnit + 1, stripe_bytes - 1,
+        stripe_bytes, stripe_bytes + 1, 2 * stripe_bytes + kUnit / 2}) {
+    SCOPED_TRACE(::testing::Message() << "size " << size);
+    Cluster cl(ec::CodeParams{k, 2, 8}, kUnit, make_config(9, 3));
+    storage::FaultInjector inj;  // quiet: counts every read, faults none
+    cl.attach_fault_injector(&inj);
+    const auto bytes = testutil::random_vector(size, size);
+    cl.put("obj", bytes);
+
+    std::size_t carried = 0;
+    for (std::size_t off = 0; off < size; off += stripe_bytes)
+      carried += (std::min(stripe_bytes, size - off) + kUnit - 1) / kUnit;
+    const std::uint64_t reads0 = inj.stats().reads;
+    const NetStats net0 = cl.net().stats();
+    EXPECT_EQ(cl.get("obj"), bytes);
+    const NetStats net1 = cl.net().stats();
+    EXPECT_EQ(inj.stats().reads - reads0, carried);
+    EXPECT_EQ(net1.messages_sent - net0.messages_sent, carried);
+    EXPECT_EQ((net1.bytes_received - net0.bytes_received) / kUnit, carried);
+    EXPECT_EQ(cl.stats().hedged_reads, 0u);
+    EXPECT_EQ(cl.stats().degraded_reads, 0u);
+
+    // A lost padding unit is not fetched, so the get neither degrades
+    // nor decodes; its down holder is still reported. read_unit() of that
+    // unit decodes the zeros it held and reports once more.
+    const auto nodes = cl.placement("obj", 0);
+    if (size < stripe_bytes && carried < k) {
+      ReadDamageCounter sink;
+      cl.set_damage_sink(&sink);
+      cl.fail_node(nodes[carried]);
+      EXPECT_EQ(cl.get("obj"), bytes);
+      EXPECT_EQ(cl.stats().degraded_reads, 0u);
+      EXPECT_EQ(sink.reports, 1u);
+      EXPECT_EQ(cl.read_unit("obj", 0, carried),
+                std::vector<std::uint8_t>(kUnit, 0));
+      EXPECT_EQ(sink.reports, 2u);
+      cl.set_damage_sink(nullptr);
+    }
+    // A lost carried unit degrades the get, which decodes it exactly.
+    cl.fail_node(nodes[0]);
+    EXPECT_EQ(cl.get("obj"), bytes);
+    EXPECT_GT(cl.stats().degraded_reads, 0u);
+  }
+}
+
+TEST(Cluster, WriteUnitIntoPaddingIsDecodedNotZeroed) {
+  // A one-unit object carries only unit 0. Writing unit 2 makes units
+  // 0..2 carried, so a degraded get decodes through unit 2's new bytes,
+  // not through the zeros it held as padding. Both write paths: the
+  // parity patch, and the re-encode a dead parity holder forces.
+  for (const bool patch : {true, false}) {
+    SCOPED_TRACE(patch ? "patch" : "re-encode");
+    Cluster cl(ec::CodeParams{4, 2, 8}, kUnit, make_config(6, 1));
+    const auto bytes = testutil::random_vector(kUnit, 61);
+    cl.put("obj", bytes);
+    const auto nodes = cl.placement("obj", 0);
+    if (!patch) cl.fail_node(nodes[5]);
+    const auto fresh = testutil::random_vector(kUnit, 62);
+    cl.write_unit("obj", 0, 2, fresh);
+    EXPECT_EQ(cl.stats().small_write_patches, patch ? 1u : 0u);
+    EXPECT_EQ(cl.stats().full_stripe_writes, patch ? 0u : 1u);
+    EXPECT_EQ(cl.read_unit("obj", 0, 2), fresh);
+
+    cl.fail_node(nodes[0]);
+    EXPECT_EQ(cl.get("obj"), bytes);
+    EXPECT_EQ(cl.stats().degraded_reads, 1u);
+  }
+}
+
 TEST(Cluster, PutGetRoundTrip) {
   Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(8, 1));
   const auto payload = testutil::random_vector(10000, 1);  // multi-stripe

@@ -73,6 +73,44 @@ TEST(Healer, DegradedGetReportsReadCorruption) {
   expect_identities(healer);
 }
 
+// A get never fetches a short stripe's padding, but scrub and repair
+// count its stored copies. With no membership attached, the get is what
+// notices a padding holder going down: each loss must reach the healer
+// before losses pile past r and repair runs out of survivors.
+TEST(Healer, GetReportsDownPaddingHolderWithoutMembership) {
+  Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(9, 3));
+  Healer healer(cluster, nullptr);
+  const auto payload = testutil::random_vector(kUnit, 41);  // unit 0 only
+  cluster.put("obj", payload);
+
+  // The holders of padding units 1 and 2 die one after the other. The
+  // get after each stays undegraded and reports, and the healer rebuilds.
+  for (const std::size_t u : {std::size_t{1}, std::size_t{2}}) {
+    cluster.fail_node(cluster.placement("obj", 0)[u]);
+    EXPECT_EQ(cluster.get("obj"), payload);
+    EXPECT_EQ(cluster.stats().degraded_reads, 0u);
+    EXPECT_EQ(healer.events_of(DamageKind::ReadCorruption), u);
+    ASSERT_TRUE(healer.run_until_idle(16));
+    EXPECT_EQ(healer.stats().repaired, u);
+  }
+  // Then a parity holder: a get reads no parity, so the scrub finds it,
+  // and with the padding rebuilt it is the stripe's only loss.
+  cluster.fail_node(cluster.placement("obj", 0)[4]);
+  EXPECT_EQ(cluster.get("obj"), payload);
+  EXPECT_EQ(cluster.scrub(), 1u);
+  ASSERT_TRUE(healer.run_until_idle(16));
+  EXPECT_EQ(healer.parked_now(), 0u);
+  EXPECT_EQ(healer.stats().repaired, 3u);
+  EXPECT_EQ(cluster.scrub(), 0u);
+
+  // Two more losses are within r: the data survives them.
+  const auto nodes = cluster.placement("obj", 0);
+  cluster.fail_node(nodes[0]);
+  cluster.fail_node(nodes[5]);
+  EXPECT_EQ(cluster.get("obj"), payload);
+  expect_identities(healer);
+}
+
 // Satellite: a store_unit failure during put() must produce a damage
 // event for the short-written stripe.
 TEST(Healer, FailedWriteReportsWriteFailure) {
