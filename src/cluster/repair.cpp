@@ -12,6 +12,10 @@ namespace {
 
 constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
 
+/// Pipelining granularity on the wire: a transfer moves in chunks of at
+/// most this many bytes, each retried on its own.
+constexpr std::size_t kChunkBytes = 64 * 1024;
+
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
 
@@ -91,18 +95,12 @@ std::optional<RepairPlan> RepairCoordinator::build_plan(
     pref.push_back(uid);
   }
   if (pref.size() < cluster_.params_.k) return std::nullopt;
-  if (config_.prefer_domain_local) {
-    std::stable_sort(pref.begin(), pref.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       const std::size_t da =
-                           cluster_.domain_of(loc.nodes[a]);
-                       const std::size_t db =
-                           cluster_.domain_of(loc.nodes[b]);
-                       if ((da == root_domain) != (db == root_domain))
-                         return da == root_domain;
-                       return da < db;
-                     });
-  }
+  std::stable_sort(pref.begin(), pref.end(), [&](std::size_t a, std::size_t b) {
+    const std::size_t da = cluster_.domain_of(loc.nodes[a]);
+    const std::size_t db = cluster_.domain_of(loc.nodes[b]);
+    if ((da == root_domain) != (db == root_domain)) return da == root_domain;
+    return da < db;
+  });
 
   // The preference is part of the plan's cache key: same loss pattern,
   // different placement or exclusions => different plan entry.
@@ -132,11 +130,10 @@ std::optional<RepairPlan> RepairCoordinator::build_plan(
 bool RepairCoordinator::transfer(std::size_t src, std::size_t dst,
                                  std::size_t bytes, std::uint64_t salt,
                                  std::uint64_t* serialized_us) {
-  const std::size_t chunk = std::max<std::size_t>(1, config_.chunk_bytes);
   std::size_t off = 0;
   std::size_t index = 0;
   while (off < bytes) {
-    const std::size_t take = std::min(chunk, bytes - off);
+    const std::size_t take = std::min(kChunkBytes, bytes - off);
     const bool ok = storage::with_retries(
         cluster_.retry_, cluster_.retry_stats_,
         fnv_mix(salt, index), [&]() {
@@ -415,16 +412,12 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
       continue;
     }
     // Out of re-plan budget: this attempt is superseded by the naive
-    // plan (still a re-plan for the identity) — or abandoned outright.
-    if (config_.allow_naive_fallback) {
-      ++stats_.attempts_replanned;
-    } else {
-      ++stats_.attempts_abandoned;
-    }
+    // plan (still a re-plan for the identity).
+    ++stats_.attempts_replanned;
     break;
   }
 
-  if (!completed && config_.allow_naive_fallback) {
+  if (!completed) {
     damage = assess_stripe(name, s, loc);
     const auto replacements = pick_replacements(loc, damage);
     if (damage.erased.empty()) {
@@ -468,8 +461,6 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   stats_.cross_domain_bytes += report.cross_domain_bytes;
   stats_.hops += report.hops;
   stats_.makespan_us_total += report.makespan_us;
-  if (config_.deadline_us > 0 && report.makespan_us > config_.deadline_us)
-    ++stats_.deadline_overruns;
 
   report.completed = completed;
   if (completed && report.units_repaired > 0) ++stats_.stripes_repaired;

@@ -39,11 +39,7 @@
 namespace tvmec::cluster {
 
 struct RepairConfig {
-  std::size_t chunk_bytes = 64 * 1024;  ///< pipelining granularity on the wire
-  std::size_t max_replans = 2;          ///< DAG re-plans before naive fallback
-  std::uint64_t deadline_us = 0;        ///< modeled makespan budget (0 = none)
-  bool prefer_domain_local = true;      ///< order survivors root-domain-first
-  bool allow_naive_fallback = true;
+  std::size_t max_replans = 2;  ///< DAG re-plans before naive fallback
   /// False skips the DAG entirely and repairs via the naive k-unit star —
   /// the baseline arm of the E22 traffic-shape comparison.
   bool dag_enabled = true;
@@ -60,7 +56,6 @@ struct RepairStats {
   std::uint64_t bytes_on_wire = 0;       ///< payload bytes sent during repair
   std::uint64_t cross_domain_bytes = 0;
   std::uint64_t hops = 0;                ///< DAG edges traversed
-  std::uint64_t deadline_overruns = 0;
   std::uint64_t makespan_us_total = 0;   ///< summed modeled repair makespan
 
   bool identity_holds() const noexcept {

@@ -1,6 +1,7 @@
 #include "serve/ec_service.h"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -27,6 +28,18 @@ ec::CodeParams params_of(const CodecKey& key) {
 std::string describe_key(const CodecKey& key) {
   return "k=" + std::to_string(key.k) + ",r=" + std::to_string(key.r) +
          ",w=" + std::to_string(key.w);
+}
+
+/// Whether a decode names more than r distinct erasures. Every serve
+/// code is Reed-Solomon, hence MDS: any r losses are recoverable and no
+/// more are, so this count is the whole recoverability test.
+bool exceeds_parities(const EcRequest& req) {
+  const std::vector<std::size_t>& ids = req.erased;
+  if (ids.size() <= req.key.r) return false;
+  std::size_t distinct = 0;
+  for (auto it = ids.begin(); it != ids.end(); ++it)
+    if (std::find(ids.begin(), it, *it) == it) ++distinct;
+  return distinct > req.key.r;
 }
 
 }  // namespace
@@ -106,9 +119,8 @@ EcService::EcService(const ServiceConfig& config, std::size_t executors,
 EcService::~EcService() { shutdown(true); }
 
 EcFuture EcService::submit(EcRequest request, std::size_t payload_bytes) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  tenants_.observe({RequestEvent::Kind::Submitted, request.tenant,
-                    RequestStatus::Pending, /*admitted=*/false});
+  record({RequestEvent::Kind::Submitted, request.tenant,
+          RequestStatus::Pending, /*admitted=*/false});
 
   PendingRequest pending;
   pending.req = std::move(request);
@@ -139,9 +151,8 @@ EcFuture EcService::submit(EcRequest request, std::size_t payload_bytes) {
 
   switch (former_.push(std::move(pending))) {
     case PushResult::Accepted:
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-      tenants_.observe({RequestEvent::Kind::Accepted, tenant,
-                        RequestStatus::Pending, /*admitted=*/true});
+      record({RequestEvent::Kind::Accepted, tenant, RequestStatus::Pending,
+              /*admitted=*/true});
       break;
     case PushResult::QueueFull:
       reject(RequestStatus::Overloaded);
@@ -227,13 +238,10 @@ void EcService::watchdog_scan(Clock::time_point now,
     // client-cancelled or past its deadline. A batch with even one live
     // member runs to completion (its output is still wanted).
     if (batch.aborted || batch.members.empty()) continue;
-    bool all_dead = true;
-    for (const InflightBatch::Member& m : batch.members)
-      if (!member_dead(m, now)) {
-        all_dead = false;
-        break;
-      }
-    if (all_dead) {
+    if (std::all_of(batch.members.begin(), batch.members.end(),
+                    [&](const PendingRequest* p) {
+                      return dead_status(*p, now).has_value();
+                    })) {
       batch.source.request_cancel();
       batch.aborted = true;
       watchdog_aborts_.fetch_add(1, std::memory_order_relaxed);
@@ -241,19 +249,33 @@ void EcService::watchdog_scan(Clock::time_point now,
   }
 }
 
+std::optional<RequestStatus> EcService::dead_status(const PendingRequest& p,
+                                                    Clock::time_point now) {
+  if (p.completion->cancel_requested() || p.req.cancel.cancelled())
+    return RequestStatus::Cancelled;
+  if (now > p.req.deadline) return RequestStatus::Expired;
+  return std::nullopt;
+}
+
 void EcService::execute_batch(std::vector<PendingRequest>& batch) {
   const auto formed = Clock::now();
+  // All requests of a batch share (kind, key) — the batch former's lane
+  // invariant — so one codec serves the whole batch.
+  const RequestKind kind = batch.front().req.kind;
+  const CodecKey& key = batch.front().req.key;
 
-  // Deadline and cancellation enforcement happens here, not at
-  // completion: a dead request must never spend kernel time.
+  // Each request's own fate is settled here, before any kernel: a dead
+  // request never spends kernel time, and an unrecoverable decode fails
+  // without reaching the batched call, which then throws only for
+  // backend faults — so the breaker hears only backend verdicts.
   std::vector<PendingRequest*> live;
   live.reserve(batch.size());
   for (PendingRequest& p : batch) {
-    if (p.completion->cancel_requested() || p.req.cancel.cancelled())
-      complete(p, RequestStatus::Cancelled, {}, formed, formed, 0,
-               /*admitted=*/true);
-    else if (p.req.deadline < formed)
-      complete(p, RequestStatus::Expired, {}, formed, formed, 0,
+    if (const auto dead = dead_status(p, formed))
+      complete(p, *dead, {}, formed, formed, 0, /*admitted=*/true);
+    else if (kind == RequestKind::Decode && exceeds_parities(p.req))
+      complete(p, RequestStatus::Failed,
+               "decode: erasure pattern is unrecoverable", formed, formed, 0,
                /*admitted=*/true);
     else
       live.push_back(&p);
@@ -262,6 +284,7 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch) {
     empty_flushes_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  CodecSlot& slot = codec_slot(key);
 
   std::size_t batch_bytes = 0;
   for (const PendingRequest* p : live) batch_bytes += p->payload_bytes;
@@ -282,17 +305,12 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch) {
         std::min(config_.schedule.num_threads, gemm_threads)));
   }
 
-  // All requests of a batch share (kind, key) — the batch former's lane
-  // invariant — so one codec serves the whole batch.
-  const RequestKind kind = live.front()->req.kind;
-  const CodecKey& key = live.front()->req.key;
-  CodecSlot& slot = codec_slot(key);
   std::vector<RequestStatus> status(live.size(), RequestStatus::Ok);
   std::vector<std::string> error(live.size());
   std::vector<char> done(live.size(), 0);
 
   // Register with the watchdog: the batch-wide token the kernel polls,
-  // plus each member's death criteria (client flags + deadline).
+  // plus the live members it tests with dead_status.
   std::uint64_t batch_id;
   tensor::CancelToken batch_token;
   {
@@ -300,10 +318,7 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch) {
     batch_id = next_batch_id_++;
     InflightBatch& inflight = inflight_[batch_id];
     inflight.formed = formed;
-    inflight.members.reserve(live.size());
-    for (const PendingRequest* p : live)
-      inflight.members.push_back(
-          {p->completion, p->req.cancel, p->req.deadline});
+    inflight.members.assign(live.begin(), live.end());
     batch_token = inflight.source.token();
     if (aborting_.load(std::memory_order_acquire)) {
       inflight.source.request_cancel();
@@ -385,11 +400,9 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch) {
           if (it == slot.naive_decode_cache.end()) {
             // Plans come from the shared cache (same plans the primary
             // path uses — the breaker degrades the *executor*, not the
-            // math); only the naive coder stays slot-local.
+            // math); only the naive coder stays slot-local. Formation
+            // failed every pattern beyond r, so the plan exists.
             auto plan = slot.codec.plan(erased);
-            if (!plan)
-              throw std::runtime_error(
-                  "decode: erasure pattern is unrecoverable");
             auto coder = core::make_coder(core::Backend::NaiveBitmatrix,
                                           plan->recovery);
             it = slot.naive_decode_cache
@@ -473,11 +486,8 @@ void EcService::execute_batch(std::vector<PendingRequest>& batch) {
       const bool shutting_down = aborting_.load(std::memory_order_acquire);
       for (std::size_t i = 0; i < live.size(); ++i) {
         if (done[i]) continue;
-        PendingRequest& p = *live[i];
-        if (p.completion->cancel_requested() || p.req.cancel.cancelled())
-          status[i] = RequestStatus::Cancelled;
-        else if (now > p.req.deadline)
-          status[i] = RequestStatus::Expired;
+        if (const auto dead = dead_status(*live[i], now))
+          status[i] = *dead;
         else if (shutting_down)
           status[i] = RequestStatus::Shutdown;
         else
@@ -513,38 +523,6 @@ void EcService::complete(PendingRequest& p, RequestStatus status,
   result.total = duration_cast<nanoseconds>(end - p.submitted);
   result.batch_size = batch_size;
 
-  switch (status) {
-    case RequestStatus::Ok:
-      completed_ok_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::Expired:
-      expired_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::Failed:
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::Cancelled:
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::Overloaded:
-      rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::Shed:
-      rejected_shed_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::Shutdown:
-      // Two buckets keep both counter identities exact: an admitted
-      // request abandoned by shutdown is drained (it counts against
-      // `accepted`), a request rejected at submit never was.
-      if (admitted)
-        shutdown_drained_.fetch_add(1, std::memory_order_relaxed);
-      else
-        rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case RequestStatus::Pending:
-      break;  // unreachable: completions always carry a terminal status
-  }
-
   // Latency histograms describe the served path; admission rejections
   // (sub-microsecond by design) would only distort the low buckets.
   if (status == RequestStatus::Ok || status == RequestStatus::Failed ||
@@ -553,17 +531,27 @@ void EcService::complete(PendingRequest& p, RequestStatus status,
     hist_.queue_wait_ns.record(
         static_cast<std::uint64_t>(result.queue_wait.count()));
     hist_.total_ns.record(static_cast<std::uint64_t>(result.total.count()));
-    if (status != RequestStatus::Expired)
+    // Service time is a batch's: a request settled at formation
+    // (batch_size 0) never ran, and an expired one ran to no result.
+    if (batch_size > 0 && status != RequestStatus::Expired)
       hist_.service_ns.record(
           static_cast<std::uint64_t>(result.service_time.count()));
   }
 
-  // Tenant accounting runs before the future unblocks so a caller that
-  // waits on the result always observes tenant counters that include it.
-  tenants_.observe(
-      {RequestEvent::Kind::Completed, p.req.tenant, status, admitted});
+  // Accounting runs before the future unblocks so a caller that waits on
+  // the result always observes counters that include it.
+  record({RequestEvent::Kind::Completed, p.req.tenant, status, admitted});
 
   p.completion->complete(std::move(result));
+}
+
+static_assert(alignof(RequestCounters) >=
+              std::atomic_ref<std::uint64_t>::required_alignment);
+
+void EcService::record(const RequestEvent& event) {
+  if (const RequestCounters::Bucket b = RequestCounters::bucket(event))
+    std::atomic_ref(requests_.*b).fetch_add(1, std::memory_order_relaxed);
+  tenants_.observe(event);
 }
 
 ServeStatsSnapshot EcService::stats() const {
@@ -572,16 +560,8 @@ ServeStatsSnapshot EcService::stats() const {
     std::lock_guard lock(stats_mutex_);
     out = hist_;
   }
-  out.submitted = submitted_.load(std::memory_order_relaxed);
-  out.accepted = accepted_.load(std::memory_order_relaxed);
-  out.rejected_overload = rejected_overload_.load(std::memory_order_relaxed);
-  out.rejected_shed = rejected_shed_.load(std::memory_order_relaxed);
-  out.rejected_shutdown = rejected_shutdown_.load(std::memory_order_relaxed);
-  out.completed_ok = completed_ok_.load(std::memory_order_relaxed);
-  out.expired = expired_.load(std::memory_order_relaxed);
-  out.failed = failed_.load(std::memory_order_relaxed);
-  out.cancelled = cancelled_.load(std::memory_order_relaxed);
-  out.shutdown_drained = shutdown_drained_.load(std::memory_order_relaxed);
+  for (const RequestCounters::Bucket b : RequestCounters::kBuckets)
+    out.*b = std::atomic_ref(requests_.*b).load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
   out.empty_flushes = empty_flushes_.load(std::memory_order_relaxed);
   out.degraded_batches = degraded_batches_.load(std::memory_order_relaxed);

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,9 +52,14 @@
 ///    formation; once a batch whose members are *all* dead (cancelled or
 ///    past deadline) is executing, watchdog_scan() aborts its kernel at
 ///    the next tile-chunk poll.
-///  - Degradation: per-(codec, direction) circuit breakers; persistent
-///    primary-path failures reroute batches to the naive reference
-///    backend (byte-identical output, slower) until probes recover.
+///  - Request errors: a decode with more than r distinct erasures
+///    (unrecoverable: every serve code is MDS Reed-Solomon) completes
+///    Failed at formation too, so no request's own error reaches a
+///    kernel call.
+///  - Degradation: per-(codec, direction) circuit breakers, which hear
+///    only backend verdicts; persistent primary-path failures reroute
+///    batches to the naive reference backend (byte-identical output,
+///    slower) until probes recover.
 ///  - Pool sharing: each batch's GEMM thread count is capped by
 ///    effective_gemm_threads() so concurrent batches from the front's
 ///    workers cannot oversubscribe the shared pool.
@@ -112,30 +118,13 @@ struct ServiceConfig {
 };
 
 /// Point-in-time copy of the service's counters and histograms. The
-/// counter identities are load-bearing for tests, benches and the
-/// fuzzer's oracle, which check them through admission_balanced() and
-/// drained_balanced() (TenantCounters mirrors both per tenant):
-///   submitted == accepted + rejected_overload + rejected_shed
-///                + rejected_shutdown
-/// and, once drained,
-///   accepted == completed_ok + expired + failed + cancelled
-///               + shutdown_drained.
-/// (rejected_shutdown counts requests that were never admitted;
-/// shutdown_drained counts admitted requests abandoned by a
-/// non-draining shutdown — keeping the two identities exact.)
-struct ServeStatsSnapshot {
-  std::uint64_t submitted = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected_overload = 0;
-  std::uint64_t rejected_shed = 0;      ///< admission-time deadline sheds
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t completed_ok = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t shutdown_drained = 0;   ///< admitted, then shut down
+/// request buckets and their identities (admission_balanced(),
+/// drained_balanced()) are RequestCounters', which TenantCounters
+/// shares per tenant; tests, benches and the fuzzer's oracle check them.
+struct ServeStatsSnapshot : RequestCounters {
   std::uint64_t batches = 0;        ///< executed (non-empty) batches
-  std::uint64_t empty_flushes = 0;  ///< batches fully dead before work
+  /// Batches settled before any kernel: every member dead or failed.
+  std::uint64_t empty_flushes = 0;
   std::uint64_t degraded_batches = 0;  ///< served by the naive backend
   std::uint64_t breaker_trips = 0;       ///< summed over all breakers
   std::uint64_t breaker_recoveries = 0;
@@ -151,20 +140,6 @@ struct ServeStatsSnapshot {
   LatencyHistogram total_ns;
   LatencyHistogram batch_width;    ///< requests per executed batch
   LatencyHistogram gemm_threads;   ///< GEMM threads each batch ran
-
-  std::uint64_t rejected() const noexcept {
-    return rejected_overload + rejected_shed + rejected_shutdown;
-  }
-  std::uint64_t terminal() const noexcept {
-    return completed_ok + expired + failed + cancelled + shutdown_drained;
-  }
-  /// submitted == accepted + rejected_* (holds whenever no submission is
-  /// in flight).
-  bool admission_balanced() const noexcept {
-    return submitted == accepted + rejected();
-  }
-  /// accepted == terminal buckets (holds once the service is drained).
-  bool drained_balanced() const noexcept { return accepted == terminal(); }
 };
 
 class TenantRegistry;
@@ -284,34 +259,35 @@ class EcService {
   };
 
   /// One executing batch, visible to the watchdog: the batch-wide cancel
-  /// source the kernel polls, each member's death criteria, and the
-  /// formation time the stuck scan measures from.
+  /// source the kernel polls, its live members (owned by the executing
+  /// thread, which unregisters the batch before completing them), and
+  /// the formation time the stuck scan measures from.
   struct InflightBatch {
     tensor::CancelSource source;
     Clock::time_point formed;
-    struct Member {
-      std::shared_ptr<Completion> completion;
-      tensor::CancelToken client;  ///< caller-supplied token (may be invalid)
-      Clock::time_point deadline;
-    };
-    std::vector<Member> members;
+    std::vector<const PendingRequest*> members;
     bool aborted = false;  ///< watchdog already fired for this batch
     bool stuck = false;    ///< in flight past the stuck budget
   };
 
   void execute_batch(std::vector<PendingRequest>& batch);
   CodecSlot& codec_slot(const CodecKey& key);
-  /// True when the request can no longer want its result.
-  static bool member_dead(const InflightBatch::Member& m,
-                          Clock::time_point now) {
-    return m.completion->cancel_requested() || m.client.cancelled() ||
-           now > m.deadline;
-  }
-  /// Completes one request and records its counters/latency. `formed` /
-  /// `end` bracket batch execution (formed == end for requests that
-  /// never executed: rejections, expiries, shutdown). `admitted`
-  /// selects the Shutdown bucket: true = shutdown_drained (the request
-  /// was accepted first), false = rejected_shutdown.
+  /// The one rule for a request that can no longer want its result:
+  /// Cancelled once its client cancelled it (either channel), else
+  /// Expired once `now` is past its deadline; nullopt while it is live.
+  /// Batch formation, the aborted-batch sweep and the watchdog's
+  /// all-dead test all apply it.
+  static std::optional<RequestStatus> dead_status(const PendingRequest& p,
+                                                  Clock::time_point now);
+  /// Reports one lifecycle event: bumps its bucket in this shard's
+  /// counters and forwards it to the front's TenantRegistry.
+  void record(const RequestEvent& event);
+  /// Completes one request, records its Completed event and latency.
+  /// `formed` / `end` bracket batch execution (formed == end for
+  /// requests that never executed: rejections, settled-at-formation
+  /// requests, shutdown). `admitted` selects the Shutdown bucket: true =
+  /// shutdown_drained (the request was accepted first), false =
+  /// rejected_shutdown.
   void complete(PendingRequest& p, RequestStatus status, std::string error,
                 Clock::time_point formed, Clock::time_point end,
                 std::size_t batch_size, bool admitted);
@@ -338,14 +314,13 @@ class EcService {
   std::map<std::uint64_t, InflightBatch> inflight_;
   std::uint64_t next_batch_id_ = 0;
 
-  // Counters are atomics (hot submit path); histograms live under a
-  // mutex and are only touched at completion time.
+  // Counters are relaxed atomics (hot submit path): the request buckets
+  // are touched only through std::atomic_ref (hence mutable). Histograms
+  // live under a mutex and are only touched at completion time.
+  mutable RequestCounters requests_;
   mutable std::mutex stats_mutex_;
-  ServeStatsSnapshot hist_;  // histogram part; counters below
-  std::atomic<std::uint64_t> submitted_{0}, accepted_{0},
-      rejected_overload_{0}, rejected_shed_{0}, rejected_shutdown_{0},
-      completed_ok_{0}, expired_{0}, failed_{0}, cancelled_{0},
-      shutdown_drained_{0}, batches_{0}, empty_flushes_{0},
+  ServeStatsSnapshot hist_;  // histogram part; counters are the atomics
+  std::atomic<std::uint64_t> batches_{0}, empty_flushes_{0},
       degraded_batches_{0}, watchdog_aborts_{0}, watchdog_stuck_{0};
 };
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -201,16 +202,14 @@ struct EcRequest {
   TenantId tenant = 0;
 };
 
-/// One accounting event on a request's lifecycle, delivered by the shard
-/// that handles the request to the sharded front's TenantRegistry (the
-/// front synthesizes the pair for its own QoS rejections). Submitted
-/// fires once per valid submission (after argument validation —
-/// malformed submissions throw and are nobody's traffic); Accepted fires
-/// when admission succeeds; Completed fires exactly once per submission
-/// with the terminal status (including admission rejections, where
-/// admitted == false). Per tenant, the service identities follow:
-///   submitted == accepted + rejected_*   and
-///   accepted  == ok + expired + failed + cancelled + shutdown_drained.
+/// One accounting event on a request's lifecycle. The shard that handles
+/// the request reports each event once, to its own counters and to the
+/// sharded front's TenantRegistry (the front synthesizes the pair for
+/// its own QoS rejections). Submitted fires once per valid submission
+/// (after argument validation — malformed submissions throw and are
+/// nobody's traffic); Accepted fires when admission succeeds; Completed
+/// fires exactly once per submission with the terminal status (including
+/// admission rejections, where admitted == false).
 struct RequestEvent {
   enum class Kind : std::uint8_t { Submitted, Accepted, Completed };
   Kind kind = Kind::Completed;
@@ -220,6 +219,101 @@ struct RequestEvent {
   /// terminal status counts against `accepted`), false for admission
   /// rejections. Distinguishes shutdown_drained from rejected_shutdown.
   bool admitted = false;
+};
+
+/// The ten request buckets, declared once, and the one classifier that
+/// maps a RequestEvent to its bucket. A shard's counters
+/// (ServeStatsSnapshot) and a tenant's (TenantCounters) derive from it
+/// and count the same events, so both ledgers keep the identities every
+/// serve check calls:
+///   submitted == accepted + rejected_overload + rejected_shed
+///                + rejected_shutdown          (admission_balanced)
+/// and, once drained,
+///   accepted == completed_ok + expired + failed + cancelled
+///               + shutdown_drained            (drained_balanced).
+/// rejected_shutdown counts requests that were never admitted;
+/// shutdown_drained counts admitted requests abandoned by a non-draining
+/// shutdown — the split that keeps both identities exact.
+struct RequestCounters {
+  std::uint64_t submitted = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected_overload = 0;
+  std::uint64_t rejected_shed = 0;      ///< admission-time deadline sheds
+  std::uint64_t rejected_shutdown = 0;
+  std::uint64_t completed_ok = 0;
+  std::uint64_t expired = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t shutdown_drained = 0;   ///< admitted, then shut down
+
+  using Bucket = std::uint64_t RequestCounters::*;
+  /// Every bucket, in declaration order.
+  static constexpr std::array<Bucket, 10> kBuckets{
+      &RequestCounters::submitted,         &RequestCounters::accepted,
+      &RequestCounters::rejected_overload, &RequestCounters::rejected_shed,
+      &RequestCounters::rejected_shutdown, &RequestCounters::completed_ok,
+      &RequestCounters::expired,           &RequestCounters::failed,
+      &RequestCounters::cancelled,         &RequestCounters::shutdown_drained};
+
+  /// The bucket `event` counts in: Submitted and Accepted their own, a
+  /// Completed event its status's, with Shutdown split by `admitted`.
+  /// Null for a Completed event still Pending, which counts nowhere.
+  static Bucket bucket(const RequestEvent& event) noexcept {
+    switch (event.kind) {
+      case RequestEvent::Kind::Submitted:
+        return &RequestCounters::submitted;
+      case RequestEvent::Kind::Accepted:
+        return &RequestCounters::accepted;
+      case RequestEvent::Kind::Completed:
+        break;
+    }
+    switch (event.status) {
+      case RequestStatus::Ok:
+        return &RequestCounters::completed_ok;
+      case RequestStatus::Overloaded:
+        return &RequestCounters::rejected_overload;
+      case RequestStatus::Shed:
+        return &RequestCounters::rejected_shed;
+      case RequestStatus::Expired:
+        return &RequestCounters::expired;
+      case RequestStatus::Failed:
+        return &RequestCounters::failed;
+      case RequestStatus::Cancelled:
+        return &RequestCounters::cancelled;
+      case RequestStatus::Shutdown:
+        return event.admitted ? &RequestCounters::shutdown_drained
+                              : &RequestCounters::rejected_shutdown;
+      case RequestStatus::Pending:
+        break;
+    }
+    return nullptr;
+  }
+
+  void count(const RequestEvent& event) noexcept {
+    if (const Bucket b = bucket(event)) ++(this->*b);
+  }
+
+  std::uint64_t rejected() const noexcept {
+    return rejected_overload + rejected_shed + rejected_shutdown;
+  }
+  std::uint64_t terminal() const noexcept {
+    return completed_ok + expired + failed + cancelled + shutdown_drained;
+  }
+  /// submitted == accepted + rejected_* (holds whenever no submission is
+  /// in flight).
+  bool admission_balanced() const noexcept {
+    return submitted == accepted + rejected();
+  }
+  /// accepted == terminal buckets (holds once drained).
+  bool drained_balanced() const noexcept { return accepted == terminal(); }
+
+  RequestCounters& operator+=(const RequestCounters& o) noexcept {
+    for (const Bucket b : kBuckets) this->*b += o.*b;
+    return *this;
+  }
+  /// Bucket for bucket; a derived ledger compares only its buckets.
+  friend bool operator==(const RequestCounters&,
+                         const RequestCounters&) = default;
 };
 
 /// A queued request: the request plus its completion handle and the

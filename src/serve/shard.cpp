@@ -56,16 +56,7 @@ std::size_t fleet_executors(std::size_t num_shards,
 
 /// Counter+histogram sum of two service snapshots (the front-wide view).
 void merge_stats(ServeStatsSnapshot& into, const ServeStatsSnapshot& from) {
-  into.submitted += from.submitted;
-  into.accepted += from.accepted;
-  into.rejected_overload += from.rejected_overload;
-  into.rejected_shed += from.rejected_shed;
-  into.rejected_shutdown += from.rejected_shutdown;
-  into.completed_ok += from.completed_ok;
-  into.expired += from.expired;
-  into.failed += from.failed;
-  into.cancelled += from.cancelled;
-  into.shutdown_drained += from.shutdown_drained;
+  static_cast<RequestCounters&>(into) += from;
   into.batches += from.batches;
   into.empty_flushes += from.empty_flushes;
   into.degraded_batches += from.degraded_batches;
@@ -83,33 +74,21 @@ void merge_stats(ServeStatsSnapshot& into, const ServeStatsSnapshot& from) {
   into.gemm_threads.merge(from.gemm_threads);
 }
 
+/// The front's QoS rejections in request buckets: each was submitted
+/// and rejected Overloaded before any shard saw it.
+RequestCounters qos_buckets(std::uint64_t rejected) {
+  RequestCounters c;
+  c.submitted = c.rejected_overload = rejected;
+  return c;
+}
+
 }  // namespace
 
 bool ShardedStatsSnapshot::front_balanced() const noexcept {
-  std::uint64_t submitted = qos_rejected, accepted = 0,
-                overload = qos_rejected, shed = 0, shut = 0;
-  for (const ShardStatsSnapshot& sh : shards) {
-    submitted += sh.stats.submitted;
-    accepted += sh.stats.accepted;
-    overload += sh.stats.rejected_overload;
-    shed += sh.stats.rejected_shed;
-    shut += sh.stats.rejected_shutdown;
-  }
-  const ServeStatsSnapshot& a = aggregate;
-  const bool shards_sum = submitted == a.submitted && accepted == a.accepted &&
-                          overload == a.rejected_overload &&
-                          shed == a.rejected_shed &&
-                          shut == a.rejected_shutdown;
-  const TenantCounters& t = tenant_aggregate;
-  const bool tenants_sum =
-      t.submitted == a.submitted && t.accepted == a.accepted &&
-      t.rejected_overload == a.rejected_overload &&
-      t.rejected_shed == a.rejected_shed &&
-      t.rejected_shutdown == a.rejected_shutdown &&
-      t.completed_ok == a.completed_ok && t.expired == a.expired &&
-      t.failed == a.failed && t.cancelled == a.cancelled &&
-      t.shutdown_drained == a.shutdown_drained;
-  return shards_sum && tenants_sum;
+  RequestCounters shard_sum = qos_buckets(qos_rejected);
+  for (const ShardStatsSnapshot& sh : shards) shard_sum += sh.stats;
+  const RequestCounters& front = aggregate;
+  return shard_sum == front && tenant_aggregate == front;
 }
 
 std::size_t ShardedEcService::shard_of(std::uint64_t client_id,
@@ -366,10 +345,9 @@ ShardedStatsSnapshot ShardedEcService::stats() const {
   // Front-level QoS rejections happened before any shard saw the
   // request; fold them in so the aggregate keeps the admission
   // identity.
-  const std::uint64_t qos = qos_rejected_.load(std::memory_order_relaxed);
-  out.qos_rejected = qos;
-  out.aggregate.submitted += qos;
-  out.aggregate.rejected_overload += qos;
+  out.qos_rejected = qos_rejected_.load(std::memory_order_relaxed);
+  static_cast<RequestCounters&>(out.aggregate) +=
+      qos_buckets(out.qos_rejected);
 
   out.tenants = tenants_.all();
   out.tenant_aggregate = tenants_.aggregate();

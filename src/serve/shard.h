@@ -111,7 +111,7 @@ struct ShardedStatsSnapshot {
   ServeStatsSnapshot aggregate;
   std::vector<ShardStatsSnapshot> shards;
   /// Per-tenant counters (ascending tenant id) and their sum; the sum
-  /// matches `aggregate`'s admission counters by construction.
+  /// matches `aggregate`'s request buckets by construction.
   std::vector<TenantCounters> tenants;
   TenantCounters tenant_aggregate;
   /// Front-level QoS rejections (also folded into `aggregate`).
@@ -124,9 +124,8 @@ struct ShardedStatsSnapshot {
   AutotuneStats autotune;
 
   /// The front's two cross-level identities, checked on a quiescent
-  /// front: the per-shard admission counts plus the front-level QoS
-  /// rejections reproduce the aggregate's, and the tenant aggregate
-  /// equals the front aggregate bucket for bucket.
+  /// front: the shard sums plus the front-level QoS rejections, and the
+  /// tenant aggregate, each equal the front aggregate bucket for bucket.
   bool front_balanced() const noexcept;
 };
 

@@ -5,21 +5,6 @@
 
 namespace tvmec::serve {
 
-TenantCounters& TenantCounters::operator+=(const TenantCounters& o) noexcept {
-  submitted += o.submitted;
-  accepted += o.accepted;
-  rejected_overload += o.rejected_overload;
-  rejected_shed += o.rejected_shed;
-  rejected_shutdown += o.rejected_shutdown;
-  completed_ok += o.completed_ok;
-  expired += o.expired;
-  failed += o.failed;
-  cancelled += o.cancelled;
-  shutdown_drained += o.shutdown_drained;
-  in_queue += o.in_queue;
-  return *this;
-}
-
 TenantRegistry::TenantRegistry(std::size_t capacity, bool enforce)
     : capacity_(capacity), enforce_(enforce) {
   if (capacity == 0)
@@ -92,51 +77,15 @@ std::optional<RequestStatus> TenantRegistry::admit(
 void TenantRegistry::observe(const RequestEvent& event) {
   std::lock_guard lock(mutex_);
   TenantCounters& c = entry_locked(event.tenant).counters;
-  switch (event.kind) {
-    case RequestEvent::Kind::Submitted:
-      ++c.submitted;
-      return;
-    case RequestEvent::Kind::Accepted:
-      ++c.accepted;
-      ++c.in_queue;
-      return;
-    case RequestEvent::Kind::Completed:
-      break;
-  }
-  // Unconditional: clamping at 0 would strand the gauge at +1 whenever
-  // a worker's Completed lands before the submitter's Accepted (the
-  // decrement would be skipped, the late increment never paired).
-  if (event.admitted) --c.in_queue;
-  switch (event.status) {
-    case RequestStatus::Ok:
-      ++c.completed_ok;
-      break;
-    case RequestStatus::Overloaded:
-      ++c.rejected_overload;
-      break;
-    case RequestStatus::Expired:
-      ++c.expired;
-      break;
-    case RequestStatus::Shutdown:
-      // The same split EcService's counters make: an admitted request
-      // abandoned at shutdown drains; one never admitted was rejected.
-      if (event.admitted)
-        ++c.shutdown_drained;
-      else
-        ++c.rejected_shutdown;
-      break;
-    case RequestStatus::Failed:
-      ++c.failed;
-      break;
-    case RequestStatus::Cancelled:
-      ++c.cancelled;
-      break;
-    case RequestStatus::Shed:
-      ++c.rejected_shed;
-      break;
-    case RequestStatus::Pending:
-      break;  // not a terminal status; ignore defensively
-  }
+  c.count(event);
+  // The decrement is unconditional: clamping at 0 would strand the
+  // gauge at +1 whenever a worker's Completed lands before the
+  // submitter's Accepted (the decrement skipped, the late increment
+  // never paired).
+  if (event.kind == RequestEvent::Kind::Accepted)
+    ++c.in_queue;
+  else if (event.kind == RequestEvent::Kind::Completed && event.admitted)
+    --c.in_queue;
 }
 
 TenantCounters TenantRegistry::counters(TenantId tenant) const {

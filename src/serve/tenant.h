@@ -41,24 +41,10 @@ struct TenantPolicy {
   std::size_t min_share = 1;
 };
 
-/// Per-tenant mirror of ServeStatsSnapshot's counter identities:
-///   submitted == accepted + rejected_overload + rejected_shed
-///                + rejected_shutdown
-/// and, once drained,
-///   accepted == completed_ok + expired + failed + cancelled
-///               + shutdown_drained   (and in_queue == 0).
-struct TenantCounters {
+/// One tenant's request buckets (the same RequestCounters a shard keeps,
+/// fed the same events) plus its admission gauge.
+struct TenantCounters : RequestCounters {
   TenantId tenant = 0;
-  std::uint64_t submitted = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected_overload = 0;
-  std::uint64_t rejected_shed = 0;
-  std::uint64_t rejected_shutdown = 0;
-  std::uint64_t completed_ok = 0;
-  std::uint64_t expired = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t shutdown_drained = 0;
   /// Admission gauge: +1 Accepted, -1 Completed (admitted). This is the
   /// occupancy weighted-fair admission compares against the share.
   /// Signed and order-tolerant: a shard worker can pop and complete a
@@ -67,37 +53,30 @@ struct TenantCounters {
   /// Accepted restores it, and a drained front always reads 0.
   std::int64_t in_queue = 0;
 
-  std::uint64_t rejected() const noexcept {
-    return rejected_overload + rejected_shed + rejected_shutdown;
-  }
-  std::uint64_t terminal() const noexcept {
-    return completed_ok + expired + failed + cancelled + shutdown_drained;
-  }
-  /// submitted == accepted + rejected_* (holds at every instant).
-  bool admission_balanced() const noexcept {
-    return submitted == accepted + rejected();
-  }
   /// accepted == terminal buckets and nothing in flight (holds once the
   /// front is drained).
   bool drained_balanced() const noexcept {
-    return accepted == terminal() && in_queue == 0;
+    return RequestCounters::drained_balanced() && in_queue == 0;
   }
 
-  TenantCounters& operator+=(const TenantCounters& o) noexcept;
+  TenantCounters& operator+=(const TenantCounters& o) noexcept {
+    RequestCounters::operator+=(o);
+    in_queue += o.in_queue;
+    return *this;
+  }
 };
 
 /// Thread-safe registry: policies, per-tenant counters, and the
 /// weighted-fair admission decision. Tenants materialize lazily (first
 /// policy write or first request) with the default policy.
 ///
-/// Counting protocol (the front and its shards drive it):
-///  - RequestEvent::Submitted   -> submitted++
-///  - RequestEvent::Accepted    -> accepted++, in_queue++
-///  - RequestEvent::Completed   -> terminal bucket++; in_queue-- when
-///                                 admitted (rejections never occupied)
-/// The front's own QoS rejections synthesize the Submitted + Completed
-/// pair via observe(), so per-tenant identities hold whether a request
-/// died at the front, at a shard's admission, or after execution.
+/// Counting protocol (the front and its shards drive it): each event
+/// counts in RequestCounters::bucket(event), and the gauge moves
+/// in_queue++ on Accepted, in_queue-- on an admitted Completed
+/// (rejections never occupied). The front's own QoS rejections
+/// synthesize the Submitted + Completed pair via observe(), so
+/// per-tenant identities hold whether a request died at the front, at a
+/// shard's admission, or after execution.
 class TenantRegistry {
  public:
   /// `capacity` is the front's total queue capacity (sum over shards) —

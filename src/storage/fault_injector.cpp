@@ -1,7 +1,5 @@
 #include "storage/fault_injector.h"
 
-#include <thread>
-
 namespace tvmec::storage {
 
 FaultInjector::FaultInjector(const FaultPolicy& policy, std::uint64_t seed)
@@ -17,8 +15,6 @@ void FaultInjector::delay_op() {
   if (!roll(policy_.delay)) return;
   ++stats_.delays;
   stats_.delay_injected += policy_.delay_amount;
-  if (policy_.sleep_on_delay && policy_.delay_amount.count() > 0)
-    std::this_thread::sleep_for(policy_.delay_amount);
 }
 
 bool FaultInjector::on_write(std::size_t node, std::uint64_t /*unit_key*/,

@@ -24,8 +24,9 @@
 ///                          retry-with-backoff target)
 ///  - permanent crashes    (a node/device dies mid-op and stays dead
 ///                          until explicitly repaired)
-///  - injected latency     (slow-node simulation; accounted, and
-///                          optionally actually slept)
+///  - injected latency     (slow-node simulation; accounted in
+///                          FaultStats, never slept — the simulated
+///                          stack runs in virtual time)
 ///
 /// The simulated cluster's network layer consults the same injector for
 /// link-level faults, so one seeded fault source drives both disk and
@@ -52,8 +53,7 @@ struct FaultPolicy {
   std::size_t transient_failures = 2;  ///< burst length: fail N, then ok
   double crash = 0.0;           ///< P[node dies permanently] per op
   double delay = 0.0;           ///< P[op is slowed] per op
-  std::chrono::microseconds delay_amount{0};
-  bool sleep_on_delay = false;  ///< actually sleep (benches), or account only
+  std::chrono::microseconds delay_amount{0};  ///< accounted, never slept
 
   // Link-level fault kinds, consulted by the cluster's network model on
   // every send. Same seeded stream as the disk faults above.

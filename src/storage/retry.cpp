@@ -1,7 +1,6 @@
 #include "storage/retry.h"
 
 #include <algorithm>
-#include <thread>
 
 namespace tvmec::storage {
 
@@ -38,9 +37,7 @@ bool with_retries(const RetryPolicy& policy, RetryStats& stats,
   const std::size_t budget = std::max<std::size_t>(policy.max_attempts, 1);
   for (std::size_t i = 1; i <= budget; ++i) {
     if (i > 1) {
-      const auto wait = policy.backoff(i, salt);
-      stats.backoff_total += wait;
-      if (policy.sleep && wait.count() > 0) std::this_thread::sleep_for(wait);
+      stats.backoff_total += policy.backoff(i, salt);
       ++stats.retries;
     }
     ++stats.attempts;

@@ -11,7 +11,8 @@
 /// fails transiently is re-attempted up to `max_attempts`
 /// times with exponentially growing, jittered, capped delays; only after
 /// the budget is exhausted does the caller fall back to degraded
-/// (parity) reconstruction.
+/// (parity) reconstruction. The delays are virtual time: accounted in
+/// RetryStats::backoff_total, never slept.
 ///
 /// Jitter is derived from a splitmix64 hash of (salt, attempt), not a
 /// shared RNG, so retry timing is reproducible per unit and independent
@@ -24,7 +25,6 @@ struct RetryPolicy {
   std::chrono::microseconds base_delay{50};   ///< backoff before attempt 2
   std::chrono::microseconds max_delay{5000};  ///< backoff cap
   double jitter = 0.5;  ///< fraction of each delay that is randomized
-  bool sleep = false;   ///< actually sleep between attempts (benches)
 
   /// Backoff before attempt `attempt` (attempts are 1-based; attempt 1
   /// has no backoff): min(base * 2^(attempt-2), cap), jittered down by up
@@ -45,7 +45,8 @@ struct RetryStats {
 enum class Attempt { Success, Retry, Abort };
 
 /// Runs `attempt` up to policy.max_attempts times, accumulating `stats`
-/// and backing off between tries (slept only when policy.sleep).
+/// and the backoff between tries (accounted in virtual time, never
+/// slept).
 /// Returns true on Success; false on Abort or an exhausted budget.
 bool with_retries(const RetryPolicy& policy, RetryStats& stats,
                   std::uint64_t salt, const std::function<Attempt()>& attempt);

@@ -248,19 +248,19 @@ FuzzConfig random_config(std::mt19937_64& rng) {
   }
 
   // Loss pattern. Decode scenarios erase units; clusters fail nodes.
-  // The serve scenario feeds its losses to decode submissions (empty =
-  // an encode-only request mix).
+  // The serve scenarios feed their losses to decode submissions (empty =
+  // an encode-only request mix), and may draw one loss past r, so an
+  // unrecoverable decode meets batching, the breaker and the counters.
+  const bool serve = c.scenario == Scenario::Serve ||
+                     c.scenario == Scenario::ServeChaos ||
+                     c.scenario == Scenario::ServeShard;
   if (c.scenario == Scenario::RsDecode ||
-      c.scenario == Scenario::LrcRoundTrip ||
-      c.scenario == Scenario::Serve || c.scenario == Scenario::ServeChaos ||
-      c.scenario == Scenario::ServeShard) {
-    const std::size_t budget =
-        c.scenario == Scenario::LrcRoundTrip ? c.l + c.r + 1 : c.r;
-    const std::size_t lo = c.scenario == Scenario::Serve ||
-                                   c.scenario == Scenario::ServeChaos ||
-                                   c.scenario == Scenario::ServeShard
-                               ? 0
-                               : 1;
+      c.scenario == Scenario::LrcRoundTrip || serve) {
+    const std::size_t budget = c.scenario == Scenario::LrcRoundTrip
+                                   ? c.l + c.r + 1
+                               : serve ? c.r + 1
+                                       : c.r;
+    const std::size_t lo = serve ? 0 : 1;
     const std::size_t e = std::min(pick(lo, std::max<std::size_t>(budget, lo)),
                                    c.n());
     std::vector<std::size_t> ids(c.n());

@@ -194,6 +194,14 @@ TEST(DiffFuzz, EdgeCaseReprosPass) {
       "fuzz:v1 s=serve-chaos k=6 r=3 w=16 u=48 seed=18 loss=5,2 sched=3",
       "fuzz:v1 s=serve-chaos k=10 r=4 w=8 u=24 seed=19 loss=2,11,7 sched=1",
       "fuzz:v1 s=serve-chaos k=5 r=3 w=4 u=64 seed=20 loss=1,1,3 sched=4",
+      // Campaign-found: a decode with more than r distinct erasures once
+      // failed inside the batched kernel call, whose throw the breaker
+      // counted as a backend fault ("trips > injected faults"). It now
+      // fails at formation, before any kernel.
+      "fuzz:v1 s=serve-chaos f=cauchy-good k=4 r=2 w=8 u=64 seed=3 "
+      "loss=0,1,2",
+      "fuzz:v1 s=serve-chaos f=cauchy-good k=4 r=1 w=8 u=8 "
+      "seed=8820761338546271347 loss=1,4",
       // Sharded multi-tenant serving: random tenant/client mixes through
       // ShardedEcService (manual pump) vs the same sequential oracle —
       // client-to-shard hashing, front-level QoS shares (skewed weights

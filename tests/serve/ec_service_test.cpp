@@ -80,21 +80,26 @@ TEST(EcService, EncodeMatchesCodecOracle) {
 }
 
 TEST(EcService, DecodeRepairsStripeInPlace) {
-  ShardedEcService front(manual_front());
-  const Bytes data = testutil::random_bytes(kKey.k * kUnit, 2);
-  Bytes stripe(kKey.n() * kUnit);
-  std::memcpy(stripe.data(), data.data(), data.size());
-  const Bytes parity = oracle_parity(kKey, data.span(), kUnit);
-  std::memcpy(stripe.data() + kKey.k * kUnit, parity.data(), parity.size());
-  const Bytes want = stripe;
+  // The second loss list names four ids but two distinct ones: within
+  // r = 2, so it is recoverable.
+  using Ids = std::vector<std::size_t>;
+  for (const Ids& erased : {Ids{1, 4}, Ids{4, 1, 4, 1}}) {
+    ShardedEcService front(manual_front());
+    const Bytes data = testutil::random_bytes(kKey.k * kUnit, 2);
+    Bytes stripe(kKey.n() * kUnit);
+    std::memcpy(stripe.data(), data.data(), data.size());
+    const Bytes parity = oracle_parity(kKey, data.span(), kUnit);
+    std::memcpy(stripe.data() + kKey.k * kUnit, parity.data(), parity.size());
+    const Bytes want = stripe;
 
-  const std::vector<std::size_t> erased{1, 4};
-  for (const std::size_t id : erased)
-    std::memset(stripe.data() + id * kUnit, 0xEE, kUnit);
-  EcFuture f = front.submit_decode(1, 0, kKey, stripe.span(), erased, kUnit);
-  front.run_pending();
-  EXPECT_EQ(f.wait().status, RequestStatus::Ok);
-  EXPECT_EQ(std::memcmp(stripe.data(), want.data(), want.size()), 0);
+    for (const std::size_t id : erased)
+      std::memset(stripe.data() + id * kUnit, 0xEE, kUnit);
+    EcFuture f =
+        front.submit_decode(1, 0, kKey, stripe.span(), erased, kUnit);
+    front.run_pending();
+    EXPECT_EQ(f.wait().status, RequestStatus::Ok);
+    EXPECT_EQ(std::memcmp(stripe.data(), want.data(), want.size()), 0);
+  }
 }
 
 TEST(EcService, ConcurrentClientsAllServedCorrectly) {
@@ -235,7 +240,53 @@ TEST(EcService, UnrecoverablePatternCompletesFailed) {
   front.run_pending();
   EXPECT_EQ(f.wait().status, RequestStatus::Failed);
   EXPECT_FALSE(f.wait().error.empty());
-  EXPECT_EQ(front.stats().aggregate.failed, 1u);
+  const ServeStatsSnapshot s = front.stats().aggregate;
+  EXPECT_EQ(s.failed, 1u);
+  // Failed at formation: it never ran, so it adds no service time.
+  EXPECT_EQ(s.service_ns.count(), 0u);
+  EXPECT_EQ(s.batches, 0u);
+}
+
+TEST(EcService, UnrecoverableDecodesNeverTripTheBreaker) {
+  // A decode with more than r distinct erasures is the client's error:
+  // it fails at batch formation, before any kernel call, so the breaker
+  // (the default policy trips after three failures) never hears it.
+  ShardedEcService front(manual_front());
+  Bytes hopeless(kKey.n() * kUnit);
+  const std::vector<std::size_t> too_many{0, 1, 2};  // > r = 2 distinct
+  for (int i = 0; i < 3; ++i) {
+    EcFuture f =
+        front.submit_decode(1, 0, kKey, hopeless.span(), too_many, kUnit);
+    front.run_pending();
+    EXPECT_EQ(f.wait().status, RequestStatus::Failed);
+    EXPECT_FALSE(f.wait().error.empty());
+  }
+  const HealthSnapshot h = front.health();
+  EXPECT_EQ(h.state, HealthState::Ok);
+  for (const std::string& reason : h.reasons)
+    EXPECT_EQ(reason.find("breaker"), std::string::npos) << reason;
+  EXPECT_EQ(front.stats().aggregate.breaker_trips, 0u);
+
+  // Another tenant's good decode, from another client, runs on the
+  // primary path.
+  const Bytes data = testutil::random_bytes(kKey.k * kUnit, 28);
+  Bytes stripe(kKey.n() * kUnit);
+  std::memcpy(stripe.data(), data.data(), data.size());
+  const Bytes parity = oracle_parity(kKey, data.span(), kUnit);
+  std::memcpy(stripe.data() + kKey.k * kUnit, parity.data(), parity.size());
+  const Bytes want = stripe;
+  const std::vector<std::size_t> erased{1, 4};
+  for (const std::size_t id : erased)
+    std::memset(stripe.data() + id * kUnit, 0xEE, kUnit);
+  EcFuture g = front.submit_decode(2, 1, kKey, stripe.span(), erased, kUnit);
+  front.run_pending();
+  EXPECT_EQ(g.wait().status, RequestStatus::Ok);
+  EXPECT_EQ(std::memcmp(stripe.data(), want.data(), want.size()), 0);
+  const ServeStatsSnapshot s = front.stats().aggregate;
+  EXPECT_EQ(s.degraded_batches, 0u);
+  EXPECT_EQ(s.failed, 3u);
+  EXPECT_EQ(s.completed_ok, 1u);
+  EXPECT_EQ(s.service_ns.count(), 1u);  // only the decode that ran
 }
 
 TEST(EcService, InvalidArgumentsThrowAtSubmit) {

@@ -190,6 +190,45 @@ TEST(ShardedEcService, QosRejectsTenantOverItsShare) {
   EXPECT_TRUE(s.front_balanced());
 }
 
+TEST(ShardedEcService, FrontBalancedFailsOnAnyBucketMismatch) {
+  // A balanced snapshot of a two-shard front with one QoS rejection.
+  ShardedServiceConfig cfg = pump_config(2);
+  cfg.shard.batch.queue_capacity = 4;
+  cfg.tenant_policies[1] = {1.0, {}, 1};
+  cfg.tenant_policies[2] = {7.0, {}, 1};
+  ShardedEcService front(cfg);
+  const Bytes data = testutil::random_bytes(kKey.k * kUnit, 6);
+  Bytes p1(kKey.r * kUnit), p2(kKey.r * kUnit), p3(kKey.r * kUnit);
+  front.submit_encode(1, 1, kKey, data.span(), p1.span(), kUnit);
+  front.submit_encode(1, 2, kKey, data.span(), p2.span(), kUnit);
+  front.submit_encode(2, 3, kKey, data.span(), p3.span(), kUnit);
+  front.shutdown(true);
+  const ShardedStatsSnapshot balanced = front.stats();
+  ASSERT_EQ(balanced.qos_rejected, 1u);
+  ASSERT_TRUE(balanced.front_balanced());
+
+  // The ten buckets listed here by hand, not from RequestCounters'
+  // own table, so a bucket that table missed is still perturbed.
+  static_assert(sizeof(RequestCounters) == 10 * sizeof(std::uint64_t));
+  const RequestCounters::Bucket buckets[] = {
+      &RequestCounters::submitted,         &RequestCounters::accepted,
+      &RequestCounters::rejected_overload, &RequestCounters::rejected_shed,
+      &RequestCounters::rejected_shutdown, &RequestCounters::completed_ok,
+      &RequestCounters::expired,           &RequestCounters::failed,
+      &RequestCounters::cancelled,         &RequestCounters::shutdown_drained};
+  for (std::size_t i = 0; i < std::size(buckets); ++i) {
+    ShardedStatsSnapshot shard = balanced;
+    ++(shard.shards[1].stats.*buckets[i]);
+    EXPECT_FALSE(shard.front_balanced()) << "shard bucket " << i;
+    ShardedStatsSnapshot tenant = balanced;
+    ++(tenant.tenant_aggregate.*buckets[i]);
+    EXPECT_FALSE(tenant.front_balanced()) << "tenant bucket " << i;
+  }
+  ShardedStatsSnapshot qos = balanced;
+  ++qos.qos_rejected;
+  EXPECT_FALSE(qos.front_balanced());
+}
+
 TEST(ShardedEcService, DeadlineBudgetExpiresSlowTenants) {
   ShardedServiceConfig cfg = pump_config(1);
   cfg.tenant_policies[1] = {1.0, std::chrono::nanoseconds(1), 4};
