@@ -4,7 +4,10 @@
 // lognormal object sizes (the classic blob-store distribution), a
 // read-heavy op mix, and a node failure mid-run. Reports end-to-end
 // store throughput, where encoding is one cost among memcpy, CRCs,
-// placement, and reconstruction.
+// placement, and reconstruction, and what a put stores and moves: units
+// stored per put against the n per stripe it places (a short stripe
+// stores no padding) and network bytes per user byte, both from the
+// cluster's network ledger.
 //
 // --smoke: the E14 table alone, on a small object set that includes
 // every short-stripe shape and multi-stripe objects with a short last
@@ -123,26 +126,53 @@ void print_paper_table() {
   const Workload w = g_smoke ? make_smoke_workload() : make_workload(32, 4);
   cluster::Cluster store(kParams, kUnit, kConfig);
 
+  // Network payload bytes sent since `sent0`, and per user byte over
+  // `passes` passes of the workload.
+  const auto net_sent = [&](std::uint64_t sent0) {
+    return static_cast<double>(store.net().stats().bytes_sent - sent0);
+  };
+  const auto net_per_user_byte = [&](std::uint64_t sent0, std::size_t passes) {
+    return net_sent(sent0) /
+           (static_cast<double>(passes) * static_cast<double>(w.total_bytes));
+  };
+
+  std::size_t put_passes = 0;
+  const std::uint64_t put_sent0 = store.net().stats().bytes_sent;
   const double put_secs = tune::measure_seconds_median(
       [&] {
         for (std::size_t i = 0; i < w.objects.size(); ++i)
           store.put("obj" + std::to_string(i), w.objects[i]);
+        ++put_passes;
       },
       3);
+  const double puts = static_cast<double>(put_passes * w.objects.size());
   std::printf("put    : %7.2f GB/s  (%zu objects, %.1f MB total, %zu "
               "stripes)\n",
               w.total_bytes / put_secs / 1e9, w.objects.size(),
-              w.total_bytes / 1e6, store.stats().stripes_written);
+              w.total_bytes / 1e6, store.stats().stripes_written / put_passes);
+  // A put ships each unit it stores once, so its units are its payload
+  // bytes over the unit size.
+  std::printf("         %.2f units stored per put (%.2f placed), %.3f "
+              "network B per user B\n",
+              net_sent(put_sent0) / kUnit / puts,
+              static_cast<double>(store.stats().stripes_written *
+                                  kParams.n()) /
+                  puts,
+              net_per_user_byte(put_sent0, put_passes));
 
+  std::size_t get_passes = 0;
   const auto read_all = [&] {
     for (std::size_t i = 0; i < w.objects.size(); ++i) {
       auto got = store.get("obj" + std::to_string(i));
       benchmark::DoNotOptimize(got);
     }
+    ++get_passes;
   };
+  const std::uint64_t get_sent0 = store.net().stats().bytes_sent;
   const double get_secs = tune::measure_seconds_median(read_all, 3);
-  std::printf("get    : %7.2f GB/s  (healthy)\n",
-              w.total_bytes / get_secs / 1e9);
+  std::printf("get    : %7.2f GB/s  (healthy, %.3f network B per user B)\n",
+              w.total_bytes / get_secs / 1e9,
+              net_per_user_byte(get_sent0, get_passes));
   check_all(store, w, "healthy");
 
   store.fail_node(2);
@@ -151,10 +181,10 @@ void print_paper_table() {
               "reconstructed stripes)\n",
               w.total_bytes / degraded_secs / 1e9,
               store.stats().degraded_reads);
-  // Every stripe has a unit on each of the 14 nodes, but a get fetches
-  // no padding: a stripe decodes only when node 2 holds one of its
-  // carried data units, as it does for most full stripes, so this pass
-  // must decode.
+  // Every stripe places a unit on each of the 14 nodes, but a short
+  // stripe stores no padding: a stripe decodes only when node 2 holds
+  // one of its carried data units, as it does for most full stripes, so
+  // this pass must decode.
   const std::size_t degraded0 = store.stats().degraded_reads;
   check_all(store, w, "degraded");
   if (store.stats().degraded_reads == degraded0) {

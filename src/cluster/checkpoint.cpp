@@ -61,7 +61,7 @@ std::vector<std::uint8_t> CheckpointManager::recover_shard(std::size_t rank) {
   if (scrub.unrecoverable)
     throw std::runtime_error(
         "CheckpointManager::recover_shard: " +
-        std::to_string(params.n() - scrub.units_verified) +
+        std::to_string(scrub.units_lost) +
         " shard units lost or corrupt, but the code only tolerates r=" +
         std::to_string(params.r));
   std::vector<std::uint8_t> shard = cluster_.read_unit(kCheckpoint, 0, rank);

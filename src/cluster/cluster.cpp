@@ -46,8 +46,6 @@ Cluster::Cluster(const ec::CodeParams& params, std::size_t unit_size,
     throw std::invalid_argument(
         "Cluster: need at least k + r nodes for distinct placement");
   repairer_ = std::make_unique<RepairCoordinator>(*this);
-  // The buffer is still all zeros here.
-  zero_unit_crc_ = storage::crc32c({stripe_buf_.data(), unit_size});
 }
 
 Cluster::~Cluster() = default;
@@ -75,9 +73,10 @@ void Cluster::put(const std::string& name,
 
   ObjectMeta meta;
   meta.size = bytes.size();
-  // Every stored byte is rewritten per stripe: the data by the copy
-  // below (and a short stripe's padding by the fill), the parity by
-  // encode. The buffer still holds the previous call's bytes.
+  // Every stored byte is rewritten per stripe: the carried data by the
+  // copy below (the last carried unit's tail by the fill), the parity by
+  // encode. The buffer still holds the previous call's bytes, which
+  // nothing reads past the carried units.
   std::uint8_t* const stripe = stripe_buf_.data();
   std::vector<std::size_t> failed_stripes;
   for (std::size_t s = 0; s < num_stripes; ++s) {
@@ -93,24 +92,22 @@ void Cluster::put(const std::string& name,
     const std::size_t off = s * stripe_data;
     const std::size_t take = std::min(stripe_data, bytes.size() - off);
     // The first `carried` data units hold the stripe's bytes; a short
-    // stripe's others are zero padding, which encode skips and whose
-    // checksum is the zero unit's.
+    // stripe's others are padding, which encode skips and no node stores.
     const std::size_t carried = (take + unit_size_ - 1) / unit_size_;
     std::memcpy(stripe, bytes.data() + off, take);
-    std::memset(stripe + take, 0, stripe_data - take);
+    std::memset(stripe + take, 0, carried * unit_size_ - take);
     codec_.encode({stripe, carried * unit_size_},
                   {stripe + stripe_data, (n - k) * unit_size_}, unit_size_);
 
     loc.carried = carried;
     loc.unit_crcs.resize(n);
-    for (std::size_t u = 0; u < n; ++u)
-      loc.unit_crcs[u] =
-          u >= carried && u < k
-              ? zero_unit_crc_
-              : storage::crc32c({stripe + u * unit_size_, unit_size_});
     bool stripe_ok = true;
-    for (std::size_t u = 0; u < n; ++u)
-      stripe_ok &= store_unit(name, loc, s, u, stripe + u * unit_size_);
+    for (std::size_t u = 0; u < n; ++u) {
+      if (!stored(loc, u)) continue;
+      const std::uint8_t* const unit = stripe + u * unit_size_;
+      loc.unit_crcs[u] = storage::crc32c({unit, unit_size_});
+      stripe_ok &= store_unit(name, loc, s, u, unit);
+    }
     if (!stripe_ok) failed_stripes.push_back(s);
     meta.stripes.push_back(std::move(loc));
     ++stats_.stripes_written;
@@ -152,7 +149,7 @@ void Cluster::remove(const std::string& name) {
   for (std::size_t s = 0; s < it->second.stripes.size(); ++s) {
     const auto& loc = it->second.stripes[s];
     for (std::size_t u = 0; u < loc.nodes.size(); ++u)
-      nodes_[loc.nodes[u]].units.erase({name, s, u});
+      if (stored(loc, u)) nodes_[loc.nodes[u]].units.erase({name, s, u});
   }
   objects_.erase(it);
   stats_.objects = objects_.size();
@@ -167,11 +164,13 @@ std::vector<std::uint8_t> Cluster::read_unit(const std::string& name,
     throw std::invalid_argument(
         "Cluster::read_unit: unknown object/stripe/unit");
   const ObjectMeta& meta = it->second;
+  const StripeLocation& loc = meta.stripes[stripe];
   std::vector<std::uint8_t> out(unit_size_);
+  if (!stored(loc, unit)) return out;  // padding: known zeros
   std::uint64_t latency = 0;
-  if (fetch_unit(name, meta.stripes[stripe], stripe, unit, out.data(),
-                 &latency) == UnitRead::Ok) {
-    update_ewma(meta.stripes[stripe].nodes[unit], latency);
+  if (fetch_unit(name, loc, stripe, unit, out.data(), &latency) ==
+      UnitRead::Ok) {
+    update_ewma(loc.nodes[unit], latency);
     stats_.read_virtual_us += latency;
     net_.advance(latency);
   } else {
@@ -197,15 +196,37 @@ void Cluster::write_unit(const std::string& name, std::size_t stripe,
   const std::size_t k = params_.k;
   const std::size_t n = params_.n();
   StripeLocation& loc = it->second.stripes[stripe];
+
+  // A write into padding starts storing data units [loc.carried,
+  // carried). Their holders may have gone down at no cost, so each goes
+  // where repair would rebuild it; a unit left with no live node would
+  // be a new loss, refused when it takes the stripe past r.
+  const std::size_t carried = std::max(loc.carried, unit + 1);
+  std::vector<std::size_t> raised;
+  for (std::size_t u = loc.carried; u < carried; ++u) raised.push_back(u);
+  const auto hosts = place_units(loc, raised);
+  std::size_t unplaced = 0;
+  for (const auto& host : hosts) unplaced += !host.has_value();
+  if (unplaced > 0) {
+    std::size_t unreachable = unplaced;
+    for (std::size_t u = 0; u < n; ++u)
+      unreachable += stored(loc, u) && !node_usable(loc.nodes[u]);
+    if (unreachable > params_.r)
+      throw std::runtime_error(
+          "Cluster::write_unit: stripe would be unrecoverable (more than "
+          "r stored units unreachable)");
+  }
+
   std::vector<std::uint8_t> units(n * unit_size_);
   const auto at = [&](std::size_t u) {
     return std::span<std::uint8_t>(units.data() + u * unit_size_, unit_size_);
   };
 
   // Fast path, the RAID small write: the old unit and all r parities
-  // read clean, so the parities are patched with the delta. Any missing
-  // or corrupt operand falls back to the degraded read and re-encode,
-  // which never patches garbage forward.
+  // read clean, so the parities are patched with the delta. A padding
+  // unit's old bytes are the zeros `units` starts with, so it is not
+  // read. Any missing or corrupt operand falls back to the degraded read
+  // and re-encode, which never patches garbage forward.
   std::uint64_t read_latency = 0;
   const auto read_clean = [&](std::size_t u) {
     std::uint64_t latency = 0;
@@ -214,7 +235,7 @@ void Cluster::write_unit(const std::string& name, std::size_t stripe,
     read_latency = std::max(read_latency, latency);  // parallel fan-out
     return ok;
   };
-  bool patch = read_clean(unit);
+  bool patch = !stored(loc, unit) || read_clean(unit);
   for (std::size_t p = k; patch && p < n; ++p) patch = read_clean(p);
   stats_.read_virtual_us += read_latency;
   net_.advance(read_latency);
@@ -231,22 +252,27 @@ void Cluster::write_unit(const std::string& name, std::size_t stripe,
                   unit_size_);
   }
 
-  // The units this write stores: the new unit and the r parities, or
-  // the whole re-encoded stripe. Metadata first: a store that fails or
-  // tears below leaves its unit CRC-stale, caught on read like any
-  // other corruption. A unit written into padding carries bytes from now
-  // on, so reads fetch it and decodes use it.
-  loc.carried = std::max(loc.carried, unit + 1);
+  // The units this write stores: the new unit, any padding below it
+  // (zeros in `units` either way; these on the hosts picked above) and
+  // the r parities, or every stored unit of the re-encoded stripe.
+  // Metadata first: a store that fails or tears below leaves its unit
+  // CRC-stale, caught on read like any other corruption. A unit written
+  // into padding carries bytes from now on, so reads fetch it and
+  // decodes use it.
+  const std::size_t was_carried = loc.carried;
+  for (std::size_t i = 0; i < hosts.size(); ++i)
+    if (hosts[i]) loc.nodes[raised[i]] = *hosts[i];
+  loc.carried = carried;
   const auto written = [&](std::size_t u) {
-    return !patch || u == unit || u >= k;
+    return stored(loc, u) && (!patch || u >= was_carried || u == unit);
   };
   for (std::size_t u = 0; u < n; ++u)
     if (written(u)) loc.unit_crcs[u] = storage::crc32c(at(u));
-  bool stored = true;
+  bool all_stored = true;
   for (std::size_t u = 0; u < n; ++u)
     if (written(u))
-      stored &= store_unit(name, loc, stripe, u, at(u).data());
-  if (!stored) report_damage(DamageKind::WriteFailure, name, stripe);
+      all_stored &= store_unit(name, loc, stripe, u, at(u).data());
+  if (!all_stored) report_damage(DamageKind::WriteFailure, name, stripe);
   foreground_bytes_ += unit_size_;
 }
 
@@ -311,16 +337,51 @@ bool Cluster::node_usable(std::size_t node) const {
   return !(injector_ != nullptr && injector_->crashed(node));
 }
 
+std::vector<std::optional<std::size_t>> Cluster::place_units(
+    const StripeLocation& loc, const std::vector<std::size_t>& units) const {
+  std::vector<bool> taken(nodes_.size(), false);
+  for (const std::size_t node : loc.nodes)
+    if (node < taken.size()) taken[node] = true;
+  std::vector<std::optional<std::size_t>> hosts;
+  hosts.reserve(units.size());
+  for (const std::size_t u : units) {
+    const std::size_t orig = loc.nodes[u];
+    // A live node with a corrupt (or revived, empty) copy is rewritten
+    // in place.
+    if (node_usable(orig)) {
+      hosts.emplace_back(orig);
+      continue;
+    }
+    // Otherwise a spare: prefer the unit's failure domain so the
+    // placement's domain spread survives the move.
+    const std::size_t want_domain = domain_of(orig);
+    std::optional<std::size_t> chosen;
+    for (std::size_t node = 0; node < nodes_.size(); ++node) {
+      if (taken[node] || !node_usable(node)) continue;
+      if (domain_of(node) == want_domain) {
+        chosen = node;
+        break;
+      }
+      if (!chosen) chosen = node;
+    }
+    if (chosen) taken[*chosen] = true;
+    hosts.push_back(chosen);
+  }
+  return hosts;
+}
+
 std::vector<std::pair<std::string, std::size_t>> Cluster::stripes_on_node(
     std::size_t node) const {
   std::vector<std::pair<std::string, std::size_t>> out;
   for (const auto& [name, meta] : objects_)
-    for (std::size_t s = 0; s < meta.stripes.size(); ++s)
-      for (const std::size_t holder : meta.stripes[s].nodes)
-        if (holder == node) {
+    for (std::size_t s = 0; s < meta.stripes.size(); ++s) {
+      const StripeLocation& loc = meta.stripes[s];
+      for (std::size_t u = 0; u < loc.nodes.size(); ++u)
+        if (loc.nodes[u] == node && stored(loc, u)) {
           out.emplace_back(name, s);
           break;
         }
+    }
   return out;
 }
 
@@ -389,9 +450,12 @@ StripeScrubResult Cluster::scrub_stripe(const std::string& name,
         "Cluster::scrub_stripe: unknown object/stripe");
   const StripeLocation& loc = it->second.stripes[s];
   StripeScrubResult res;
-  // Node-local integrity pass: CRC every stored copy against the
+  // Node-local integrity pass: CRC every stored unit's copy against the
   // metadata checksum; no payload bytes cross the network here.
+  std::size_t units_stored = 0;
   for (std::size_t u = 0; u < loc.nodes.size(); ++u) {
+    if (!stored(loc, u)) continue;
+    ++units_stored;
     const std::size_t node = loc.nodes[u];
     if (!node_usable(node)) continue;
     const auto uit = nodes_[node].units.find({name, s, u});
@@ -403,13 +467,13 @@ StripeScrubResult Cluster::scrub_stripe(const std::string& name,
       ++stats_.corruptions_detected;
     }
   }
-  const std::size_t bad = loc.nodes.size() - res.units_verified;
-  if (bad == 0) return res;
+  res.units_lost = units_stored - res.units_verified;
+  if (res.units_lost == 0) return res;
   // With a healer attached the finding joins the risk-prioritized queue;
   // the inline repair remains the sink-less path.
   // Either way the stripe is unrecoverable only past r losses: a unit
   // whose dead node has no spare waits for the revive, not the scrub.
-  res.unrecoverable = bad > params_.r;
+  res.unrecoverable = res.units_lost > params_.r;
   if (damage_sink_ != nullptr)
     report_damage(DamageKind::ScrubFinding, name, s);
   else
@@ -421,7 +485,7 @@ std::size_t Cluster::scrub() {
   std::size_t bad_units = 0;
   for (const auto& name : object_names())
     for (std::size_t s = 0; s < object_stripe_count(name); ++s)
-      bad_units += params_.n() - scrub_stripe(name, s).units_verified;
+      bad_units += scrub_stripe(name, s).units_lost;
   return bad_units;
 }
 
@@ -537,7 +601,7 @@ void Cluster::read_stripe(const std::string& name, const ObjectMeta& meta,
   const StripeLocation& loc = meta.stripes[s];
   // Every unit a decode reads is in `stripe` first: on the degraded path
   // each unit is read here, erased, or padding. Data units [carried, k)
-  // are padding, known zeros that are never fetched.
+  // are padding, known zeros with no stored copy.
   std::vector<bool> have(n, false);
   std::vector<std::size_t> erased;
   if (lost) erased.push_back(*lost);
@@ -625,14 +689,6 @@ void Cluster::read_stripe(const std::string& name, const ObjectMeta& meta,
             "Cluster::get: reconstructed unit failed checksum");
     }
     ++stats_.degraded_reads;
-  } else if (std::any_of(loc.nodes.begin() + loc.carried,
-                         loc.nodes.begin() + k, [&](std::size_t node) {
-                           return !node_usable(node);
-                         })) {
-    // A padding unit is not fetched, but scrub and repair count its
-    // stored copy: a down holder is lost redundancy, so report it as a
-    // degraded read would.
-    report_damage(DamageKind::ReadCorruption, name, s);
   }
 
   stats_.read_virtual_us += stripe_latency;

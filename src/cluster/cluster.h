@@ -19,17 +19,20 @@
 /// repository's object store: the "real storage system" integration
 /// target the paper's future work calls for (§8). Objects are striped
 /// over k data + r parity units, encoded through the GEMM-backed Codec,
-/// and placed across nodes with rotation. Each node owns a local unit
-/// store; every unit that moves between endpoints moves over the
-/// modeled Network (so traffic, latency, and link faults are accounted),
-/// and every local disk op consults the shared FaultInjector (so disk
-/// and wire chaos replay from one seed). Each unit's CRC-32C checksum
-/// lives in the object metadata only, computed once from the intended
-/// bytes when the unit is written; a node stores bare bytes. Every read,
-/// scrub and reconstruction is checked against that metadata checksum,
-/// so corruption is caught before bytes are returned or stored. The
-/// defaults (one failure domain) give a single-rack store; the network
-/// model only adds virtual time.
+/// and placed across nodes with rotation. A short stripe stores only the
+/// data units that carry bytes and its r parities: its other data units
+/// are padding, known zeros with no stored copy, which every reader
+/// treats as present (Cluster::stored() is the one rule). Each node owns
+/// a local unit store; every unit that moves between endpoints moves
+/// over the modeled Network (so traffic, latency, and link faults are
+/// accounted), and every local disk op consults the shared FaultInjector
+/// (so disk and wire chaos replay from one seed). Each unit's CRC-32C
+/// checksum lives in the object metadata only, computed once from the
+/// intended bytes when the unit is written; a node stores bare bytes.
+/// Every read, scrub and reconstruction is checked against that
+/// metadata checksum, so corruption is caught before bytes are returned
+/// or stored. The defaults (one failure domain) give a single-rack
+/// store; the network model only adds virtual time.
 ///
 /// Robustness features:
 ///  - stripe placement across failure domains (a stripe's n units spread
@@ -81,9 +84,9 @@ const char* to_string(DamageKind k) noexcept;
 /// cluster reports (object, stripe) pairs that lost redundancy the
 /// moment the loss is *discovered* — a CRC failure inside a degraded
 /// read, a failed unit store, a scrub finding, a revive — instead of
-/// leaving them for the next full-scan repair_all() walk. A get never
-/// fetches a short stripe's padding units: it reports one whose node is
-/// down without reading it, and a corrupt one is left to the scrub.
+/// leaving them for the next full-scan repair_all() walk. Only stored
+/// units can be lost: a node that holds nothing of a stripe but its
+/// padding costs that stripe no redundancy and raises no event.
 ///
 /// report_damage runs inside the cluster call that found the damage,
 /// while that call's stripe buffer is live: it must not re-enter the
@@ -142,6 +145,7 @@ struct ClusterStats {
 struct StripeScrubResult {
   std::size_t units_verified = 0;  ///< units whose copy passed its CRC
   std::size_t crc_errors = 0;      ///< units whose checksum disagreed
+  std::size_t units_lost = 0;      ///< stored units missing or corrupt
   std::size_t units_repaired = 0;  ///< units rewritten with good bytes
   bool unrecoverable = false;      ///< > r units lost/corrupt: left as-is
 };
@@ -198,18 +202,19 @@ class Cluster {
   /// Stores an object: stripes of k*unit_size bytes, encoded, units
   /// shipped over the network to their placed nodes. A short last stripe
   /// encodes only the c data units that carry bytes (the last one
-  /// zero-filled past the object's end); its k - c padding units are
-  /// stored as zeros with the zero unit's precomputed checksum, and its
-  /// metadata records c as the stripe's carried units.
+  /// zero-filled past the object's end), and ships, checksums and stores
+  /// only those c units and the r parities: its k - c padding units have
+  /// no stored copy. Its metadata records c as the stripe's carried
+  /// units and keeps a node for every one of the n units, so the
+  /// placement rotation is the same whatever the stripe carries.
   void put(const std::string& name, std::span<const std::uint8_t> bytes);
 
   /// Retrieves an object; reads degrade through survivors and hedge
   /// around stragglers. Each stripe read fetches only its carried data
-  /// units, so a short stripe's padding is never fetched, copied or
-  /// CRC'd; a padding unit whose node is down does not degrade the get
-  /// but is reported to the damage sink (ReadCorruption). Returns
+  /// units; a short stripe's padding has no stored copy, so its holder
+  /// going down neither degrades the get nor is reported. Returns
   /// nullopt for unknown names; throws std::runtime_error when a stripe
-  /// has more than r units unreachable.
+  /// has more than r stored units unreachable.
   std::optional<std::vector<std::uint8_t>> get(const std::string& name);
 
   bool exists(const std::string& name) const;
@@ -217,7 +222,8 @@ class Cluster {
 
   /// Reads unit `unit` of stripe `stripe` over the same RPC path as
   /// get() (retries, faults, CRC against metadata). A missing or corrupt
-  /// unit falls back to the degraded stripe read. Throws
+  /// unit falls back to the degraded stripe read. A padding unit returns
+  /// unit_size() zeros with no fetch and no damage report. Throws
   /// std::invalid_argument on an unknown object, stripe or unit, and
   /// std::runtime_error when the stripe is past recovery.
   std::vector<std::uint8_t> read_unit(const std::string& name,
@@ -226,16 +232,23 @@ class Cluster {
   /// Replaces data unit `unit` of a stored stripe in place. When the old
   /// unit and all r parities read clean this is the RAID small write:
   /// the parities are patched with the delta (1 + r reads, 1 + r
-  /// writes). Otherwise the stripe is read degraded and re-encoded, and
-  /// every unit is stored on the node that already holds it; a write
-  /// never re-places a stripe. The metadata CRCs of every unit written
-  /// are set before the first store, so a failed or torn store is
-  /// caught like any other corruption. A write into a padding unit
-  /// raises the stripe's carried units to unit + 1 first, so later reads
-  /// fetch it and decodes use its bytes. Throws std::invalid_argument on
-  /// an unknown object or stripe, a parity unit id or a size other than
-  /// unit_size(), and std::runtime_error when the stripe is past
-  /// recovery.
+  /// writes; a padding unit's old bytes are known zeros, so only the r
+  /// parities are read). Otherwise the stripe is read degraded and
+  /// re-encoded, and every stored unit is stored on the node that
+  /// already holds it. The metadata CRCs of every unit written are set
+  /// before the first store, so a failed or torn store is caught like
+  /// any other corruption. A write into padding raises the stripe's
+  /// carried units to unit + 1 and stores a zero unit for each padding
+  /// unit below it, so data units [0, carried) stay stored, later reads
+  /// fetch the unit and decodes use its bytes. Padding whose node went
+  /// down cost nothing, so no repair moved it: each unit the write
+  /// starts storing goes where repair would rebuild it (place_units:
+  /// its own node when usable, else a spare). Throws
+  /// std::invalid_argument on an unknown object or stripe, a parity
+  /// unit id or a size other than unit_size(), and std::runtime_error
+  /// when the stripe is past recovery, or when a unit the write starts
+  /// storing finds no live node and more than r stored units would be
+  /// unreachable; that refusal reads and changes nothing.
   void write_unit(const std::string& name, std::size_t stripe,
                   std::size_t unit, std::span<const std::uint8_t> bytes);
 
@@ -275,8 +288,9 @@ class Cluster {
   void set_damage_sink(DamageSink* sink) noexcept { damage_sink_ = sink; }
   DamageSink* damage_sink() const noexcept { return damage_sink_; }
 
-  /// Every (object, stripe) whose placement references `node` — the
-  /// stripes a Dead verdict for that node puts at risk.
+  /// Every (object, stripe) with a stored unit on `node` — the stripes a
+  /// Dead verdict for that node puts at risk. A stripe whose unit on
+  /// `node` is padding is not listed.
   std::vector<std::pair<std::string, std::size_t>> stripes_on_node(
       std::size_t node) const;
 
@@ -300,24 +314,26 @@ class Cluster {
   std::optional<std::string> object_after(const std::string& name) const;
 
   /// Test/chaos hook: flips one byte of a stored unit, checksum left
-  /// stale. Returns false when the unit is not on a live node.
+  /// stale. Returns false when the unit has no copy on a live node
+  /// (padding has none).
   bool corrupt_unit(const std::string& name, std::size_t stripe,
                     std::size_t unit);
 
   /// DAG-based repair of everything lost or corrupt (see repair.h).
   /// Returns units rebuilt. Unrecoverable stripes are skipped.
   std::size_t repair();
-  /// Integrity check of one stripe: each stored copy is CRC-checked on
+  /// Integrity check of one stripe: each stored unit is CRC-checked on
   /// its own node against the metadata checksum (no payload crosses the
-  /// network). A stripe with missing or corrupt units is reported to the
+  /// network); padding has no copy and is not checked or counted. A
+  /// stripe with missing or corrupt stored units is reported to the
   /// damage sink (kind ScrubFinding) when one is attached, and repaired
   /// inline through the DAG otherwise. There is no parity re-encode:
   /// every rebuilt unit is verified against its metadata CRC, so a wrong
   /// parity can only refuse a read, never return wrong bytes. Throws
   /// std::invalid_argument on an unknown object or stripe index.
   StripeScrubResult scrub_stripe(const std::string& name, std::size_t s);
-  /// scrub_stripe over every stripe. Returns the units found missing or
-  /// corrupt (n - units_verified, summed over stripes).
+  /// scrub_stripe over every stripe. Returns the stored units found
+  /// missing or corrupt (units_lost, summed over stripes).
   std::size_t scrub();
 
   RepairCoordinator& repairer() noexcept { return *repairer_; }
@@ -344,18 +360,39 @@ class Cluster {
     std::vector<std::tuple<std::string, std::size_t, std::size_t>> lost_units;
   };
   struct StripeLocation {
-    std::vector<std::size_t> nodes;      ///< node per unit, n entries
-    std::vector<std::uint32_t> unit_crcs;  ///< intended contents, n entries
+    /// Node per unit, n entries; a padding unit's node is reserved for
+    /// it (no other unit of the stripe is placed there) but holds nothing.
+    std::vector<std::size_t> nodes;
+    /// Checksum of each stored unit's intended contents, n entries; a
+    /// padding unit's entry is set when write_unit() stores it.
+    std::vector<std::uint32_t> unit_crcs;
     /// Leading data units that may hold non-zero bytes: put() sets
     /// ceil(bytes / unit_size) (k for a full stripe), and write_unit()
     /// raises it past a unit it writes into padding. Data units
-    /// [carried, k) are padding, all zeros.
+    /// [carried, k) are padding: known zeros with no stored copy.
     std::size_t carried = 0;
   };
   struct ObjectMeta {
     std::size_t size = 0;
     std::vector<StripeLocation> stripes;
   };
+
+  /// The one padding rule: true when unit u of the stripe has a stored
+  /// copy (a carried data unit, u < carried, or a parity, u >= k). Every
+  /// reader asks it; a unit without one is padding, which is never
+  /// fetched, shipped, checksummed, erased or rebuilt.
+  bool stored(const StripeLocation& loc, std::size_t u) const noexcept {
+    return u < loc.carried || u >= params_.k;
+  }
+
+  /// Where each of `units` (unit ids of the stripe, in order) is hosted
+  /// when written: its own node when usable, else a spare — the first
+  /// usable node of the holder's failure domain, else the first usable
+  /// node, never one holding a unit of the stripe or picked for an
+  /// earlier entry. nullopt for a unit with neither. The one placement
+  /// rule of repair and of write_unit() into padding.
+  std::vector<std::optional<std::size_t>> place_units(
+      const StripeLocation& loc, const std::vector<std::size_t>& units) const;
 
   enum class UnitRead { Ok, Missing, Corrupt };
 
@@ -383,8 +420,7 @@ class Cluster {
   /// only when the read degraded (the decode reads them as survivors),
   /// and a parity holds its bytes only when the read degraded or hedged,
   /// or when it is `lost`; otherwise they keep whatever the buffer held.
-  /// A read that does not degrade reports a padding unit whose node is
-  /// down. `lost` names a unit the caller already failed to read: it is
+  /// `lost` names a stored unit the caller already failed to read: it is
   /// not re-read but rebuilt through the survivors.
   void read_stripe(const std::string& name, const ObjectMeta& meta,
                    std::size_t s, std::span<std::uint8_t> stripe,
@@ -420,8 +456,6 @@ class Cluster {
   /// The one n-unit stripe buffer put(), get() and read_unit() stage
   /// through; 64-byte aligned, so the encode reads it in place.
   tensor::AlignedBuffer<std::uint8_t> stripe_buf_;
-  /// CRC-32C of unit_size zero bytes: every padding unit's checksum.
-  std::uint32_t zero_unit_crc_ = 0;
 };
 
 }  // namespace tvmec::cluster

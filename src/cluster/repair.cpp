@@ -46,36 +46,13 @@ RepairCoordinator::RepairCoordinator(Cluster& cluster,
 
 std::vector<std::size_t> RepairCoordinator::pick_replacements(
     const Cluster::StripeLocation& loc, StripeDamage& damage) {
+  const auto hosts = cluster_.place_units(loc, damage.erased);
   std::vector<std::size_t> picks;
   std::vector<std::size_t> placed;
-  std::vector<bool> taken(cluster_.nodes_.size(), false);
-  for (const std::size_t node : loc.nodes)
-    if (node < taken.size()) taken[node] = true;
-  for (const std::size_t uid : damage.erased) {
-    const std::size_t orig = loc.nodes[uid];
-    // A live node with a corrupt (or revived, empty) copy is rebuilt in
-    // place.
-    if (cluster_.node_usable(orig)) {
-      picks.push_back(orig);
-      placed.push_back(uid);
-      continue;
-    }
-    // Otherwise find a spare: prefer the lost unit's failure domain so
-    // the placement's domain spread survives the repair.
-    const std::size_t want_domain = cluster_.domain_of(orig);
-    std::size_t chosen = kNoNode;
-    for (std::size_t node = 0; node < cluster_.nodes_.size(); ++node) {
-      if (taken[node] || !cluster_.node_usable(node)) continue;
-      if (cluster_.domain_of(node) == want_domain) {
-        chosen = node;
-        break;
-      }
-      if (chosen == kNoNode) chosen = node;
-    }
-    if (chosen == kNoNode) continue;  // stays erased until a revive
-    taken[chosen] = true;
-    picks.push_back(chosen);
-    placed.push_back(uid);
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    if (!hosts[i]) continue;  // stays erased until a revive
+    picks.push_back(*hosts[i]);
+    placed.push_back(damage.erased[i]);
   }
   damage.erased = std::move(placed);
   return picks;
@@ -84,18 +61,25 @@ std::vector<std::size_t> RepairCoordinator::pick_replacements(
 std::optional<RepairPlan> RepairCoordinator::build_plan(
     const Cluster::StripeLocation& loc, const StripeDamage& damage,
     const std::vector<bool>& excluded, std::size_t root_node) {
-  // Survivor preference: the root's domain first, then the remaining
-  // survivors grouped by domain — a plan drawn from few domains means
-  // few cross-domain aggregate messages.
+  // Survivor preference: padding first, known zeros no helper reads;
+  // then the root's domain, then the remaining survivors grouped by
+  // domain — a plan drawn from few domains means few cross-domain
+  // aggregate messages.
   const std::size_t root_domain = cluster_.domain_of(root_node);
   std::vector<std::size_t> pref;
   for (const std::size_t uid : damage.survivors) {
     const std::size_t node = loc.nodes[uid];
-    if (!cluster_.node_usable(node) || excluded[node]) continue;
+    if (cluster_.stored(loc, uid) &&
+        (!cluster_.node_usable(node) || excluded[node]))
+      continue;
     pref.push_back(uid);
   }
   if (pref.size() < cluster_.params_.k) return std::nullopt;
-  std::stable_sort(pref.begin(), pref.end(), [&](std::size_t a, std::size_t b) {
+  const auto stored_begin =
+      std::stable_partition(pref.begin(), pref.end(), [&](std::size_t uid) {
+        return !cluster_.stored(loc, uid);
+      });
+  std::stable_sort(stored_begin, pref.end(), [&](std::size_t a, std::size_t b) {
     const std::size_t da = cluster_.domain_of(loc.nodes[a]);
     const std::size_t db = cluster_.domain_of(loc.nodes[b]);
     if ((da == root_domain) != (db == root_domain)) return da == root_domain;
@@ -111,8 +95,11 @@ std::optional<RepairPlan> RepairCoordinator::build_plan(
   out.erased = damage.erased;
   out.decode = plan;
   out.root_node = root_node;
+  // A padding survivor's recovery column multiplies zeros: it adds
+  // nothing to the rebuild, so it gets no helper.
   for (std::size_t i = 0; i < plan->survivors.size(); ++i) {
     const std::size_t uid = plan->survivors[i];
+    if (!cluster_.stored(loc, uid)) continue;
     const std::size_t node = loc.nodes[uid];
     out.helpers.push_back({uid, node, cluster_.domain_of(node), i});
   }
@@ -260,14 +247,19 @@ bool RepairCoordinator::execute_naive(
   const std::size_t unit = cluster_.unit_size_;
   const std::uint64_t root_in_before = cluster_.net_.ingress_bytes(root_node);
 
-  // Haul whole survivor units to the root until k are in hand. The
-  // root's ingress link serializes every transfer — the star-topology
-  // cost the DAG exists to avoid.
-  std::vector<std::size_t> fetched_ids;
+  // Padding survivors are in hand from the start: known zeros, never
+  // fetched or shipped. Haul whole stored survivor units to the root
+  // until k are in hand. The root's ingress link serializes every
+  // transfer — the star-topology cost the DAG exists to avoid.
+  std::vector<std::size_t> held_ids;  // padding first, then fetched
+  for (const std::size_t uid : damage.survivors)
+    if (!cluster_.stored(loc, uid)) held_ids.push_back(uid);
+  const std::size_t padding = held_ids.size();
   std::vector<std::vector<std::uint8_t>> fetched;
   std::uint64_t root_ingress_us = 0;
   for (const std::size_t uid : damage.survivors) {
-    if (fetched_ids.size() == k) break;
+    if (held_ids.size() == k) break;
+    if (!cluster_.stored(loc, uid)) continue;
     std::vector<std::uint8_t> buf(unit);
     if (cluster_.fetch_unit(name, loc, s, uid, buf.data(), nullptr) !=
         Cluster::UnitRead::Ok)
@@ -278,21 +270,21 @@ bool RepairCoordinator::execute_naive(
       continue;
     root_ingress_us += ser;
     ++report.hops;
-    fetched_ids.push_back(uid);
+    held_ids.push_back(uid);
     fetched.push_back(std::move(buf));
   }
-  if (fetched_ids.size() < k) return false;
+  if (held_ids.size() < k) return false;
 
-  const auto plan = cluster_.codec_.plan(damage.erased, fetched_ids);
+  const auto plan = cluster_.codec_.plan(damage.erased, held_ids);
   if (!plan) return false;
 
   const std::size_t e = damage.erased.size();
+  const std::vector<std::uint8_t> zeros(unit);
   std::vector<const std::uint8_t*> in_ptrs;
   for (const std::size_t uid : plan->survivors) {
-    const auto it =
-        std::find(fetched_ids.begin(), fetched_ids.end(), uid);
-    in_ptrs.push_back(
-        fetched[static_cast<std::size_t>(it - fetched_ids.begin())].data());
+    const auto i = static_cast<std::size_t>(
+        std::find(held_ids.begin(), held_ids.end(), uid) - held_ids.begin());
+    in_ptrs.push_back(i < padding ? zeros.data() : fetched[i - padding].data());
   }
   recovered.assign(e, std::vector<std::uint8_t>(unit));
   std::vector<std::uint8_t*> out_ptrs(e);
@@ -511,6 +503,10 @@ RepairCoordinator::StripeDamage RepairCoordinator::assess_stripe(
     const Cluster::StripeLocation& loc) {
   StripeDamage damage;
   for (std::size_t u = 0; u < loc.nodes.size(); ++u) {
+    if (!cluster_.stored(loc, u)) {
+      damage.survivors.push_back(u);  // padding: known zeros, never lost
+      continue;
+    }
     const std::size_t node = loc.nodes[u];
     bool bad = !cluster_.node_usable(node);
     if (!bad) {

@@ -19,6 +19,11 @@
 /// byte-identical to decoding at the root: the recovery matrix product
 /// R * S is just a sum of per-column terms, and XOR is that sum.
 ///
+/// A short stripe's padding units (Cluster::stored() is false) are
+/// known zeros: the plan takes them first as free survivors, and since
+/// their recovery columns multiply zeros, no helper reads or ships them,
+/// so a stripe carrying c data units is rebuilt from c helper reads.
+///
 /// Traffic shape (MDS, full-unit helpers): total payload bytes moved are
 /// the same k column-terms either way — the win is *where* they move.
 /// Cross-domain bytes drop from ~k units to ~(#helper domains) units,
@@ -79,10 +84,12 @@ struct RepairReport {
 };
 
 /// Cheap stripe risk probe for the healer's priority scoring: unit
-/// counts only, no payload moved. `erased` counts units that are
+/// counts only, no payload moved. `erased` counts stored units that are
 /// missing, CRC-stale, or on unusable nodes (the routing view); the
 /// stripe's distance from data loss is r - erased (negative when past
-/// recovery without a rejoin).
+/// recovery without a rejoin). `survivors` counts the units a decode can
+/// read: the other stored units plus the padding, so a stripe is
+/// recoverable while survivors >= k.
 struct StripeHealth {
   bool exists = false;
   std::size_t erased = 0;
@@ -98,10 +105,12 @@ struct RepairPlan {
     std::size_t column = 0;  ///< its column in the recovery matrix
   };
   std::vector<std::size_t> erased;   ///< unit ids being rebuilt
-  /// The preference-keyed decode plan; recovery column i belongs to
-  /// helpers[i] (survivors ascending).
+  /// The preference-keyed decode plan over k survivors, padding first;
+  /// recovery column helpers[i].column belongs to helpers[i].
   std::shared_ptr<const ec::DecodePlan> decode;
-  std::vector<Helper> helpers;       ///< the chosen k survivors
+  /// The plan's stored survivors, ascending: k for a full stripe, the
+  /// carried count for a short one (padding survivors get no helper).
+  std::vector<Helper> helpers;
   std::vector<std::size_t> domains;  ///< distinct helper domains, in order
   /// Aggregator node per entry of `domains` (a helper in that domain).
   std::vector<std::size_t> aggregators;
@@ -147,21 +156,22 @@ class RepairCoordinator {
  private:
   /// Both lists are ascending: assess_stripe walks the unit ids in order.
   struct StripeDamage {
-    std::vector<std::size_t> erased;     ///< missing or corrupt unit ids
-    std::vector<std::size_t> survivors;  ///< readable-in-principle unit ids
+    std::vector<std::size_t> erased;     ///< missing or corrupt stored units
+    /// Readable-in-principle unit ids: clean stored units and padding.
+    std::vector<std::size_t> survivors;
   };
 
   /// Probes stripe metadata for losses (node down, unit absent, CRC
-  /// stale) without moving payload bytes.
+  /// stale) without moving payload bytes. Padding is never erased.
   StripeDamage assess_stripe(const std::string& name, std::size_t s,
                              const Cluster::StripeLocation& loc);
 
-  /// Picks a live node per erased unit to host the rebuilt data: its
-  /// own node when usable, else a spare (preferring the lost unit's
-  /// domain, never a node already holding a unit of this stripe). A
-  /// unit with neither stays erased until its node revives: it is
-  /// dropped from damage.erased (it is no survivor either). Returns one
-  /// node per remaining entry of damage.erased.
+  /// Picks a live node per erased unit to host the rebuilt data, by
+  /// Cluster::place_units: its own node when usable, else a spare
+  /// (preferring the lost unit's domain, never a node already holding a
+  /// unit of this stripe). A unit with neither stays erased until its
+  /// node revives: it is dropped from damage.erased (it is no survivor
+  /// either). Returns one node per remaining entry of damage.erased.
   std::vector<std::size_t> pick_replacements(
       const Cluster::StripeLocation& loc, StripeDamage& damage);
 
@@ -178,8 +188,9 @@ class RepairCoordinator {
                        std::vector<std::vector<std::uint8_t>>& recovered,
                        RepairReport& report, std::size_t* failed_node);
 
-  /// The graceful-degradation path: root fetches k survivor units and
-  /// decodes locally. Same verification and accounting.
+  /// The graceful-degradation path: root fetches stored survivor units
+  /// until, with the padding, k are in hand, and decodes locally. Same
+  /// verification and accounting.
   bool execute_naive(const std::string& name,
                      const Cluster::StripeLocation& loc, std::size_t s,
                      const StripeDamage& damage, std::size_t root_node,

@@ -508,13 +508,23 @@ FuzzOutcome run_cluster(const FuzzConfig& c, bool repair) {
   if (!cl.net().stats().balanced())
     return fail(c, "network byte ledger does not balance");
 
-  // Every loss source that can still cost a stripe a unit: explicitly
-  // failed nodes plus chaos crashes (each stripe holds at most one unit
-  // per node), plus the one latent corruption if it was planted.
-  std::size_t dead = 0;
-  for (std::size_t node = 0; node < num_nodes; ++node)
-    if (cl.node_failed(node)) ++dead;
-  const std::size_t loss_budget = dead + (corrupted ? 1 : 0);
+  // Per stripe, the dead nodes (explicitly failed or chaos-crashed) that
+  // hold a stored unit of it: at most one per node, and a node holding
+  // only padding costs nothing.
+  const auto dead_holders = [&] {
+    std::vector<std::size_t> dead(cl.object_stripe_count("fuzz-object"), 0);
+    for (std::size_t node = 0; node < num_nodes; ++node)
+      if (cl.node_failed(node))
+        for (const auto& [name, s] : cl.stripes_on_node(node)) ++dead[s];
+    return dead;
+  };
+  // The most units any one stripe can still lose: its dead holders, plus
+  // the one latent corruption if it was planted.
+  const auto stripe_losses = [&] {
+    const auto dead = dead_holders();
+    return *std::max_element(dead.begin(), dead.end()) + (corrupted ? 1 : 0);
+  };
+  const std::size_t loss_budget = stripe_losses();
 
   const auto check_bytes =
       [&](const std::optional<std::vector<std::uint8_t>>& read,
@@ -563,24 +573,62 @@ FuzzOutcome run_cluster(const FuzzConfig& c, bool repair) {
     // unit or a parity, the write re-encodes; elsewhere it patches.
     const std::size_t target = c.seed % c.k;
     const Bytes fresh = seeded_bytes(unit, c.seed + 2);
-    std::optional<std::vector<std::uint8_t>> rewritten;
+    // A write into padding starts storing stripe 0's data units
+    // [carried, target]: each whose holder is dead moves to a live node
+    // outside the stripe while any is left. It may be refused only when
+    // one finds none and more than r stored units would be on dead nodes.
+    const std::size_t dead0 = dead_holders()[0];
+    const auto placed = cl.placement("fuzz-object", 0);
+    const std::size_t carried =
+        (std::min(object_size, c.k * unit) + unit - 1) / unit;
+    std::size_t moving = 0;
+    for (std::size_t u = carried; u <= target; ++u)
+      moving += cl.node_failed(placed[u]) ? 1 : 0;
+    std::size_t spares = 0;
+    for (std::size_t node = 0; node < num_nodes; ++node)
+      if (!cl.node_failed(node) &&
+          std::find(placed.begin(), placed.end(), node) == placed.end())
+        ++spares;
+    const std::size_t unplaced = moving > spares ? moving - spares : 0;
     try {
       cl.write_unit("fuzz-object", 0, target, fresh.span());
-      rewritten = cl.get("fuzz-object");
     } catch (const std::runtime_error& e) {
-      return fail(c, std::string("small write unrecoverable: ") + e.what());
+      if (unplaced == 0 || dead0 + unplaced <= c.r)
+        return fail(c, std::string("small write unrecoverable: ") + e.what());
+      // Refused: the object reads back unchanged.
+      std::optional<std::vector<std::uint8_t>> kept;
+      try {
+        kept = cl.get("fuzz-object");
+      } catch (const std::runtime_error& e2) {
+        return fail(c, std::string("refused write left the object "
+                                   "unreadable: ") + e2.what());
+      }
+      if (auto failure = check_bytes(kept, "refused-write re-read"))
+        return *failure;
+      return FuzzOutcome{true, {}, {}, 1};
     }
     const std::size_t off = target * unit;
     if (off < object_size)
       std::memcpy(object.data() + off, fresh.data(),
                   std::min(unit, object_size - off));
+    // A write that returned normally leaves stripe 0 within r losses.
+    if (dead_holders()[0] > c.r)
+      return fail(c, "small write left more than r stored units on dead "
+                     "nodes");
+    const std::size_t written_losses = stripe_losses();
+    std::optional<std::vector<std::uint8_t>> rewritten;
+    try {
+      rewritten = cl.get("fuzz-object");
+    } catch (const std::runtime_error& e) {
+      return fail(c, std::string("small write unrecoverable: ") + e.what());
+    }
     if (auto failure = check_bytes(rewritten, "small-write re-read"))
       return *failure;
 
     // One more loss within the budget: the holder of another data unit
     // of stripe 0 dies. When the write landed in padding, the decode must
     // read the written unit, not the zeros it held before.
-    if (c.k >= 2 && loss_budget + 1 <= c.r) {
+    if (c.k >= 2 && written_losses + 1 <= c.r) {
       cl.fail_node(cl.placement("fuzz-object", 0)[target == 0 ? 1 : 0]);
       std::optional<std::vector<std::uint8_t>> reread;
       try {

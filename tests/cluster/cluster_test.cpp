@@ -51,8 +51,9 @@ TEST(Cluster, PutGetRoundtripWithPadding) {
   EXPECT_EQ(*got, payload);
   EXPECT_EQ(cluster.stats().degraded_reads, 0u);
 
-  // The short last stripe stores its padding as zeros, not as bytes of
-  // the stripe before it left over in put's stripe buffer.
+  // The short last stripe's padding reads back as zeros, and its last
+  // carried unit is zero past the object's end, not bytes of the stripe
+  // before it left over in put's stripe buffer.
   const auto is_zero = [](std::uint8_t b) { return b == 0; };
   const auto tail = cluster.read_unit("obj", 3, 0);
   EXPECT_TRUE(
@@ -70,7 +71,7 @@ TEST(Cluster, PutGetRoundtripWithPadding) {
 
   // Every short-stripe shape, each put right after a full random stripe,
   // so a byte the cluster's reused stripe buffer kept from the previous
-  // call would show in the stored padding or the bytes read back.
+  // call would show in a stored unit or the bytes read back.
   constexpr std::size_t k = 4;
   constexpr std::size_t stripe_bytes = k * kUnit;
   for (const std::size_t size :
@@ -152,9 +153,9 @@ TEST(Cluster, ShortStripeGetFetchesOnlyCarriedUnits) {
     EXPECT_EQ(cl.stats().hedged_reads, 0u);
     EXPECT_EQ(cl.stats().degraded_reads, 0u);
 
-    // A lost padding unit is not fetched, so the get neither degrades
-    // nor decodes; its down holder is still reported. read_unit() of that
-    // unit decodes the zeros it held and reports once more.
+    // A padding unit has no stored copy, so its holder going down costs
+    // the get nothing: it neither degrades, decodes nor reports.
+    // read_unit() of that unit returns zeros without a fetch or a report.
     const auto nodes = cl.placement("obj", 0);
     if (size < stripe_bytes && carried < k) {
       ReadDamageCounter sink;
@@ -162,10 +163,12 @@ TEST(Cluster, ShortStripeGetFetchesOnlyCarriedUnits) {
       cl.fail_node(nodes[carried]);
       EXPECT_EQ(cl.get("obj"), bytes);
       EXPECT_EQ(cl.stats().degraded_reads, 0u);
-      EXPECT_EQ(sink.reports, 1u);
+      EXPECT_EQ(sink.reports, 0u);
+      const std::uint64_t reads1 = inj.stats().reads;
       EXPECT_EQ(cl.read_unit("obj", 0, carried),
                 std::vector<std::uint8_t>(kUnit, 0));
-      EXPECT_EQ(sink.reports, 2u);
+      EXPECT_EQ(inj.stats().reads, reads1);
+      EXPECT_EQ(sink.reports, 0u);
       cl.set_damage_sink(nullptr);
     }
     // A lost carried unit degrades the get, which decodes it exactly.
@@ -179,24 +182,176 @@ TEST(Cluster, WriteUnitIntoPaddingIsDecodedNotZeroed) {
   // A one-unit object carries only unit 0. Writing unit 2 makes units
   // 0..2 carried, so a degraded get decodes through unit 2's new bytes,
   // not through the zeros it held as padding. Both write paths: the
-  // parity patch, and the re-encode a dead parity holder forces.
+  // parity patch, and the re-encode a dead parity holder forces. The
+  // write also stores gap unit 1 as a zero unit: with its holder down, a
+  // get degrades and decodes it to the zero unit's checksum.
+  constexpr std::size_t r = 2;
   for (const bool patch : {true, false}) {
-    SCOPED_TRACE(patch ? "patch" : "re-encode");
-    Cluster cl(ec::CodeParams{4, 2, 8}, kUnit, make_config(6, 1));
-    const auto bytes = testutil::random_vector(kUnit, 61);
-    cl.put("obj", bytes);
-    const auto nodes = cl.placement("obj", 0);
-    if (!patch) cl.fail_node(nodes[5]);
-    const auto fresh = testutil::random_vector(kUnit, 62);
-    cl.write_unit("obj", 0, 2, fresh);
-    EXPECT_EQ(cl.stats().small_write_patches, patch ? 1u : 0u);
-    EXPECT_EQ(cl.stats().full_stripe_writes, patch ? 0u : 1u);
-    EXPECT_EQ(cl.read_unit("obj", 0, 2), fresh);
+    for (const std::size_t lost : {std::size_t{0}, std::size_t{1}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (patch ? "patch" : "re-encode") << ", unit " << lost
+                   << " lost");
+      Cluster cl(ec::CodeParams{4, r, 8}, kUnit, make_config(6, 1));
+      storage::FaultInjector inj;  // quiet: counts every disk read
+      cl.attach_fault_injector(&inj);
+      const auto bytes = testutil::random_vector(kUnit, 61);
+      cl.put("obj", bytes);
+      const auto nodes = cl.placement("obj", 0);
+      if (!patch) cl.fail_node(nodes[5]);
+      const auto fresh = testutil::random_vector(kUnit, 62);
+      const std::uint64_t reads0 = inj.stats().reads;
+      cl.write_unit("obj", 0, 2, fresh);
+      // The patch reads the r parities; unit 2's old bytes are known
+      // zeros, not read.
+      if (patch) {
+        EXPECT_EQ(inj.stats().reads - reads0, r);
+      }
+      EXPECT_EQ(cl.stats().small_write_patches, patch ? 1u : 0u);
+      EXPECT_EQ(cl.stats().full_stripe_writes, patch ? 0u : 1u);
+      EXPECT_EQ(cl.read_unit("obj", 0, 2), fresh);
 
-    cl.fail_node(nodes[0]);
-    EXPECT_EQ(cl.get("obj"), bytes);
-    EXPECT_EQ(cl.stats().degraded_reads, 1u);
+      cl.fail_node(nodes[lost]);
+      EXPECT_EQ(cl.get("obj"), bytes);
+      EXPECT_EQ(cl.stats().degraded_reads, 1u);
+      if (lost == 1) {
+        EXPECT_EQ(cl.read_unit("obj", 0, 1),
+                  std::vector<std::uint8_t>(kUnit, 0));
+      }
+    }
   }
+}
+
+TEST(Cluster, WriteUnitIntoPaddingMovesUnitsOffDeadHolders) {
+  // The holders of padding units 1 and 2 die at no cost, so repair
+  // leaves them in place. A later write into unit 3 starts storing units
+  // 1..3: the two whose holders are dead go to spares first, so the only
+  // loss is the parity whose holder died since, and the object reads.
+  Cluster cl(ec::CodeParams{4, 2, 8}, kUnit, make_config(9, 3));
+  const auto bytes = testutil::random_vector(kUnit, 71);
+  cl.put("obj", bytes);
+  const auto nodes = cl.placement("obj", 0);
+  cl.fail_node(nodes[1]);
+  cl.fail_node(nodes[2]);
+  cl.repair();
+  cl.fail_node(nodes[4]);
+
+  const auto fresh = testutil::random_vector(kUnit, 72);
+  cl.write_unit("obj", 0, 3, fresh);
+  const auto moved = cl.placement("obj", 0);
+  for (const std::size_t u : {std::size_t{1}, std::size_t{2}}) {
+    EXPECT_NE(moved[u], nodes[u]) << "unit " << u;
+    EXPECT_FALSE(cl.node_failed(moved[u])) << "unit " << u;
+  }
+  EXPECT_EQ(cl.get("obj"), bytes);
+  EXPECT_EQ(cl.read_unit("obj", 0, 1), std::vector<std::uint8_t>(kUnit, 0));
+  EXPECT_EQ(cl.read_unit("obj", 0, 3), fresh);
+  EXPECT_EQ(cl.scrub(), 1u);  // parity 4, rebuilt on a spare
+  EXPECT_EQ(cl.scrub(), 0u);
+
+  // Two more losses: unit 0 decodes through the moved zero units and
+  // unit 3's new bytes.
+  cl.fail_node(cl.placement("obj", 0)[0]);
+  cl.fail_node(cl.placement("obj", 0)[5]);
+  EXPECT_EQ(cl.get("obj"), bytes);
+  EXPECT_GT(cl.stats().degraded_reads, 0u);
+}
+
+TEST(Cluster, WriteUnitIntoPaddingRefusesToStoreOnDeadNodes) {
+  // One node per unit and no spare: with the holders of padding units 1
+  // and 2 dead, a write into unit 3 would store both on dead nodes, two
+  // losses past r = 1. It is refused before anything is read or changed.
+  // With one of them back, the one loss is within r: the write stores
+  // unit 1 on its dead node, and the stripe decodes it.
+  Cluster cl(ec::CodeParams{4, 1, 8}, kUnit, make_config(5, 1));
+  storage::FaultInjector inj;  // quiet: counts every disk op
+  cl.attach_fault_injector(&inj);
+  const auto bytes = testutil::random_vector(kUnit, 81);
+  cl.put("obj", bytes);
+  const auto nodes = cl.placement("obj", 0);
+  cl.fail_node(nodes[1]);
+  cl.fail_node(nodes[2]);
+
+  const auto fresh = testutil::random_vector(kUnit, 82);
+  const auto ops0 = inj.stats();
+  EXPECT_THROW(cl.write_unit("obj", 0, 3, fresh), std::runtime_error);
+  EXPECT_EQ(inj.stats().reads, ops0.reads);
+  EXPECT_EQ(inj.stats().writes, ops0.writes);
+  EXPECT_EQ(cl.placement("obj", 0), nodes);
+  EXPECT_EQ(cl.scrub(), 0u);
+  EXPECT_EQ(cl.get("obj"), bytes);
+  EXPECT_EQ(cl.read_unit("obj", 0, 3), std::vector<std::uint8_t>(kUnit, 0));
+
+  cl.revive_node(nodes[2]);
+  cl.write_unit("obj", 0, 3, fresh);
+  EXPECT_EQ(cl.placement("obj", 0), nodes);
+  EXPECT_EQ(cl.read_unit("obj", 0, 3), fresh);
+  EXPECT_EQ(cl.read_unit("obj", 0, 1), std::vector<std::uint8_t>(kUnit, 0));
+  EXPECT_EQ(cl.get("obj"), bytes);
+  EXPECT_EQ(cl.scrub(), 1u);  // unit 1 waits for its node's revive
+}
+
+TEST(Cluster, ShortStripeStoresOnlyCarriedUnitsAndParities) {
+  // A put ships, stores and checksums ceil(take / unit) data units and
+  // the r parities per stripe: a short stripe's padding has no copy on
+  // any node, so its holder going down is no loss.
+  constexpr std::size_t k = 4;
+  constexpr std::size_t r = 2;
+  constexpr std::size_t stripe_bytes = k * kUnit;
+  std::size_t padding_only_failed = 0;
+  for (const std::size_t size :
+       {std::size_t{1}, kUnit - 1, kUnit, kUnit + 1, stripe_bytes - 1,
+        stripe_bytes, stripe_bytes + 1, 2 * stripe_bytes + kUnit / 2}) {
+    SCOPED_TRACE(::testing::Message() << "size " << size);
+    Cluster cl(ec::CodeParams{k, r, 8}, kUnit, make_config(9, 3));
+    storage::FaultInjector inj;  // quiet: counts every write, faults none
+    cl.attach_fault_injector(&inj);
+    const auto bytes = testutil::random_vector(size, size);
+
+    std::size_t stored = 0;
+    for (std::size_t off = 0; off < size; off += stripe_bytes)
+      stored += (std::min(stripe_bytes, size - off) + kUnit - 1) / kUnit + r;
+    const std::uint64_t writes0 = inj.stats().writes;
+    const NetStats net0 = cl.net().stats();
+    cl.put("obj", bytes);
+    const NetStats net1 = cl.net().stats();
+    EXPECT_EQ(inj.stats().writes - writes0, stored);
+    EXPECT_EQ(net1.messages_sent - net0.messages_sent, stored);
+    EXPECT_EQ((net1.bytes_sent - net0.bytes_sent) / kUnit, stored);
+
+    // The last stripe's padding holders: none lists that stripe, and one
+    // that holds no stored unit of any stripe can die at no cost.
+    const std::size_t last = cl.object_stripe_count("obj") - 1;
+    const std::size_t carried =
+        (size - last * stripe_bytes + kUnit - 1) / kUnit;
+    const auto nodes = cl.placement("obj", last);
+    for (std::size_t u = carried; u < k; ++u) {
+      const auto on_node = cl.stripes_on_node(nodes[u]);
+      EXPECT_EQ(std::count(on_node.begin(), on_node.end(),
+                           std::pair<std::string, std::size_t>("obj", last)),
+                0)
+          << "padding unit " << u;
+      if (!on_node.empty()) continue;
+      cl.fail_node(nodes[u]);
+      ++padding_only_failed;
+      EXPECT_EQ(cl.scrub(), 0u);
+      for (std::size_t s = 0; s <= last; ++s)
+        EXPECT_EQ(cl.repairer().stripe_health("obj", s).erased, 0u);
+    }
+
+    // r holders of stored units die: the get is still byte-exact.
+    cl.fail_node(nodes[0]);
+    cl.fail_node(nodes[k]);
+    EXPECT_EQ(cl.get("obj"), bytes);
+
+    // Every node dies and rejoins empty: the re-replication debt is the
+    // stored units, no padding among them.
+    for (std::size_t node = 0; node < cl.num_nodes(); ++node)
+      cl.fail_node(node);
+    for (std::size_t node = 0; node < cl.num_nodes(); ++node)
+      cl.revive_node(node);
+    EXPECT_EQ(cl.stats().units_lost_on_revive, stored);
+  }
+  EXPECT_GT(padding_only_failed, 0u);
 }
 
 TEST(Cluster, PutGetRoundTrip) {

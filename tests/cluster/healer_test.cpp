@@ -73,34 +73,42 @@ TEST(Healer, DegradedGetReportsReadCorruption) {
   expect_identities(healer);
 }
 
-// A get never fetches a short stripe's padding, but scrub and repair
-// count its stored copies. With no membership attached, the get is what
-// notices a padding holder going down: each loss must reach the healer
-// before losses pile past r and repair runs out of survivors.
+// A short stripe's padding has no stored copy: with no membership
+// attached, a padding holder going down is no loss for the get, the
+// scrub or the healer to find. A later parity loss is the stripe's only
+// loss, rebuilt from its one carried unit.
 TEST(Healer, GetReportsDownPaddingHolderWithoutMembership) {
   Cluster cluster(ec::CodeParams{4, 2, 8}, kUnit, make_config(9, 3));
+  storage::FaultInjector injector;  // quiet: counts the helper reads
+  cluster.attach_fault_injector(&injector);
   Healer healer(cluster, nullptr);
   const auto payload = testutil::random_vector(kUnit, 41);  // unit 0 only
   cluster.put("obj", payload);
 
   // The holders of padding units 1 and 2 die one after the other. The
-  // get after each stays undegraded and reports, and the healer rebuilds.
+  // get after each stays undegraded, no event is raised and nothing is
+  // repaired.
   for (const std::size_t u : {std::size_t{1}, std::size_t{2}}) {
     cluster.fail_node(cluster.placement("obj", 0)[u]);
     EXPECT_EQ(cluster.get("obj"), payload);
     EXPECT_EQ(cluster.stats().degraded_reads, 0u);
-    EXPECT_EQ(healer.events_of(DamageKind::ReadCorruption), u);
+    EXPECT_EQ(cluster.scrub(), 0u);
+    EXPECT_EQ(healer.stats().events_reported, 0u);
     ASSERT_TRUE(healer.run_until_idle(16));
-    EXPECT_EQ(healer.stats().repaired, u);
+    EXPECT_EQ(healer.stats().repaired, 0u);
   }
-  // Then a parity holder: a get reads no parity, so the scrub finds it,
-  // and with the padding rebuilt it is the stripe's only loss.
+  // Then a parity holder: a get reads no parity, so the scrub finds it.
+  // It is the stripe's only loss, and its DAG repair reads the one
+  // carried unit.
   cluster.fail_node(cluster.placement("obj", 0)[4]);
   EXPECT_EQ(cluster.get("obj"), payload);
   EXPECT_EQ(cluster.scrub(), 1u);
+  const std::uint64_t reads0 = injector.stats().reads;
   ASSERT_TRUE(healer.run_until_idle(16));
+  EXPECT_EQ(injector.stats().reads - reads0, 1u);
   EXPECT_EQ(healer.parked_now(), 0u);
-  EXPECT_EQ(healer.stats().repaired, 3u);
+  EXPECT_EQ(healer.stats().repaired, 1u);
+  EXPECT_EQ(cluster.stats().units_repaired, 1u);
   EXPECT_EQ(cluster.scrub(), 0u);
 
   // Two more losses are within r: the data survives them.
