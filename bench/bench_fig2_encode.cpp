@@ -90,6 +90,7 @@ void print_paper_table() {
   std::printf("%16s\n", "speedup*");
 
   double max_speedup = 0;
+  std::vector<std::string> picks;
   std::size_t grid_idx = 0;
   for (const auto& g : kGrid) {
     const auto& entries = all_entries()[grid_idx++];
@@ -101,8 +102,13 @@ void print_paper_table() {
     const std::vector<double> medians =
         benchutil::interleaved_median_gbps(coders, data.span(), kUnit);
     std::map<std::string, double> gbps;
-    for (std::size_t i = 0; i < entries.size(); ++i)
+    for (std::size_t i = 0; i < entries.size(); ++i) {
       gbps[entries[i].label] = medians[i];
+      if (entries[i].label == "tvm-ec")  // make_entries' tuned GemmCoder
+        picks.push_back(static_cast<const core::GemmCoder&>(*entries[i].coder)
+                            .schedule()
+                            .to_string());
+    }
     const double best_baseline = std::max(gbps["uezato"], gbps["isal"]);
     const double speedup = gbps["tvm-ec"] / best_baseline;
     max_speedup = std::max(max_speedup, speedup);
@@ -114,6 +120,13 @@ void print_paper_table() {
   std::printf("\n* speedup = tvm-ec / max(uezato, isal)   "
               "max over grid: %.2fx (paper: 1.75x)\n",
               max_speedup);
+
+  std::printf("\ntvm-ec picks (%zu model-guided trials, finalists "
+              "re-measured):\n",
+              kTuneTrials);
+  for (std::size_t i = 0; i < kGrid.size(); ++i)
+    std::printf("(%zu,%zu)   %s\n", kGrid[i].k, kGrid[i].r,
+                picks[i].c_str());
 }
 
 }  // namespace
@@ -126,8 +139,11 @@ int main(int argc, char** argv) {
       const std::string name = "encode/" + e.label + "/k" +
                                std::to_string(g.k) + "_r" +
                                std::to_string(g.r);
+      // Wall-clock rates: a threaded coder's main-thread CPU time
+      // undercounts its work.
       benchmark::RegisterBenchmark(name.c_str(), bm_encode, e.coder.get(),
-                                   g.k);
+                                   g.k)
+          ->UseRealTime();
     }
   }
   benchmark::Initialize(&argc, argv);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <random>
@@ -72,56 +71,17 @@ inline std::vector<double> interleaved_median_gbps(
   return medians;
 }
 
-/// Autotunes a GemmCoder for the given unit size and returns it ready to
-/// measure (the paper's §6.1 setup with a configurable budget). Like
-/// TVM's autoscheduler, the quick per-trial timings are followed by a
-/// careful re-measurement of the top candidates before the final pick —
-/// on a noisy machine the fastest-looking trial is often just a lucky
-/// sample.
+/// Autotunes a GemmCoder for the given unit size and leaves it running
+/// the pick (the paper's §6.1 setup with a configurable budget): the
+/// benches' one search setting, model-guided with a fixed seed, through
+/// GemmCoder::tune, whose finalist re-measure makes the pick.
 inline void tune_gemm(core::GemmCoder& coder, std::size_t unit_size,
                       std::size_t trials, int max_threads) {
   tune::TuneOptions opt;
   opt.policy = tune::Policy::ModelGuided;
   opt.trials = trials;
   opt.seed = 0xEC;
-  tune::TuneResult result = coder.tune(unit_size, opt, max_threads);
-
-  // Re-measure the top 6 distinct candidates with longer, interleaved
-  // sampling and install the true winner.
-  auto history = result.history;
-  std::sort(history.begin(), history.end(),
-            [](const auto& a, const auto& b) {
-              return a.throughput > b.throughput;
-            });
-  std::vector<tensor::Schedule> finalists;
-  for (const auto& rec : history) {
-    if (std::find(finalists.begin(), finalists.end(), rec.schedule) ==
-        finalists.end())
-      finalists.push_back(rec.schedule);
-    if (finalists.size() == 6) break;
-  }
-  const auto data = random_data(coder.in_units() * unit_size, 0xF1);
-  tensor::AlignedBuffer<std::uint8_t> parity(coder.out_units() * unit_size);
-  std::vector<std::vector<double>> samples(finalists.size());
-  for (std::size_t round = 0; round < 7; ++round) {
-    for (std::size_t i = 0; i < finalists.size(); ++i) {
-      coder.set_schedule(finalists[i]);
-      coder.apply(data.span(), parity.span(), unit_size);
-      const double secs = tune::measure_seconds_median(
-          [&] { coder.apply(data.span(), parity.span(), unit_size); }, 3);
-      samples[i].push_back(secs);
-    }
-  }
-  std::size_t best = 0;
-  double best_secs = 1e300;
-  for (std::size_t i = 0; i < finalists.size(); ++i) {
-    const double median = serve::sample_median(samples[i]);
-    if (median < best_secs) {
-      best_secs = median;
-      best = i;
-    }
-  }
-  coder.set_schedule(finalists[best]);
+  coder.tune(unit_size, opt, max_threads);
 }
 
 inline void print_header(const char* experiment, const char* paper_claim) {

@@ -305,14 +305,23 @@ tune::TuneResult GemmCoder::tune(std::size_t unit_size,
 
   const tune::SearchSpace space(task_shape(unit_size), max_threads);
   const double bytes = static_cast<double>(in_units_ * unit_size);
-  const tune::MeasureFn measure = [&](const tensor::Schedule& s) {
-    // One warmup, then median of five timed runs (this box is noisy).
+  // One warm-up, then the median of `repeats` timed runs back to back.
+  const auto rate = [&](const tensor::Schedule& s, std::size_t repeats) {
     run(data.span(), parity.span(), unit_size, s);
-    const double secs = tune::measure_seconds_median(
-        [&] { run(data.span(), parity.span(), unit_size, s); }, 5);
-    return bytes / secs;
+    return bytes / tune::measure_seconds_median(
+                       [&] { run(data.span(), parity.span(), unit_size, s); },
+                       repeats);
   };
-  tune::TuneResult result = tune::tune(space, measure, options);
+  // A search trial takes five runs (this box is noisy), a finalist's
+  // sample three per round.
+  const tune::MeasureFn measure = [&](const tensor::Schedule& s) {
+    return rate(s, 5);
+  };
+  const tune::MeasureFn sample = [&](const tensor::Schedule& s) {
+    return rate(s, 3);
+  };
+  tune::TuneResult result =
+      tune::remeasure_finalists(tune::tune(space, measure, options), sample);
   if (result.best_throughput > 0) schedule_ = result.best_schedule;
   return result;
 }

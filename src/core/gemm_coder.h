@@ -115,11 +115,13 @@ class GemmCoder final : public ec::MatrixCoder {
                        const tensor::CancelToken& cancel = {}) const;
 
   /// Autotunes the encode for the given unit size on synthetic data and
-  /// installs the best schedule found as the coder's own (the paper's
-  /// §6.1 measurement setup, with a configurable trial budget instead of
-  /// 20 000). Every trial times its own schedule; an attached cache is
-  /// not consulted. `max_threads` caps the thread knob of the search
-  /// space. Returns the full tuning history for analysis.
+  /// installs the winner as the coder's own schedule (the paper's §6.1
+  /// measurement setup, with a configurable trial budget instead of
+  /// 20 000). The search's top trials are re-measured back to back as
+  /// finalists (tune::remeasure_finalists); best_throughput is the
+  /// winner's re-measured rate, history the search's. Every trial times
+  /// its own schedule; an attached cache is not consulted. `max_threads`
+  /// caps the thread knob of the search space.
   tune::TuneResult tune(std::size_t unit_size,
                         const tune::TuneOptions& options, int max_threads);
 

@@ -117,8 +117,7 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
   // Warm start: merge the previous run's best-known schedules before
   // any traffic arrives, so the first request of a known shape already
   // runs tuned.
-  if (!config.autotune.log_path.empty())
-    schedule_cache_->load(config.autotune.log_path);
+  if (!config.schedule_log.empty()) schedule_cache_->load(config.schedule_log);
 
   // Every worker may run a batch on any shard (stealing), so each shard
   // divides the GEMM pool by the whole fleet's executors.
@@ -128,12 +127,6 @@ ShardedEcService::ShardedEcService(const ShardedServiceConfig& config)
   for (std::size_t i = 0; i < num_shards; ++i)
     shards_.push_back(std::make_unique<detail::EcService>(
         config.shard, executors, tenants_, schedule_cache_));
-
-  if (config.autotune.enabled) {
-    autotuner_ = std::make_unique<ContinuousAutotuner>(config.autotune,
-                                                       *schedule_cache_);
-    autotuner_->start();  // no-op unless policy.background
-  }
 
   workers_.reserve(num_shards * config.workers_per_shard);
   for (std::size_t s = 0; s < num_shards; ++s)
@@ -152,8 +145,6 @@ EcFuture ShardedEcService::submit_request(TenantId tenant,
   // Malformed submissions throw before any accounting (programming
   // errors are not tenant traffic).
   const std::size_t payload_bytes = validate_request(request);
-
-  if (autotuner_) autotuner_->record(request.key, request.unit_size);
 
   const auto now = Clock::now();
   const std::optional<RequestStatus> verdict =
@@ -231,10 +222,6 @@ std::size_t ShardedEcService::run_pending() {
   return total;
 }
 
-std::size_t ShardedEcService::run_autotune_cycle() {
-  return autotuner_ ? autotuner_->run_cycle() : 0;
-}
-
 std::size_t ShardedEcService::try_steal(std::size_t thief) {
   const StealPolicy& policy = config_.steal;
   const auto own_wait = shards_[thief]->queue_wait_ewma();
@@ -302,7 +289,6 @@ void ShardedEcService::shutdown(bool drain) {
     if (stopped_) return;
     stopped_ = true;
   }
-  if (autotuner_) autotuner_->stop();
   stop_workers_.store(true, std::memory_order_release);
   for (std::thread& t : workers_) t.join();
   workers_.clear();
@@ -354,8 +340,7 @@ ShardedStatsSnapshot ShardedEcService::stats() const {
   out.steal_scans = steal_scans_.load(std::memory_order_relaxed);
   out.steal_batches = steal_batches_.load(std::memory_order_relaxed);
   out.steal_requests = steal_requests_.load(std::memory_order_relaxed);
-  if (autotuner_) out.autotune = autotuner_->stats();
-  out.autotune.cache = schedule_cache_->stats();
+  out.schedule_cache = schedule_cache_->stats();
   return out;
 }
 

@@ -12,14 +12,14 @@
 #include <thread>
 #include <vector>
 
-#include "serve/autotune.h"
 #include "serve/ec_service.h"
 #include "serve/request.h"
 #include "serve/tenant.h"
+#include "tune/tuning_log.h"
 
 /// The sharded multi-tenant front, the one public serving class:
 /// per-core EC service shards with bounded work stealing, tenant QoS,
-/// and warm-start continuous autotuning.
+/// and tuned schedules loaded from a tuning log.
 ///
 /// Why shard at all: a single shard funnels every submitter through
 /// one batch-former mutex and one stats block. At per-core request
@@ -87,7 +87,12 @@ struct ShardedServiceConfig {
   ServiceConfig shard;
   StealPolicy steal;
   WatchdogPolicy watchdog;
-  AutotunePolicy autotune;
+  /// Tuning-log path ("" = none), loaded into schedule_cache() at
+  /// construction, so the first request of a logged task shape already
+  /// runs its tuned schedule. The front never tunes: the log comes from
+  /// GemmCoder::tune and ScheduleCache::save (examples/autotune_explore
+  /// writes one).
+  std::string schedule_log;
   /// false turns TenantRegistry into pure accounting: no share
   /// enforcement, no deadline budgets, but per-tenant counters still
   /// balance.
@@ -121,7 +126,7 @@ struct ShardedStatsSnapshot {
   std::uint64_t steal_scans = 0;
   std::uint64_t steal_batches = 0;
   std::uint64_t steal_requests = 0;
-  AutotuneStats autotune;
+  tune::ScheduleCache::Stats schedule_cache;
 
   /// The front's two cross-level identities, checked on a quiescent
   /// front: the shard sums plus the front-level QoS rejections, and the
@@ -183,13 +188,6 @@ class ShardedEcService {
   /// completed. Legal alongside worker threads too.
   std::size_t run_pending();
 
-  /// One background-autotuner cycle on the calling thread (works in
-  /// any mode; the background thread, when enabled, calls the same).
-  /// Returns the winners installed in schedule_cache(); 0 without an
-  /// autotuner. Present so manual-pump tests can drive tuning
-  /// deterministically.
-  std::size_t run_autotune_cycle();
-
   /// One steal scan on behalf of shard `thief` on the calling thread:
   /// exactly what an idle worker does between its own drains. Returns
   /// requests completed from the chosen victim (0 when no neighbor
@@ -197,7 +195,7 @@ class ShardedEcService {
   /// exercise the policy deterministically.
   std::size_t steal_for(std::size_t thief) { return try_steal(thief); }
 
-  /// Stops the autotuner and the workers, shuts every shard down, then
+  /// Stops the workers, shuts every shard down, then
   /// stops the watchdog. drain=true executes everything admitted first,
   /// on the calling thread. Idempotent.
   void shutdown(bool drain = true);
@@ -219,10 +217,8 @@ class ShardedEcService {
   /// The front's tuned schedules, attached to every shard's codecs:
   /// each GEMM call looks its schedule up here by task shape, so an
   /// install is read by the next batch of that shape on any shard.
-  /// Loaded from autotune.log_path at construction (warm start).
+  /// Loaded from config.schedule_log at construction (warm start).
   tune::ScheduleCache& schedule_cache() noexcept { return *schedule_cache_; }
-  /// Null when autotuning is disabled.
-  ContinuousAutotuner* autotuner() noexcept { return autotuner_.get(); }
 
  private:
   void worker_loop(std::size_t shard_index);
@@ -241,7 +237,6 @@ class ShardedEcService {
 
   TenantRegistry tenants_;
   const std::shared_ptr<tune::ScheduleCache> schedule_cache_;
-  std::unique_ptr<ContinuousAutotuner> autotuner_;
 
   std::mutex shutdown_mutex_;
   bool stopped_ = false;  // under shutdown_mutex_

@@ -31,6 +31,23 @@ double TuneResult::best_after(std::size_t n) const {
 
 namespace {
 
+// Fixed sizes of the searches and of the finalist re-measure.
+constexpr std::size_t kPopulation = 16;          ///< evolutionary pool
+constexpr std::size_t kCandidatesPerRound = 64;  ///< proposals the model scores
+constexpr std::size_t kMeasurePerRound = 8;      ///< top predictions measured
+constexpr std::size_t kFinalists = 6;
+constexpr std::size_t kRemeasureRounds = 7;
+
+/// A rate the tuner can rank: finite and positive.
+bool usable(double rate) { return std::isfinite(rate) && rate > 0.0; }
+
+/// The upper median (index size/2) of a non-empty sample; reorders it.
+double median(std::vector<double>& samples) {
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                   samples.end());
+  return samples[samples.size() / 2];
+}
+
 /// Shared measurement bookkeeping: records the trial (absorbing
 /// measurement failures as failed trials) and tracks the best.
 class Recorder {
@@ -47,8 +64,7 @@ class Recorder {
     } catch (...) {
       rec.failed = true;  // a crashed measurement is a failed trial
     }
-    if (!rec.failed &&
-        (!std::isfinite(rec.throughput) || rec.throughput <= 0.0)) {
+    if (!rec.failed && !usable(rec.throughput)) {
       rec.failed = true;  // NaN/Inf/non-positive: unusable measurement
       rec.throughput = 0.0;
     }
@@ -81,10 +97,9 @@ void run_random(const SearchSpace& space, Recorder& rec,
 }
 
 void run_evolutionary(const SearchSpace& space, Recorder& rec,
-                      std::mt19937_64& rng, std::size_t population) {
-  population = std::max<std::size_t>(population, 4);
+                      std::mt19937_64& rng) {
   std::vector<TrialRecord> pool;
-  for (std::size_t i = 0; i < population && !rec.exhausted(); ++i) {
+  for (std::size_t i = 0; i < kPopulation && !rec.exhausted(); ++i) {
     const tensor::Schedule s = space.sample(rng);
     // Failed trials enter the pool at throughput 0, so selection culls
     // them on the next generation.
@@ -96,9 +111,9 @@ void run_evolutionary(const SearchSpace& space, Recorder& rec,
               [](const TrialRecord& a, const TrialRecord& b) {
                 return a.throughput > b.throughput;
               });
-    pool.resize(std::max<std::size_t>(population / 2, 2));
+    pool.resize(kPopulation / 2);
     const std::size_t survivors = pool.size();
-    for (std::size_t i = 0; pool.size() < population && !rec.exhausted();
+    for (std::size_t i = 0; pool.size() < kPopulation && !rec.exhausted();
          ++i) {
       const tensor::Schedule child =
           space.mutate(pool[i % survivors].schedule, rng);
@@ -108,11 +123,10 @@ void run_evolutionary(const SearchSpace& space, Recorder& rec,
 }
 
 void run_model_guided(const SearchSpace& space, Recorder& rec,
-                      std::mt19937_64& rng, const TuneOptions& opt) {
+                      std::mt19937_64& rng) {
   CostModel model;
   // Bootstrap with random measurements so the model has signal.
-  const std::size_t bootstrap = std::max<std::size_t>(opt.measure_per_round, 4);
-  for (std::size_t i = 0; i < bootstrap && !rec.exhausted(); ++i) {
+  for (std::size_t i = 0; i < kMeasurePerRound && !rec.exhausted(); ++i) {
     const tensor::Schedule s = space.sample(rng);
     const TrialRecord& trial = rec.run(s);
     // Failed trials are skipped, not fed to the model: a NaN or zero
@@ -123,8 +137,8 @@ void run_model_guided(const SearchSpace& space, Recorder& rec,
     model.fit();
     // Propose candidates, score them with the model...
     std::vector<tensor::Schedule> candidates;
-    candidates.reserve(opt.candidates_per_round);
-    for (std::size_t i = 0; i < opt.candidates_per_round; ++i)
+    candidates.reserve(kCandidatesPerRound);
+    for (std::size_t i = 0; i < kCandidatesPerRound; ++i)
       candidates.push_back(space.sample(rng));
     std::sort(candidates.begin(), candidates.end(),
               [&](const tensor::Schedule& a, const tensor::Schedule& b) {
@@ -132,11 +146,7 @@ void run_model_guided(const SearchSpace& space, Recorder& rec,
                        model.predict(b, space.shape());
               });
     // ...then spend real measurements only on the most promising ones.
-    const std::size_t to_measure =
-        std::max<std::size_t>(opt.measure_per_round, 1);
-    for (std::size_t i = 0; i < to_measure && i < candidates.size() &&
-                            !rec.exhausted();
-         ++i) {
+    for (std::size_t i = 0; i < kMeasurePerRound && !rec.exhausted(); ++i) {
       const TrialRecord& trial = rec.run(candidates[i]);
       if (!trial.failed)
         model.add_sample(candidates[i], space.shape(), trial.throughput);
@@ -160,13 +170,59 @@ TuneResult tune(const SearchSpace& space, const MeasureFn& measure,
       run_random(space, rec, rng);
       break;
     case Policy::Evolutionary:
-      run_evolutionary(space, rec, rng, options.population);
+      run_evolutionary(space, rec, rng);
       break;
     case Policy::ModelGuided:
-      run_model_guided(space, rec, rng, options);
+      run_model_guided(space, rec, rng);
       break;
   }
   return std::move(rec).take();
+}
+
+TuneResult remeasure_finalists(TuneResult search, const MeasureFn& sample) {
+  // Successful trials, best first; the stable sort keeps the earlier
+  // trial ahead on equal rates, so the pick is deterministic.
+  std::vector<const TrialRecord*> ranked;
+  for (const TrialRecord& rec : search.history)
+    if (!rec.failed) ranked.push_back(&rec);
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const TrialRecord* a, const TrialRecord* b) {
+                     return a->throughput > b->throughput;
+                   });
+  std::vector<tensor::Schedule> finalists;
+  for (const TrialRecord* rec : ranked) {
+    if (finalists.size() == kFinalists) break;
+    if (std::find(finalists.begin(), finalists.end(), rec->schedule) ==
+        finalists.end())
+      finalists.push_back(rec->schedule);
+  }
+  if (finalists.empty()) return search;
+
+  // Round-robin, so drift during the re-measure hits every finalist
+  // alike. A failed sample drops its finalist.
+  std::vector<std::vector<double>> samples(finalists.size());
+  std::vector<bool> dropped(finalists.size(), false);
+  for (std::size_t round = 0; round < kRemeasureRounds; ++round) {
+    for (std::size_t i = 0; i < finalists.size(); ++i) {
+      if (dropped[i]) continue;
+      try {
+        samples[i].push_back(sample(finalists[i]));
+        dropped[i] = !usable(samples[i].back());
+      } catch (...) {
+        dropped[i] = true;
+      }
+    }
+  }
+  search.best_throughput = 0.0;
+  for (std::size_t i = 0; i < finalists.size(); ++i) {
+    if (dropped[i]) continue;
+    const double rate = median(samples[i]);
+    if (rate > search.best_throughput) {
+      search.best_throughput = rate;
+      search.best_schedule = finalists[i];
+    }
+  }
+  return search;
 }
 
 double measure_seconds_median(const std::function<void()>& fn,
@@ -181,9 +237,7 @@ double measure_seconds_median(const std::function<void()>& fn,
     const auto end = std::chrono::steady_clock::now();
     samples.push_back(std::chrono::duration<double>(end - start).count());
   }
-  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
-                   samples.end());
-  return samples[samples.size() / 2];
+  return median(samples);
 }
 
 }  // namespace tvmec::tune

@@ -33,11 +33,6 @@ struct TuneOptions {
   Policy policy = Policy::ModelGuided;
   std::size_t trials = 128;       ///< measurement budget
   std::uint64_t seed = 42;        ///< rng seed (deterministic search)
-  // Evolutionary knobs.
-  std::size_t population = 16;
-  // Model-guided knobs.
-  std::size_t candidates_per_round = 64;  ///< proposals scored by the model
-  std::size_t measure_per_round = 8;      ///< top predictions measured
 };
 
 struct TrialRecord {
@@ -71,6 +66,18 @@ struct TuneResult {
 /// space) with best_throughput 0.
 TuneResult tune(const SearchSpace& space, const MeasureFn& measure,
                 const TuneOptions& options);
+
+/// The pick that follows a search. A best trial is one sample, so on a
+/// noisy host it ranks luck as much as schedules. This takes the top 6
+/// distinct schedules among `search`'s successful trials (every one
+/// when fewer succeeded) and samples them round-robin for 7 rounds;
+/// best_schedule and best_throughput become the highest median (ties go
+/// to the better search trial), while history and failed_trials stay the
+/// search's. `sample` is fallible like a MeasureFn: a throw or an
+/// unusable rate drops that finalist. With no successful trial the
+/// search's fallback stands (its first candidate, throughput 0); when
+/// every finalist is dropped, best_throughput becomes 0.
+TuneResult remeasure_finalists(TuneResult search, const MeasureFn& sample);
 
 /// Times `fn` (already-warm) `repeats` times and returns the *median*
 /// seconds per invocation — the standard robust estimator for

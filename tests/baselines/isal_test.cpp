@@ -93,7 +93,9 @@ TEST(Isal, SimdPathReportsRuntimeDispatch) {
     EXPECT_TRUE(tensor::cpu_features().gfni);
     EXPECT_TRUE(tensor::cpu_features().avx2);
   }
-  if (path == IsalPath::Vpshufb) EXPECT_TRUE(tensor::cpu_features().avx2);
+  if (path == IsalPath::Vpshufb) {
+    EXPECT_TRUE(tensor::cpu_features().avx2);
+  }
 
   tensor::set_forced_variant(tensor::KernelVariant::Scalar);
   EXPECT_EQ(IsalCoder::active_path(), IsalPath::Scalar);

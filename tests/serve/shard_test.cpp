@@ -410,7 +410,7 @@ TEST(ShardedEcService, WarmStartInstallsCachedScheduleOnFirstSight) {
   }
 
   ShardedServiceConfig cfg = pump_config(2);
-  cfg.autotune.log_path = log;  // load-only warm start, tuner disabled
+  cfg.schedule_log = log;
   ShardedEcService front(cfg);
   EXPECT_EQ(front.schedule_cache().size(), 1u);
 
@@ -424,7 +424,7 @@ TEST(ShardedEcService, WarmStartInstallsCachedScheduleOnFirstSight) {
     front.run_pending();
     EXPECT_EQ(f.wait().status, RequestStatus::Ok);
     EXPECT_EQ(std::memcmp(parity.data(), want.data(), want.size()), 0);
-    EXPECT_EQ(front.stats().autotune.cache.hits, shard + 1);
+    EXPECT_EQ(front.stats().schedule_cache.hits, shard + 1);
   }
   std::remove(log.c_str());
 }
@@ -482,7 +482,7 @@ TEST(ShardedEcService, ConcurrentCacheInstallsKeepServingExact) {
   EXPECT_TRUE(fs.aggregate.admission_balanced());
   EXPECT_TRUE(fs.aggregate.drained_balanced());
   EXPECT_TRUE(fs.front_balanced());
-  EXPECT_EQ(fs.autotune.cache.installs, 400u);
+  EXPECT_EQ(fs.schedule_cache.installs, 400u);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 namespace tvmec::tune {
 namespace {
@@ -245,6 +248,113 @@ TEST(Tuner, ModelGuidedBeatsRandomOnLearnableLandscape) {
   };
   EXPECT_LE(trials_to_bar(Policy::ModelGuided),
             trials_to_bar(Policy::Random));
+}
+
+/// Distinct schedules for hand-built search results.
+tensor::Schedule nth(std::size_t i) {
+  return {.tile_m = 8, .tile_n = 16, .block_n = 64 * (i + 1)};
+}
+
+TEST(Tuner, RemeasureOverrulesTheLuckiestSearchTrial) {
+  TuneResult search;
+  search.history = {{nth(0), 100.0}, {nth(1), 90.0}, {nth(2), 85.0},
+                    {nth(3), 80.0}, {nth(4), 75.0}};
+  search.best_schedule = nth(0);
+  search.best_throughput = 100.0;
+  std::vector<std::size_t> calls(5, 0);  // per finalist, by nth index
+  const MeasureFn sample = [&](const tensor::Schedule& s) -> double {
+    const std::size_t round = calls[s.block_n / 64 - 1]++;
+    // The luckiest search trial re-measures slow.
+    if (s == nth(0)) return 50.0;
+    // 70, 71, ..., 76: median 73.
+    if (s == nth(1)) return 70.0 + static_cast<double>(round);
+    // One lucky sample cannot lift a median of 40.
+    if (s == nth(2)) return round == 0 ? 1000.0 : 40.0;
+    // The fastest until its sampling fails: dropped.
+    if (s == nth(3)) {
+      if (round == 3) throw std::runtime_error("lost the device");
+      return 500.0;
+    }
+    // The fastest but for one unusable rate: dropped.
+    return round == 2 ? 0.0 : 500.0;
+  };
+  const TuneResult picked = remeasure_finalists(search, sample);
+  EXPECT_EQ(picked.best_schedule, nth(1));
+  EXPECT_DOUBLE_EQ(picked.best_throughput, 73.0);
+  EXPECT_EQ(calls, (std::vector<std::size_t>{7, 7, 7, 4, 3}));
+  // The search's record stays the search's.
+  ASSERT_EQ(picked.history.size(), 5u);
+  EXPECT_EQ(picked.history[0].throughput, 100.0);
+  EXPECT_DOUBLE_EQ(picked.best_after(1), 100.0);
+}
+
+TEST(Tuner, FinalistsAreTheTopSixDistinctSuccessfulTrials) {
+  const auto finalists_of = [](const TuneResult& search) {
+    std::vector<tensor::Schedule> calls;
+    remeasure_finalists(search, [&](const tensor::Schedule& s) {
+      calls.push_back(s);
+      return 1.0;
+    });
+    // Round-robin: each of the 7 rounds samples every finalist once, in
+    // rank order, so the first round ends at the first repeat.
+    std::vector<tensor::Schedule> finalists;
+    for (const tensor::Schedule& s : calls) {
+      if (std::find(finalists.begin(), finalists.end(), s) != finalists.end())
+        break;
+      finalists.push_back(s);
+    }
+    EXPECT_EQ(calls.size(), 7 * finalists.size());
+    for (std::size_t i = 0; i < calls.size(); ++i)
+      EXPECT_EQ(calls[i], finalists[i % finalists.size()]);
+    return finalists;
+  };
+
+  // Eight distinct successes rated 10..80, the best one repeated below
+  // the rest, and a failed trial: the top six, the repeat counted once.
+  TuneResult many;
+  for (std::size_t i = 0; i < 8; ++i)
+    many.history.push_back({nth(i), 10.0 * static_cast<double>(i + 1)});
+  many.history.push_back({nth(7), 5.0});
+  many.history.push_back({nth(8), 0.0, true});
+  EXPECT_EQ(finalists_of(many), (std::vector<tensor::Schedule>{
+                                    nth(7), nth(6), nth(5), nth(4), nth(3),
+                                    nth(2)}));
+
+  // Fewer than six distinct successes: every one is a finalist, and no
+  // failed trial is, though it outnumbers them.
+  TuneResult few;
+  few.history = {{nth(0), 0.0, true}, {nth(1), 30.0}, {nth(2), 0.0, true},
+                 {nth(1), 35.0},      {nth(3), 20.0}, {nth(4), 0.0, true},
+                 {nth(5), 0.0, true}, {nth(6), 0.0, true}};
+  EXPECT_EQ(finalists_of(few),
+            (std::vector<tensor::Schedule>{nth(1), nth(3)}));
+}
+
+TEST(Tuner, RemeasureKeepsTheAllFailedFallback) {
+  const SearchSpace space(shape(), 4);
+  TuneOptions opt;
+  opt.trials = 5;
+  const TuneResult search = tune(
+      space,
+      [](const tensor::Schedule&) -> double {
+        throw std::runtime_error("measurement rig is down");
+      },
+      opt);
+  const TuneResult picked =
+      remeasure_finalists(search, [](const tensor::Schedule&) -> double {
+        ADD_FAILURE() << "a failed trial was re-measured";
+        return 1.0;
+      });
+  EXPECT_EQ(picked.failed_trials, 5u);
+  EXPECT_EQ(picked.best_throughput, 0.0);
+  EXPECT_EQ(picked.best_schedule, search.history.front().schedule);
+
+  // Successful trials whose every re-measure fails leave no winner.
+  TuneResult flaky;
+  flaky.history = {{nth(0), 10.0}, {nth(1), 20.0}};
+  const TuneResult none = remeasure_finalists(
+      flaky, [](const tensor::Schedule&) { return std::nan(""); });
+  EXPECT_EQ(none.best_throughput, 0.0);
 }
 
 TEST(MeasureSecondsMedian, ReturnsPlausibleDuration) {
