@@ -6,10 +6,11 @@
 // This is the design-choice evidence behind DESIGN.md's schedule menu.
 //
 // --smoke: skips the google-benchmark sweep and gates on runtime kernel
-// dispatch — if CPUID says this host has a SIMD tier but the resolved
-// variant is scalar (with no TVMEC_FORCE_VARIANT explaining it), the
-// dispatch seam is broken and the run exits nonzero. CI uses this to
-// catch "generic build silently fell back to portable code".
+// dispatch — if the resolved variant (with no TVMEC_FORCE_VARIANT
+// explaining it) is not best_variant(), or not the best tier CPUID says
+// this host has, the dispatch seam is broken and the run exits nonzero.
+// CI uses this to catch "generic build silently fell back to a lesser
+// tier" (portable code, or AVX-512 on a GFNI host).
 
 #include <benchmark/benchmark.h>
 
@@ -42,21 +43,35 @@ void print_variant_line() {
                                        : "");
 }
 
-/// --smoke gate: on hardware with any SIMD tier, an unforced run must
-/// not resolve to scalar. Returns the process exit code.
+/// The tier CPUID says this host runs best, whatever the binary carries.
+tensor::KernelVariant cpuid_best_variant() {
+  const tensor::CpuFeatures& f = tensor::cpu_features();
+  const bool avx512 = f.avx512f && f.avx512bw && f.avx512vl;
+  if (avx512 && f.gfni) return tensor::KernelVariant::Gfni;
+  if (avx512) return tensor::KernelVariant::Avx512;
+  if (f.avx2) return tensor::KernelVariant::Avx2;
+  if (f.neon) return tensor::KernelVariant::Neon;
+  return tensor::KernelVariant::Scalar;
+}
+
+/// --smoke gate: an unforced run must resolve to best_variant(), and that
+/// must be the best tier CPUID reports (a lesser one means a variant TU
+/// fell out of the binary). Returns the process exit code.
 int run_smoke_gate() {
   print_variant_line();
   const tensor::KernelVariant active = tensor::active_variant();
   const tensor::KernelVariant best = tensor::best_variant();
+  const tensor::KernelVariant host = cpuid_best_variant();
   if (tensor::forced_variant()) {
     std::printf("smoke: variant forced, dispatch gate skipped\n");
     return 0;
   }
-  if (best != tensor::KernelVariant::Scalar &&
-      active == tensor::KernelVariant::Scalar) {
+  if (active != best || active != host) {
     std::printf(
-        "smoke: FAIL — host offers %s but dispatch resolved scalar\n",
-        tensor::to_string(best));
+        "smoke: FAIL — CPUID offers %s, best_variant() is %s, dispatch "
+        "resolved %s\n",
+        tensor::to_string(host), tensor::to_string(best),
+        tensor::to_string(active));
     return 1;
   }
   std::printf("smoke: dispatch OK\n");

@@ -46,7 +46,9 @@ inline double median_encode_gbps(const ec::MatrixCoder& coder,
 /// Drift-resistant comparison: measures several coders round-robin over
 /// `rounds` passes (so slow frequency/neighbor drift affects every coder
 /// equally) and returns the per-coder median GB/s. Each sample times
-/// `inner` back-to-back applies.
+/// `inner` back-to-back applies right after a warm-up apply of the same
+/// coder, so no coder is timed straight after another's (slower or
+/// single-threaded) runs.
 inline std::vector<double> interleaved_median_gbps(
     const std::vector<const ec::MatrixCoder*>& coders,
     std::span<const std::uint8_t> in, std::size_t unit_size,
@@ -54,12 +56,10 @@ inline std::vector<double> interleaved_median_gbps(
   std::vector<std::vector<double>> samples(coders.size());
   std::vector<tensor::AlignedBuffer<std::uint8_t>> outs;
   outs.reserve(coders.size());
-  for (const auto* c : coders) {
-    outs.emplace_back(c->out_units() * unit_size);
-    c->apply(in, outs.back().span(), unit_size);  // warm-up
-  }
+  for (const auto* c : coders) outs.emplace_back(c->out_units() * unit_size);
   for (std::size_t round = 0; round < rounds; ++round) {
     for (std::size_t i = 0; i < coders.size(); ++i) {
+      coders[i]->apply(in, outs[i].span(), unit_size);  // warm-up
       const double secs = tune::measure_seconds_median(
           [&] { coders[i]->apply(in, outs[i].span(), unit_size); }, inner);
       samples[i].push_back(static_cast<double>(in.size()) / secs / 1e9);

@@ -51,13 +51,15 @@ IsalCoder::IsalCoder(const gf::Matrix& coeffs)
 
 IsalPath IsalCoder::active_path() noexcept {
   // Follow the library-wide variant tier so one TVMEC_FORCE_VARIANT knob
-  // pins baseline and tensor kernels alike. The Avx512 tier maps to GFNI
-  // when the host has it (GFNI ships on every AVX-512 server part this
-  // baseline targets); otherwise it degrades to vpshufb.
+  // pins baseline and tensor kernels alike. The Gfni tier maps to GFNI,
+  // and so does Avx512 when the host has it (GFNI ships on every AVX-512
+  // server part this baseline targets); otherwise both degrade to
+  // vpshufb.
   const tensor::CpuFeatures& f = tensor::cpu_features();
   const bool vpshufb_ok = f.avx2 && isal_vpshufb_kernel() != nullptr;
   const bool gfni_ok = f.gfni && f.avx2 && isal_gfni_kernel() != nullptr;
   switch (tensor::active_variant()) {
+    case tensor::KernelVariant::Gfni:
     case tensor::KernelVariant::Avx512:
       if (gfni_ok) return IsalPath::Gfni;
       [[fallthrough]];

@@ -50,6 +50,8 @@ GemmCoder::GemmCoder(const gf::Matrix& coeffs, const tensor::Schedule& schedule)
       in_units_(coeffs.cols()),
       out_units_(coeffs.rows()),
       masks_(build_masks(coeffs)),
+      blocks_(tensor::affine_blocks({masks_.data(), out_units_ * w_,
+                                     in_units_ * w_, in_units_ * w_})),
       schedule_(schedule) {
   if (!schedule_.valid())
     throw std::invalid_argument("GemmCoder: invalid schedule");
@@ -73,6 +75,13 @@ tensor::Schedule GemmCoder::schedule_for(std::size_t unit_size) const {
   s.par_axis = schedule_.par_axis;
   s.par_grain = schedule_.par_grain;
   return s;
+}
+
+tensor::MatView<const std::uint64_t> GemmCoder::block_view(
+    std::size_t kw) const {
+  if (blocks_.empty()) return {};
+  return {blocks_.data(), (out_units_ * w_ + 7) / 8, (kw + 7) / 8,
+          (in_units_ * w_ + 7) / 8};
 }
 
 tensor::Schedule GemmCoder::batch_schedule(std::size_t unit_size,
@@ -99,7 +108,8 @@ void GemmCoder::run(std::span<const std::uint8_t> in,
   // The contiguous unit buffer *is* the packed B matrix: packet p of unit
   // u is row u*w + p, and rows are exactly packet_words apart. Leading
   // units alone (apply_leading) multiply A's leading kw columns, read at
-  // A's full row stride: the missing units' zero rows add nothing.
+  // A's full row stride, and so does the block form: the missing units'
+  // zero rows add nothing.
   const tensor::MatView<const std::uint64_t> a{masks_.data(), rw, kw,
                                                in_units_ * w_};
   const tensor::MatView<const std::uint64_t> b{
@@ -108,7 +118,7 @@ void GemmCoder::run(std::span<const std::uint8_t> in,
   const tensor::MatView<std::uint64_t> c{
       reinterpret_cast<std::uint64_t*>(out.data()), rw, packet_words,
       packet_words};
-  tensor::gemm_xorand(a, b, c, schedule, cancel);
+  tensor::gemm_xorand(a, block_view(kw), b, c, schedule, cancel);
 }
 
 void GemmCoder::apply_leading(std::span<const std::uint8_t> in,
@@ -257,7 +267,7 @@ void GemmCoder::apply_scattered(std::span<const ScatteredCoderItem> items,
     }
     const tensor::MatView<const std::uint64_t> a{masks_.data(), rw, kw, kw};
     tensor::gemm_xorand_scattered(
-        a,
+        a, block_view(kw),
         tensor::ScatteredView<const std::uint64_t>(kw, n_total,
                                                    std::move(b_frags)),
         tensor::ScatteredView<std::uint64_t>(rw, n_total, std::move(c_frags)),

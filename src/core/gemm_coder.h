@@ -14,8 +14,10 @@
 /// the ML-library substrate.
 ///
 /// A coefficient matrix over GF(2^w) is expanded to its bitmatrix and
-/// stored as broadcast masks (0 / ~0 per 64-bit lane); input units are
-/// viewed, without copying, as a packed (k*w) x d/(8w) word matrix; and
+/// stored as broadcast masks (0 / ~0 per 64-bit lane), plus their 8x8
+/// block form for the Gfni kernel tier (tensor::affine_blocks); input
+/// units are viewed, without copying, as a packed (k*w) x d/(8w) word
+/// matrix; and
 /// the whole encode is one gemm_xorand call whose schedule (register
 /// tiles, cache blocks, threads) comes from the autotuner — the direct
 /// analogue of the paper's 40-line TVM implementation.
@@ -147,11 +149,14 @@ class GemmCoder final : public ec::MatrixCoder {
   /// `max_threads` when positive (the batched entries' contract).
   tensor::Schedule batch_schedule(std::size_t unit_size,
                                   int max_threads) const;
+  /// blocks_ viewed for a GEMM over the leading `kw` columns of A.
+  tensor::MatView<const std::uint64_t> block_view(std::size_t kw) const;
 
   unsigned w_;
   std::size_t in_units_;
   std::size_t out_units_;
   tensor::AlignedBuffer<std::uint64_t> masks_;  // (out*w) x (in*w) broadcast
+  tensor::AlignedBuffer<std::uint64_t> blocks_;  // affine_blocks(masks_)
   tensor::Schedule schedule_;
   std::shared_ptr<const tune::ScheduleCache> schedule_cache_;
 };

@@ -108,6 +108,16 @@ MicroFn<S> select_micro(const Schedule& s) {
 /// between polls. A multiple of every supported tile_n.
 constexpr std::size_t kCancelBlockWords = 4096;
 
+/// The Gfni road of one XorAnd call: the tier's kernels and A's block
+/// form (affine_blocks), or null kernels when the call runs the XorAnd
+/// microkernels.
+struct GfniRoad {
+  const GfniKernels* kernels = nullptr;
+  MatView<const std::uint64_t> blocks;
+};
+
+std::size_t round_up8(std::size_t x) { return (x + 7) / 8 * 8; }
+
 /// Operand kinds of the one blocked loop. A MatView is read or written
 /// in place through its stride; a ScatteredView is packed: its panels
 /// are gathered from (or scattered to) its fragments.
@@ -152,47 +162,71 @@ std::size_t validate_shapes(MatView<const typename S::value_type> a,
 /// `cancel` is polled once per n-block; with a valid token an unblocked
 /// in-place N is cut into kCancelBlockWords blocks, so even a one-thread
 /// run observes cancellation mid-matrix.
+///
+/// On the Gfni road (a non-null `gfni.kernels`, XorAnd only; the
+/// dispatcher hands it all of M) both operands always pass through
+/// byte-element panels: packing
+/// transposes each 8-row group of the k-block, the tier's microkernel
+/// accumulates every 8x8 block of A into the C panel, and the n-block's
+/// C is transposed back on store. Rows are read and written where they
+/// live; only a row range that straddles fragments goes through a row
+/// panel. K and M are zero-padded to 8-row groups and k-blocks start on
+/// them, the columns of A's block form.
 template <class S, class BOp, class COp>
-void run_block(MatView<const typename S::value_type> a, const BOp& b,
-               const COp& c, const Schedule& s, std::size_t m0,
+void run_block(MatView<const typename S::value_type> a, const GfniRoad& gfni,
+               const BOp& b, const COp& c, const Schedule& s, std::size_t m0,
                std::size_t m1, std::size_t n0, std::size_t n1,
                const CancelToken& cancel) {
   using V = typename S::value_type;
+  constexpr bool kXorAnd = std::is_same_v<S, XorAnd64>;
   constexpr bool kPackB = kPacked<BOp>;
   constexpr bool kPackC = kPacked<COp>;
-  const MicroFn<S> micro = select_micro<S>(s);
+  const GfniKernels* const gk = gfni.kernels;
+  const MicroFn<S> micro = gk ? nullptr : select_micro<S>(s);
   const std::size_t tm = static_cast<std::size_t>(s.tile_m);
   const std::size_t tn = static_cast<std::size_t>(s.tile_n);
   const std::size_t k = a.cols;
   const std::size_t rows = m1 - m0;
-  const std::size_t block_k = s.block_k == 0 ? k : std::min(s.block_k, k);
+  std::size_t block_k = s.block_k == 0 ? k : std::min(s.block_k, k);
+  if (gk) block_k = round_up8(block_k);
 
   std::size_t block_n = s.block_n;
   V* b_panel = nullptr;
   V* c_panel = nullptr;
+  V* row_panel = nullptr;  // Gfni road: 8 rows that straddle fragments
   AlignedBuffer<std::uint64_t> overflow;
-  if constexpr (kPackB || kPackC) {
-    if (block_n == 0) {
-      // A packed n-block is materialized, so block_n == 0 cannot mean
-      // "whole N": a full-width panel would be the staging buffer the
-      // packed road exists to avoid. Size it so the B and C panels stay
-      // cache-resident.
-      constexpr std::size_t kPanelBudgetWords =
-          (std::size_t{1} << 18) / sizeof(std::uint64_t);  // 256 KiB
-      block_n = kPanelBudgetWords / (block_k + rows) / tn * tn;
+  if constexpr (kXorAnd) {
+    if (kPackB || kPackC || gk) {
+      if (block_n == 0) {
+        // A packed n-block is materialized, so block_n == 0 cannot mean
+        // "whole N": a full-width panel would be the staging buffer the
+        // packed road exists to avoid. Size it so the B and C panels
+        // stay cache-resident.
+        constexpr std::size_t kPanelBudgetWords =
+            (std::size_t{1} << 18) / sizeof(std::uint64_t);  // 256 KiB
+        block_n = kPanelBudgetWords / (block_k + rows) / tn * tn;
+      }
+      block_n = std::max(block_n, tn);
+      if (gk) block_n = round_up8(block_n);
+      // The Gfni road's panels hold byte elements of whole 8-row groups,
+      // plus 8 rows for ranges that straddle fragments.
+      const std::size_t b_words = kPackB || gk ? block_k * block_n : 0;
+      const std::size_t c_words = gk       ? round_up8(rows) * block_n
+                                  : kPackC ? rows * block_n
+                                           : 0;
+      const std::size_t row_words = gk && (kPackB || kPackC) ? 8 * block_n : 0;
+      b_panel = acquire_scratch(b_words + c_words + row_words, overflow);
+      c_panel = b_panel + b_words;
+      row_panel = c_panel + c_words;
     }
-    block_n = std::max(block_n, tn);
-    const std::size_t b_words = kPackB ? block_k * block_n : 0;
-    b_panel = acquire_scratch(b_words + (kPackC ? rows * block_n : 0),
-                              overflow);
-    c_panel = b_panel + b_words;
-  } else if (block_n == 0) {
-    block_n = cancel.valid() ? kCancelBlockWords : n1 - n0;
   }
+  if (block_n == 0) block_n = cancel.valid() ? kCancelBlockWords : n1 - n0;
 
   for (std::size_t nb = n0; nb < n1; nb += block_n) {
     cancel.throw_if_cancelled();
     const std::size_t nn_blk = std::min(n1 - nb, block_n);
+    // Gfni road: words between the panels' 8-row groups.
+    const std::size_t group_words = 8 * round_up8(nn_blk);
     // This n-block of C: element (i, j) at c_blk[(i - m0) * ldc + j - nb].
     V* c_blk = c_panel;
     std::size_t ldc = nn_blk;
@@ -200,12 +234,39 @@ void run_block(MatView<const typename S::value_type> a, const BOp& b,
       c_blk = c.row(m0) + nb;
       ldc = c.stride;
     }
-    // Zero the block once; k-blocks then accumulate into it.
-    for (std::size_t i = 0; i < rows; ++i)
-      std::fill_n(c_blk + i * ldc, nn_blk, S::zero());
+    // Zero the block once; k-blocks then accumulate into it. (The Gfni
+    // road's first k-block overwrites its panel instead.)
+    if (!gk)
+      for (std::size_t i = 0; i < rows; ++i)
+        std::fill_n(c_blk + i * ldc, nn_blk, S::zero());
 
     for (std::size_t kb = 0; kb < k; kb += block_k) {
       const std::size_t kk = std::min(k - kb, block_k);
+      if constexpr (kXorAnd) {
+        if (gk) {
+          for (std::size_t r = 0; r < kk; r += 8) {
+            const std::size_t nr = std::min<std::size_t>(8, kk - r);
+            const V* src[8] = {};
+            for (std::size_t t = 0; t < nr; ++t) {
+              if constexpr (kPackB) {
+                const std::size_t pos = (kb + r + t) * b.cols() + nb;
+                src[t] = b.find_contiguous(pos, nn_blk);
+                if (src[t] == nullptr) {
+                  b.gather(pos, nn_blk, row_panel + t * nn_blk);
+                  src[t] = row_panel + t * nn_blk;
+                }
+              } else {
+                src[t] = b.row(kb + r + t) + nb;
+              }
+            }
+            gk->pack(src, nr, nn_blk, b_panel + r / 8 * group_words);
+          }
+          gk->micro(gfni.blocks.row(m0 / 8) + kb / 8, gfni.blocks.stride,
+                    (rows + 7) / 8, (kk + 7) / 8, b_panel, c_panel,
+                    group_words, kb > 0);
+          continue;
+        }
+      }
       // This (k-block, n-block) of B: element (r, j) at
       // b_blk[(r - kb) * ldb + j - nb].
       const V* b_blk = b_panel;
@@ -233,6 +294,28 @@ void run_block(MatView<const typename S::value_type> a, const BOp& b,
       }
     }
 
+    if constexpr (kXorAnd) {
+      if (gk) {
+        for (std::size_t i = 0; i < rows; i += 8) {
+          const std::size_t nr = std::min<std::size_t>(8, rows - i);
+          V* dst[8] = {};
+          for (std::size_t t = 0; t < nr; ++t) {
+            if constexpr (kPackC) {
+              dst[t] = c.find_contiguous((m0 + i + t) * c.cols() + nb, nn_blk);
+              if (dst[t] == nullptr) dst[t] = row_panel + t * nn_blk;
+            } else {
+              dst[t] = c.row(m0 + i + t) + nb;
+            }
+          }
+          gk->unpack(c_panel + i / 8 * group_words, nr, nn_blk, dst);
+          if constexpr (kPackC)
+            for (std::size_t t = 0; t < nr; ++t)
+              if (dst[t] == row_panel + t * nn_blk)
+                c.scatter((m0 + i + t) * c.cols() + nb, nn_blk, dst[t]);
+        }
+        continue;
+      }
+    }
     if constexpr (kPackC)
       for (std::size_t i = 0; i < rows; ++i)
         c.scatter((m0 + i) * c.cols() + nb, nn_blk, c_panel + i * nn_blk);
@@ -283,21 +366,36 @@ AxisChunks make_axis_chunks(std::size_t extent, std::size_t tile,
 }
 
 /// The one parallel dispatcher: validates, then hands run_block the
-/// whole matrix (serial) or the schedule's partition (parallel).
+/// whole matrix (serial) or the schedule's partition (parallel). An
+/// XorAnd call that resolves to the Gfni tier takes the Gfni road when
+/// `blocks` (A's block form) is non-null; a null one runs the tier's
+/// AVX-512 fallback.
 template <class S, class BOp, class COp>
-void gemm_scheduled(MatView<const typename S::value_type> a, const BOp& b,
+void gemm_scheduled(MatView<const typename S::value_type> a,
+                    MatView<const std::uint64_t> blocks, const BOp& b,
                     const COp& c, const Schedule& s,
                     const CancelToken& cancel) {
   const std::size_t n = validate_shapes<S>(a, b, c);
   if (!s.valid()) throw std::invalid_argument("gemm: invalid schedule");
-  constexpr bool kAnyPacked = kPacked<BOp> || kPacked<COp>;
+  GfniRoad gfni;
+  if constexpr (std::is_same_v<S, XorAnd64>) {
+    if (blocks.data != nullptr &&
+        resolve_variant(s.variant) == KernelVariant::Gfni) {
+      if (blocks.rows != (a.rows + 7) / 8 ||
+          blocks.cols != (a.cols + 7) / 8 || blocks.stride < blocks.cols)
+        throw std::invalid_argument("gemm: block form does not match A");
+      gfni = {gfni_kernels(), blocks};
+    }
+  }
+  // The Gfni road packs both operands, so it partitions N like them.
+  const bool any_packed = kPacked<BOp> || kPacked<COp> || gfni.kernels;
   const std::size_t m = a.rows;
   const std::size_t threads = static_cast<std::size_t>(s.num_threads);
   const std::size_t tm = static_cast<std::size_t>(s.tile_m);
   const std::size_t tn = static_cast<std::size_t>(s.tile_n);
   const auto block = [&](std::size_t m0, std::size_t m1, std::size_t n0,
                          std::size_t n1) {
-    run_block<S>(a, b, c, s, m0, m1, n0, n1, cancel);
+    run_block<S>(a, gfni, b, c, s, m0, m1, n0, n1, cancel);
   };
 
   if (threads <= 1) {
@@ -310,7 +408,7 @@ void gemm_scheduled(MatView<const typename S::value_type> a, const BOp& b,
   // Any packed operand partitions N: M is tiny for erasure codes and
   // packed C panels are column-block-local, so there is nothing to gain
   // (and scatter-aliasing to lose) from splitting M.
-  switch (kAnyPacked ? ParAxis::N : s.par_axis) {
+  switch (any_packed ? ParAxis::N : s.par_axis) {
     case ParAxis::M: {
       const AxisChunks mc = make_axis_chunks(m, tm, s.par_grain, threads);
       pool.parallel_for(
@@ -391,13 +489,52 @@ std::size_t kernel_scratch_retained_bytes() noexcept {
   return tl_scratch.size() * sizeof(std::uint64_t);
 }
 
+AlignedBuffer<std::uint64_t> affine_blocks(MatView<const std::uint64_t> a) {
+  if (a.rows == 0 || a.cols == 0 || !variant_available(KernelVariant::Gfni))
+    return {};
+  a.validate();
+  AlignedBuffer<std::uint64_t> blocks((a.rows + 7) / 8 * ((a.cols + 7) / 8));
+  if (!gfni_kernels()->blocks(a.data, a.stride, a.rows, a.cols,
+                              blocks.data()))
+    return {};
+  return blocks;
+}
+
+namespace {
+
+MatView<const std::uint64_t> block_view(const AlignedBuffer<std::uint64_t>& b,
+                                        MatView<const std::uint64_t> a) {
+  if (b.empty()) return {};
+  const std::size_t kg = (a.cols + 7) / 8;
+  return {b.data(), (a.rows + 7) / 8, kg, kg};
+}
+
+/// A's block form when the call resolves to the Gfni tier (one scan of
+/// A); otherwise empty, and no scan.
+AlignedBuffer<std::uint64_t> blocks_if_gfni(MatView<const std::uint64_t> a,
+                                            const Schedule& schedule) {
+  if (resolve_variant(schedule.variant) != KernelVariant::Gfni) return {};
+  return affine_blocks(a);
+}
+
+}  // namespace
+
 void gemm_xorand(MatView<const std::uint64_t> a, MatView<const std::uint64_t> b,
                  MatView<std::uint64_t> c, const Schedule& schedule,
                  const CancelToken& cancel) {
-  gemm_scheduled<XorAnd64>(a, b, c, schedule, cancel);
+  const AlignedBuffer<std::uint64_t> blocks = blocks_if_gfni(a, schedule);
+  gemm_scheduled<XorAnd64>(a, block_view(blocks, a), b, c, schedule, cancel);
+}
+
+void gemm_xorand(MatView<const std::uint64_t> a,
+                 MatView<const std::uint64_t> blocks,
+                 MatView<const std::uint64_t> b, MatView<std::uint64_t> c,
+                 const Schedule& schedule, const CancelToken& cancel) {
+  gemm_scheduled<XorAnd64>(a, blocks, b, c, schedule, cancel);
 }
 
 void gemm_xorand_scattered(MatView<const std::uint64_t> a,
+                           MatView<const std::uint64_t> blocks,
                            const ScatteredView<const std::uint64_t>& b,
                            const ScatteredView<std::uint64_t>& c,
                            const Schedule& schedule,
@@ -405,25 +542,34 @@ void gemm_xorand_scattered(MatView<const std::uint64_t> a,
   // A one-fragment operand is physically contiguous: the loop reads or
   // writes it in place, and packs only the fragmented ones.
   if (b.contiguous() && c.contiguous())
-    gemm_scheduled<XorAnd64>(a, b.as_matview(), c.as_matview(), schedule,
-                             cancel);
+    gemm_scheduled<XorAnd64>(a, blocks, b.as_matview(), c.as_matview(),
+                             schedule, cancel);
   else if (b.contiguous())
-    gemm_scheduled<XorAnd64>(a, b.as_matview(), c, schedule, cancel);
+    gemm_scheduled<XorAnd64>(a, blocks, b.as_matview(), c, schedule, cancel);
   else if (c.contiguous())
-    gemm_scheduled<XorAnd64>(a, b, c.as_matview(), schedule, cancel);
+    gemm_scheduled<XorAnd64>(a, blocks, b, c.as_matview(), schedule, cancel);
   else
-    gemm_scheduled<XorAnd64>(a, b, c, schedule, cancel);
+    gemm_scheduled<XorAnd64>(a, blocks, b, c, schedule, cancel);
+}
+
+void gemm_xorand_scattered(MatView<const std::uint64_t> a,
+                           const ScatteredView<const std::uint64_t>& b,
+                           const ScatteredView<std::uint64_t>& c,
+                           const Schedule& schedule,
+                           const CancelToken& cancel) {
+  const AlignedBuffer<std::uint64_t> blocks = blocks_if_gfni(a, schedule);
+  gemm_xorand_scattered(a, block_view(blocks, a), b, c, schedule, cancel);
 }
 
 void gemm_sumprod_i64(MatView<const std::int64_t> a,
                       MatView<const std::int64_t> b, MatView<std::int64_t> c,
                       const Schedule& schedule) {
-  gemm_scheduled<SumProd<std::int64_t>>(a, b, c, schedule, {});
+  gemm_scheduled<SumProd<std::int64_t>>(a, {}, b, c, schedule, {});
 }
 
 void gemm_sumprod_f32(MatView<const float> a, MatView<const float> b,
                       MatView<float> c, const Schedule& schedule) {
-  gemm_scheduled<SumProd<float>>(a, b, c, schedule, {});
+  gemm_scheduled<SumProd<float>>(a, {}, b, c, schedule, {});
 }
 
 void gemm_naive_sumprod_f32(MatView<const float> a, MatView<const float> b,

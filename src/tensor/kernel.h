@@ -35,9 +35,34 @@ namespace tvmec::tensor {
 /// just for the poll, so even a one-thread run observes cancellation
 /// mid-matrix). An observed flag throws Cancelled; C is then partially
 /// written and must be treated as garbage by the caller.
+///
+/// A call that resolves to the Gfni tier derives A's block form
+/// (affine_blocks) per call, one scan of A; callers that hold it pass it
+/// to the overload below instead.
 void gemm_xorand(MatView<const std::uint64_t> a, MatView<const std::uint64_t> b,
                  MatView<std::uint64_t> c, const Schedule& schedule,
                  const CancelToken& cancel = {});
+
+/// A's 8x8 block form, the A operand of the Gfni tier: A zero-padded to
+/// multiples of 8 rows and columns, one gf2p8affineqb matrix qword per
+/// 8x8 block, ceil(M/8) x ceil(K/8) row-major. Byte 7 - i of block
+/// (I, J) holds row 8I + i of the block, column 8J + s in bit s. Empty
+/// when A is empty or some word of A is neither 0 nor ~0 (such an A has
+/// no block form, and the tier runs its AVX-512 XorAnd fallback), and on
+/// a host without the tier, which never reads it. Derived by the tier's
+/// own TU, one vector test per 8 words of A.
+AlignedBuffer<std::uint64_t> affine_blocks(MatView<const std::uint64_t> a);
+
+/// gemm_xorand with A's block form supplied by the caller. `blocks`
+/// views affine_blocks of A, or of a wider matrix whose leading K
+/// columns A is (B's zero padding rows make the extra columns inert), as
+/// ceil(M/8) x ceil(K/8) at any stride; a null view means A has none.
+/// Only the Gfni tier reads it. Throws std::invalid_argument when a
+/// Gfni call's view has the wrong shape.
+void gemm_xorand(MatView<const std::uint64_t> a,
+                 MatView<const std::uint64_t> blocks,
+                 MatView<const std::uint64_t> b, MatView<std::uint64_t> c,
+                 const Schedule& schedule, const CancelToken& cancel = {});
 
 /// Observability for the §5 staging tax and kernel scratch usage.
 ///

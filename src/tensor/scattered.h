@@ -80,6 +80,15 @@ class ScatteredView {
     return {fragments_.front().ptr, rows_, cols_, cols_};
   }
 
+  /// The logical word range [pos, pos + len) in place when one fragment
+  /// holds all of it, else nullptr (the range must then be gathered or
+  /// scattered).
+  T* find_contiguous(std::size_t pos, std::size_t len) const noexcept {
+    const std::size_t f = fragment_index(pos);
+    if (pos + len > offsets_[f + 1]) return nullptr;
+    return fragments_[f].ptr + (pos - offsets_[f]);
+  }
+
   /// Copies the logical word range [pos, pos + len) into dst. This is the
   /// packing primitive: kernels call it per cache panel so every source
   /// word is read exactly once per k-block.
@@ -140,9 +149,18 @@ class ScatteredView {
 ///
 /// Parallel schedules with a fragmented operand always partition the N
 /// axis (EC's long axis); par_axis M/MN are accepted but treated as N
-/// since C panels are column-block-local. `cancel` follows gemm_xorand's
-/// contract.
+/// since C panels are column-block-local. `cancel` and the Gfni tier's
+/// per-call block form follow gemm_xorand's contract.
 void gemm_xorand_scattered(MatView<const std::uint64_t> a,
+                           const ScatteredView<const std::uint64_t>& b,
+                           const ScatteredView<std::uint64_t>& c,
+                           const Schedule& schedule,
+                           const CancelToken& cancel = {});
+
+/// gemm_xorand_scattered with A's block form supplied, as in the
+/// block-form gemm_xorand.
+void gemm_xorand_scattered(MatView<const std::uint64_t> a,
+                           MatView<const std::uint64_t> blocks,
                            const ScatteredView<const std::uint64_t>& b,
                            const ScatteredView<std::uint64_t>& c,
                            const Schedule& schedule,

@@ -110,6 +110,7 @@ bool Schedule::valid() const noexcept {
     case KernelVariant::Avx2:
     case KernelVariant::Avx512:
     case KernelVariant::Neon:
+    case KernelVariant::Gfni:
       break;
     default:
       return false;

@@ -114,6 +114,8 @@ const char* to_string(KernelVariant v) noexcept {
       return "avx512";
     case KernelVariant::Neon:
       return "neon";
+    case KernelVariant::Gfni:
+      return "gfni";
   }
   return "?";
 }
@@ -122,7 +124,7 @@ std::optional<KernelVariant> variant_from_string(
     std::string_view name) noexcept {
   for (const KernelVariant v :
        {KernelVariant::Auto, KernelVariant::Scalar, KernelVariant::Avx2,
-        KernelVariant::Avx512, KernelVariant::Neon})
+        KernelVariant::Avx512, KernelVariant::Neon, KernelVariant::Gfni})
     if (name == to_string(v)) return v;
   return std::nullopt;
 }
@@ -146,6 +148,11 @@ bool variant_available(KernelVariant v) noexcept {
              xorand_table_avx512() != nullptr;
     case KernelVariant::Neon:
       return f.neon && xorand_table_neon() != nullptr;
+    case KernelVariant::Gfni:
+      // The GFNI TU is compiled with f+bw+vl+gfni and falls back to the
+      // AVX-512 table.
+      return f.gfni && gfni_kernels() != nullptr &&
+             variant_available(KernelVariant::Avx512);
   }
   return false;
 }
@@ -153,12 +160,14 @@ bool variant_available(KernelVariant v) noexcept {
 std::vector<KernelVariant> available_variants() {
   std::vector<KernelVariant> out{KernelVariant::Scalar};
   for (const KernelVariant v :
-       {KernelVariant::Neon, KernelVariant::Avx2, KernelVariant::Avx512})
+       {KernelVariant::Neon, KernelVariant::Avx2, KernelVariant::Avx512,
+        KernelVariant::Gfni})
     if (variant_available(v)) out.push_back(v);
   return out;
 }
 
 KernelVariant best_variant() noexcept {
+  if (variant_available(KernelVariant::Gfni)) return KernelVariant::Gfni;
   if (variant_available(KernelVariant::Avx512)) return KernelVariant::Avx512;
   if (variant_available(KernelVariant::Avx2)) return KernelVariant::Avx2;
   if (variant_available(KernelVariant::Neon)) return KernelVariant::Neon;

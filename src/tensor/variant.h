@@ -8,8 +8,8 @@
 /// Runtime SIMD-variant detection and dispatch — the seam that turns the
 /// microkernel menu from a compile-time accident into a first-class tier.
 ///
-/// Every binary carries scalar, AVX2 and AVX-512 (x86) or NEON (aarch64)
-/// builds of the XorAnd microkernel family, compiled as separate
+/// Every binary carries scalar, AVX2, AVX-512 and GFNI (x86) or NEON
+/// (aarch64) builds of the XorAnd microkernel family, compiled as separate
 /// translation units with per-file target flags. Which one executes is a
 /// *runtime* decision made here from CPUID, never from the flags the
 /// library itself was compiled with: a generic build engages AVX-512 on a
@@ -36,6 +36,9 @@ enum class KernelVariant : std::uint8_t {
   Avx2,
   Avx512,
   Neon,
+  /// One gf2p8affineqb per 8x8 block of A (xorand_kernels_gfni.cpp),
+  /// for an A of broadcast masks; otherwise the AVX-512 kernels.
+  Gfni,
 };
 
 const char* to_string(KernelVariant v) noexcept;
@@ -74,9 +77,10 @@ KernelVariant best_variant() noexcept;
 
 /// The forced-variant override, if any. Initialized lazily from the
 /// TVMEC_FORCE_VARIANT environment variable (values: scalar, avx2,
-/// avx512, neon); a name that is unknown or unavailable on this host is
-/// ignored with a one-time stderr warning rather than an error, so a
-/// reproducing script copied across machines degrades instead of dying.
+/// avx512, gfni, neon); a name that is unknown or unavailable on this
+/// host is ignored with a one-time stderr warning rather than an error,
+/// so a reproducing script copied across machines degrades instead of
+/// dying.
 std::optional<KernelVariant> forced_variant() noexcept;
 
 /// Programmatic override (the test hook behind the env seam). nullopt

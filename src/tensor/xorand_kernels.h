@@ -44,7 +44,39 @@ const XorAndKernelTable* xorand_table_neon() noexcept;
 
 /// Table for a *concrete* variant; nullptr when that variant is not
 /// compiled into this binary (Auto also returns nullptr — resolve first).
+/// Gfni maps to the AVX-512 table: its fallback for an A that is not all
+/// broadcast masks.
 const XorAndKernelTable* xorand_table(KernelVariant v) noexcept;
+
+/// The Gfni tier's three steps (xorand_kernels_gfni.cpp), run by the one
+/// blocked loop in kernel.cpp over byte-element panels: per 8-word chunk
+/// of N, the 8 rows of a K or M group occupy 64 words (8 zmm), and group
+/// regions are `group_words` (a multiple of 64) apart.
+struct GfniKernels {
+  /// Transposes rows [0, rows) (rows <= 8; missing rows are zeros) of
+  /// `words` words each, row r at src[r], into byte elements at dst
+  /// (ceil(words / 8) * 64 words; a tail chunk is zero-filled).
+  void (*pack)(const std::uint64_t* const* src, std::size_t rows,
+               std::size_t words, std::uint64_t* dst);
+  /// C group i ^= sum over g < kg of a[i * lda + g] (x) B group g, for
+  /// i < mg: one gf2p8affineqb per 8x8 block per zmm of elements.
+  /// `accumulate` false overwrites C instead.
+  void (*micro)(const std::uint64_t* a, std::size_t lda, std::size_t mg,
+                std::size_t kg, const std::uint64_t* b, std::uint64_t* c,
+                std::size_t group_words, bool accumulate);
+  /// pack's inverse: stores rows [0, rows) (rows <= 8) of `words` words,
+  /// row r at dst[r], from the byte elements at src.
+  void (*unpack)(const std::uint64_t* src, std::size_t rows,
+                 std::size_t words, std::uint64_t* const* dst);
+  /// Writes A's block form (tensor::affine_blocks) for the rows x cols
+  /// masks at a (row stride lda) into `out`, ceil(rows / 8) x
+  /// ceil(cols / 8) zeroed qwords; false when a word is neither 0 nor ~0.
+  bool (*blocks)(const std::uint64_t* a, std::size_t lda, std::size_t rows,
+                 std::size_t cols, std::uint64_t* out);
+};
+
+/// nullptr when the GFNI TU was not compiled in.
+const GfniKernels* gfni_kernels() noexcept;
 
 /// Builds the 4x7 table from a TU-local `micro<TM, TN>` function
 /// template. Used inside each variant TU's anonymous namespace.

@@ -34,6 +34,7 @@ const XorAndKernelTable* xorand_table(KernelVariant v) noexcept {
     case KernelVariant::Avx2:
       return xorand_table_avx2();
     case KernelVariant::Avx512:
+    case KernelVariant::Gfni:
       return xorand_table_avx512();
     case KernelVariant::Neon:
       return xorand_table_neon();

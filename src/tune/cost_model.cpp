@@ -86,7 +86,9 @@ std::vector<double> featurize(const tensor::Schedule& s,
   // host (Auto and unavailable tiers resolve), since that is what the
   // measured target reflects. Lanes = 64-bit words per vector register.
   const tensor::KernelVariant v = tensor::resolve_variant(s.variant);
-  const double lanes = v == tensor::KernelVariant::Avx512 ? 8.0
+  const bool zmm = v == tensor::KernelVariant::Avx512 ||
+                   v == tensor::KernelVariant::Gfni;
+  const double lanes = zmm                                ? 8.0
                        : v == tensor::KernelVariant::Avx2 ? 4.0
                        : v == tensor::KernelVariant::Neon ? 2.0
                                                           : 1.0;

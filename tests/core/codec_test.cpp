@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "tensor/kernel.h"
+#include "tensor/variant.h"
 
 #include "../test_util.h"
 
@@ -490,19 +491,23 @@ TEST(Codec, ScatteredRoutingThresholdAppliesToDecodeBatch) {
 
 /// The routing encode_batch keeps, pinned through the calling thread's
 /// kernel scratch rather than timing: under the codec's default serial
-/// schedule a one-item and a 3-item batch both run in place and take no
-/// scratch, while pointer-per-unit encode_scattered runs packed.
+/// schedule and an XorAnd tier, a one-item and a 3-item batch both run
+/// in place and take no scratch, while pointer-per-unit encode_scattered
+/// runs packed. The Gfni tier packs every call, a one-item batch too.
 TEST(Codec, EncodeBatchRunsInPlaceUnderSerialSchedule) {
-  std::thread([] {
-    const Codec codec(ec::CodeParams{10, 4, 8});
-    ASSERT_EQ(codec.encoder().schedule().num_threads, 1);
-    const auto data = random_bytes(10 * kUnit, 70);
-    tensor::AlignedBuffer<std::uint8_t> parity(3 * 4 * kUnit);
-    std::vector<ec::CoderBatchItem> items;
-    for (std::size_t i = 0; i < 3; ++i)
-      items.push_back(
-          {data.span(), parity.span().subspan(i * 4 * kUnit, 4 * kUnit),
-           kUnit});
+  const std::optional<tensor::KernelVariant> prev = tensor::forced_variant();
+  const Codec codec(ec::CodeParams{10, 4, 8});
+  ASSERT_EQ(codec.encoder().schedule().num_threads, 1);
+  const auto data = random_bytes(10 * kUnit, 70);
+  tensor::AlignedBuffer<std::uint8_t> parity(3 * 4 * kUnit);
+  std::vector<ec::CoderBatchItem> items;
+  for (std::size_t i = 0; i < 3; ++i)
+    items.push_back(
+        {data.span(), parity.span().subspan(i * 4 * kUnit, 4 * kUnit),
+         kUnit});
+
+  tensor::set_forced_variant(tensor::KernelVariant::Scalar);
+  std::thread([&] {
     codec.encode_batch({items.data(), 1});
     EXPECT_EQ(tensor::kernel_scratch_retained_bytes(), 0u)
         << "a one-item batch must run in place";
@@ -520,6 +525,16 @@ TEST(Codec, EncodeBatchRunsInPlaceUnderSerialSchedule) {
     EXPECT_GT(tensor::kernel_scratch_retained_bytes(), 0u)
         << "encode_scattered must run packed";
   }).join();
+
+  if (tensor::variant_available(tensor::KernelVariant::Gfni)) {
+    tensor::set_forced_variant(tensor::KernelVariant::Gfni);
+    std::thread([&] {
+      codec.encode_batch({items.data(), 1});
+      EXPECT_GT(tensor::kernel_scratch_retained_bytes(), 0u)
+          << "the Gfni tier packs B and C on every call";
+    }).join();
+  }
+  tensor::set_forced_variant(prev);
 }
 
 TEST(Codec, EncodeScatteredValidation) {

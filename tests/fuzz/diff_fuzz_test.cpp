@@ -75,6 +75,12 @@ TEST(FuzzRepro, VariantAxisRoundTripsAndDefaultsStayImplicit) {
   const FuzzConfig neon = parse_repro(
       "fuzz:v1 s=rs-encode k=4 r=2 w=8 u=64 seed=7 var=neon");
   EXPECT_EQ(neon.variant, tensor::KernelVariant::Neon);
+  const FuzzConfig gfni = parse_repro(
+      "fuzz:v1 s=rs-encode k=4 r=2 w=8 u=64 seed=7 var=gfni");
+  EXPECT_EQ(gfni.variant, tensor::KernelVariant::Gfni);
+  EXPECT_EQ(format_repro(gfni),
+            "fuzz:v1 s=rs-encode f=cauchy-good k=4 r=2 w=8 u=64 seed=7 "
+            "var=gfni");
 }
 
 TEST(FuzzRepro, ParseRejectsMalformedInput) {
@@ -251,6 +257,13 @@ TEST(DiffFuzz, EdgeCaseReprosPass) {
       "fuzz:v1 s=rs-encode k=6 r=3 w=8 u=1000 seed=23 var=avx2",
       "fuzz:v1 s=rs-encode k=8 r=2 w=8 u=4096 seed=24 frag=5 var=avx512",
       "fuzz:v1 s=rs-encode k=3 r=2 w=16 u=96 seed=25 var=avx512",
+      // The Gfni tier on ragged shapes: a w=4 code whose K = 20 and M = 12
+      // end inside 8-row groups, at 3-word packets (less than one 8-word
+      // chunk), and an odd k at w=8 whose 17-word packets leave a 1-word
+      // tail chunk, under 8-row k-blocks and the scattered arms.
+      "fuzz:v1 s=rs-encode k=5 r=3 w=4 u=96 seed=31 var=gfni",
+      "fuzz:v1 s=rs-encode k=7 r=3 w=8 u=1088 seed=32 sched=2 frag=9 "
+      "var=gfni",
   };
   for (const char* text : repros) {
     const FuzzOutcome outcome = DiffFuzzer::run_one(parse_repro(text));

@@ -43,7 +43,7 @@ TEST(ScheduleParse, RoundTripsParallelAxisKnobs) {
 TEST(ScheduleParse, RoundTripsVariantKnob) {
   for (const KernelVariant v :
        {KernelVariant::Auto, KernelVariant::Scalar, KernelVariant::Avx2,
-        KernelVariant::Avx512, KernelVariant::Neon}) {
+        KernelVariant::Avx512, KernelVariant::Neon, KernelVariant::Gfni}) {
     Schedule s;
     s.tile_m = 4;
     s.tile_n = 16;
