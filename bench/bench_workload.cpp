@@ -12,8 +12,9 @@
 // --smoke: the E14 table alone, on a small object set that includes
 // every short-stripe shape and multi-stripe objects with a short last
 // stripe. Every healthy get, every degraded get and every get after
-// repair() is checked byte for byte; exits nonzero on any mismatch (CI
-// runs this).
+// repair() is checked byte for byte, and a degraded pass must move
+// exactly a healthy pass's network bytes; exits nonzero on any mismatch
+// (CI runs this).
 
 #include <benchmark/benchmark.h>
 
@@ -170,17 +171,33 @@ void print_paper_table() {
   };
   const std::uint64_t get_sent0 = store.net().stats().bytes_sent;
   const double get_secs = tune::measure_seconds_median(read_all, 3);
+  const std::size_t healthy_passes = get_passes;
+  const double healthy_sent = net_sent(get_sent0);
   std::printf("get    : %7.2f GB/s  (healthy, %.3f network B per user B)\n",
               w.total_bytes / get_secs / 1e9,
-              net_per_user_byte(get_sent0, get_passes));
+              net_per_user_byte(get_sent0, healthy_passes));
   check_all(store, w, "healthy");
 
   store.fail_node(2);
+  get_passes = 0;
+  const std::uint64_t degraded_sent0 = store.net().stats().bytes_sent;
   const double degraded_secs = tune::measure_seconds_median(read_all, 3);
   std::printf("get    : %7.2f GB/s  (degraded, 1 node down, %zu "
-              "reconstructed stripes)\n",
+              "reconstructed stripes, %.3f network B per user B)\n",
               w.total_bytes / degraded_secs / 1e9,
-              store.stats().degraded_reads);
+              store.stats().degraded_reads,
+              net_per_user_byte(degraded_sent0, get_passes));
+  // Node 2 is one node of the one domain, so a stripe that lost a
+  // carried unit to it fetches one parity in its place, and a degraded
+  // pass moves exactly a healthy pass's bytes.
+  if (net_sent(degraded_sent0) * healthy_passes !=
+      healthy_sent * get_passes) {
+    std::printf("!! a degraded pass moved %.0f network B, a healthy one "
+                "%.0f\n",
+                net_sent(degraded_sent0) / get_passes,
+                healthy_sent / healthy_passes);
+    g_checks_ok = false;
+  }
   // Every stripe places a unit on each of the 14 nodes, but a short
   // stripe stores no padding: a stripe decodes only when node 2 holds
   // one of its carried data units, as it does for most full stripes, so

@@ -164,20 +164,10 @@ std::vector<std::uint8_t> Cluster::read_unit(const std::string& name,
     throw std::invalid_argument(
         "Cluster::read_unit: unknown object/stripe/unit");
   const ObjectMeta& meta = it->second;
-  const StripeLocation& loc = meta.stripes[stripe];
   std::vector<std::uint8_t> out(unit_size_);
-  if (!stored(loc, unit)) return out;  // padding: known zeros
-  std::uint64_t latency = 0;
-  if (fetch_unit(name, loc, stripe, unit, out.data(), &latency) ==
-      UnitRead::Ok) {
-    update_ewma(loc.nodes[unit], latency);
-    stats_.read_virtual_us += latency;
-    net_.advance(latency);
-  } else {
-    read_stripe(name, meta, stripe, stripe_buf_.span(), unit);
-    std::memcpy(out.data(), stripe_buf_.data() + unit * unit_size_,
-                unit_size_);
-  }
+  if (!stored(meta.stripes[stripe], unit)) return out;  // padding: zeros
+  read_stripe(name, meta, stripe, stripe_buf_.span(), unit);
+  std::memcpy(out.data(), stripe_buf_.data() + unit * unit_size_, unit_size_);
   foreground_bytes_ += unit_size_;
   return out;
 }
@@ -494,12 +484,12 @@ double Cluster::node_ewma_us(std::size_t node) const {
 }
 
 void Cluster::update_ewma(std::size_t node, std::uint64_t latency_us) {
+  constexpr double kAlpha = 0.2;  // the weight of each new sample
   Ewma& e = ewma_[node];
   const double sample = static_cast<double>(latency_us);
   e.value = e.samples == 0
                 ? sample
-                : config_.hedge.ewma_alpha * sample +
-                      (1.0 - config_.hedge.ewma_alpha) * e.value;
+                : kAlpha * sample + (1.0 - kAlpha) * e.value;
   ++e.samples;
 }
 
@@ -593,96 +583,126 @@ Cluster::UnitRead Cluster::fetch_unit(const std::string& name,
   return result;
 }
 
+std::optional<Cluster::HelperPlan> Cluster::plan_helpers(
+    const StripeLocation& loc, const std::vector<std::size_t>& lost,
+    const std::vector<bool>& in_hand, const std::vector<bool>& avoid,
+    std::size_t root) const {
+  const auto held = [&](std::size_t u) {
+    return u < in_hand.size() && in_hand[u];
+  };
+  std::vector<std::size_t> pref;
+  for (std::size_t u = 0; u < params_.n(); ++u) {
+    const std::size_t node = loc.nodes[u];
+    if (std::find(lost.begin(), lost.end(), u) != lost.end() ||
+        (stored(loc, u) && !held(u) &&
+         (!node_usable(node) || (node < avoid.size() && avoid[node]))))
+      continue;
+    pref.push_back(u);
+  }
+  if (pref.size() < params_.k) return std::nullopt;
+  const std::size_t root_domain = domain_of(root);
+  const auto rank = [&](std::size_t u) -> std::size_t {
+    if (!stored(loc, u)) return 0;
+    if (held(u)) return 1;
+    const std::size_t domain = domain_of(loc.nodes[u]);
+    return domain == root_domain ? 2 : 3 + domain;
+  };
+  std::stable_sort(pref.begin(), pref.end(), [&](std::size_t a, std::size_t b) {
+    return rank(a) < rank(b);
+  });
+
+  HelperPlan out{codec_.plan(lost, std::move(pref)), {}};
+  if (out.decode == nullptr) return std::nullopt;
+  for (const std::size_t u : out.decode->survivors)
+    if (stored(loc, u)) out.helpers.push_back(u);
+  return out;
+}
+
 void Cluster::read_stripe(const std::string& name, const ObjectMeta& meta,
                           std::size_t s, std::span<std::uint8_t> stripe,
-                          std::optional<std::size_t> lost) {
-  const std::size_t k = params_.k;
-  const std::size_t n = params_.n();
+                          std::optional<std::size_t> only) {
   const StripeLocation& loc = meta.stripes[s];
-  // Every unit a decode reads is in `stripe` first: on the degraded path
-  // each unit is read here, erased, or padding. Data units [carried, k)
-  // are padding, known zeros with no stored copy.
-  std::vector<bool> have(n, false);
-  std::vector<std::size_t> erased;
-  if (lost) erased.push_back(*lost);
-  std::uint64_t stripe_latency = 0;
-  const HedgeConfig& hedge = config_.hedge;
-
-  // Fan out the carried data-unit reads (modeled as parallel: the
-  // stripe's latency is the slowest unit's effective latency).
-  for (std::size_t u = 0; u < loc.carried; ++u) {
-    if (u == lost) continue;
+  // The units whose bytes are in `stripe`, and the nodes whose fetch
+  // failed, which no later plan of this read asks again.
+  std::vector<bool> in_hand(params_.n(), false);
+  std::vector<bool> avoid(nodes_.size(), false);
+  const auto fetch = [&](std::size_t u, std::uint64_t& slowest) {
     std::uint64_t latency = 0;
-    const UnitRead r =
-        fetch_unit(name, loc, s, u, stripe.data() + u * unit_size_, &latency);
-    if (r != UnitRead::Ok) {
-      erased.push_back(u);
+    in_hand[u] = fetch_unit(name, loc, s, u, stripe.data() + u * unit_size_,
+                            &latency) == UnitRead::Ok;
+    if (!in_hand[u]) {
+      avoid[loc.nodes[u]] = true;
+      return false;
+    }
+    update_ewma(loc.nodes[u], latency);
+    slowest = std::max(slowest, latency);
+    return true;
+  };
+  std::vector<std::size_t> missing;  // units the caller returns, unread
+  std::uint64_t stripe_latency = 0;
+
+  // Fan out the reads, modeled as parallel: all are in flight at once
+  // (so a hedge's plan counts them in hand), and the stripe's latency is
+  // the slowest unit's effective latency.
+  const std::size_t first = only.value_or(0);
+  const std::size_t last = only ? *only + 1 : loc.carried;
+  std::fill(in_hand.begin() + first, in_hand.begin() + last, true);
+  std::vector<std::size_t> stragglers;
+  for (std::size_t u = first; u < last; ++u) {
+    const Ewma before = ewma_[loc.nodes[u]];
+    std::uint64_t latency = 0;
+    if (!fetch(u, latency)) {
+      missing.push_back(u);
       continue;
     }
-    have[u] = true;
-    std::uint64_t effective = latency;
-    const std::size_t node = loc.nodes[u];
-    const Ewma ewma_before = ewma_[node];
-    update_ewma(node, latency);
-    // Hedge: the straggler blew its EWMA budget, so a second request
-    // for a parity unit was (virtually) issued at the budget mark. The
-    // recovered bytes are identical either way — both paths verify the
-    // same metadata CRC — only the modeled completion time differs.
-    if (hedge.enabled && ewma_before.samples >= hedge.min_samples) {
-      const auto budget = static_cast<std::uint64_t>(hedge.multiplier *
-                                                     ewma_before.value);
-      if (latency > budget) {
-        for (std::size_t p = k; p < n; ++p) {
-          if (have[p] || !node_usable(loc.nodes[p])) continue;
+    // Hedge: the straggler blew its EWMA budget, so the helpers a plan
+    // for losing the stragglers adds were (virtually) requested at the
+    // budget mark. Both paths verify the same metadata CRCs, so only the
+    // modeled completion time differs.
+    const auto budget =
+        static_cast<std::uint64_t>(config_.hedge.multiplier * before.value);
+    if (before.samples >= config_.hedge.min_samples && latency > budget) {
+      stragglers.push_back(u);
+      if (const auto hedge =
+              plan_helpers(loc, stragglers, in_hand, avoid, net_.client())) {
+        std::uint64_t hedge_latency = 0;
+        bool arrived = true;
+        for (const std::size_t h : hedge->helpers) {
+          if (in_hand[h]) continue;
           ++stats_.hedged_reads;
-          std::uint64_t hedge_latency = 0;
-          const UnitRead hr =
-              fetch_unit(name, loc, s, p, stripe.data() + p * unit_size_,
-                         &hedge_latency);
-          if (hr == UnitRead::Ok) {
-            have[p] = true;
-            update_ewma(loc.nodes[p], hedge_latency);
-            if (budget + hedge_latency < latency) {
-              ++stats_.hedge_wins;
-              effective = budget + hedge_latency;
-            }
-          }
-          break;
+          arrived &= fetch(h, hedge_latency);
+        }
+        if (arrived && budget + hedge_latency < latency) {
+          ++stats_.hedge_wins;
+          latency = budget + hedge_latency;
         }
       }
     }
-    stripe_latency = std::max(stripe_latency, effective);
+    stripe_latency = std::max(stripe_latency, latency);
   }
 
-  if (!erased.empty()) {
-    // Degraded read: pull every remaining live unit, then decode the
-    // holes through the survivors on the client.
-    for (std::size_t u = k; u < n; ++u) {
-      if (have[u] || u == lost) continue;
-      std::uint64_t latency = 0;
-      const UnitRead r =
-          fetch_unit(name, loc, s, u, stripe.data() + u * unit_size_, &latency);
-      if (r == UnitRead::Ok) {
-        have[u] = true;
-        update_ewma(loc.nodes[u], latency);
-        stripe_latency = std::max(stripe_latency, latency);
-      } else {
-        erased.push_back(u);
-      }
-    }
+  if (!missing.empty()) {
+    // Degraded read: fetch the helpers a plan for the missing units adds,
+    // re-planning around each fetch that fails, and decode those units.
+    const auto helper = [&](std::size_t u) {
+      return in_hand[u] || fetch(u, stripe_latency);
+    };
+    auto plan = plan_helpers(loc, missing, in_hand, avoid, net_.client());
+    while (plan && !std::ranges::all_of(plan->helpers, helper))
+      plan = plan_helpers(loc, missing, in_hand, avoid, net_.client());
     // The degraded read *discovered* lost redundancy: report it before
     // deciding recoverability, so even a stripe that turns out to be
-    // past r reaches the healer's ledger.
+    // past recovery reaches the healer's ledger.
     report_damage(DamageKind::ReadCorruption, name, s);
-    if (erased.size() > params_.r)
+    if (!plan)
       throw std::runtime_error(
-          "Cluster::get: stripe unrecoverable (more than r units lost)");
+          "Cluster::get: stripe unrecoverable (too few units reachable)");
     // The decode reads the padding units as survivors: write in the zeros
     // they hold.
     std::memset(stripe.data() + loc.carried * unit_size_, 0,
-                (k - loc.carried) * unit_size_);
-    codec_.decode(stripe, erased, unit_size_);
-    for (const std::size_t u : erased) {
+                (params_.k - loc.carried) * unit_size_);
+    codec_.decode(stripe, *plan->decode, unit_size_);
+    for (const std::size_t u : missing) {
       if (storage::crc32c({stripe.data() + u * unit_size_, unit_size_}) !=
           loc.unit_crcs[u])
         throw std::runtime_error(

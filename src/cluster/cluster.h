@@ -39,11 +39,11 @@
 ///    over min(n, num_domains) domains, so one domain outage costs at
 ///    most ceil(n/domains) units per stripe)
 ///  - degraded reads: dead/slow/corrupt units detected per-RPC (timeout
-///    == retry exhaustion under storage::RetryPolicy) fall back to
-///    decode-through-survivors on the client
+///    == retry exhaustion under storage::RetryPolicy) are decoded on
+///    the client from the helpers plan_helpers() picks
 ///  - hedged reads: a per-node EWMA latency tracker arms a hedge budget;
-///    a straggling read past multiplier x EWMA triggers a second,
-///    parity-backed request, and the modeled completion takes the
+///    a straggling read past multiplier x EWMA requests the helper the
+///    same rule adds for losing it, and the modeled completion takes the
 ///    faster path (the recovered bytes are identical either way —
 ///    asserted against metadata CRCs)
 ///
@@ -100,11 +100,9 @@ class DamageSink {
                              std::size_t stripe) = 0;
 };
 
-/// Hedged-read policy. The EWMA is per source node over delivered read
-/// latencies; hedging stays off for a node until it has min_samples.
+/// Hedged-read policy. The per-node EWMA (weight 0.2) is over delivered
+/// read latencies; hedging stays off for a node until it has min_samples.
 struct HedgeConfig {
-  bool enabled = true;
-  double ewma_alpha = 0.2;     ///< new = alpha*sample + (1-alpha)*old
   double multiplier = 3.0;     ///< budget = multiplier * EWMA
   std::uint32_t min_samples = 8;
 };
@@ -212,20 +210,20 @@ class Cluster {
   /// Retrieves an object; reads degrade through survivors and hedge
   /// around stragglers. Each stripe read fetches only its carried data
   /// units; a short stripe's padding has no stored copy, so its holder
-  /// going down neither degrades the get nor is reported. Returns
-  /// nullopt for unknown names; throws std::runtime_error when a stripe
-  /// has more than r stored units unreachable.
+  /// going down neither degrades the get nor is reported, and a lost
+  /// carried unit is swapped for one parity. Returns nullopt for unknown
+  /// names; throws std::runtime_error when a stripe is past recovery.
   std::optional<std::vector<std::uint8_t>> get(const std::string& name);
 
   bool exists(const std::string& name) const;
   void remove(const std::string& name);
 
-  /// Reads unit `unit` of stripe `stripe` over the same RPC path as
-  /// get() (retries, faults, CRC against metadata). A missing or corrupt
-  /// unit falls back to the degraded stripe read. A padding unit returns
-  /// unit_size() zeros with no fetch and no damage report. Throws
-  /// std::invalid_argument on an unknown object, stripe or unit, and
-  /// std::runtime_error when the stripe is past recovery.
+  /// Reads unit `unit` of stripe `stripe` through get()'s stripe read
+  /// (retries, faults, CRC against metadata, hedging). A missing or
+  /// corrupt unit is rebuilt from its helpers alone. A padding unit
+  /// returns unit_size() zeros with no fetch and no damage report.
+  /// Throws std::invalid_argument on an unknown object, stripe or unit,
+  /// and std::runtime_error when the stripe is past recovery.
   std::vector<std::uint8_t> read_unit(const std::string& name,
                                       std::size_t stripe, std::size_t unit);
 
@@ -341,7 +339,6 @@ class Cluster {
   const RepairStats& repair_stats() const;
 
   const ClusterStats& stats() const noexcept { return stats_; }
-  const HedgeConfig& hedge_config() const noexcept { return config_.hedge; }
   /// Current EWMA read latency for a node (0 until sampled).
   double node_ewma_us(std::size_t node) const;
 
@@ -413,18 +410,36 @@ class Cluster {
   bool store_unit(const std::string& name, const StripeLocation& loc,
                   std::size_t s, std::size_t u, const std::uint8_t* src);
 
-  /// Reads stripe s with degradation + hedging into `stripe` (n units)
-  /// and accumulates modeled latency. Only the carried data units are
-  /// fetched; the padding units count as present. On return the carried
-  /// units always hold the stripe's bytes. The padding units hold zeros
-  /// only when the read degraded (the decode reads them as survivors),
-  /// and a parity holds its bytes only when the read degraded or hedged,
-  /// or when it is `lost`; otherwise they keep whatever the buffer held.
-  /// `lost` names a stored unit the caller already failed to read: it is
-  /// not re-read but rebuilt through the survivors.
+  /// Reads the carried data units of stripe s, or only unit `only`,
+  /// into `stripe` (n units) with degradation + hedging, and accumulates
+  /// modeled latency. A unit that cannot be read is decoded from the
+  /// helpers plan_helpers adds (rooted at the client), re-planned around
+  /// each fetch that fails. On return the units read hold their bytes;
+  /// padding holds zeros and a parity its bytes only when a plan read
+  /// it. Every other unit keeps whatever the buffer held.
   void read_stripe(const std::string& name, const ObjectMeta& meta,
                    std::size_t s, std::span<std::uint8_t> stripe,
-                   std::optional<std::size_t> lost = std::nullopt);
+                   std::optional<std::size_t> only = std::nullopt);
+
+  /// Codec::plan's plan and the stored survivors it reads (helpers).
+  struct HelperPlan {
+    std::shared_ptr<const ec::DecodePlan> decode;
+    std::vector<std::size_t> helpers;
+  };
+
+  /// The one helper rule, which reads, the hedge and repair all ask:
+  /// the plan that rebuilds units `lost`. A unit not lost is a candidate
+  /// when it is padding, in `in_hand` (n flags), or stored on a usable
+  /// node not in `avoid` (a flag per node; empty flags none), ranked
+  /// padding (never fetched), in hand, the root endpoint's domain, then
+  /// by domain. The ranking is Codec::plan's preference. nullopt when
+  /// the candidates cannot recover the loss. A read's root is the
+  /// client, a repair's the node receiving the rebuild.
+  std::optional<HelperPlan> plan_helpers(const StripeLocation& loc,
+                                         const std::vector<std::size_t>& lost,
+                                         const std::vector<bool>& in_hand,
+                                         const std::vector<bool>& avoid,
+                                         std::size_t root) const;
 
   void update_ewma(std::size_t node, std::uint64_t latency_us);
   void mark_node_failed(std::size_t node);

@@ -45,63 +45,37 @@ RepairCoordinator::RepairCoordinator(Cluster& cluster,
     : cluster_(cluster), config_(config) {}
 
 std::vector<std::size_t> RepairCoordinator::pick_replacements(
-    const Cluster::StripeLocation& loc, StripeDamage& damage) {
-  const auto hosts = cluster_.place_units(loc, damage.erased);
+    const Cluster::StripeLocation& loc, std::vector<std::size_t>& erased) {
+  const auto hosts = cluster_.place_units(loc, erased);
   std::vector<std::size_t> picks;
   std::vector<std::size_t> placed;
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     if (!hosts[i]) continue;  // stays erased until a revive
     picks.push_back(*hosts[i]);
-    placed.push_back(damage.erased[i]);
+    placed.push_back(erased[i]);
   }
-  damage.erased = std::move(placed);
+  erased = std::move(placed);
   return picks;
 }
 
 std::optional<RepairPlan> RepairCoordinator::build_plan(
-    const Cluster::StripeLocation& loc, const StripeDamage& damage,
+    const Cluster::StripeLocation& loc, const std::vector<std::size_t>& erased,
     const std::vector<bool>& excluded, std::size_t root_node) {
-  // Survivor preference: padding first, known zeros no helper reads;
-  // then the root's domain, then the remaining survivors grouped by
-  // domain — a plan drawn from few domains means few cross-domain
-  // aggregate messages.
-  const std::size_t root_domain = cluster_.domain_of(root_node);
-  std::vector<std::size_t> pref;
-  for (const std::size_t uid : damage.survivors) {
-    const std::size_t node = loc.nodes[uid];
-    if (cluster_.stored(loc, uid) &&
-        (!cluster_.node_usable(node) || excluded[node]))
-      continue;
-    pref.push_back(uid);
-  }
-  if (pref.size() < cluster_.params_.k) return std::nullopt;
-  const auto stored_begin =
-      std::stable_partition(pref.begin(), pref.end(), [&](std::size_t uid) {
-        return !cluster_.stored(loc, uid);
-      });
-  std::stable_sort(stored_begin, pref.end(), [&](std::size_t a, std::size_t b) {
-    const std::size_t da = cluster_.domain_of(loc.nodes[a]);
-    const std::size_t db = cluster_.domain_of(loc.nodes[b]);
-    if ((da == root_domain) != (db == root_domain)) return da == root_domain;
-    return da < db;
-  });
-
-  // The preference is part of the plan's cache key: same loss pattern,
-  // different placement or exclusions => different plan entry.
-  const auto plan = cluster_.codec_.plan(damage.erased, std::move(pref));
-  if (plan == nullptr) return std::nullopt;
+  const auto picked =
+      cluster_.plan_helpers(loc, erased, {}, excluded, root_node);
+  if (!picked) return std::nullopt;
 
   RepairPlan out;
-  out.erased = damage.erased;
-  out.decode = plan;
+  out.erased = erased;
+  out.decode = picked->decode;
   out.root_node = root_node;
-  // A padding survivor's recovery column multiplies zeros: it adds
-  // nothing to the rebuild, so it gets no helper.
-  for (std::size_t i = 0; i < plan->survivors.size(); ++i) {
-    const std::size_t uid = plan->survivors[i];
-    if (!cluster_.stored(loc, uid)) continue;
+  const std::vector<std::size_t>& survivors = picked->decode->survivors;
+  for (const std::size_t uid : picked->helpers) {
     const std::size_t node = loc.nodes[uid];
-    out.helpers.push_back({uid, node, cluster_.domain_of(node), i});
+    const auto column = static_cast<std::size_t>(
+        std::find(survivors.begin(), survivors.end(), uid) -
+        survivors.begin());
+    out.helpers.push_back({uid, node, cluster_.domain_of(node), column});
   }
   for (const auto& h : out.helpers) {
     const auto it =
@@ -240,62 +214,50 @@ bool RepairCoordinator::execute_attempt(
 
 bool RepairCoordinator::execute_naive(
     const std::string& name, const Cluster::StripeLocation& loc,
-    std::size_t s, const StripeDamage& damage, std::size_t root_node,
+    std::size_t s, const std::vector<std::size_t>& erased,
+    std::optional<Cluster::HelperPlan> plan, std::size_t root_node,
     std::vector<std::vector<std::uint8_t>>& recovered,
     RepairReport& report) {
-  const std::size_t k = cluster_.params_.k;
+  const std::size_t n = cluster_.params_.n();
   const std::size_t unit = cluster_.unit_size_;
   const std::uint64_t root_in_before = cluster_.net_.ingress_bytes(root_node);
 
-  // Padding survivors are in hand from the start: known zeros, never
-  // fetched or shipped. Haul whole stored survivor units to the root
-  // until k are in hand. The root's ingress link serializes every
-  // transfer — the star-topology cost the DAG exists to avoid.
-  std::vector<std::size_t> held_ids;  // padding first, then fetched
-  for (const std::size_t uid : damage.survivors)
-    if (!cluster_.stored(loc, uid)) held_ids.push_back(uid);
-  const std::size_t padding = held_ids.size();
-  std::vector<std::vector<std::uint8_t>> fetched;
+  // Haul each helper, a whole stored unit, to the root; a helper that
+  // fails is avoided and the plan re-made. Padding survivors are the
+  // zeros `stripe` starts with, never fetched or shipped. The root's
+  // ingress link serializes every transfer — the star-topology cost the
+  // DAG exists to avoid.
+  tensor::AlignedBuffer<std::uint8_t> stripe(n * unit);
+  std::vector<bool> in_hand(n, false);
+  std::vector<bool> avoid(cluster_.nodes_.size(), false);
   std::uint64_t root_ingress_us = 0;
-  for (const std::size_t uid : damage.survivors) {
-    if (held_ids.size() == k) break;
-    if (!cluster_.stored(loc, uid)) continue;
-    std::vector<std::uint8_t> buf(unit);
-    if (cluster_.fetch_unit(name, loc, s, uid, buf.data(), nullptr) !=
-        Cluster::UnitRead::Ok)
-      continue;
+  const auto fetch = [&](std::size_t uid) {
+    if (in_hand[uid]) return true;
     std::uint64_t ser = 0;
-    if (!transfer(loc.nodes[uid], root_node, unit,
-                  storage::FaultInjector::key(name, s, 2000 + uid), &ser))
-      continue;
+    in_hand[uid] =
+        cluster_.fetch_unit(name, loc, s, uid, stripe.data() + uid * unit,
+                            nullptr) == Cluster::UnitRead::Ok &&
+        transfer(loc.nodes[uid], root_node, unit,
+                 storage::FaultInjector::key(name, s, 2000 + uid), &ser);
+    if (!in_hand[uid]) {
+      avoid[loc.nodes[uid]] = true;
+      return false;
+    }
     root_ingress_us += ser;
     ++report.hops;
-    held_ids.push_back(uid);
-    fetched.push_back(std::move(buf));
-  }
-  if (held_ids.size() < k) return false;
-
-  const auto plan = cluster_.codec_.plan(damage.erased, held_ids);
+    return true;
+  };
+  while (plan && !std::ranges::all_of(plan->helpers, fetch))
+    plan = cluster_.plan_helpers(loc, erased, in_hand, avoid, root_node);
   if (!plan) return false;
 
-  const std::size_t e = damage.erased.size();
-  const std::vector<std::uint8_t> zeros(unit);
-  std::vector<const std::uint8_t*> in_ptrs;
-  for (const std::size_t uid : plan->survivors) {
-    const auto i = static_cast<std::size_t>(
-        std::find(held_ids.begin(), held_ids.end(), uid) - held_ids.begin());
-    in_ptrs.push_back(i < padding ? zeros.data() : fetched[i - padding].data());
+  cluster_.codec_.decode(stripe.span(), *plan->decode, unit);
+  recovered.clear();
+  for (const std::size_t uid : erased) {
+    const std::uint8_t* const bytes = stripe.data() + uid * unit;
+    recovered.emplace_back(bytes, bytes + unit);
+    if (storage::crc32c(recovered.back()) != loc.unit_crcs[uid]) return false;
   }
-  recovered.assign(e, std::vector<std::uint8_t>(unit));
-  std::vector<std::uint8_t*> out_ptrs(e);
-  for (std::size_t i = 0; i < e; ++i) out_ptrs[i] = recovered[i].data();
-  core::GemmCoder coder(plan->recovery);
-  const core::ScatteredCoderItem item{in_ptrs, out_ptrs, unit};
-  coder.apply_scattered({&item, 1});
-
-  for (std::size_t i = 0; i < e; ++i)
-    if (storage::crc32c(recovered[i]) != loc.unit_crcs[damage.erased[i]])
-      return false;
   report.makespan_us += root_ingress_us +
                         2 * cluster_.net_.config().base_latency_us;
   report.root_ingress_bytes +=
@@ -312,8 +274,8 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   Cluster::StripeLocation& loc = oit->second.stripes[s];
 
   RepairReport report;
-  StripeDamage damage = assess_stripe(name, s, loc);
-  if (damage.erased.empty()) {
+  std::vector<std::size_t> erased = assess_stripe(name, s, loc);
+  if (erased.empty()) {
     report.completed = true;
     return report;
   }
@@ -366,21 +328,18 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   bool any_attempt = false;
 
   while (config_.dag_enabled) {
-    damage = assess_stripe(name, s, loc);
-    const auto replacements = pick_replacements(loc, damage);
-    if (damage.erased.empty()) {
+    erased = assess_stripe(name, s, loc);
+    const auto replacements = pick_replacements(loc, erased);
+    if (erased.empty()) {
       // Nothing left that a live node can host: after an attempt, a
       // re-planned pass found earlier partial stores finished the job;
       // before any, nothing was placeable (abandoned below).
       completed = any_attempt;
       break;
     }
-    if (damage.survivors.size() < cluster_.params_.k)
-      break;  // not DAG-viable; naive can't help either -> abandon below
-
     const auto plan =
-        build_plan(loc, damage, excluded, replacements[0]);
-    if (!plan) break;  // constrained survivors lack rank -> naive
+        build_plan(loc, erased, excluded, replacements[0]);
+    if (!plan) break;  // unrecoverable, or too few helpers not excluded
 
     ++stats_.attempts_started;
     any_attempt = true;
@@ -388,7 +347,7 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
     std::vector<std::vector<std::uint8_t>> recovered;
     if (execute_attempt(name, loc, s, *plan, recovered, report,
                         &failed_node) &&
-        store_recovered(damage.erased, replacements, plan->root_node,
+        store_recovered(erased, replacements, plan->root_node,
                         recovered)) {
       ++stats_.attempts_completed;
       completed = true;
@@ -410,17 +369,18 @@ RepairReport RepairCoordinator::repair_stripe(const std::string& name,
   }
 
   if (!completed) {
-    damage = assess_stripe(name, s, loc);
-    const auto replacements = pick_replacements(loc, damage);
-    if (damage.erased.empty()) {
+    erased = assess_stripe(name, s, loc);
+    const auto replacements = pick_replacements(loc, erased);
+    if (erased.empty()) {
       completed = any_attempt;
-    } else if (damage.survivors.size() >= cluster_.params_.k) {
+    } else if (auto plan = cluster_.plan_helpers(loc, erased, {}, {},
+                                                 replacements[0])) {
       ++stats_.attempts_started;
       any_attempt = true;
       std::vector<std::vector<std::uint8_t>> recovered;
-      if (execute_naive(name, loc, s, damage, replacements[0], recovered,
-                        report) &&
-          store_recovered(damage.erased, replacements, replacements[0],
+      if (execute_naive(name, loc, s, erased, std::move(plan),
+                        replacements[0], recovered, report) &&
+          store_recovered(erased, replacements, replacements[0],
                           recovered)) {
         ++stats_.attempts_completed;
         ++stats_.naive_fallbacks;
@@ -476,10 +436,8 @@ StripeHealth RepairCoordinator::stripe_health(const std::string& name,
   if (oit == cluster_.objects_.end() || s >= oit->second.stripes.size())
     return h;
   h.exists = true;
-  const StripeDamage damage =
-      assess_stripe(name, s, oit->second.stripes[s]);
-  h.erased = damage.erased.size();
-  h.survivors = damage.survivors.size();
+  h.erased = assess_stripe(name, s, oit->second.stripes[s]).size();
+  h.survivors = cluster_.params_.n() - h.erased;
   return h;
 }
 
@@ -489,24 +447,18 @@ std::optional<RepairPlan> RepairCoordinator::plan_stripe(
   if (oit == cluster_.objects_.end() || s >= oit->second.stripes.size())
     return std::nullopt;
   const Cluster::StripeLocation& loc = oit->second.stripes[s];
-  StripeDamage damage = assess_stripe(name, s, loc);
-  const auto replacements = pick_replacements(loc, damage);
-  if (damage.erased.empty() ||
-      damage.survivors.size() < cluster_.params_.k)
-    return std::nullopt;
-  const std::vector<bool> excluded(cluster_.nodes_.size(), false);
-  return build_plan(loc, damage, excluded, replacements[0]);
+  std::vector<std::size_t> erased = assess_stripe(name, s, loc);
+  const auto replacements = pick_replacements(loc, erased);
+  if (erased.empty()) return std::nullopt;
+  return build_plan(loc, erased, {}, replacements[0]);
 }
 
-RepairCoordinator::StripeDamage RepairCoordinator::assess_stripe(
+std::vector<std::size_t> RepairCoordinator::assess_stripe(
     const std::string& name, std::size_t s,
     const Cluster::StripeLocation& loc) {
-  StripeDamage damage;
+  std::vector<std::size_t> erased;
   for (std::size_t u = 0; u < loc.nodes.size(); ++u) {
-    if (!cluster_.stored(loc, u)) {
-      damage.survivors.push_back(u);  // padding: known zeros, never lost
-      continue;
-    }
+    if (!cluster_.stored(loc, u)) continue;  // padding: never lost
     const std::size_t node = loc.nodes[u];
     bool bad = !cluster_.node_usable(node);
     if (!bad) {
@@ -514,9 +466,9 @@ RepairCoordinator::StripeDamage RepairCoordinator::assess_stripe(
       bad = it == cluster_.nodes_[node].units.end() ||
             storage::crc32c(it->second) != loc.unit_crcs[u];
     }
-    (bad ? damage.erased : damage.survivors).push_back(u);
+    if (bad) erased.push_back(u);
   }
-  return damage;
+  return erased;
 }
 
 }  // namespace tvmec::cluster

@@ -11,18 +11,18 @@
 /// ECDAG discipline: instead of hauling k full survivor units to one
 /// repairer (the naive star), each helper applies its slice of the
 /// recovery matrix locally (an e x 1 GF coefficient column, lowered
-/// through the same bitmatrix->GEMM path as every other coding op; the
-/// plan comes from Codec::plan, keyed by the survivor preference), ships
+/// through the same bitmatrix->GEMM path as every other coding op), ships
 /// the e-unit partial one hop to its failure domain's aggregator, which
 /// XORs its domain's partials into one e-unit message before crossing
 /// domains to the repair root. GF-linearity makes the result
 /// byte-identical to decoding at the root: the recovery matrix product
 /// R * S is just a sum of per-column terms, and XOR is that sum.
 ///
-/// A short stripe's padding units (Cluster::stored() is false) are
-/// known zeros: the plan takes them first as free survivors, and since
-/// their recovery columns multiply zeros, no helper reads or ships them,
-/// so a stripe carrying c data units is rebuilt from c helper reads.
+/// The helpers and plan come from Cluster::plan_helpers, the rule every
+/// degraded read uses too: it ranks the survivors padding, the root's
+/// domain, then by domain. A short stripe's padding units (known zeros)
+/// come first, and since their recovery columns multiply zeros, no
+/// helper reads or ships them: c carried units, c helper reads.
 ///
 /// Traffic shape (MDS, full-unit helpers): total payload bytes moved are
 /// the same k column-terms either way — the win is *where* they move.
@@ -133,9 +133,9 @@ class RepairCoordinator {
   /// such unit was rebuilt (units whose node is down with no spare wait
   /// for its revive, which reports them as Revive damage).
   /// report.completed == false means the stripe is currently
-  /// unrecoverable (abandoned — survivors below k even for naive, or no
-  /// erased unit can be placed). A stripe with nothing to repair returns
-  /// completed == true with units_repaired == 0.
+  /// unrecoverable (abandoned — no helper set rebuilds it, even for
+  /// naive, or no erased unit can be placed). A stripe with nothing to
+  /// repair returns completed == true with units_repaired == 0.
   RepairReport repair_stripe(const std::string& name, std::size_t s);
 
   /// Walks every stripe of every object; repairs what it can. Returns
@@ -154,29 +154,23 @@ class RepairCoordinator {
                                         std::size_t s);
 
  private:
-  /// Both lists are ascending: assess_stripe walks the unit ids in order.
-  struct StripeDamage {
-    std::vector<std::size_t> erased;     ///< missing or corrupt stored units
-    /// Readable-in-principle unit ids: clean stored units and padding.
-    std::vector<std::size_t> survivors;
-  };
-
-  /// Probes stripe metadata for losses (node down, unit absent, CRC
-  /// stale) without moving payload bytes. Padding is never erased.
-  StripeDamage assess_stripe(const std::string& name, std::size_t s,
-                             const Cluster::StripeLocation& loc);
+  /// The stored units lost (node down, unit absent, CRC stale), ascending,
+  /// probed without moving payload bytes; every other unit survives.
+  std::vector<std::size_t> assess_stripe(const std::string& name,
+                                         std::size_t s,
+                                         const Cluster::StripeLocation& loc);
 
   /// Picks a live node per erased unit to host the rebuilt data, by
   /// Cluster::place_units: its own node when usable, else a spare
   /// (preferring the lost unit's domain, never a node already holding a
   /// unit of this stripe). A unit with neither stays erased until its
-  /// node revives: it is dropped from damage.erased (it is no survivor
-  /// either). Returns one node per remaining entry of damage.erased.
+  /// node revives: it is dropped from `erased` (it is no survivor
+  /// either). Returns one node per remaining entry of `erased`.
   std::vector<std::size_t> pick_replacements(
-      const Cluster::StripeLocation& loc, StripeDamage& damage);
+      const Cluster::StripeLocation& loc, std::vector<std::size_t>& erased);
 
   std::optional<RepairPlan> build_plan(const Cluster::StripeLocation& loc,
-                                       const StripeDamage& damage,
+                                       const std::vector<std::size_t>& erased,
                                        const std::vector<bool>& excluded,
                                        std::size_t root_node);
 
@@ -188,12 +182,14 @@ class RepairCoordinator {
                        std::vector<std::vector<std::uint8_t>>& recovered,
                        RepairReport& report, std::size_t* failed_node);
 
-  /// The graceful-degradation path: root fetches stored survivor units
-  /// until, with the padding, k are in hand, and decodes locally. Same
-  /// verification and accounting.
+  /// The graceful-degradation path: the root fetches `plan`'s helpers
+  /// (no node excluded), re-planning around each that fails, and decodes
+  /// locally. Same verification and accounting.
   bool execute_naive(const std::string& name,
                      const Cluster::StripeLocation& loc, std::size_t s,
-                     const StripeDamage& damage, std::size_t root_node,
+                     const std::vector<std::size_t>& erased,
+                     std::optional<Cluster::HelperPlan> plan,
+                     std::size_t root_node,
                      std::vector<std::vector<std::uint8_t>>& recovered,
                      RepairReport& report);
 

@@ -73,14 +73,10 @@ std::shared_ptr<const ec::DecodePlan> Codec::plan(
                ? lrc_->decode_plan(erased)
                : ec::make_decode_plan(generator_, erased, preferred);
   };
-  // The shared cache holds the inversion result: on a hit the costly
-  // planning is skipped entirely.
-  if (plan_cache_)
-    return plan_cache_->get_or_build(PlanKey{code_id_, erased, preferred},
-                                     build);
-  auto built = build();
-  if (!built) return nullptr;
-  return std::make_shared<const ec::DecodePlan>(std::move(*built));
+  // The cache holds the inversion result: on a hit the costly planning
+  // is skipped entirely.
+  PlanCache& cache = plan_cache_ ? *plan_cache_ : *own_plans_;
+  return cache.get_or_build(PlanKey{code_id_, erased, preferred}, build);
 }
 
 void Codec::encode(std::span<const std::uint8_t> data,
@@ -89,22 +85,16 @@ void Codec::encode(std::span<const std::uint8_t> data,
   encode_coder_.apply_leading(data, parity, unit_size);
 }
 
-const Codec::DecodeEntry& Codec::decode_entry(
-    const std::vector<std::size_t>& erased) {
-  const auto it = decode_cache_.find(erased);
-  if (it != decode_cache_.end()) return it->second;
-
+GemmCoder& Codec::decode_coder(const ec::DecodePlan& plan) {
   // Only the plan is shared; the GemmCoder carries this codec's
   // schedule and stays local.
-  std::shared_ptr<const ec::DecodePlan> shared = plan(erased);
-  if (!shared)
-    throw std::runtime_error("decode: erasure pattern is unrecoverable");
-  auto coder =
-      std::make_unique<GemmCoder>(shared->recovery, encode_coder_.schedule());
-  coder->set_schedule_cache(encode_coder_.schedule_cache());
-  const auto [pos, inserted] = decode_cache_.emplace(
-      erased, DecodeEntry{std::move(shared), std::move(coder)});
-  return pos->second;
+  auto& coder = decode_cache_[{plan.erased, plan.survivors}];
+  if (!coder) {
+    coder =
+        std::make_unique<GemmCoder>(plan.recovery, encode_coder_.schedule());
+    coder->set_schedule_cache(encode_coder_.schedule_cache());
+  }
+  return *coder;
 }
 
 std::vector<std::size_t> Codec::normalize_erasures(
@@ -130,6 +120,20 @@ void Codec::decode(std::span<std::uint8_t> stripe,
                    std::size_t unit_size) {
   const DecodeBatchItem item{stripe, erased_ids, unit_size};
   decode_batch(std::span<const DecodeBatchItem>(&item, 1));
+}
+
+void Codec::decode(std::span<std::uint8_t> stripe, const ec::DecodePlan& plan,
+                   std::size_t unit_size) {
+  if (stripe.size() != params_.n() * unit_size)
+    throw std::invalid_argument("decode: stripe must hold k+r units");
+  std::vector<const std::uint8_t*> in_ptrs;
+  for (const std::size_t id : plan.survivors)
+    in_ptrs.push_back(stripe.data() + id * unit_size);
+  std::vector<std::uint8_t*> out_ptrs;
+  for (const std::size_t id : plan.erased)
+    out_ptrs.push_back(stripe.data() + id * unit_size);
+  const ScatteredCoderItem item{in_ptrs, out_ptrs, unit_size};
+  decode_coder(plan).apply_scattered({&item, 1});
 }
 
 void Codec::encode_batch(std::span<const ec::CoderBatchItem> items,
@@ -160,9 +164,12 @@ void Codec::decode_batch(std::span<const DecodeBatchItem> items,
 
   for (const auto& [erased, members] : groups) {
     cancel.throw_if_cancelled();
-    const DecodeEntry& entry = decode_entry(erased);
-    const std::size_t k = entry.plan->survivors.size();
-    const std::size_t e = entry.plan->erased.size();
+    auto& plan = pattern_plans_[erased];
+    if (!plan) plan = this->plan(erased);
+    if (!plan)
+      throw std::runtime_error("decode: erasure pattern is unrecoverable");
+    const std::size_t k = plan->survivors.size();
+    const std::size_t e = plan->erased.size();
 
     // Zero-copy group recovery: each member's survivor units are read in
     // place inside its stripe and the recovered units are written
@@ -178,16 +185,14 @@ void Codec::decode_batch(std::span<const DecodeBatchItem> items,
       const DecodeBatchItem& item = items[members[b]];
       const std::size_t unit = item.unit_size;
       for (std::size_t s = 0; s < k; ++s)
-        in_ptrs[b * k + s] =
-            item.stripe.data() + entry.plan->survivors[s] * unit;
+        in_ptrs[b * k + s] = item.stripe.data() + plan->survivors[s] * unit;
       for (std::size_t s = 0; s < e; ++s)
-        out_ptrs[b * e + s] =
-            item.stripe.data() + entry.plan->erased[s] * unit;
+        out_ptrs[b * e + s] = item.stripe.data() + plan->erased[s] * unit;
       batch.push_back(ScatteredCoderItem{
           std::span<const std::uint8_t* const>(in_ptrs.data() + b * k, k),
           std::span<std::uint8_t* const>(out_ptrs.data() + b * e, e), unit});
     }
-    entry.coder->apply_scattered(batch, max_threads, cancel);
+    decode_coder(*plan).apply_scattered(batch, max_threads, cancel);
   }
 }
 

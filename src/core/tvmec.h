@@ -28,7 +28,7 @@
 /// (bench_memcpy_overhead times the staged gather as E2's baseline.)
 /// Decode reads survivors and writes recovered units in place in the
 /// stripe the same way.
-/// Not thread-safe: decode caches per-erasure-pattern coders.
+/// Not thread-safe: decode caches per-plan coders.
 namespace tvmec::core {
 
 class Codec {
@@ -58,7 +58,8 @@ class Codec {
   /// and orders the survivors the plan may read (see
   /// ec::make_decode_plan); with none, an LRC reads a lone lost data unit
   /// or local parity from its group alone. Served from the shared
-  /// PlanCache when one is installed. Null means the pattern is
+  /// PlanCache when one is installed, else from the codec's own, so
+  /// nothing is planned twice. Null means the pattern is
   /// unrecoverable (with that preference). Throws std::invalid_argument
   /// on an empty pattern or an out-of-range id. Thread-safe.
   std::shared_ptr<const ec::DecodePlan> plan(
@@ -110,6 +111,13 @@ class Codec {
   void decode(std::span<std::uint8_t> stripe,
               std::span<const std::size_t> erased_ids, std::size_t unit_size);
 
+  /// Runs `plan` (from plan()) on a full stripe (n contiguous units) in
+  /// place: reads the plan's survivors, writes its erased units, and
+  /// touches no other unit, so only the survivors need hold bytes.
+  /// Throws std::invalid_argument on a stripe other than n units.
+  void decode(std::span<std::uint8_t> stripe, const ec::DecodePlan& plan,
+              std::size_t unit_size);
+
   /// One request of a batched decode: a full stripe repaired in place.
   struct DecodeBatchItem {
     std::span<std::uint8_t> stripe;
@@ -122,7 +130,7 @@ class Codec {
   /// the shared recovery matrix. decode() is the single-item special
   /// case. Error contract per item matches decode(); a throwing item
   /// aborts the batch (callers wanting isolation run items singly).
-  /// Not thread-safe (shares the decode-plan cache).
+  /// Not thread-safe (shares the decode-coder cache).
   /// Cancellation (tensor::Cancelled) may abort between or inside
   /// pattern groups: completed groups' stripes are repaired, the
   /// aborted group's stripes are left with their holes.
@@ -167,33 +175,29 @@ class Codec {
     delta_coders_.clear();
   }
 
-  /// Number of distinct erasure patterns with cached decode coders.
+  /// Number of distinct plans with cached decode coders.
   std::size_t decode_cache_size() const noexcept {
     return decode_cache_.size();
   }
 
-  /// Installs a shared decode-plan cache: decode planning consults it
-  /// before inverting, so repeated loss patterns — across this codec,
-  /// other codecs of the same code, the serve workers, and the scrubber's
-  /// repair path — skip matrix inversion entirely. Per-pattern GemmCoders
-  /// stay local (they carry this codec's schedule); only the expensive
-  /// plan is shared. Null detaches. Clears locally cached entries so the
-  /// shared cache sees subsequent patterns.
+  /// Installs a shared decode-plan cache: plan() consults it instead of
+  /// the codec's own, so repeated loss patterns — across this codec,
+  /// other codecs of the same code, the serve workers, and the cluster's
+  /// reads and repairs — skip matrix inversion entirely. Per-plan
+  /// GemmCoders stay local (they carry this codec's schedule); only the
+  /// expensive plan is shared. Null detaches, back to the codec's own.
+  /// Clears decode()'s plans so the new cache sees later patterns.
   void set_plan_cache(std::shared_ptr<PlanCache> cache) {
     plan_cache_ = std::move(cache);
-    decode_cache_.clear();
+    pattern_plans_.clear();
   }
   const std::shared_ptr<PlanCache>& plan_cache() const noexcept {
     return plan_cache_;
   }
 
  private:
-  struct DecodeEntry {
-    std::shared_ptr<const ec::DecodePlan> plan;
-    std::unique_ptr<GemmCoder> coder;
-  };
-
-  const DecodeEntry& decode_entry(const std::vector<std::size_t>& erased);
+  /// The decode coder that runs `plan`, built on its first use.
+  GemmCoder& decode_coder(const ec::DecodePlan& plan);
 
   /// Sorted, deduplicated, range-checked loss pattern (the canonical key
   /// of both plan caches). Throws invalid_argument on out-of-range ids.
@@ -208,12 +212,18 @@ class Codec {
   /// The exact code identity PlanKey::code carries.
   std::vector<std::uint32_t> code_id_;
   GemmCoder encode_coder_;
-  /// Per-pattern decode coders. They carry the schedule and schedule
-  /// cache they were built with, and every change to either
-  /// (set_schedule, set_schedule_cache, tune) drops them, so the loss
-  /// pattern alone keys them.
-  std::map<std::vector<std::size_t>, DecodeEntry> decode_cache_;
+  /// Per-plan decode coders, keyed by the erased and survivor ids that
+  /// fix the plan's recovery matrix. Every change to the schedule they
+  /// carry (set_schedule, set_schedule_cache, tune) drops them.
+  std::map<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>,
+           std::unique_ptr<GemmCoder>>
+      decode_cache_;
   std::shared_ptr<PlanCache> plan_cache_;
+  /// plan()'s cache while no shared one is installed.
+  std::unique_ptr<PlanCache> own_plans_ = std::make_unique<PlanCache>();
+  /// decode()'s plan per loss pattern: a repeat asks no plan cache.
+  std::map<std::vector<std::size_t>, std::shared_ptr<const ec::DecodePlan>>
+      pattern_plans_;
   /// Per-data-unit r x 1 delta coders for update_unit (lazy).
   std::vector<std::unique_ptr<GemmCoder>> delta_coders_;
   /// update_unit's delta and parity-delta scratch.

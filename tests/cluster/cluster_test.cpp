@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <set>
 #include <vector>
 
@@ -128,6 +129,19 @@ TEST(Cluster, ShortStripeGetFetchesOnlyCarriedUnits) {
   // A get fetches only the data units that carry bytes, ceil(take / unit)
   // per stripe: one disk read, one response message and one unit of
   // payload each. A short stripe's padding units are never fetched.
+  // The injector reads, response messages and payload units `op` makes:
+  using Fetches = std::array<std::uint64_t, 3>;
+  const auto fetches = [](Cluster& cl, const storage::FaultInjector& inj,
+                          const auto& op) {
+    const std::uint64_t reads0 = inj.stats().reads;
+    const NetStats net0 = cl.net().stats();
+    op();
+    const NetStats net1 = cl.net().stats();
+    return Fetches{inj.stats().reads - reads0,
+                   net1.messages_sent - net0.messages_sent,
+                   (net1.bytes_received - net0.bytes_received) /
+                       cl.unit_size()};
+  };
   constexpr std::size_t k = 4;
   constexpr std::size_t stripe_bytes = k * kUnit;
   for (const std::size_t size :
@@ -143,13 +157,9 @@ TEST(Cluster, ShortStripeGetFetchesOnlyCarriedUnits) {
     std::size_t carried = 0;
     for (std::size_t off = 0; off < size; off += stripe_bytes)
       carried += (std::min(stripe_bytes, size - off) + kUnit - 1) / kUnit;
-    const std::uint64_t reads0 = inj.stats().reads;
-    const NetStats net0 = cl.net().stats();
-    EXPECT_EQ(cl.get("obj"), bytes);
-    const NetStats net1 = cl.net().stats();
-    EXPECT_EQ(inj.stats().reads - reads0, carried);
-    EXPECT_EQ(net1.messages_sent - net0.messages_sent, carried);
-    EXPECT_EQ((net1.bytes_received - net0.bytes_received) / kUnit, carried);
+    const auto get = [&] { EXPECT_EQ(cl.get("obj"), bytes); };
+    const Fetches healthy = fetches(cl, inj, get);
+    EXPECT_EQ(healthy, (Fetches{carried, carried, carried}));
     EXPECT_EQ(cl.stats().hedged_reads, 0u);
     EXPECT_EQ(cl.stats().degraded_reads, 0u);
 
@@ -171,10 +181,35 @@ TEST(Cluster, ShortStripeGetFetchesOnlyCarriedUnits) {
       EXPECT_EQ(sink.reports, 0u);
       cl.set_damage_sink(nullptr);
     }
-    // A lost carried unit degrades the get, which decodes it exactly.
+    // A lost carried unit degrades the get, which decodes it exactly
+    // from one parity in its place: the healthy get's reads, messages
+    // and payload. read_unit() of the lost unit reads only its helpers,
+    // the stripe's c carried units less itself plus one parity.
     cl.fail_node(nodes[0]);
-    EXPECT_EQ(cl.get("obj"), bytes);
-    EXPECT_GT(cl.stats().degraded_reads, 0u);
+    EXPECT_EQ(fetches(cl, inj, get), healthy);
+    EXPECT_EQ(cl.stats().degraded_reads, 1u);
+    const std::uint64_t c = (std::min(stripe_bytes, size) + kUnit - 1) / kUnit;
+    std::vector<std::uint8_t> unit0(kUnit, 0);
+    std::copy_n(bytes.begin(), std::min(kUnit, size), unit0.begin());
+    const auto read0 = [&] { EXPECT_EQ(cl.read_unit("obj", 0, 0), unit0); };
+    EXPECT_EQ(fetches(cl, inj, read0), (Fetches{c, c, c}));
+  }
+
+  // The object-store shape: RS(10,4), 64 KiB units, 16 nodes in 4
+  // domains. With unit 0's holder down, a 192 KiB get (3 carried units)
+  // reads 3 units and a full stripe 10, as when healthy.
+  constexpr std::size_t unit = 64 * 1024;
+  for (const std::size_t units : {std::size_t{3}, std::size_t{10}}) {
+    SCOPED_TRACE(::testing::Message() << units << " carried units");
+    Cluster cl(ec::CodeParams{10, 4, 8}, unit, make_config(16, 4));
+    storage::FaultInjector inj;
+    cl.attach_fault_injector(&inj);
+    const auto bytes = testutil::random_vector(units * unit, units);
+    cl.put("obj", bytes);
+    cl.fail_node(cl.placement("obj", 0)[0]);
+    EXPECT_EQ(fetches(cl, inj, [&] { EXPECT_EQ(cl.get("obj"), bytes); }),
+              (Fetches{units, units, units}));
+    EXPECT_EQ(cl.stats().degraded_reads, 1u);
   }
 }
 
@@ -509,6 +544,16 @@ TEST(Cluster, CorruptUnitIsDetectedAndReadDegrades) {
   EXPECT_EQ(*got, payload);  // CRC caught the flip; decode healed the read
   EXPECT_GE(cluster.stats().corruptions_detected, 1u);
   EXPECT_GE(cluster.stats().degraded_reads, 1u);
+
+  // The parity a read ranks first (lowest domain) is corrupt too: its
+  // fetch fails mid-read, and the read re-plans onto the other parity.
+  const auto nodes = cluster.placement("obj", 0);
+  const std::size_t first =
+      cluster.domain_of(nodes[4]) <= cluster.domain_of(nodes[5]) ? 4 : 5;
+  ASSERT_TRUE(cluster.corrupt_unit("obj", 0, first));
+  const std::size_t detected = cluster.stats().corruptions_detected;
+  EXPECT_EQ(cluster.get("obj"), payload);
+  EXPECT_GT(cluster.stats().corruptions_detected, detected + 1);
 }
 
 TEST(Cluster, SilentCorruptionIsDetectedAndHealedOnRead) {
