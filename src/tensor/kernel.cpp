@@ -164,14 +164,15 @@ std::size_t validate_shapes(MatView<const typename S::value_type> a,
 /// run observes cancellation mid-matrix.
 ///
 /// On the Gfni road (a non-null `gfni.kernels`, XorAnd only; the
-/// dispatcher hands it all of M) both operands always pass through
-/// byte-element panels: packing
-/// transposes each 8-row group of the k-block, the tier's microkernel
-/// accumulates every 8x8 block of A into the C panel, and the n-block's
-/// C is transposed back on store. Rows are read and written where they
-/// live; only a row range that straddles fragments goes through a row
-/// panel. K and M are zero-padded to 8-row groups and k-blocks start on
-/// them, the columns of A's block form.
+/// dispatcher hands it all of M) C always accumulates in a byte-element
+/// panel, and B has none: per n-block the tier's multiply step walks all
+/// of K in pairs of 8-row groups, transposing each pair in registers
+/// and XORing its products into every output group of the C panel, and
+/// the n-block's C is transposed back on store. Rows are read and
+/// written where they live; only a row range that straddles fragments
+/// goes through a 16-row panel. K and M are zero-padded to 8-row
+/// groups, the columns and rows of A's block form; tile_m, tile_n and
+/// block_k do not shape the road.
 template <class S, class BOp, class COp>
 void run_block(MatView<const typename S::value_type> a, const GfniRoad& gfni,
                const BOp& b, const COp& c, const Schedule& s, std::size_t m0,
@@ -187,34 +188,39 @@ void run_block(MatView<const typename S::value_type> a, const GfniRoad& gfni,
   const std::size_t tn = static_cast<std::size_t>(s.tile_n);
   const std::size_t k = a.cols;
   const std::size_t rows = m1 - m0;
-  std::size_t block_k = s.block_k == 0 ? k : std::min(s.block_k, k);
-  if (gk) block_k = round_up8(block_k);
+  const std::size_t block_k = s.block_k == 0 ? k : std::min(s.block_k, k);
 
   std::size_t block_n = s.block_n;
   V* b_panel = nullptr;
   V* c_panel = nullptr;
-  V* row_panel = nullptr;  // Gfni road: 8 rows that straddle fragments
+  V* row_panel = nullptr;  // Gfni road: 16 rows that straddle fragments
   AlignedBuffer<std::uint64_t> overflow;
   if constexpr (kXorAnd) {
-    if (kPackB || kPackC || gk) {
-      if (block_n == 0) {
-        // A packed n-block is materialized, so block_n == 0 cannot mean
-        // "whole N": a full-width panel would be the staging buffer the
-        // packed road exists to avoid. Size it so the B and C panels
-        // stay cache-resident.
-        constexpr std::size_t kPanelBudgetWords =
-            (std::size_t{1} << 18) / sizeof(std::uint64_t);  // 256 KiB
+    // A materialized n-block cannot mean "whole N" when block_n == 0: a
+    // full-width panel would be the staging buffer the packed road
+    // exists to avoid. Size it so the panels stay cache-resident.
+    constexpr std::size_t kPanelBudgetWords =
+        (std::size_t{1} << 18) / sizeof(std::uint64_t);  // 256 KiB
+    std::size_t b_words = 0;
+    std::size_t c_words = 0;
+    std::size_t row_words = 0;
+    if (gk) {
+      // The C panel holds byte elements of whole 8-row groups.
+      const std::size_t c_rows = round_up8(rows);
+      block_n = round_up8(std::max<std::size_t>(
+          block_n != 0 ? block_n
+                       : kPanelBudgetWords / std::max<std::size_t>(c_rows, 8),
+          1));
+      c_words = c_rows * block_n;
+      row_words = kPackB || kPackC ? 16 * block_n : 0;
+    } else if (kPackB || kPackC) {
+      if (block_n == 0)
         block_n = kPanelBudgetWords / (block_k + rows) / tn * tn;
-      }
       block_n = std::max(block_n, tn);
-      if (gk) block_n = round_up8(block_n);
-      // The Gfni road's panels hold byte elements of whole 8-row groups,
-      // plus 8 rows for ranges that straddle fragments.
-      const std::size_t b_words = kPackB || gk ? block_k * block_n : 0;
-      const std::size_t c_words = gk       ? round_up8(rows) * block_n
-                                  : kPackC ? rows * block_n
-                                           : 0;
-      const std::size_t row_words = gk && (kPackB || kPackC) ? 8 * block_n : 0;
+      b_words = kPackB ? block_k * block_n : 0;
+      c_words = kPackC ? rows * block_n : 0;
+    }
+    if (c_words > 0 || b_words > 0) {
       b_panel = acquire_scratch(b_words + c_words + row_words, overflow);
       c_panel = b_panel + b_words;
       row_panel = c_panel + c_words;
@@ -225,8 +231,49 @@ void run_block(MatView<const typename S::value_type> a, const GfniRoad& gfni,
   for (std::size_t nb = n0; nb < n1; nb += block_n) {
     cancel.throw_if_cancelled();
     const std::size_t nn_blk = std::min(n1 - nb, block_n);
-    // Gfni road: words between the panels' 8-row groups.
-    const std::size_t group_words = 8 * round_up8(nn_blk);
+    if constexpr (kXorAnd) {
+      if (gk) {
+        // Words between the C panel's 8-row groups.
+        const std::size_t group_words = 8 * round_up8(nn_blk);
+        for (std::size_t r = 0; r < k; r += 16) {
+          const std::size_t nr = std::min<std::size_t>(16, k - r);
+          const V* src[16] = {};
+          for (std::size_t t = 0; t < nr; ++t) {
+            if constexpr (kPackB) {
+              const std::size_t pos = (r + t) * b.cols() + nb;
+              src[t] = b.find_contiguous(pos, nn_blk);
+              if (src[t] == nullptr) {
+                b.gather(pos, nn_blk, row_panel + t * nn_blk);
+                src[t] = row_panel + t * nn_blk;
+              }
+            } else {
+              src[t] = b.row(r + t) + nb;
+            }
+          }
+          gk->multiply(src, nr, nn_blk, gfni.blocks.row(m0 / 8) + r / 8,
+                       gfni.blocks.stride, (rows + 7) / 8, c_panel,
+                       group_words, r > 0);
+        }
+        for (std::size_t i = 0; i < rows; i += 8) {
+          const std::size_t nr = std::min<std::size_t>(8, rows - i);
+          V* dst[8] = {};
+          for (std::size_t t = 0; t < nr; ++t) {
+            if constexpr (kPackC) {
+              dst[t] = c.find_contiguous((m0 + i + t) * c.cols() + nb, nn_blk);
+              if (dst[t] == nullptr) dst[t] = row_panel + t * nn_blk;
+            } else {
+              dst[t] = c.row(m0 + i + t) + nb;
+            }
+          }
+          gk->unpack(c_panel + i / 8 * group_words, nr, nn_blk, dst);
+          if constexpr (kPackC)
+            for (std::size_t t = 0; t < nr; ++t)
+              if (dst[t] == row_panel + t * nn_blk)
+                c.scatter((m0 + i + t) * c.cols() + nb, nn_blk, dst[t]);
+        }
+        continue;
+      }
+    }
     // This n-block of C: element (i, j) at c_blk[(i - m0) * ldc + j - nb].
     V* c_blk = c_panel;
     std::size_t ldc = nn_blk;
@@ -234,39 +281,12 @@ void run_block(MatView<const typename S::value_type> a, const GfniRoad& gfni,
       c_blk = c.row(m0) + nb;
       ldc = c.stride;
     }
-    // Zero the block once; k-blocks then accumulate into it. (The Gfni
-    // road's first k-block overwrites its panel instead.)
-    if (!gk)
-      for (std::size_t i = 0; i < rows; ++i)
-        std::fill_n(c_blk + i * ldc, nn_blk, S::zero());
+    // Zero the block once; k-blocks then accumulate into it.
+    for (std::size_t i = 0; i < rows; ++i)
+      std::fill_n(c_blk + i * ldc, nn_blk, S::zero());
 
     for (std::size_t kb = 0; kb < k; kb += block_k) {
       const std::size_t kk = std::min(k - kb, block_k);
-      if constexpr (kXorAnd) {
-        if (gk) {
-          for (std::size_t r = 0; r < kk; r += 8) {
-            const std::size_t nr = std::min<std::size_t>(8, kk - r);
-            const V* src[8] = {};
-            for (std::size_t t = 0; t < nr; ++t) {
-              if constexpr (kPackB) {
-                const std::size_t pos = (kb + r + t) * b.cols() + nb;
-                src[t] = b.find_contiguous(pos, nn_blk);
-                if (src[t] == nullptr) {
-                  b.gather(pos, nn_blk, row_panel + t * nn_blk);
-                  src[t] = row_panel + t * nn_blk;
-                }
-              } else {
-                src[t] = b.row(kb + r + t) + nb;
-              }
-            }
-            gk->pack(src, nr, nn_blk, b_panel + r / 8 * group_words);
-          }
-          gk->micro(gfni.blocks.row(m0 / 8) + kb / 8, gfni.blocks.stride,
-                    (rows + 7) / 8, (kk + 7) / 8, b_panel, c_panel,
-                    group_words, kb > 0);
-          continue;
-        }
-      }
       // This (k-block, n-block) of B: element (r, j) at
       // b_blk[(r - kb) * ldb + j - nb].
       const V* b_blk = b_panel;
@@ -294,28 +314,6 @@ void run_block(MatView<const typename S::value_type> a, const GfniRoad& gfni,
       }
     }
 
-    if constexpr (kXorAnd) {
-      if (gk) {
-        for (std::size_t i = 0; i < rows; i += 8) {
-          const std::size_t nr = std::min<std::size_t>(8, rows - i);
-          V* dst[8] = {};
-          for (std::size_t t = 0; t < nr; ++t) {
-            if constexpr (kPackC) {
-              dst[t] = c.find_contiguous((m0 + i + t) * c.cols() + nb, nn_blk);
-              if (dst[t] == nullptr) dst[t] = row_panel + t * nn_blk;
-            } else {
-              dst[t] = c.row(m0 + i + t) + nb;
-            }
-          }
-          gk->unpack(c_panel + i / 8 * group_words, nr, nn_blk, dst);
-          if constexpr (kPackC)
-            for (std::size_t t = 0; t < nr; ++t)
-              if (dst[t] == row_panel + t * nn_blk)
-                c.scatter((m0 + i + t) * c.cols() + nb, nn_blk, dst[t]);
-        }
-        continue;
-      }
-    }
     if constexpr (kPackC)
       for (std::size_t i = 0; i < rows; ++i)
         c.scatter((m0 + i) * c.cols() + nb, nn_blk, c_panel + i * nn_blk);
@@ -387,7 +385,7 @@ void gemm_scheduled(MatView<const typename S::value_type> a,
       gfni = {gfni_kernels(), blocks};
     }
   }
-  // The Gfni road packs both operands, so it partitions N like them.
+  // The Gfni road always has a C panel, so it partitions N like a packed C.
   const bool any_packed = kPacked<BOp> || kPacked<COp> || gfni.kernels;
   const std::size_t m = a.rows;
   const std::size_t threads = static_cast<std::size_t>(s.num_threads);

@@ -48,24 +48,26 @@ const XorAndKernelTable* xorand_table_neon() noexcept;
 /// broadcast masks.
 const XorAndKernelTable* xorand_table(KernelVariant v) noexcept;
 
-/// The Gfni tier's three steps (xorand_kernels_gfni.cpp), run by the one
-/// blocked loop in kernel.cpp over byte-element panels: per 8-word chunk
-/// of N, the 8 rows of a K or M group occupy 64 words (8 zmm), and group
-/// regions are `group_words` (a multiple of 64) apart.
+/// The Gfni tier's steps (xorand_kernels_gfni.cpp), run by the one
+/// blocked loop in kernel.cpp. B's rows are read where they live and
+/// transposed in registers; only C has a byte-element panel: per 8-word
+/// chunk of N, the 8 rows of an M group occupy 64 words (8 zmm), and
+/// group regions are `group_words` (a multiple of 64) apart.
 struct GfniKernels {
-  /// Transposes rows [0, rows) (rows <= 8; missing rows are zeros) of
-  /// `words` words each, row r at src[r], into byte elements at dst
-  /// (ceil(words / 8) * 64 words; a tail chunk is zero-filled).
-  void (*pack)(const std::uint64_t* const* src, std::size_t rows,
-               std::size_t words, std::uint64_t* dst);
-  /// C group i ^= sum over g < kg of a[i * lda + g] (x) B group g, for
-  /// i < mg: one gf2p8affineqb per 8x8 block per zmm of elements.
+  /// C group i ^= a[i * lda] (x) B group 0 ^ a[i * lda + 1] (x) B group 1
+  /// for i < mg, where B's rows [0, rows) (rows <= 16; missing rows are
+  /// zeros) of `words` words each sit at src[r], group 0 being rows
+  /// 0-7 and group 1 rows 8-15. Per 8-word chunk both groups are
+  /// transposed to byte elements in registers, and each output group
+  /// takes one gf2p8affineqb per 8x8 block per zmm and one vpternlogq.
+  /// rows <= 8 runs group 0 alone and never reads a[i * lda + 1].
   /// `accumulate` false overwrites C instead.
-  void (*micro)(const std::uint64_t* a, std::size_t lda, std::size_t mg,
-                std::size_t kg, const std::uint64_t* b, std::uint64_t* c,
-                std::size_t group_words, bool accumulate);
-  /// pack's inverse: stores rows [0, rows) (rows <= 8) of `words` words,
-  /// row r at dst[r], from the byte elements at src.
+  void (*multiply)(const std::uint64_t* const* src, std::size_t rows,
+                   std::size_t words, const std::uint64_t* a,
+                   std::size_t lda, std::size_t mg, std::uint64_t* c,
+                   std::size_t group_words, bool accumulate);
+  /// Stores rows [0, rows) (rows <= 8) of `words` words, row r at
+  /// dst[r], from one C group of the panel at src.
   void (*unpack)(const std::uint64_t* src, std::size_t rows,
                  std::size_t words, std::uint64_t* const* dst);
   /// Writes A's block form (tensor::affine_blocks) for the rows x cols

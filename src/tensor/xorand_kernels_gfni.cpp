@@ -3,8 +3,9 @@
 // elements (bit i of an element is row i of the group), so one
 // gf2p8affineqb applies a whole 8x8 block of A to 64 elements where the
 // XorAnd kernels spend 64 masked XORs. The bit-sliced -> byte transpose
-// lives in the packing step (a byte interleave, then one affine per 64
-// bytes) and its inverse in the C store. Compiled with per-file
+// (a byte interleave, then one affine per 64 bytes) runs in registers,
+// two B groups at a time, right before the affines that use them; its
+// inverse runs in the C store. Compiled with per-file
 // -mavx512f/-mavx512bw/-mavx512vl/-mgfni; selected at runtime only when
 // CPUID (plus XGETBV zmm-state checks) reports all four.
 
@@ -27,8 +28,8 @@ namespace {
 
 /// gf2p8affineqb data operands that turn the instruction into an 8x8 bit
 /// transpose of its matrix operand: result byte j gathers bit (7 - j)
-/// (pack) or bit j (unpack) of the matrix qword's eight bytes, the row
-/// of byte 7 - i landing in bit i.
+/// (B's transpose) or bit j (unpack) of the matrix qword's eight bytes,
+/// the row of byte 7 - i landing in bit i.
 constexpr long long kPackX = 0x0102040810204080LL;
 constexpr long long kUnpackX = static_cast<long long>(0x8040201008040201ULL);
 
@@ -38,55 +39,101 @@ __mmask8 chunk_mask(std::size_t words) {
                     : static_cast<__mmask8>((1u << words) - 1);
 }
 
-/// Packs rows [0, rows) (rows <= 8; missing rows are zeros) of `words`
-/// words each, row r at src[r], into byte elements: per 8-word
-/// chunk, 8 zmm at dst. After the interleave, qword h of lane L of zmm o
-/// holds byte p = 16L + 2o + h of rows 7..0; the affine transposes it to
-/// the 8 elements of byte p, element bit i being row i. A tail chunk is
-/// zero-filled.
-void pack(const std::uint64_t* const* src, std::size_t rows,
-          std::size_t words, std::uint64_t* dst) {
-  const __m512i x = _mm512_set1_epi64(kPackX);
-  for (std::size_t w = 0; w < words; w += 8, dst += 64) {
-    const __mmask8 m = chunk_mask(words - w);
-    __m512i in[8];
+/// Loads rows [0, min(rows, 8)) (missing rows are zeros) of the 8-word
+/// chunk at word w, row r at src[r] + w, and transposes them to byte
+/// elements in registers. After the interleave, qword h of lane L
+/// of zmm o holds byte p = 16L + 2o + h of rows 7..0; the affine
+/// transposes it to the 8 elements of byte p, element bit i being row i.
+[[gnu::always_inline]] inline void transpose_group(
+    const std::uint64_t* const* src, std::size_t rows, std::size_t w,
+    __mmask8 m, __m512i x, __m512i out[8]) {
+  __m512i in[8];
 #pragma GCC unroll 8
-    for (int t = 0; t < 8; ++t) {
-      const std::size_t r = 7 - static_cast<std::size_t>(t);
-      in[t] = r < rows ? _mm512_maskz_loadu_epi64(m, src[r] + w)
-                       : _mm512_setzero_si512();
-    }
-    __m512i s1[8], s2[8];
+  for (int t = 0; t < 8; ++t) {
+    const std::size_t r = 7 - static_cast<std::size_t>(t);
+    in[t] = r < rows ? _mm512_maskz_loadu_epi64(m, src[r] + w)
+                     : _mm512_setzero_si512();
+  }
+  __m512i s1[8], s2[8];
 #pragma GCC unroll 4
-    for (int i = 0; i < 4; ++i) {
-      s1[2 * i] = _mm512_unpacklo_epi8(in[2 * i], in[2 * i + 1]);
-      s1[2 * i + 1] = _mm512_unpackhi_epi8(in[2 * i], in[2 * i + 1]);
+  for (int i = 0; i < 4; ++i) {
+    s1[2 * i] = _mm512_unpacklo_epi8(in[2 * i], in[2 * i + 1]);
+    s1[2 * i + 1] = _mm512_unpackhi_epi8(in[2 * i], in[2 * i + 1]);
+  }
+#pragma GCC unroll 2
+  for (int h = 0; h < 2; ++h)
+#pragma GCC unroll 2
+    for (int i = 0; i < 2; ++i) {
+      s2[4 * h + 2 * i] = _mm512_unpacklo_epi16(s1[4 * h + i],
+                                                s1[4 * h + i + 2]);
+      s2[4 * h + 2 * i + 1] = _mm512_unpackhi_epi16(s1[4 * h + i],
+                                                    s1[4 * h + i + 2]);
     }
-#pragma GCC unroll 2
-    for (int h = 0; h < 2; ++h)
-#pragma GCC unroll 2
-      for (int i = 0; i < 2; ++i) {
-        s2[4 * h + 2 * i] = _mm512_unpacklo_epi16(s1[4 * h + i],
-                                                  s1[4 * h + i + 2]);
-        s2[4 * h + 2 * i + 1] = _mm512_unpackhi_epi16(s1[4 * h + i],
-                                                      s1[4 * h + i + 2]);
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) {
+    out[2 * i] = _mm512_gf2p8affine_epi64_epi8(
+        x, _mm512_unpacklo_epi32(s2[i], s2[i + 4]), 0);
+    out[2 * i + 1] = _mm512_gf2p8affine_epi64_epi8(
+        x, _mm512_unpackhi_epi32(s2[i], s2[i + 4]), 0);
+  }
+}
+
+/// One call of `multiply` with the group count and the first-write
+/// choice fixed: per 8-word chunk, transposes B's one or two groups, then
+/// for every output group XORs their products into the C panel's chunk
+/// (0x96 = c ^ p0 ^ p1 in one vpternlogq), or writes them when
+/// !kAccumulate.
+template <bool kTwo, bool kAccumulate>
+void multiply_groups(const std::uint64_t* const* src, std::size_t rows,
+                     std::size_t words, const std::uint64_t* a,
+                     std::size_t lda, std::size_t mg, std::uint64_t* c,
+                     std::size_t group_words) {
+  const __m512i x = _mm512_set1_epi64(kPackX);
+  for (std::size_t w = 0; w < words; w += 8) {
+    const __mmask8 m = chunk_mask(words - w);
+    __m512i b0[8], b1[8];
+    transpose_group(src, rows, w, m, x, b0);
+    if constexpr (kTwo) transpose_group(src + 8, rows - 8, w, m, x, b1);
+    std::uint64_t* cz = c + 8 * w;  // this chunk's 64 words of group 0
+    for (std::size_t i = 0; i < mg; ++i, cz += group_words) {
+      const __m512i a0 = _mm512_set1_epi64(static_cast<long long>(a[i * lda]));
+      const __m512i a1 = _mm512_set1_epi64(
+          kTwo ? static_cast<long long>(a[i * lda + 1]) : 0);
+#pragma GCC unroll 8
+      for (int o = 0; o < 8; ++o) {
+        __m512i p = _mm512_gf2p8affine_epi64_epi8(b0[o], a0, 0);
+        if constexpr (kTwo) {
+          const __m512i p1 = _mm512_gf2p8affine_epi64_epi8(b1[o], a1, 0);
+          p = kAccumulate
+                  ? _mm512_ternarylogic_epi64(_mm512_loadu_si512(cz + 8 * o),
+                                              p, p1, 0x96)
+                  : _mm512_xor_si512(p, p1);
+        } else if constexpr (kAccumulate) {
+          p = _mm512_xor_si512(_mm512_loadu_si512(cz + 8 * o), p);
+        }
+        _mm512_storeu_si512(cz + 8 * o, p);
       }
-#pragma GCC unroll 4
-    for (int i = 0; i < 4; ++i) {
-      _mm512_storeu_si512(
-          dst + 16 * i,
-          _mm512_gf2p8affine_epi64_epi8(
-              x, _mm512_unpacklo_epi32(s2[i], s2[i + 4]), 0));
-      _mm512_storeu_si512(
-          dst + 16 * i + 8,
-          _mm512_gf2p8affine_epi64_epi8(
-              x, _mm512_unpackhi_epi32(s2[i], s2[i + 4]), 0));
     }
   }
 }
 
-/// Inverse of pack: reads the byte elements of `words` words (per
-/// 8-word chunk, 8 zmm at src) and stores rows [0, rows) (rows <= 8),
+/// GfniKernels::multiply: a pair of B groups when rows > 8, else one.
+void multiply(const std::uint64_t* const* src, std::size_t rows,
+              std::size_t words, const std::uint64_t* a, std::size_t lda,
+              std::size_t mg, std::uint64_t* c, std::size_t group_words,
+              bool accumulate) {
+  if (rows > 8)
+    (accumulate ? &multiply_groups<true, true>
+                : &multiply_groups<true, false>)(src, rows, words, a, lda, mg,
+                                                 c, group_words);
+  else
+    (accumulate ? &multiply_groups<false, true>
+                : &multiply_groups<false, false>)(src, rows, words, a, lda,
+                                                  mg, c, group_words);
+}
+
+/// Inverse of transpose_group: reads the byte elements of `words` words
+/// (per 8-word chunk, 8 zmm at src) and stores rows [0, rows) (rows <= 8),
 /// row r at dst[r]. The affine turns each qword back into byte p
 /// of rows 0..7; a byte shuffle and three unpack stages (an 8x8
 /// transpose of 16-bit pairs per lane) put each row's bytes in order.
@@ -132,73 +179,6 @@ void unpack(const std::uint64_t* src, std::size_t rows, std::size_t words,
   }
 }
 
-/// MG output groups of C (group i at c + i * group_words) over kg input
-/// groups of B (group g at b + g * group_words): per zmm of byte
-/// elements, acc_i ^= affine(b_g, a[i * lda + g]) for every g, the XORs
-/// paired into one vpternlogq. `accumulate` adds to C instead of
-/// overwriting it.
-template <int MG>
-void micro_groups(const std::uint64_t* a, std::size_t lda, std::size_t kg,
-                  const std::uint64_t* b, std::uint64_t* c,
-                  std::size_t group_words, bool accumulate) {
-  for (std::size_t z = 0; z < group_words; z += 8) {
-    __m512i acc[MG];
-#pragma GCC unroll 8
-    for (int i = 0; i < MG; ++i)
-      acc[i] = accumulate ? _mm512_loadu_si512(c + i * group_words + z)
-                          : _mm512_setzero_si512();
-    std::size_t g = 0;
-    for (; g + 2 <= kg; g += 2) {
-      const __m512i b0 = _mm512_loadu_si512(b + g * group_words + z);
-      const __m512i b1 = _mm512_loadu_si512(b + (g + 1) * group_words + z);
-#pragma GCC unroll 8
-      for (int i = 0; i < MG; ++i) {
-        const std::uint64_t* ai = a + i * lda + g;
-        // 0x96 = acc ^ p0 ^ p1.
-        acc[i] = _mm512_ternarylogic_epi64(
-            acc[i],
-            _mm512_gf2p8affine_epi64_epi8(
-                b0, _mm512_set1_epi64(static_cast<long long>(ai[0])), 0),
-            _mm512_gf2p8affine_epi64_epi8(
-                b1, _mm512_set1_epi64(static_cast<long long>(ai[1])), 0),
-            0x96);
-      }
-    }
-    if (g < kg) {
-      const __m512i b0 = _mm512_loadu_si512(b + g * group_words + z);
-#pragma GCC unroll 8
-      for (int i = 0; i < MG; ++i)
-        acc[i] = _mm512_xor_si512(
-            acc[i], _mm512_gf2p8affine_epi64_epi8(
-                        b0,
-                        _mm512_set1_epi64(
-                            static_cast<long long>(a[i * lda + g])),
-                        0));
-    }
-#pragma GCC unroll 8
-    for (int i = 0; i < MG; ++i)
-      _mm512_storeu_si512(c + i * group_words + z, acc[i]);
-  }
-}
-
-/// All mg output groups, at most 8 accumulators' worth at a time.
-void micro(const std::uint64_t* a, std::size_t lda, std::size_t mg,
-           std::size_t kg, const std::uint64_t* b, std::uint64_t* c,
-           std::size_t group_words, bool accumulate) {
-  using Fn = void (*)(const std::uint64_t*, std::size_t, std::size_t,
-                      const std::uint64_t*, std::uint64_t*, std::size_t,
-                      bool);
-  static constexpr Fn kByGroups[8] = {
-      &micro_groups<1>, &micro_groups<2>, &micro_groups<3>,
-      &micro_groups<4>, &micro_groups<5>, &micro_groups<6>,
-      &micro_groups<7>, &micro_groups<8>};
-  for (std::size_t i = 0; i < mg; i += 8) {
-    const std::size_t n = mg - i < 8 ? mg - i : 8;
-    kByGroups[n - 1](a + i * lda, lda, kg, b, c + i * group_words,
-                     group_words, accumulate);
-  }
-}
-
 /// A's block form (affine_blocks), 8 columns of a row at a time: one
 /// vptestmq turns 8 mask words into the byte of their bits, and two
 /// compares check that each word is 0 or ~0. `out` holds
@@ -223,7 +203,7 @@ bool blocks(const std::uint64_t* a, std::size_t lda, std::size_t rows,
   return masks == 0xFF;
 }
 
-constexpr GfniKernels kKernels = {&pack, &micro, &unpack, &blocks};
+constexpr GfniKernels kKernels = {&multiply, &unpack, &blocks};
 
 }  // namespace
 

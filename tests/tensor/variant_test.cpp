@@ -508,6 +508,85 @@ TEST(VariantDifferential, GfniScatteredFragmentsEndInsideChunks) {
   }
 }
 
+/// The Gfni road reads B where it lives: an in-place RS(10,4)-shaped
+/// call (M 32, K 80, 512-word n-blocks) retains the C panel alone,
+/// 32 x 512 words, on a thread that ran nothing else.
+TEST(VariantDifferential, GfniRoadTakesNoBPanel) {
+  if (!variant_available(KernelVariant::Gfni))
+    GTEST_SKIP() << "host lacks GFNI + AVX-512";
+  ForceRestorer restore;
+  set_forced_variant(std::nullopt);
+  const std::size_t m = 32, n = 1024, k = 80;
+  std::mt19937_64 rng(37);
+  AlignedBuffer<std::uint64_t> a(m * k), b(k * n), c(m * n);
+  fill_mask(a.data(), m * k, rng);
+  fill_words(b.data(), k * n, rng);
+  Schedule s;
+  s.block_n = 512;
+  s.variant = KernelVariant::Gfni;
+  std::size_t retained = 0;
+  std::thread([&] {
+    gemm_xorand({a.data(), m, k, k}, {b.data(), k, n, n}, {c.data(), m, n, n},
+                s);
+    retained = kernel_scratch_retained_bytes();
+  }).join();
+  EXPECT_EQ(retained, m * 512 * sizeof(std::uint64_t));
+}
+
+/// The multiply step takes K two 8-row groups at a time: K of 1-40 (an
+/// odd or even group count, a partial last group), M up to 9 output
+/// groups, N tails, `block_k` and threads (which the road ignores), and
+/// a fragmented B whose fragment ends fall inside a pair's rows (the
+/// 16-row panel) all match the scalar tier byte for byte.
+TEST(VariantDifferential, GfniGroupPairsMatchScalar) {
+  if (!variant_available(KernelVariant::Gfni))
+    GTEST_SKIP() << "host lacks GFNI + AVX-512";
+  ForceRestorer restore;
+  set_forced_variant(std::nullopt);
+  std::mt19937_64 rng(41);
+  for (std::size_t k = 1; k <= 40; ++k)
+    for (const std::size_t m : {1, 12, 32, 72})
+      for (const std::size_t n : {5, 64, 1100}) {
+        AlignedBuffer<std::uint64_t> a(m * k), b(k * n), c(m * n), ref(m * n);
+        fill_mask(a.data(), m * k, rng);
+        fill_words(b.data(), k * n, rng);
+        const MatView<const std::uint64_t> av{a.data(), m, k, k};
+        const MatView<const std::uint64_t> bv{b.data(), k, n, n};
+        const AlignedBuffer<std::uint64_t> blocks = affine_blocks(av);
+        const std::size_t kg = (k + 7) / 8;
+        const MatView<const std::uint64_t> blk{blocks.data(), (m + 7) / 8, kg,
+                                               kg};
+        Schedule s;
+        s.variant = KernelVariant::Scalar;
+        gemm_xorand(av, bv, {ref.data(), m, n, n}, s);
+        // Fragments of n + 3 words: their ends drift through the rows.
+        std::vector<Fragment<const std::uint64_t>> frags;
+        for (std::size_t pos = 0; pos < k * n; pos += n + 3)
+          frags.push_back({b.data() + pos, std::min(n + 3, k * n - pos)});
+        const ScatteredView<const std::uint64_t> bs(k, n, frags);
+        const ScatteredView<std::uint64_t> cs(
+            m, n, std::vector<Fragment<std::uint64_t>>{{c.data(), m * n}});
+        s.variant = KernelVariant::Gfni;
+        s.block_n = 512;
+        for (const std::size_t block_k : {0, 8, 24})
+          for (const int threads : {1, 3})
+            for (const bool fragmented : {false, true}) {
+              s.block_k = block_k;
+              s.num_threads = threads;
+              std::fill_n(c.data(), m * n, 0xA5A5A5A5A5A5A5A5ULL);
+              if (fragmented)
+                gemm_xorand_scattered(av, blk, bs, cs, s);
+              else
+                gemm_xorand(av, blk, bv, {c.data(), m, n, n}, s);
+              for (std::size_t i = 0; i < m * n; ++i)
+                ASSERT_EQ(c[i], ref[i])
+                    << "word " << i << " (m=" << m << " n=" << n << " k=" << k
+                    << " sched=" << s.to_string()
+                    << " fragmented=" << fragmented << ")";
+            }
+      }
+}
+
 /// Two pages, the second inaccessible: an operand placed to end at the
 /// boundary faults on any read or write past its last word.
 class GuardedPage {
