@@ -1,11 +1,14 @@
 // E16 — thread scaling of the parallel GEMM encode path. The paper's
 // multi-core wins (§6, 1.75x on an 8-core Xeon) rest on the GEMM stack
 // keeping every core busy. For erasure coding M = out_units*w is tiny
-// (32 rows here), so the old M-only partitioning runs out of work at
-// M/tile_m chunks and plateaus; N-partitioning (each worker owning a
-// contiguous span of data words) scales with the data axis. This bench
-// measures encode throughput vs thread count for par_m / par_n / par_mn
-// schedules. JSON output: like every bench binary here, pass
+// (32 rows here), so on the tiled road M-only partitioning runs out of
+// work at M/tile_m chunks; N-partitioning (each worker owning a
+// contiguous span of data words) scales with the data axis. The Gfni
+// road always splits N, so there the axis knob changes nothing. The
+// table measures encode throughput vs thread count for par_m / par_n /
+// par_mn schedules on every kernel tier the host offers, each pinned
+// through Schedule::variant (a TVMEC_FORCE_VARIANT override beats it).
+// JSON output: like every bench binary here, pass
 // --benchmark_format=json for machine-readable results.
 
 #include <benchmark/benchmark.h>
@@ -16,6 +19,7 @@
 #include "bench_util.h"
 #include "ec/reed_solomon.h"
 #include "tensor/threadpool.h"
+#include "tensor/variant.h"
 
 namespace {
 
@@ -33,11 +37,14 @@ const gf::Matrix& parity_matrix() {
   return parity;
 }
 
-tensor::Schedule scaling_schedule(tensor::ParAxis axis, int threads) {
+tensor::Schedule scaling_schedule(
+    tensor::ParAxis axis, int threads,
+    tensor::KernelVariant variant = tensor::KernelVariant::Auto) {
   tensor::Schedule s = core::default_coder_schedule();
   s.num_threads = threads;
   s.par_axis = axis;
   s.par_grain = 0;  // auto chunking: a few chunks per thread
+  s.variant = variant;
   return s;
 }
 
@@ -71,10 +78,11 @@ std::vector<int> thread_points() {
 
 void print_paper_table() {
   benchutil::print_header(
-      "E16: encode throughput vs thread count, GB/s (k=10 r=4 w=8, "
-      "4 MiB units: M=32, N=65536 words)",
-      "N-partitioned schedules keep scaling with cores; M-only "
-      "partitioning plateaus at M/tile_m chunks");
+      "E16: encode throughput vs thread count per kernel tier, GB/s "
+      "(k=10 r=4 w=8, 4 MiB units: M=32, N=65536 words)",
+      "on the tiled tiers N-partitioned schedules keep scaling with "
+      "cores while M-only partitioning stops at M/tile_m chunks; the "
+      "Gfni road always splits N");
 
   const tensor::Schedule rep = core::default_coder_schedule();
   const std::size_t m_chunks =
@@ -86,17 +94,21 @@ void print_paper_table() {
   const auto data = benchutil::random_data(kK * kUnit, 17);
   tensor::AlignedBuffer<std::uint8_t> parity(kR * kUnit);
 
-  std::printf("%-8s %10s %10s %10s\n", "threads", "par_m", "par_n", "par_mn");
-  for (const int t : thread_points()) {
-    std::printf("%-8d", t);
-    for (const tensor::ParAxis axis :
-         {tensor::ParAxis::M, tensor::ParAxis::N, tensor::ParAxis::MN}) {
-      core::GemmCoder coder(parity_matrix(), scaling_schedule(axis, t));
-      std::printf(" %10.2f",
-                  benchutil::median_encode_gbps(coder, data.span(),
-                                                parity.span(), kUnit, 9));
+  std::printf("%-8s %-8s %10s %10s %10s\n", "tier", "threads", "par_m",
+              "par_n", "par_mn");
+  for (const tensor::KernelVariant v : tensor::available_variants()) {
+    for (const int t : thread_points()) {
+      std::printf("%-8s %-8d", tensor::to_string(tensor::resolve_variant(v)),
+                  t);
+      for (const tensor::ParAxis axis :
+           {tensor::ParAxis::M, tensor::ParAxis::N, tensor::ParAxis::MN}) {
+        core::GemmCoder coder(parity_matrix(), scaling_schedule(axis, t, v));
+        std::printf(" %10.2f",
+                    benchutil::median_encode_gbps(coder, data.span(),
+                                                  parity.span(), kUnit, 9));
+      }
+      std::printf("\n");
     }
-    std::printf("\n");
   }
   if (std::thread::hardware_concurrency() <= 1)
     std::printf("\n(single hardware thread exposed: scaling cannot "

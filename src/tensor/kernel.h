@@ -64,6 +64,17 @@ void gemm_xorand(MatView<const std::uint64_t> a,
                  MatView<const std::uint64_t> b, MatView<std::uint64_t> c,
                  const Schedule& schedule, const CancelToken& cancel = {});
 
+/// True when an XorAnd GEMM of broadcast masks (every coder call) on the
+/// concrete tier `v` runs the tiled road, which reads every schedule
+/// knob. False on the Gfni tier, whose road (DESIGN §4g) reads only
+/// block_n and the thread knobs: it keeps every output group in its C
+/// panel whatever tile_m, walks all of K per n-block whatever block_k,
+/// and always partitions N whatever par_axis; tile_n only sets the unit
+/// of the threaded N split.
+constexpr bool tiled_road(KernelVariant v) noexcept {
+  return v != KernelVariant::Gfni;
+}
+
 /// Observability for the §5 staging tax and kernel scratch usage.
 ///
 /// `stage_copies`/`stage_bytes` count memcpys whose only purpose is to

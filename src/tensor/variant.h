@@ -19,11 +19,10 @@
 /// the TVM GEMM-generator line of work, applied at link time instead of
 /// JIT time.
 ///
-/// The variant is also one more axis of the autotuner's search space
-/// (Schedule::variant): the tuner measures which tier wins per
-/// (code, shape) rather than trusting the compiler, and tuning-log
-/// records carry the variant so a schedule tuned on one ISA cannot
-/// silently mis-tune another.
+/// A schedule names the tier it was tuned on (Schedule::variant): the
+/// tuner searches the tier calls resolve to (the forced one, else the
+/// best), and tuning-log records carry it so a schedule tuned on one
+/// ISA cannot silently mis-tune another.
 namespace tvmec::tensor {
 
 /// One member of the XorAnd microkernel family. `Auto` is not a kernel:

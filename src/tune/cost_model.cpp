@@ -81,19 +81,6 @@ std::vector<double> featurize(const tensor::Schedule& s,
   f.push_back(s.par_axis == tensor::ParAxis::MN ? 1.0 : 0.0);  // 13 par mn
   f.push_back(std::log2(1.0 + axis_tiles / threads));  // 14 tiles/thread
   f.push_back(std::log2(1.0 + static_cast<double>(s.par_grain)));  // 15 grain
-
-  // SIMD variant tier. Featurize what the schedule would EXECUTE on this
-  // host (Auto and unavailable tiers resolve), since that is what the
-  // measured target reflects. Lanes = 64-bit words per vector register.
-  const tensor::KernelVariant v = tensor::resolve_variant(s.variant);
-  const bool zmm = v == tensor::KernelVariant::Avx512 ||
-                   v == tensor::KernelVariant::Gfni;
-  const double lanes = zmm                                ? 8.0
-                       : v == tensor::KernelVariant::Avx2 ? 4.0
-                       : v == tensor::KernelVariant::Neon ? 2.0
-                                                          : 1.0;
-  f.push_back(std::log2(lanes));                               // 16 width
-  f.push_back(std::fmod(tn, lanes) == 0.0 ? 1.0 : 0.0);        // 17 tn fills
   return f;
 }
 

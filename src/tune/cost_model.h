@@ -15,14 +15,13 @@
 namespace tvmec::tune {
 
 /// Number of features produced by `featurize`.
-inline constexpr std::size_t kNumFeatures = 18;
+inline constexpr std::size_t kNumFeatures = 16;
 
 /// Schedule/shape features: tile geometry, estimated cache footprints of
-/// the blocked operands relative to typical L1/L2 sizes, pass counts,
+/// the blocked operands relative to typical L1/L2 sizes, pass counts, and
 /// parallelism (thread count, partitioned axis, and how much parallel
-/// slack the partitioning leaves per thread), and the SIMD variant
-/// (vector width of the tier the schedule resolves to, and whether the
-/// N tile fills whole vectors of it). All scaled to be O(1).
+/// slack the partitioning leaves per thread). All scaled to be O(1). The
+/// kernel tier is not a feature: a search space holds one.
 std::vector<double> featurize(const tensor::Schedule& s,
                               const TaskShape& shape);
 

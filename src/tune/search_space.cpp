@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "tensor/kernel.h"
+
 namespace tvmec::tune {
 
 SearchSpace::SearchSpace(const TaskShape& shape, int max_threads)
-    : shape_(shape) {
+    : shape_(shape), variant_(tensor::resolve_variant()) {
   if (shape.m == 0 || shape.n == 0 || shape.k == 0)
     throw std::invalid_argument("SearchSpace: zero task dimension");
   if (max_threads < 1)
@@ -42,17 +44,22 @@ SearchSpace::SearchSpace(const TaskShape& shape, int max_threads)
     grains_ = {0};
   }
 
-  // Concrete variants this host can actually measure (Scalar always,
-  // then whatever CPUID detection offers). Deliberately no Auto entry:
-  // every trial must pin the tier it timed, or the log would not
-  // reproduce on a host whose "best" differs.
-  variants_ = tensor::available_variants();
+  // Likewise a knob the tier's road does not read keeps the default
+  // schedule's value alone; serially that includes tile_n, which such a
+  // road reads only as the unit of a threaded N split.
+  if (!tensor::tiled_road(variant_)) {
+    const tensor::Schedule fixed = tensor::default_schedule();
+    tile_ms_ = {fixed.tile_m};
+    block_ks_ = {fixed.block_k};
+    par_axes_ = {fixed.par_axis};
+    if (max_threads == 1) tile_ns_ = {fixed.tile_n};
+  }
 }
 
 std::size_t SearchSpace::size() const noexcept {
   return tile_ms_.size() * tile_ns_.size() * block_ks_.size() *
          block_ns_.size() * threads_.size() * par_axes_.size() *
-         grains_.size() * variants_.size();
+         grains_.size();
 }
 
 tensor::Schedule SearchSpace::at(std::size_t i) const {
@@ -71,8 +78,7 @@ tensor::Schedule SearchSpace::at(std::size_t i) const {
   s.par_axis = par_axes_[i % par_axes_.size()];
   i /= par_axes_.size();
   s.par_grain = grains_[i % grains_.size()];
-  i /= grains_.size();
-  s.variant = variants_[i % variants_.size()];
+  s.variant = variant_;
   return s;
 }
 
@@ -91,7 +97,7 @@ tensor::Schedule SearchSpace::sample(std::mt19937_64& rng) const {
 tensor::Schedule SearchSpace::mutate(const tensor::Schedule& s,
                                      std::mt19937_64& rng) const {
   tensor::Schedule out = s;
-  std::uniform_int_distribution<int> knob_dist(0, 7);
+  std::uniform_int_distribution<int> knob_dist(0, 6);
   const auto pick = [&rng](const auto& options) {
     std::uniform_int_distribution<std::size_t> d(0, options.size() - 1);
     return options[d(rng)];
@@ -115,11 +121,8 @@ tensor::Schedule SearchSpace::mutate(const tensor::Schedule& s,
     case 5:
       out.par_axis = pick(par_axes_);
       break;
-    case 6:
-      out.par_grain = pick(grains_);
-      break;
     default:
-      out.variant = pick(variants_);
+      out.par_grain = pick(grains_);
       break;
   }
   return out;

@@ -12,12 +12,12 @@
 /// register-tile extents, cache-block sizes over K and N, thread count,
 /// and — as in TVM, where which loop axis gets the `parallel` annotation
 /// is itself a schedule decision — the parallel axis and chunk grain.
-/// The SIMD kernel variant is an axis too: only the tiers the RUNNING
-/// host actually offers are enumerated, because a measured trial on an
-/// unavailable tier would silently benchmark the fallback and poison the
-/// log. A lower tier genuinely can win (e.g. AVX2 beating AVX-512 where
-/// zmm use drops the core's frequency license), which is why it is
-/// searched rather than hardwired to best-available.
+/// The space is built for one SIMD kernel tier, the one calls resolve to
+/// when the space is made (the forced tier if one is set, else the best
+/// available), and every schedule names it, so a trial times the tier
+/// its record names. A knob the tier's road does not read
+/// (tensor::tiled_road) holds one value, so the trial budget goes to
+/// schedules that run differently.
 namespace tvmec::tune {
 
 /// The problem shape being tuned for (C is m x n, reduction extent k;
@@ -32,8 +32,9 @@ struct TaskShape {
 
 class SearchSpace {
  public:
-  /// Builds the knob menu for a task. `max_threads` caps the thread knob
-  /// (pass 1 to restrict tuning to serial schedules).
+  /// Builds the knob menu for a task on the tier resolve_variant()
+  /// names now. `max_threads` caps the thread knob (pass 1 to restrict
+  /// tuning to serial schedules).
   SearchSpace(const TaskShape& shape, int max_threads);
 
   const TaskShape& shape() const noexcept { return shape_; }
@@ -44,7 +45,7 @@ class SearchSpace {
   /// The i-th schedule in lexicographic knob order (i < size()).
   tensor::Schedule at(std::size_t i) const;
 
-  /// All schedules, in order. Small enough to materialize (a few hundred).
+  /// All schedules, in order. Small enough to materialize.
   std::vector<tensor::Schedule> all() const;
 
   /// Uniformly random schedule.
@@ -69,12 +70,10 @@ class SearchSpace {
   const std::vector<std::size_t>& grain_options() const noexcept {
     return grains_;
   }
-  const std::vector<tensor::KernelVariant>& variant_options() const noexcept {
-    return variants_;
-  }
 
  private:
   TaskShape shape_;
+  tensor::KernelVariant variant_;
   std::vector<int> tile_ms_;
   std::vector<int> tile_ns_;
   std::vector<std::size_t> block_ks_;
@@ -82,7 +81,6 @@ class SearchSpace {
   std::vector<int> threads_;
   std::vector<tensor::ParAxis> par_axes_;
   std::vector<std::size_t> grains_;
-  std::vector<tensor::KernelVariant> variants_;
 };
 
 }  // namespace tvmec::tune

@@ -9,13 +9,8 @@
 namespace tvmec::baseline {
 namespace {
 
+using testutil::ForceRestorer;
 using testutil::random_bytes;
-
-/// Restores the process-wide forced variant on scope exit.
-struct ForceRestorer {
-  std::optional<tensor::KernelVariant> prev = tensor::forced_variant();
-  ~ForceRestorer() { tensor::set_forced_variant(prev); }
-};
 
 struct IsalCase {
   ec::CodeParams params;

@@ -84,14 +84,19 @@ TEST(GemmCoder, EverySearchSpaceScheduleIsCorrect) {
   ec::apply_matrix_reference_bitpacket(rs.parity_matrix(), data.span(),
                                        expect, unit);
 
-  const tune::SearchSpace space(coder.task_shape(unit), 4);
+  // A space holds the schedules of one tier: the one calls resolve to.
   tensor::AlignedBuffer<std::uint8_t> got(params.r * unit);
-  for (std::size_t i = 0; i < space.size(); ++i) {
-    coder.set_schedule(space.at(i));
-    got.fill_zero();
-    coder.apply(data.span(), got.span(), unit);
-    ASSERT_TRUE(std::equal(expect.begin(), expect.end(), got.span().begin()))
-        << "schedule " << space.at(i).to_string();
+  for (const tensor::KernelVariant v : tensor::available_variants()) {
+    const testutil::ForceRestorer force(v);
+    const tune::SearchSpace space(coder.task_shape(unit), 4);
+    for (std::size_t i = 0; i < space.size(); ++i) {
+      coder.set_schedule(space.at(i));
+      got.fill_zero();
+      coder.apply(data.span(), got.span(), unit);
+      ASSERT_TRUE(
+          std::equal(expect.begin(), expect.end(), got.span().begin()))
+          << "schedule " << space.at(i).to_string();
+    }
   }
 }
 

@@ -25,16 +25,7 @@
 namespace tvmec::tensor {
 namespace {
 
-/// Every test that touches the process-wide force restores the prior
-/// state on exit, so test order can't leak a pinned tier.
-class ForceRestorer {
- public:
-  ForceRestorer() : prev_(forced_variant()) {}
-  ~ForceRestorer() { set_forced_variant(prev_); }
-
- private:
-  std::optional<KernelVariant> prev_;
-};
+using testutil::ForceRestorer;
 
 TEST(Variant, NamesRoundTrip) {
   for (const KernelVariant v :

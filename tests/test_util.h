@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <span>
 #include <utility>
@@ -8,6 +9,7 @@
 
 #include "tensor/buffer.h"
 #include "tensor/scattered.h"
+#include "tensor/variant.h"
 
 /// Shared helpers for the test suite.
 namespace tvmec::testutil {
@@ -76,5 +78,22 @@ wide_n(std::span<const GemmItem> items) {
       c.push_back({item.c.row(r), item.c.cols});
   return {{k, n, std::move(b)}, {m, n, std::move(c)}};
 }
+
+/// Restores the process-wide forced variant at scope exit, so test order
+/// can't leak a pinned tier. The second constructor also forces `v`
+/// (nullopt clears the force) for the scope.
+class ForceRestorer {
+ public:
+  ForceRestorer() = default;
+  explicit ForceRestorer(std::optional<tensor::KernelVariant> v) {
+    tensor::set_forced_variant(v);
+  }
+  ~ForceRestorer() { tensor::set_forced_variant(prev_); }
+  ForceRestorer(const ForceRestorer&) = delete;
+  ForceRestorer& operator=(const ForceRestorer&) = delete;
+
+ private:
+  std::optional<tensor::KernelVariant> prev_ = tensor::forced_variant();
+};
 
 }  // namespace tvmec::testutil

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+
+#include "../test_util.h"
+#include "tensor/kernel.h"
 
 namespace tvmec::tune {
 namespace {
@@ -84,6 +88,8 @@ TEST(SearchSpace, MutateChangesAtMostOneKnob) {
 }
 
 TEST(SearchSpace, ParallelAxisKnobsOfferedWithThreads) {
+  // Forced Scalar: the axis is a knob of the tiled road.
+  const testutil::ForceRestorer scalar(tensor::KernelVariant::Scalar);
   const SearchSpace space(typical_shape(), 4);
   EXPECT_EQ(space.par_axis_options().size(), 3u);
   EXPECT_EQ(space.grain_options(), (std::vector<std::size_t>{0, 1, 4}));
@@ -103,32 +109,51 @@ TEST(SearchSpace, SerialSpaceHasNoParallelAxisDuplicates) {
   EXPECT_EQ(space.grain_options().size(), 1u);
 }
 
-TEST(SearchSpace, VariantAxisOffersEveryAvailableTierAndNeverAuto) {
-  const SearchSpace space(typical_shape(), 2);
-  EXPECT_EQ(space.variant_options(), tensor::available_variants());
-  // Trials must pin the tier they measured — an Auto record replayed on
-  // a different host would silently time a different kernel.
-  std::set<tensor::KernelVariant> seen;
-  for (const auto& s : space.all()) {
-    EXPECT_NE(s.variant, tensor::KernelVariant::Auto) << s.to_string();
-    seen.insert(s.variant);
+TEST(SearchSpace, EverySchedulePinsTheTierCallsRunOn) {
+  // Unforced, then each available tier forced: every trial must time
+  // the tier its record names, never Auto, which a host with another
+  // best tier would resolve differently. A tiled tier keeps every knob.
+  std::vector<std::optional<tensor::KernelVariant>> forces = {std::nullopt};
+  for (const tensor::KernelVariant v : tensor::available_variants())
+    forces.push_back(v);
+  for (const auto& force : forces) {
+    const testutil::ForceRestorer guard(force);
+    const tensor::KernelVariant runs = tensor::resolve_variant();
+    ASSERT_NE(runs, tensor::KernelVariant::Auto);
+    for (const int threads : {1, 4}) {
+      const SearchSpace space(typical_shape(), threads);
+      for (const auto& s : space.all())
+        ASSERT_EQ(s.variant, runs) << s.to_string();
+      if (tensor::tiled_road(runs)) {
+        EXPECT_EQ(space.size(), threads == 1 ? 400u : 10800u)
+            << tensor::to_string(runs);
+      }
+    }
   }
-  EXPECT_EQ(seen.size(), space.variant_options().size());
 }
 
-TEST(SearchSpace, MutateReachesVariantKnob) {
-  const SearchSpace space(typical_shape(), 4);
-  if (space.variant_options().size() < 2)
-    GTEST_SKIP() << "host offers only one kernel variant";
-  std::mt19937_64 rng(11);
-  const tensor::Schedule base = space.sample(rng);
-  bool variant_changed = false;
-  for (int i = 0; i < 500 && !variant_changed; ++i)
-    variant_changed |= space.mutate(base, rng).variant != base.variant;
-  EXPECT_TRUE(variant_changed);
+TEST(SearchSpace, GfniSpaceHoldsOnlyKnobsItsRoadReads) {
+  if (!tensor::variant_available(tensor::KernelVariant::Gfni))
+    GTEST_SKIP() << "host lacks the Gfni tier";
+  const testutil::ForceRestorer gfni(tensor::KernelVariant::Gfni);
+  // The road reads block_n (4 values here), the thread count and grain,
+  // and tile_n as the unit of a threaded N split (5 values): 180
+  // schedules with threads, 4 serially.
+  const auto check = [](int max_threads, std::size_t schedules) {
+    const SearchSpace space(typical_shape(), max_threads);
+    EXPECT_EQ(space.size(), schedules) << "max_threads " << max_threads;
+    EXPECT_EQ(space.tile_m_options().size(), 1u);
+    EXPECT_EQ(space.block_k_options().size(), 1u);
+    for (const auto& s : space.all())
+      EXPECT_EQ(s.par_axis, tensor::ParAxis::N) << s.to_string();
+  };
+  check(4, 180);
+  check(1, 4);
 }
 
 TEST(SearchSpace, MutateReachesParallelAxisKnobs) {
+  // Forced Scalar: the axis is a knob of the tiled road.
+  const testutil::ForceRestorer scalar(tensor::KernelVariant::Scalar);
   const SearchSpace space(typical_shape(), 4);
   std::mt19937_64 rng(10);
   tensor::Schedule base = space.sample(rng);

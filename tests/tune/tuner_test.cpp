@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "../test_util.h"
+
 namespace tvmec::tune {
 namespace {
 
@@ -23,7 +25,11 @@ double synthetic_objective(const tensor::Schedule& s) {
   return score;
 }
 
-class PolicyTest : public ::testing::TestWithParam<Policy> {};
+/// Forced Scalar: the landscapes below reward tile_m and block_k, knobs
+/// only a tiled tier's space offers.
+class PolicyTest : public ::testing::TestWithParam<Policy> {
+  const testutil::ForceRestorer scalar_{tensor::KernelVariant::Scalar};
+};
 
 TEST_P(PolicyTest, RespectsTrialBudget) {
   const SearchSpace space(shape(), 4);
@@ -230,6 +236,7 @@ TEST(Tuner, BestAfterIsMonotone) {
 /// measured trials than pure random search on a landscape the linear
 /// model can capture (this is Ansor's whole premise).
 TEST(Tuner, ModelGuidedBeatsRandomOnLearnableLandscape) {
+  const testutil::ForceRestorer scalar(tensor::KernelVariant::Scalar);
   const SearchSpace space(shape(), 8);
   double best = 0;
   for (const auto& s : space.all())
