@@ -72,6 +72,19 @@ void print_paper_table(const tune::TuneResult& first_model) {
   std::printf("  model-guided : %s  (the tuned-schedule row's tune: %s)\n",
               model.best_schedule.to_string().c_str(),
               first_model.best_schedule.to_string().c_str());
+  // When the two picks differ, the finalists' medians show whether the
+  // search or the re-measure split them.
+  for (const tune::TuneResult* r : {&first_model, &model}) {
+    std::printf("  finalists of the %s tune (re-measured median GB/s):\n",
+                r == &model ? "model-guided" : "tuned-schedule row's");
+    for (const tune::TrialRecord& f : r->finalists) {
+      if (f.failed)
+        std::printf("    %-30s dropped\n", f.schedule.to_string().c_str());
+      else
+        std::printf("    %-30s %6.2f\n", f.schedule.to_string().c_str(),
+                    f.throughput / 1e9);
+    }
+  }
 
   core::GemmCoder default_coder(parity_matrix(), tensor::default_schedule());
   const auto data = benchutil::random_data(10 * kUnit, 6);

@@ -69,6 +69,17 @@ int main(int argc, char** argv) {
               result.best_throughput / 1e9,
               result.best_throughput / 1e9 / default_gbps);
 
+  // The finalists' re-measured medians: when picks differ between
+  // processes, this shows whether the search or the re-measure did it.
+  std::printf("\nfinalists (re-measured median):\n");
+  for (const tune::TrialRecord& f : result.finalists) {
+    if (f.failed)
+      std::printf("  %-22s :  dropped\n", f.schedule.to_string().c_str());
+    else
+      std::printf("  %-22s : %6.2f GB/s\n", f.schedule.to_string().c_str(),
+                  f.throughput / 1e9);
+  }
+
   std::printf("\ntop 5 schedules visited:\n");
   auto history = result.history;
   std::sort(history.begin(), history.end(),

@@ -82,8 +82,8 @@ tensor::Schedule default_service_schedule() {
   // Every Codec's tuned default shape, with the thread knob opened to
   // the whole pool; effective_gemm_threads() narrows it per batch.
   tensor::Schedule s = core::default_coder_schedule();
-  s.num_threads = static_cast<int>(
-      std::min<std::size_t>(tensor::ThreadPool::shared().size(), 256));
+  s.num_threads = static_cast<int>(std::min<std::size_t>(
+      tensor::ThreadPool::shared().size(), tensor::kMaxScheduleThreads));
   return s;
 }
 
@@ -99,7 +99,8 @@ int EcService::effective_gemm_threads(std::size_t batch_words,
   const std::size_t by_work =
       std::max<std::size_t>(1, batch_words / kMinWordsPerGemmThread);
   return static_cast<int>(
-      std::min({fair_share, by_work, std::size_t{256}}));
+      std::min({fair_share, by_work,
+                std::size_t{tensor::kMaxScheduleThreads}}));
 }
 
 EcService::EcService(const ServiceConfig& config, std::size_t executors,

@@ -97,7 +97,7 @@ bool is_supported_tile(int tile_m, int tile_n) noexcept {
 
 bool Schedule::valid() const noexcept {
   if (!is_supported_tile(tile_m, tile_n)) return false;
-  if (num_threads < 1 || num_threads > 256) return false;
+  if (num_threads < 1 || num_threads > kMaxScheduleThreads) return false;
   if (par_axis != ParAxis::M && par_axis != ParAxis::N &&
       par_axis != ParAxis::MN)
     return false;

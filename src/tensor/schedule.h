@@ -74,6 +74,10 @@ struct Schedule {
   bool operator==(const Schedule&) const = default;
 };
 
+/// Most worker threads a schedule may ask for (Schedule::valid); thread
+/// menus and serve's per-batch widths stop here.
+inline constexpr int kMaxScheduleThreads = 256;
+
 /// Register-tile extents the microkernel menu was instantiated for.
 /// (The dispatch table in kernel.cpp covers the cross product.)
 bool is_supported_tile(int tile_m, int tile_n) noexcept;

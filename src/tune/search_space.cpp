@@ -1,11 +1,20 @@
 #include "tune/search_space.h"
 
 #include <algorithm>
+#include <array>
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/kernel.h"
 
 namespace tvmec::tune {
+
+// The menus every task shares.
+constexpr std::array<int, 4> kTileMs = {1, 2, 4, 8};
+constexpr std::array<tensor::ParAxis, 3> kParAxes = {
+    tensor::ParAxis::N, tensor::ParAxis::M, tensor::ParAxis::MN};
+constexpr std::array<std::size_t, 3> kGrains = {0, 1, 4};
 
 SearchSpace::SearchSpace(const TaskShape& shape, int max_threads)
     : shape_(shape), variant_(tensor::resolve_variant()) {
@@ -14,7 +23,6 @@ SearchSpace::SearchSpace(const TaskShape& shape, int max_threads)
   if (max_threads < 1)
     throw std::invalid_argument("SearchSpace: max_threads < 1");
 
-  tile_ms_ = {1, 2, 4, 8};
   // Wide N tiles map onto the SIMD-specialized microkernels; cap at the
   // problem width.
   for (const int t : {4, 8, 16, 32, 64})
@@ -26,72 +34,50 @@ SearchSpace::SearchSpace(const TaskShape& shape, int max_threads)
   for (const std::size_t b : {8u, 16u, 32u, 64u, 128u})
     if (b < shape.k) block_ks_.push_back(b);
 
-  // N blocks sized around L1/L2-resident strips of B.
+  // N blocks sized around L1/L2-resident strips of B (on the Gfni road,
+  // of the C panel).
   block_ns_ = {0};
-  for (const std::size_t b : {256u, 512u, 1024u, 2048u, 4096u, 8192u})
+  for (const std::size_t b : {128u, 256u, 512u, 1024u, 2048u, 4096u, 8192u})
     if (b < shape.n) block_ns_.push_back(b);
 
-  for (int t = 1; t <= max_threads; t *= 2) threads_.push_back(t);
+  const int thread_cap = std::min(max_threads, tensor::kMaxScheduleThreads);
+  for (int t = 1; t <= thread_cap; t *= 2) threads_.push_back(t);
 
-  // Parallelization strategy only matters with real parallelism; a serial
-  // space keeps the canonical single entry so serial tuning sessions do
-  // not waste trials on nine perf-identical duplicates per point.
-  if (max_threads > 1) {
-    par_axes_ = {tensor::ParAxis::N, tensor::ParAxis::M, tensor::ParAxis::MN};
-    grains_ = {0, 1, 4};
-  } else {
-    par_axes_ = {tensor::ParAxis::N};
-    grains_ = {0};
-  }
-
-  // Likewise a knob the tier's road does not read keeps the default
-  // schedule's value alone; serially that includes tile_n, which such a
-  // road reads only as the unit of a threaded N split.
-  if (!tensor::tiled_road(variant_)) {
-    const tensor::Schedule fixed = tensor::default_schedule();
-    tile_ms_ = {fixed.tile_m};
-    block_ks_ = {fixed.block_k};
-    par_axes_ = {fixed.par_axis};
-    if (max_threads == 1) tile_ns_ = {fixed.tile_n};
-  }
+  // Every point of the knob grid, snapped; a point that snaps onto one
+  // already listed runs as that one does.
+  std::set<std::string> listed;
+  for (const std::size_t grain : kGrains)
+    for (const tensor::ParAxis axis : kParAxes)
+      for (const int threads : threads_)
+        for (const std::size_t bn : block_ns_)
+          for (const std::size_t bk : block_ks_)
+            for (const int tn : tile_ns_)
+              for (const int tm : kTileMs) {
+                const tensor::Schedule s =
+                    snap({tm, tn, bk, bn, threads, axis, grain, variant_});
+                if (listed.insert(s.to_string()).second)
+                  schedules_.push_back(s);
+              }
 }
 
-std::size_t SearchSpace::size() const noexcept {
-  return tile_ms_.size() * tile_ns_.size() * block_ks_.size() *
-         block_ns_.size() * threads_.size() * par_axes_.size() *
-         grains_.size();
-}
-
-tensor::Schedule SearchSpace::at(std::size_t i) const {
-  if (i >= size()) throw std::out_of_range("SearchSpace::at");
-  tensor::Schedule s;
-  s.tile_m = tile_ms_[i % tile_ms_.size()];
-  i /= tile_ms_.size();
-  s.tile_n = tile_ns_[i % tile_ns_.size()];
-  i /= tile_ns_.size();
-  s.block_k = block_ks_[i % block_ks_.size()];
-  i /= block_ks_.size();
-  s.block_n = block_ns_[i % block_ns_.size()];
-  i /= block_ns_.size();
-  s.num_threads = threads_[i % threads_.size()];
-  i /= threads_.size();
-  s.par_axis = par_axes_[i % par_axes_.size()];
-  i /= par_axes_.size();
-  s.par_grain = grains_[i % grains_.size()];
-  s.variant = variant_;
+tensor::Schedule SearchSpace::snap(tensor::Schedule s) const {
+  const tensor::Schedule fixed = tensor::default_schedule();
+  const bool tiled = tensor::tiled_road(variant_);
+  // The Gfni road keeps every output group in its C panel, walks all of
+  // K per n-block and always partitions N.
+  if (!tiled) {
+    s.tile_m = fixed.tile_m;
+    s.block_k = fixed.block_k;
+    s.par_axis = fixed.par_axis;
+  }
+  // gemm_scheduled runs a one-thread call as one block, which the
+  // Gfni road does not cut into tile_n columns.
+  if (s.num_threads == 1) {
+    s.par_axis = fixed.par_axis;
+    s.par_grain = fixed.par_grain;
+    if (!tiled) s.tile_n = fixed.tile_n;
+  }
   return s;
-}
-
-std::vector<tensor::Schedule> SearchSpace::all() const {
-  std::vector<tensor::Schedule> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back(at(i));
-  return out;
-}
-
-tensor::Schedule SearchSpace::sample(std::mt19937_64& rng) const {
-  std::uniform_int_distribution<std::size_t> dist(0, size() - 1);
-  return at(dist(rng));
 }
 
 tensor::Schedule SearchSpace::mutate(const tensor::Schedule& s,
@@ -104,7 +90,7 @@ tensor::Schedule SearchSpace::mutate(const tensor::Schedule& s,
   };
   switch (knob_dist(rng)) {
     case 0:
-      out.tile_m = pick(tile_ms_);
+      out.tile_m = pick(kTileMs);
       break;
     case 1:
       out.tile_n = pick(tile_ns_);
@@ -119,13 +105,13 @@ tensor::Schedule SearchSpace::mutate(const tensor::Schedule& s,
       out.num_threads = pick(threads_);
       break;
     case 5:
-      out.par_axis = pick(par_axes_);
+      out.par_axis = pick(kParAxes);
       break;
     default:
-      out.par_grain = pick(grains_);
+      out.par_grain = pick(kGrains);
       break;
   }
-  return out;
+  return snap(out);
 }
 
 }  // namespace tvmec::tune

@@ -15,9 +15,9 @@
 /// The space is built for one SIMD kernel tier, the one calls resolve to
 /// when the space is made (the forced tier if one is set, else the best
 /// available), and every schedule names it, so a trial times the tier
-/// its record names. A knob the tier's road does not read
-/// (tensor::tiled_road) holds one value, so the trial budget goes to
-/// schedules that run differently.
+/// its record names. It lists each schedule that runs differently once:
+/// a knob a schedule's call does not read (tensor::tiled_road, or the
+/// parallel knobs of a one-thread call) holds the default's value.
 namespace tvmec::tune {
 
 /// The problem shape being tuned for (C is m x n, reduction extent k;
@@ -32,55 +32,43 @@ struct TaskShape {
 
 class SearchSpace {
  public:
-  /// Builds the knob menu for a task on the tier resolve_variant()
-  /// names now. `max_threads` caps the thread knob (pass 1 to restrict
-  /// tuning to serial schedules).
+  /// Lists the schedules of a task on the tier resolve_variant() names
+  /// now. `max_threads` caps the thread knob (pass 1 to restrict
+  /// tuning to serial schedules); the knob never exceeds
+  /// tensor::kMaxScheduleThreads.
   SearchSpace(const TaskShape& shape, int max_threads);
 
   const TaskShape& shape() const noexcept { return shape_; }
 
-  /// Total number of distinct schedules.
-  std::size_t size() const noexcept;
+  /// Number of schedules that run differently.
+  std::size_t size() const noexcept { return schedules_.size(); }
 
-  /// The i-th schedule in lexicographic knob order (i < size()).
-  tensor::Schedule at(std::size_t i) const;
+  /// The i-th schedule; throws std::out_of_range past size().
+  tensor::Schedule at(std::size_t i) const { return schedules_.at(i); }
 
-  /// All schedules, in order. Small enough to materialize.
-  std::vector<tensor::Schedule> all() const;
+  /// All schedules, in order.
+  const std::vector<tensor::Schedule>& all() const noexcept {
+    return schedules_;
+  }
 
-  /// Uniformly random schedule.
-  tensor::Schedule sample(std::mt19937_64& rng) const;
-
-  /// Randomly perturbs one knob of `s` (evolutionary-search mutation).
+  /// Randomly perturbs one knob of `s` (evolutionary-search mutation),
+  /// then snaps the result like every schedule of the space.
   tensor::Schedule mutate(const tensor::Schedule& s,
                           std::mt19937_64& rng) const;
 
-  const std::vector<int>& tile_m_options() const noexcept { return tile_ms_; }
-  const std::vector<int>& tile_n_options() const noexcept { return tile_ns_; }
-  const std::vector<std::size_t>& block_k_options() const noexcept {
-    return block_ks_;
-  }
-  const std::vector<std::size_t>& block_n_options() const noexcept {
-    return block_ns_;
-  }
-  const std::vector<int>& thread_options() const noexcept { return threads_; }
-  const std::vector<tensor::ParAxis>& par_axis_options() const noexcept {
-    return par_axes_;
-  }
-  const std::vector<std::size_t>& grain_options() const noexcept {
-    return grains_;
-  }
-
  private:
+  /// `s` with each knob its call does not read set to the default
+  /// schedule's value.
+  tensor::Schedule snap(tensor::Schedule s) const;
+
   TaskShape shape_;
   tensor::KernelVariant variant_;
-  std::vector<int> tile_ms_;
+  // The task's menus; the space is every menu's grid, snapped.
   std::vector<int> tile_ns_;
   std::vector<std::size_t> block_ks_;
   std::vector<std::size_t> block_ns_;
   std::vector<int> threads_;
-  std::vector<tensor::ParAxis> par_axes_;
-  std::vector<std::size_t> grains_;
+  std::vector<tensor::Schedule> schedules_;
 };
 
 }  // namespace tvmec::tune

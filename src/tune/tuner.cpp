@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace tvmec::tune {
 
 const char* to_string(Policy p) noexcept {
   switch (p) {
-    case Policy::Grid:
-      return "grid";
     case Policy::Random:
       return "random";
     case Policy::Evolutionary:
@@ -48,16 +45,44 @@ double median(std::vector<double>& samples) {
   return samples[samples.size() / 2];
 }
 
-/// Shared measurement bookkeeping: records the trial (absorbing
-/// measurement failures as failed trials) and tracks the best.
-class Recorder {
+/// One search's trials: at most min(trials, space.size()), each timing
+/// a schedule of the space no earlier trial timed. Every random draw
+/// comes without replacement from the untimed schedules, under the
+/// search's seeded rng; a failed trial spends its schedule too.
+class Search {
  public:
-  Recorder(const MeasureFn& measure, std::size_t budget)
-      : measure_(measure), budget_(budget) {}
+  Search(const SearchSpace& space, const MeasureFn& measure,
+         const TuneOptions& options)
+      : measure_(measure),
+        budget_(std::min(options.trials, space.size())),
+        untimed_(space.all()),
+        rng_(options.seed) {}
 
+  std::mt19937_64& rng() noexcept { return rng_; }
   bool exhausted() const noexcept { return result_.history.size() >= budget_; }
 
-  const TrialRecord& run(const tensor::Schedule& s) {
+  /// Up to `count` distinct untimed schedules, drawn uniformly at
+  /// random (first in untimed_); they stay untimed until run.
+  std::vector<tensor::Schedule> draw(std::size_t count) {
+    count = std::min(count, untimed_.size());
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uniform_int_distribution<std::size_t> d(i, untimed_.size() - 1);
+      std::swap(untimed_[i], untimed_[d(rng_)]);
+    }
+    return {untimed_.begin(), untimed_.begin() + count};
+  }
+
+  /// Times `s`, or a fresh draw in its place when `s` is not an untimed
+  /// schedule of the space (a mutant a trial already timed); absorbs a
+  /// failed measurement as a failed trial and tracks the best.
+  const TrialRecord& run(tensor::Schedule s) {
+    auto it = std::find(untimed_.begin(), untimed_.end(), s);
+    if (it == untimed_.end()) {
+      s = draw(1).front();
+      it = untimed_.begin();
+    }
+    *it = untimed_.back();
+    untimed_.pop_back();
     TrialRecord rec{s, 0.0, false};
     try {
       rec.throughput = measure_(s);
@@ -83,29 +108,24 @@ class Recorder {
  private:
   const MeasureFn& measure_;
   std::size_t budget_;
+  std::vector<tensor::Schedule> untimed_;
+  std::mt19937_64 rng_;
   TuneResult result_;
 };
 
-void run_grid(const SearchSpace& space, Recorder& rec) {
-  for (std::size_t i = 0; i < space.size() && !rec.exhausted(); ++i)
-    rec.run(space.at(i));
+void run_random(Search& search) {
+  while (!search.exhausted()) search.run(search.draw(1).front());
 }
 
-void run_random(const SearchSpace& space, Recorder& rec,
-                std::mt19937_64& rng) {
-  while (!rec.exhausted()) rec.run(space.sample(rng));
-}
-
-void run_evolutionary(const SearchSpace& space, Recorder& rec,
-                      std::mt19937_64& rng) {
+void run_evolutionary(const SearchSpace& space, Search& search) {
   std::vector<TrialRecord> pool;
-  for (std::size_t i = 0; i < kPopulation && !rec.exhausted(); ++i) {
-    const tensor::Schedule s = space.sample(rng);
+  for (const tensor::Schedule& s : search.draw(kPopulation)) {
+    if (search.exhausted()) break;
     // Failed trials enter the pool at throughput 0, so selection culls
     // them on the next generation.
-    pool.push_back(rec.run(s));
+    pool.push_back(search.run(s));
   }
-  while (!rec.exhausted()) {
+  while (!search.exhausted()) {
     // Keep the fitter half, refill by mutating survivors.
     std::sort(pool.begin(), pool.end(),
               [](const TrialRecord& a, const TrialRecord& b) {
@@ -113,44 +133,43 @@ void run_evolutionary(const SearchSpace& space, Recorder& rec,
               });
     pool.resize(kPopulation / 2);
     const std::size_t survivors = pool.size();
-    for (std::size_t i = 0; pool.size() < kPopulation && !rec.exhausted();
+    for (std::size_t i = 0; pool.size() < kPopulation && !search.exhausted();
          ++i) {
-      const tensor::Schedule child =
-          space.mutate(pool[i % survivors].schedule, rng);
-      pool.push_back(rec.run(child));
+      pool.push_back(search.run(
+          space.mutate(pool[i % survivors].schedule, search.rng())));
     }
   }
 }
 
-void run_model_guided(const SearchSpace& space, Recorder& rec,
-                      std::mt19937_64& rng) {
+void run_model_guided(const SearchSpace& space, Search& search) {
   CostModel model;
-  // Bootstrap with random measurements so the model has signal.
-  for (std::size_t i = 0; i < kMeasurePerRound && !rec.exhausted(); ++i) {
-    const tensor::Schedule s = space.sample(rng);
-    const TrialRecord& trial = rec.run(s);
+  const auto measure = [&](const tensor::Schedule& s) {
+    const TrialRecord& trial = search.run(s);
     // Failed trials are skipped, not fed to the model: a NaN or zero
     // sample would poison the ridge fit for the whole session.
-    if (!trial.failed) model.add_sample(s, space.shape(), trial.throughput);
+    if (!trial.failed)
+      model.add_sample(trial.schedule, space.shape(), trial.throughput);
+  };
+  // Bootstrap with random measurements so the model has signal.
+  for (const tensor::Schedule& s : search.draw(kMeasurePerRound)) {
+    if (search.exhausted()) break;
+    measure(s);
   }
-  while (!rec.exhausted()) {
+  while (!search.exhausted()) {
     model.fit();
     // Propose candidates, score them with the model...
-    std::vector<tensor::Schedule> candidates;
-    candidates.reserve(kCandidatesPerRound);
-    for (std::size_t i = 0; i < kCandidatesPerRound; ++i)
-      candidates.push_back(space.sample(rng));
+    std::vector<tensor::Schedule> candidates =
+        search.draw(kCandidatesPerRound);
     std::sort(candidates.begin(), candidates.end(),
               [&](const tensor::Schedule& a, const tensor::Schedule& b) {
                 return model.predict(a, space.shape()) >
                        model.predict(b, space.shape());
               });
-    // ...then spend real measurements only on the most promising ones.
-    for (std::size_t i = 0; i < kMeasurePerRound && !rec.exhausted(); ++i) {
-      const TrialRecord& trial = rec.run(candidates[i]);
-      if (!trial.failed)
-        model.add_sample(candidates[i], space.shape(), trial.throughput);
-    }
+    // ...then spend real measurements only on the most promising ones;
+    // the rest stay untimed.
+    const std::size_t best = std::min(kMeasurePerRound, candidates.size());
+    for (std::size_t i = 0; i < best && !search.exhausted(); ++i)
+      measure(candidates[i]);
   }
 }
 
@@ -160,23 +179,19 @@ TuneResult tune(const SearchSpace& space, const MeasureFn& measure,
                 const TuneOptions& options) {
   if (options.trials == 0)
     throw std::invalid_argument("tune: zero trial budget");
-  Recorder rec(measure, options.trials);
-  std::mt19937_64 rng(options.seed);
+  Search search(space, measure, options);
   switch (options.policy) {
-    case Policy::Grid:
-      run_grid(space, rec);
-      break;
     case Policy::Random:
-      run_random(space, rec, rng);
+      run_random(search);
       break;
     case Policy::Evolutionary:
-      run_evolutionary(space, rec, rng);
+      run_evolutionary(space, search);
       break;
     case Policy::ModelGuided:
-      run_model_guided(space, rec, rng);
+      run_model_guided(space, search);
       break;
   }
-  return std::move(rec).take();
+  return std::move(search).take();
 }
 
 TuneResult remeasure_finalists(TuneResult search, const MeasureFn& sample) {
@@ -215,12 +230,13 @@ TuneResult remeasure_finalists(TuneResult search, const MeasureFn& sample) {
   }
   search.best_throughput = 0.0;
   for (std::size_t i = 0; i < finalists.size(); ++i) {
-    if (dropped[i]) continue;
-    const double rate = median(samples[i]);
-    if (rate > search.best_throughput) {
-      search.best_throughput = rate;
-      search.best_schedule = finalists[i];
+    TrialRecord rec{finalists[i], 0.0, dropped[i]};
+    if (!rec.failed) rec.throughput = median(samples[i]);
+    if (rec.throughput > search.best_throughput) {
+      search.best_throughput = rec.throughput;
+      search.best_schedule = rec.schedule;
     }
+    search.finalists.push_back(rec);
   }
   return search;
 }

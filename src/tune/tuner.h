@@ -14,10 +14,10 @@
 /// paper: "TVM-EC uses TVM's learning-based Autoscheduler ... tunes for
 /// 20000 trials, and uses the best configuration found").
 ///
-/// A *trial* is one measured execution of a candidate schedule. Four
+/// A *trial* is one measured execution of a candidate schedule. Three
 /// policies are provided so the benefit of learned search can itself be
-/// evaluated (bench E5): exhaustive grid, uniform random, evolutionary,
-/// and cost-model-guided (Ansor-style sample -> predict -> measure ->
+/// evaluated (bench E5): uniform random, evolutionary, and
+/// cost-model-guided (Ansor-style sample -> predict -> measure ->
 /// retrain).
 namespace tvmec::tune {
 
@@ -25,13 +25,14 @@ namespace tvmec::tune {
 /// consistent higher-is-better unit; encoders use bytes/second).
 using MeasureFn = std::function<double(const tensor::Schedule&)>;
 
-enum class Policy { Grid, Random, Evolutionary, ModelGuided };
+/// From 1, as when grid search was 0, so each value prints as it did.
+enum class Policy { Random = 1, Evolutionary, ModelGuided };
 
 const char* to_string(Policy p) noexcept;
 
 struct TuneOptions {
   Policy policy = Policy::ModelGuided;
-  std::size_t trials = 128;       ///< measurement budget
+  std::size_t trials = 128;       ///< measurement budget (a cap)
   std::uint64_t seed = 42;        ///< rng seed (deterministic search)
 };
 
@@ -39,8 +40,8 @@ struct TrialRecord {
   tensor::Schedule schedule;
   double throughput = 0.0;
   /// The MeasureFn threw, or returned NaN/Inf/<= 0 — a failed trial.
-  /// Failed trials still consume budget but never become the best and
-  /// are never fed to the cost model.
+  /// Failed trials still consume budget and are not retried, but never
+  /// become the best and are never fed to the cost model.
   bool failed = false;
 };
 
@@ -49,13 +50,16 @@ struct TuneResult {
   double best_throughput = 0.0;
   std::vector<TrialRecord> history;  ///< in measurement order
   std::size_t failed_trials = 0;     ///< trials whose measurement failed
+  std::vector<TrialRecord> finalists;  ///< see remeasure_finalists
 
   /// Best throughput among the first `n` trials (tuning-curve helper).
   double best_after(std::size_t n) const;
 };
 
-/// Runs the requested search policy for `options.trials` measurements.
-/// Throws std::invalid_argument on a zero trial budget.
+/// Runs the requested search policy for min(options.trials,
+/// space.size()) trials, no two of one schedule: every random draw
+/// comes without replacement from the untimed schedules, under
+/// options.seed. Throws std::invalid_argument on a zero trial budget.
 ///
 /// Measurement is fallible: a MeasureFn that throws or returns a
 /// non-finite or non-positive value marks that trial failed (recorded in
@@ -72,9 +76,10 @@ TuneResult tune(const SearchSpace& space, const MeasureFn& measure,
 /// distinct schedules among `search`'s successful trials (every one
 /// when fewer succeeded) and samples them round-robin for 7 rounds;
 /// best_schedule and best_throughput become the highest median (ties go
-/// to the better search trial), while history and failed_trials stay the
-/// search's. `sample` is fallible like a MeasureFn: a throw or an
-/// unusable rate drops that finalist. With no successful trial the
+/// to the better search trial), `finalists` holds each finalist in rank
+/// order at its median, and history and failed_trials stay the search's.
+/// `sample` is fallible like a MeasureFn: a throw or an unusable rate
+/// drops that finalist (failed, rate 0). With no successful trial the
 /// search's fallback stands (its first candidate, throughput 0); when
 /// every finalist is dropped, best_throughput becomes 0.
 TuneResult remeasure_finalists(TuneResult search, const MeasureFn& sample);

@@ -214,9 +214,21 @@ TEST(GemmCoder, TuneInstallsBestScheduleAndImproves) {
   opt.trials = 12;
   opt.seed = 3;
   const tune::TuneResult result = coder.tune(unit, opt, 1);
-  EXPECT_EQ(result.history.size(), 12u);
+  // The budget caps the search: a space smaller than it is timed once.
+  const tune::SearchSpace space(coder.task_shape(unit), 1);
+  EXPECT_EQ(result.history.size(), std::min<std::size_t>(12, space.size()));
   EXPECT_GT(result.best_throughput, 0.0);
   EXPECT_EQ(coder.schedule(), result.best_schedule);
+  // The pick is the finalist with the best re-measured median.
+  ASSERT_FALSE(result.finalists.empty());
+  double best_median = 0.0;
+  for (const tune::TrialRecord& f : result.finalists) {
+    best_median = std::max(best_median, f.throughput);
+    if (f.schedule == result.best_schedule) {
+      EXPECT_EQ(f.throughput, result.best_throughput);
+    }
+  }
+  EXPECT_EQ(best_median, result.best_throughput);
 
   // Tuned coder still encodes correctly.
   const auto data = random_bytes(params.k * unit, 31);

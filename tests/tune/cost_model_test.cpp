@@ -9,11 +9,17 @@ namespace {
 
 TaskShape shape() { return {32, 2048, 80}; }
 
+/// A uniformly random schedule of `space`.
+tensor::Schedule draw(const SearchSpace& space, std::mt19937_64& rng) {
+  std::uniform_int_distribution<std::size_t> index(0, space.size() - 1);
+  return space.at(index(rng));
+}
+
 TEST(Featurize, ProducesFixedDimension) {
   const SearchSpace space(shape(), 4);
   std::mt19937_64 rng(1);
   for (int i = 0; i < 20; ++i) {
-    const auto f = featurize(space.sample(rng), shape());
+    const auto f = featurize(draw(space, rng), shape());
     EXPECT_EQ(f.size(), kNumFeatures);
     for (const double v : f) EXPECT_TRUE(std::isfinite(v));
   }
@@ -58,7 +64,7 @@ TEST(CostModel, LearnsSyntheticRanking) {
   CostModel model(1e-6);
   std::mt19937_64 rng(2);
   for (int i = 0; i < 150; ++i) {
-    const tensor::Schedule s = space.sample(rng);
+    const tensor::Schedule s = draw(space, rng);
     model.add_sample(s, shape(), truth(s));
   }
   model.fit();
@@ -67,8 +73,8 @@ TEST(CostModel, LearnsSyntheticRanking) {
   // Check pairwise ranking accuracy on fresh samples with a clear gap.
   int correct = 0, total = 0;
   for (int i = 0; i < 300; ++i) {
-    const tensor::Schedule a = space.sample(rng);
-    const tensor::Schedule b = space.sample(rng);
+    const tensor::Schedule a = draw(space, rng);
+    const tensor::Schedule b = draw(space, rng);
     const double gap = truth(a) - truth(b);
     if (std::abs(gap) < 100.0) continue;  // skip near-ties
     ++total;

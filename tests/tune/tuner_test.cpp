@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "../test_util.h"
@@ -76,10 +77,7 @@ TEST_P(PolicyTest, FindsNearOptimalWithModestBudget) {
 
   TuneOptions opt;
   opt.policy = GetParam();
-  // Grid search has no notion of "promising region": within a partial
-  // budget it only sees a lexicographic prefix, so give it the full
-  // space; the adaptive policies must get close with a fraction of it.
-  opt.trials = GetParam() == Policy::Grid ? space.size() : 150;
+  opt.trials = 150;
   const TuneResult result = tune(space, synthetic_objective, opt);
   // Within 10% of the global optimum on this easy landscape.
   EXPECT_GT(result.best_throughput, 0.9 * best)
@@ -175,13 +173,11 @@ TEST_P(PolicyTest, AllTrialsFailingStillReturnsValidSchedule) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyTest,
-                         ::testing::Values(Policy::Grid, Policy::Random,
+                         ::testing::Values(Policy::Random,
                                            Policy::Evolutionary,
                                            Policy::ModelGuided),
                          [](const auto& info) {
                            switch (info.param) {
-                             case Policy::Grid:
-                               return "Grid";
                              case Policy::Random:
                                return "Random";
                              case Policy::Evolutionary:
@@ -191,23 +187,56 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyTest,
                            }
                          });
 
-TEST(Tuner, GridVisitsDistinctSchedulesInOrder) {
-  const SearchSpace space(shape(), 2);
-  TuneOptions opt;
-  opt.policy = Policy::Grid;
-  opt.trials = 25;
-  const TuneResult result = tune(space, synthetic_objective, opt);
-  for (std::size_t i = 0; i < 25; ++i)
-    EXPECT_EQ(result.history[i].schedule, space.at(i));
-}
+TEST(Tuner, EveryPolicyTimesEachScheduleOnce) {
+  // A tiled tier's serial space, and the Gfni road's where the host has
+  // that tier; a partial budget on each tier's threaded space.
+  std::vector<tensor::KernelVariant> tiers = {tensor::KernelVariant::Scalar};
+  if (tensor::variant_available(tensor::KernelVariant::Gfni))
+    tiers.push_back(tensor::KernelVariant::Gfni);
+  const auto keys = [](const auto& schedules) {
+    std::set<std::string> out;
+    for (const tensor::Schedule& s : schedules) out.insert(s.to_string());
+    return out;
+  };
+  const auto timed = [](const TuneResult& result) {
+    std::vector<tensor::Schedule> out;
+    for (const TrialRecord& rec : result.history) out.push_back(rec.schedule);
+    return out;
+  };
+  for (const tensor::KernelVariant tier : tiers) {
+    const testutil::ForceRestorer force(tier);
+    const SearchSpace serial(shape(), 1);
+    const SearchSpace threaded(shape(), 4);
+    for (const Policy policy :
+         {Policy::Random, Policy::Evolutionary, Policy::ModelGuided}) {
+      const std::string label =
+          std::string(to_string(policy)) + " on " + tensor::to_string(tier);
+      TuneOptions opt;
+      opt.policy = policy;
+      opt.trials = 2 * serial.size();
+      std::size_t calls = 0;
+      const TuneResult full = tune(
+          serial,
+          [&calls](const tensor::Schedule& s) {
+            ++calls;
+            return synthetic_objective(s);
+          },
+          opt);
+      EXPECT_EQ(calls, serial.size()) << label;
+      EXPECT_EQ(full.history.size(), serial.size()) << label;
+      EXPECT_TRUE(keys(timed(full)) == keys(serial.all()))
+          << label << ": " << keys(timed(full)).size() << " distinct of "
+          << serial.size();
 
-TEST(Tuner, GridStopsAtSpaceExhaustion) {
-  const SearchSpace space(TaskShape{8, 128, 16}, 1);
-  TuneOptions opt;
-  opt.policy = Policy::Grid;
-  opt.trials = 100000;
-  const TuneResult result = tune(space, synthetic_objective, opt);
-  EXPECT_EQ(result.history.size(), space.size());
+      opt.trials = 96;
+      const std::set<std::string> partial =
+          keys(timed(tune(threaded, synthetic_objective, opt)));
+      EXPECT_EQ(partial.size(), 96u) << label << " timed a schedule twice";
+      const std::set<std::string> listed = keys(threaded.all());
+      for (const std::string& key : partial)
+        EXPECT_TRUE(listed.contains(key)) << key;
+    }
+  }
 }
 
 TEST(Tuner, ZeroTrialsThrows) {
@@ -289,6 +318,15 @@ TEST(Tuner, RemeasureOverrulesTheLuckiestSearchTrial) {
   EXPECT_EQ(picked.best_schedule, nth(1));
   EXPECT_DOUBLE_EQ(picked.best_throughput, 73.0);
   EXPECT_EQ(calls, (std::vector<std::size_t>{7, 7, 7, 4, 3}));
+  // Every finalist stays on file in search rank, with its median; a
+  // dropped one is failed.
+  ASSERT_EQ(picked.finalists.size(), 5u);
+  const std::vector<double> medians = {50.0, 73.0, 40.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(picked.finalists[i].schedule, nth(i));
+    EXPECT_DOUBLE_EQ(picked.finalists[i].throughput, medians[i]);
+    EXPECT_EQ(picked.finalists[i].failed, i >= 3);
+  }
   // The search's record stays the search's.
   ASSERT_EQ(picked.history.size(), 5u);
   EXPECT_EQ(picked.history[0].throughput, 100.0);
@@ -355,6 +393,7 @@ TEST(Tuner, RemeasureKeepsTheAllFailedFallback) {
   EXPECT_EQ(picked.failed_trials, 5u);
   EXPECT_EQ(picked.best_throughput, 0.0);
   EXPECT_EQ(picked.best_schedule, search.history.front().schedule);
+  EXPECT_TRUE(picked.finalists.empty());
 
   // Successful trials whose every re-measure fails leave no winner.
   TuneResult flaky;
@@ -362,6 +401,11 @@ TEST(Tuner, RemeasureKeepsTheAllFailedFallback) {
   const TuneResult none = remeasure_finalists(
       flaky, [](const tensor::Schedule&) { return std::nan(""); });
   EXPECT_EQ(none.best_throughput, 0.0);
+  ASSERT_EQ(none.finalists.size(), 2u);
+  for (const TrialRecord& rec : none.finalists) {
+    EXPECT_TRUE(rec.failed);
+    EXPECT_EQ(rec.throughput, 0.0);
+  }
 }
 
 TEST(MeasureSecondsMedian, ReturnsPlausibleDuration) {
